@@ -205,6 +205,7 @@ zoo-smoke:
 		cmp "$$f" "results/.zoo-smoke/tb/$$(basename $$f)" || exit 1; \
 	done
 	grep -q "sanity identical-machines fault-free: .*: OK" results/.zoo-smoke/a.txt
+	rm -rf results/.zoo-smoke
 
 # Runner-resilience: a crashing unit must yield exactly one failed
 # outcome (not a pool abort), retries must heal a flaky unit, and an

@@ -121,9 +121,11 @@ def test_unit_opt_solver(benchmark, small_unit_workload):
 
 
 def _timed_run(instance, backend: str):
+    """One simulation, timing ``add_instance`` + ``run`` (the region
+    ``ops_per_s`` of ``benchmarks/perf`` times)."""
     sim = Simulator(EFT(instance.m, tiebreak="min"), backend=backend)
-    sim.add_instance(instance)
     t0 = time.perf_counter()
+    sim.add_instance(instance)
     result = sim.run()
     elapsed = time.perf_counter() - t0
     assert sim.backend_used == backend, sim.fallback_reason

@@ -47,8 +47,10 @@ identity guarded by ``tests/faults``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -194,8 +196,10 @@ class Simulator:
         :attr:`fallback_reason`.  A run is eligible when it is fresh
         (nothing dispatched yet), the scheduler is plain :class:`EFT`
         with a deterministic Min/Max tie-break, no observer is
-        attached, the fault schedule is absent or empty, and only
-        RELEASE events are pending.  Results are bit-identical either
+        attached, the fault schedule is absent or empty, the event
+        queue is empty and tasks are waiting in the release feed
+        (everything fed by :meth:`add_tasks`/:meth:`add_instance` and
+        not yet run).  Results are bit-identical either
         way — byte-identity over the golden fixtures is enforced by
         ``tests/simulation/test_vec_backend.py`` and ``make vec-smoke``.
         :attr:`backend_used` reports what the last :meth:`run` did.
@@ -226,6 +230,13 @@ class Simulator:
         self.m = scheduler.m
         self.machines = {j: MachineState(index=j) for j in range(1, self.m + 1)}
         self.events = EventQueue()
+        #: tasks fed between runs, in feed order: they become RELEASE
+        #: events only when the reference loop starts (the array path
+        #: consumes them directly and never builds the events).
+        self._feed: list[Task] = []
+        self._feed_sorted = True
+        #: inside the reference loop, where fed tasks are pushed at once
+        self._running = False
         self.now = 0.0
         self._completions: dict[int, float] = {}
         self._starts: dict[int, float] = {}
@@ -322,20 +333,42 @@ class Simulator:
 
     # -- workload feeding ---------------------------------------------------
     def add_tasks(self, tasks: Iterable[Task]) -> None:
-        """Schedule RELEASE events for ``tasks`` (any order; the queue
-        sorts by time)."""
+        """Release ``tasks`` at their release times (any order; tasks
+        released at the same instant fire in feed order).  Called from
+        inside a run (an :meth:`at` callback), the RELEASE events are
+        pushed at once; otherwise the tasks wait in the release feed
+        until the next :meth:`run`."""
         self._fed_instance = None
-        for t in tasks:
-            self.events.push(t.release, EventKind.RELEASE, t)
+        if self._running:
+            for t in tasks:
+                self.events.push(t.release, EventKind.RELEASE, t)
+            return
+        self._feed.extend(tasks)
+        self._feed_sorted = False
 
     def add_instance(self, instance: Instance) -> None:
         """Feed a whole instance."""
         if instance.m != self.m:
             raise ValueError(f"instance has m={instance.m}, simulator has m={self.m}")
-        virgin = not self._tasks and not self.events
+        feed = self._feed
+        virgin = not self._tasks and not self.events and not feed
+        # an Instance is release-sorted, so it keeps a sorted feed sorted
+        # unless it starts before the feed's last release
+        still_sorted = self._feed_sorted and (
+            not feed or not instance.tasks or feed[-1].release <= instance.tasks[0].release
+        )
         self.add_tasks(instance.tasks)
+        self._feed_sorted = still_sorted
         if virgin:
             self._fed_instance = instance
+
+    def _release_feed(self) -> list[Task]:
+        """The feed in firing order: by release, feed order at an
+        instant (one stable sort after an out-of-order feed)."""
+        if not self._feed_sorted:
+            self._feed.sort(key=attrgetter("release"))
+            self._feed_sorted = True
+        return self._feed
 
     def at(self, time: float, callback: Callable[["Simulator"], None]) -> None:
         """Run ``callback(sim)`` when the clock reaches ``time``.
@@ -642,28 +675,41 @@ class Simulator:
 
     def _run_reference(self, until: float | None) -> SimulationResult:
         """The event loop (see :meth:`run` for semantics)."""
-        while self.events:
+        if self._feed:
+            # Materialise the feed unless nothing at all is due by the
+            # cutoff (then no callback can run either, and the feed stays
+            # for the array path of the next run).
+            head = self._release_feed()[0].release
             nxt = self.events.peek_time()
-            if until is not None and nxt is not None and nxt > until:
-                break
-            ev = self.events.pop()
-            self.now = ev.time
-            if ev.kind is EventKind.RELEASE:
-                self._handle_release(ev.payload)
-            elif ev.kind is EventKind.COMPLETE:
-                self._handle_complete(*ev.payload)
-            elif ev.kind is EventKind.OBSERVE:
-                ev.payload(self)
-            elif ev.kind is EventKind.MACHINE_DOWN:
-                self._handle_machine_down(ev.payload)
-            elif ev.kind is EventKind.MACHINE_UP:
-                self._handle_machine_up(ev.payload)
-            elif ev.kind is EventKind.PREEMPT:
-                self._handle_preempt(ev.payload)
-            elif ev.kind is EventKind.RESUME:
-                self._handle_resume(ev.payload)
-            else:  # pragma: no cover - START events are implicit
-                raise RuntimeError(f"unexpected event kind {ev.kind}")
+            if until is None or head <= until or (nxt is not None and nxt <= until):
+                self.events.extend(EventKind.RELEASE, ((t.release, t) for t in self._feed))
+                self._feed = []
+        self._running = True
+        try:
+            while self.events:
+                nxt = self.events.peek_time()
+                if until is not None and nxt > until:
+                    break
+                ev = self.events.pop()
+                self.now = ev.time
+                if ev.kind is EventKind.RELEASE:
+                    self._handle_release(ev.payload)
+                elif ev.kind is EventKind.COMPLETE:
+                    self._handle_complete(*ev.payload)
+                elif ev.kind is EventKind.OBSERVE:
+                    ev.payload(self)
+                elif ev.kind is EventKind.MACHINE_DOWN:
+                    self._handle_machine_down(ev.payload)
+                elif ev.kind is EventKind.MACHINE_UP:
+                    self._handle_machine_up(ev.payload)
+                elif ev.kind is EventKind.PREEMPT:
+                    self._handle_preempt(ev.payload)
+                elif ev.kind is EventKind.RESUME:
+                    self._handle_resume(ev.payload)
+                else:  # pragma: no cover - START events are implicit
+                    raise RuntimeError(f"unexpected event kind {ev.kind}")
+        finally:
+            self._running = False
         if until is not None and self.now < until:
             self.now = until
         return self.result()
@@ -688,11 +734,12 @@ class Simulator:
             return "simulation already started"
         if s._tasks or s._placements or any(v != 0.0 for v in s.completions.values()):
             return "scheduler already has dispatches"
-        if not self.events:
+        if not self.events and not self._feed:
             return "no pending work"
-        kinds = self.events.pending_kinds()
-        if kinds != {EventKind.RELEASE}:
-            extra = sorted(k.name for k in kinds - {EventKind.RELEASE})
+        if self.events:
+            extra = sorted({ev.kind.name for ev in self.events} - {EventKind.RELEASE.name})
+            if not extra:  # releases pushed by the callbacks of an earlier run
+                return "simulation already started"
             return f"non-release events pending ({', '.join(extra)})"
         return None
 
@@ -703,8 +750,8 @@ class Simulator:
         ``until`` in one :func:`repro.core.vecengine.eft_decide` pass
         (identical arithmetic to the reference loop), then syncs the
         complete simulator and scheduler state — machine states, run
-        queues, event queue (future releases and in-flight COMPLETEs
-        re-pushed), dispatch books — so a later :meth:`run`,
+        queues, in-flight COMPLETEs, the releases after the cutoff left
+        in the feed, dispatch books — so a later :meth:`run`,
         :meth:`result`, :meth:`waiting_profile` or adversary pick up
         exactly where the reference loop would have been.  Returns
         ``None`` (and records :attr:`fallback_reason`) when the run is
@@ -716,22 +763,20 @@ class Simulator:
         exact).
         """
         reason = self._array_fallback_reason(until)
-        if reason is None and until is not None and self.events.peek_time() > until:
-            reason = "no releases before the cutoff"
+        if reason is None:
+            # The feed in firing order (release, then feed order) — the
+            # exact order the reference loop submits it, out-of-order
+            # add_tasks feeds included.
+            feed = self._release_feed()
+            cut = len(feed) if until is None else bisect_right(
+                feed, until, key=attrgetter("release")
+            )
+            if cut == 0:
+                reason = "no releases before the cutoff"
         if reason is not None:
             self.fallback_reason = reason
             return None
-        # Pending RELEASEs in firing order: (time, seq) — the exact
-        # order the reference loop submits them.  This is also how
-        # out-of-release-order add_tasks feeds are handled identically
-        # to the reference engine (the queue sorts, the decisions see
-        # a release-ordered stream).
-        events = self.events.pending()
-        if until is None:
-            prefix = events
-        else:
-            prefix = [ev for ev in events if ev.time <= until]
-        released = [ev.payload for ev in prefix]
+        released = feed if cut == len(feed) else feed[:cut]
         try:
             elig = lower_eligibility(self.m, released)
         except VecUnsupported as exc:
@@ -777,7 +822,8 @@ class Simulator:
             None if until is None else started_idx,
             None if until is None else completed_idx,
         )
-        self._tasks = list(released)
+        self._tasks = released
+        self._feed = feed[cut:]
         s = self.scheduler
         s.completions = {j: comp_after[j] for j in range(1, m + 1)}
         counts = np.bincount(mach_a, minlength=m + 1)
@@ -803,11 +849,8 @@ class Simulator:
             ms.busy_time = float(busy[j])
             ms.tasks_done = int(done_counts[j])
 
-        # -- event queue: future releases (FIFO preserved), in-flight
-        # completions, and the run queues of busy machines ----------------
-        self.events.clear()
-        for ev in events[len(prefix):]:
-            self.events.push(ev.time, EventKind.RELEASE, ev.payload)
+        # -- in-flight completions and the run queues of busy machines
+        # (the releases after the cutoff stay in the feed) ----------------
         if until is not None:
             for i in np.nonzero(started & ~completed)[0].tolist():
                 j = mach_l[i]
@@ -851,7 +894,7 @@ class Simulator:
             if ms.current is not None
         )
         total_busy = completed_busy + in_flight_busy
-        all_done = n_completed == n and not self.events.has_work()
+        all_done = n_completed == n and not self._feed and not self.events.has_work()
         horizon = makespan if all_done else max(self.now, makespan)
         capacity = m * horizon
         util = total_busy / capacity if capacity > 0 else 0.0
@@ -913,10 +956,13 @@ class Simulator:
         )
         total_busy = completed_busy + in_flight_busy
         # "Done" means no work remains anywhere: every released task
-        # completed *and* no RELEASE/COMPLETE event is still queued
-        # (a truncated run may leave future releases pending).
+        # completed *and* no release is still fed or queued and no
+        # COMPLETE is queued (a truncated run may leave future releases
+        # pending).
         all_done = (
-            len(self.completions) == len(self._tasks) and not self.events.has_work()
+            len(self.completions) == len(self._tasks)
+            and not self._feed
+            and not self.events.has_work()
         )
         # Over [0, horizon] each machine's credited segments are
         # disjoint and lie within its alive time, so utilisation is

@@ -24,6 +24,13 @@ task completing exactly when its machine fails (COMPLETE before
 MACHINE_DOWN) counts as completed — the work was done by :math:`t` —
 and a task released at the failure instant (MACHINE_DOWN before
 RELEASE) already sees the machine as dead.
+
+Releases fed to a :class:`~repro.simulation.engine.Simulator` before
+``run`` are not queued here at feed time: they wait in the simulator's
+release feed and take their ``seq`` when the reference loop
+materialises them (one :meth:`EventQueue.extend`, in feed order).
+``seq`` only breaks ties within one kind, so the firing order is the
+same as if each had been pushed when it was fed.
 """
 
 from __future__ import annotations
@@ -32,8 +39,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from operator import attrgetter
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -91,77 +97,35 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._counter = itertools.count()
-        self._kind_counts: dict[EventKind, int] = {}
-        #: True while the heap list is known to *be* the firing order:
-        #: every push so far arrived in non-decreasing (time, priority)
-        #: and nothing was popped.  Sorted pushes never sift, so the
-        #: heap list stays in insertion order and :meth:`pending` can
-        #: skip its O(n log n) sort — the common case for an instance
-        #: fed release-sorted to a fresh simulator.
-        self._monotone = True
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns the event object."""
-        priority = _KIND_PRIORITY[kind]
-        if self._monotone and self._heap:
-            last = self._heap[-1]
-            if (time, priority) < (last.time, last.priority):
-                self._monotone = False
-        ev = Event(
-            time=time,
-            priority=priority,
-            seq=next(self._counter),
-            kind=kind,
-            payload=payload,
-        )
+        ev = Event(time, _KIND_PRIORITY[kind], next(self._counter), kind, payload)
         heapq.heappush(self._heap, ev)
-        counts = self._kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
         return ev
+
+    def extend(self, kind: EventKind, items: Iterable[tuple[float, Any]]) -> None:
+        """Schedule one event of ``kind`` per ``(time, payload)`` item.
+
+        Equivalent to one :meth:`push` per item in ``items`` order (the
+        seqs follow it, so same-instant items fire in the order given),
+        but builds the heap with a single ``heapify`` instead of one
+        sift per event.
+        """
+        priority = _KIND_PRIORITY[kind]
+        counter = self._counter
+        self._heap.extend(
+            Event(time, priority, next(counter), kind, payload) for time, payload in items
+        )
+        heapq.heapify(self._heap)
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        ev = heapq.heappop(self._heap)
-        counts = self._kind_counts
-        left = counts[ev.kind] - 1
-        if left:
-            counts[ev.kind] = left
-        else:
-            del counts[ev.kind]
-        if self._heap:
-            # popping reorders the heap list (the tail element moves to
-            # the root), so insertion order is no longer the list order
-            self._monotone = False
-        else:
-            self._monotone = True
-        return ev
+        return heapq.heappop(self._heap)
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` if empty."""
         return self._heap[0].time if self._heap else None
-
-    def pending(self) -> list[Event]:
-        """Every pending event in firing order (non-destructive).
-
-        Used by the array backend to fast-forward: the sorted view is
-        exactly the order the reference loop would pop, including the
-        pinned same-instant priorities and the FIFO seq tie-break.
-        """
-        if self._monotone:
-            return list(self._heap)
-        return sorted(self._heap, key=attrgetter("time", "priority", "seq"))
-
-    def pending_kinds(self) -> set[EventKind]:
-        """The distinct kinds currently queued (O(1) eligibility probe
-        for the array backend — tracked incrementally, no scan)."""
-        return set(self._kind_counts)
-
-    def clear(self) -> None:
-        """Drop every pending event (the seq counter keeps running, so
-        later pushes still order after everything ever scheduled)."""
-        self._heap.clear()
-        self._kind_counts.clear()
-        self._monotone = True
 
     _NON_WORK = frozenset({EventKind.OBSERVE, EventKind.MACHINE_DOWN, EventKind.MACHINE_UP})
 
@@ -169,6 +133,10 @@ class EventQueue:
         """Whether any *work* event (RELEASE/START/COMPLETE, as opposed
         to OBSERVE callbacks or fault transitions) is still pending."""
         return any(ev.kind not in self._NON_WORK for ev in self._heap)
+
+    def __iter__(self) -> Iterator[Event]:
+        """The pending events, in heap (not firing) order."""
+        return iter(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -75,6 +75,56 @@ class TestSameInstantOrdering:
         assert [q.pop().payload for _ in range(5)] == list(range(5))
 
 
+class TestExtend:
+    """``extend`` is a batch of ``push`` calls: same seqs, same order."""
+
+    def test_interleaved_push_and_extend_fire_fifo(self):
+        q = EventQueue()
+        q.push(1.0, EventKind.RELEASE, "p0")
+        q.extend(EventKind.RELEASE, [(1.0, "e0"), (1.0, "e1")])
+        q.push(1.0, EventKind.RELEASE, "p1")
+        q.extend(EventKind.RELEASE, [(1.0, "e2")])
+        assert [q.pop().payload for _ in range(5)] == ["p0", "e0", "e1", "p1", "e2"]
+
+    def test_kind_priority_holds_across_push_and_extend(self):
+        q = EventQueue()
+        q.extend(EventKind.OBSERVE, [(1.0, "o0")])
+        q.extend(EventKind.RELEASE, [(1.0, "r0"), (0.5, "early"), (1.0, "r1")])
+        q.push(1.0, EventKind.COMPLETE, "c")
+        q.push(1.0, EventKind.MACHINE_DOWN, "down")
+        q.extend(EventKind.MACHINE_UP, [(1.0, "up")])
+        assert [q.pop().payload for _ in range(7)] == [
+            "early", "up", "c", "down", "r0", "r1", "o0",
+        ]
+
+    def test_extend_onto_queued_faults_pops_like_pushes(self):
+        faults = [
+            (2.0, EventKind.MACHINE_DOWN, 1),
+            (2.0, EventKind.MACHINE_UP, 2),
+            (5.0, EventKind.MACHINE_UP, 1),
+        ]
+        releases = [(float(t), f"r{i}") for i, t in enumerate([0, 2, 2, 5, 1, 5, 7, 2])]
+        pushed, extended = EventQueue(), EventQueue()
+        for q in (pushed, extended):
+            for time_, kind, machine in faults:
+                q.push(time_, kind, machine)
+        for time_, payload in releases:
+            pushed.push(time_, EventKind.RELEASE, payload)
+        extended.extend(EventKind.RELEASE, releases)
+        n = len(faults) + len(releases)
+        assert len(extended) == n
+
+        def drain(q):
+            return [(ev.time, ev.kind, ev.seq, ev.payload) for ev in (q.pop() for _ in range(n))]
+
+        assert drain(pushed) == drain(extended)
+
+    def test_extend_empty_is_a_no_op(self):
+        q = EventQueue()
+        q.extend(EventKind.RELEASE, [])
+        assert not q and q.peek_time() is None
+
+
 class TestCoincidingTimesMatchAnalytic:
     """With completions firing before same-instant releases, the
     event-driven simulator reproduces the analytic EFT schedule even

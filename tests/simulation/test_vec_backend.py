@@ -8,6 +8,8 @@ configurations — random tie-breaks, fault schedules, observer hooks —
 fall back silently with the reason recorded.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,117 @@ class TestShuffledReleases:
             sim = Simulator(EFT(m, tiebreak=tiebreak), backend="reference")
             sim.add_instance(Instance(m=m, tasks=tuple(tasks)))
             _assert_identical(ra, sim.run())
+
+
+@st.composite
+def _feed_scenarios(draw):
+    """Several out-of-order ``add_tasks`` batches, a cutoff, batches fed
+    after it, ``at()`` callbacks injecting tasks at their own instant,
+    and (sometimes) a fault schedule."""
+    m = draw(st.integers(1, 4))
+    tids = iter(range(10_000))
+
+    def batch(lo, hi, max_size):
+        return [
+            Task(
+                tid=next(tids),
+                release=float(draw(st.integers(lo, hi))),
+                proc=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])),
+                machines=frozenset(draw(st.sets(st.integers(1, m), min_size=1))),
+            )
+            for _ in range(draw(st.integers(1, max_size)))
+        ]
+
+    until = draw(st.integers(0, 16)) / 2
+    resume_at = math.ceil(until)
+    callbacks = []
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, 8))
+        callbacks.append((float(at), batch(at, at, 3)))
+    outages = []
+    if draw(st.booleans()):
+        for j in draw(st.sets(st.integers(1, m), min_size=1)):
+            start = draw(st.integers(0, 6))
+            outages.append((j, float(start), float(start + draw(st.integers(1, 4)))))
+    return {
+        "m": m,
+        "tiebreak": draw(st.sampled_from(["min", "max"])),
+        "before": [batch(0, 6, 8) for _ in range(draw(st.integers(1, 3)))],
+        "until": until,
+        "after": [batch(resume_at, resume_at + 6, 6) for _ in range(draw(st.integers(0, 2)))],
+        "callbacks": callbacks,
+        "outages": outages,
+    }
+
+
+def _play(scn, backend):
+    """Feed, run to the cutoff, feed more, resume; returns the simulator
+    and both results."""
+    from repro.faults import FaultSchedule
+
+    faults = FaultSchedule.build(scn["outages"]) if scn["outages"] else None
+    sim = Simulator(EFT(scn["m"], tiebreak=scn["tiebreak"]), faults=faults, backend=backend)
+    for tasks in scn["before"]:
+        sim.add_tasks(tasks)
+    for at, injected in scn["callbacks"]:
+        sim.at(at, lambda s, injected=injected: s.add_tasks(injected))
+    first = sim.run(until=scn["until"])
+    for tasks in scn["after"]:
+        sim.add_tasks(tasks)
+    return sim, (first, sim.run())
+
+
+class TestReleaseFeedParity:
+    """Tasks fed between runs wait in the release feed; the array path
+    consumes it, the reference loop turns it into RELEASE events.  Both
+    must behave as if every release had been pushed when it was fed."""
+
+    @given(scn=_feed_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_feeds_match_reference(self, scn):
+        sa, results_a = _play(scn, "auto")
+        sr, results_r = _play(scn, "reference")
+        for ra, rr in zip(results_a, results_r):
+            _assert_identical(ra, rr)
+        assert sa.starts == sr.starts
+        assert sa.completions == sr.completions
+        assert sa.assigned_machine == sr.assigned_machine
+        assert sa.now == sr.now
+
+    def test_run_with_nothing_due_keeps_the_feed_for_the_array_path(self):
+        inst = _workload(rng=47, n=50)
+        sim = Simulator(EFT(inst.m), backend="auto")
+        sim.add_instance(inst)
+        sim.run(until=-1.0)
+        assert sim.backend_used == "reference"
+        ra = sim.run()
+        assert sim.backend_used == "array", sim.fallback_reason
+        _, rr = _pair(inst)[1]
+        _assert_identical(ra, rr)
+
+    @pytest.mark.parametrize(
+        "pending, reason",
+        [
+            ((), "no pending work"),
+            (("observe",), "non-release events pending (OBSERVE)"),
+            (("down",), "non-release events pending (MACHINE_DOWN)"),
+            (("observe", "down"), "non-release events pending (MACHINE_DOWN, OBSERVE)"),
+        ],
+    )
+    def test_fallback_reasons_unchanged(self, pending, reason):
+        from repro.simulation import EventKind
+
+        inst = _workload(rng=53, n=40)
+        sim = Simulator(EFT(inst.m), backend="auto")
+        if pending:
+            sim.add_instance(inst)
+        if "observe" in pending:
+            sim.at(1.0, lambda s: None)
+        if "down" in pending:
+            sim.events.push(1.0, EventKind.MACHINE_DOWN, 1)
+        sim.run()
+        assert sim.backend_used == "reference"
+        assert sim.fallback_reason == reason
 
 
 class TestFallbacks:
