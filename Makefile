@@ -95,9 +95,11 @@ serve-smoke:
 		results/.serve-smoke/a.metrics.json results/.serve-smoke/b.metrics.json
 	rm -rf results/.serve-smoke
 
-# Sharded serving smoke: a 3-shard loopback router over a disjoint
+# Sharded serving smoke: a 3-shard loopback fleet over a disjoint
 # workload (m=6, k=2) must drop nothing, place deterministically across
-# two runs, and — Theorem 6 — byte-match the single-dispatcher digest.
+# two runs, and — Theorem 6 — byte-match the single-dispatcher digest;
+# so must one `repro serve --shards 3` process (the router frontend)
+# driven over its socket with the same stream.
 shard-smoke:
 	rm -rf results/.shard-smoke
 	mkdir -p results/.shard-smoke
@@ -121,6 +123,20 @@ shard-smoke:
 	grep "assignments sha256" results/.shard-smoke/single.txt > results/.shard-smoke/single.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/b.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/single.sha
+	PYTHONPATH=src timeout 120 $(PYTHON) -m repro serve \
+		--socket results/.shard-smoke/serve.sock --m 6 --shards 3 --align-k 2 \
+		> results/.shard-smoke/serve.log 2>&1 & \
+	for i in $$(seq 1 100); do \
+		[ -S results/.shard-smoke/serve.sock ] && break; sleep 0.1; \
+	done; \
+	PYTHONPATH=src $(PYTHON) -m repro drive --socket results/.shard-smoke/serve.sock \
+		--m 6 --k 2 --strategy disjoint --rate 600 --n 180 --proc 0.005 --seed 42 \
+		--shutdown > results/.shard-smoke/serve.txt; \
+	wait $$!
+	cat results/.shard-smoke/serve.txt
+	grep -q "errors: 0" results/.shard-smoke/serve.txt
+	grep "assignments sha256" results/.shard-smoke/serve.txt > results/.shard-smoke/serve.sha
+	cmp results/.shard-smoke/serve.sha results/.shard-smoke/single.sha
 	rm -rf results/.shard-smoke
 
 # Chaos smoke: a seeded chaos drive (drops, truncation, corruption,

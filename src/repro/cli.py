@@ -19,7 +19,7 @@ Usage::
     python -m repro rebalance --policy adaptive --events results/rebalance.trace.jsonl
     python -m repro replay results/rebalance.trace.jsonl
     python -m repro serve --socket /tmp/repro.sock --m 4 --slo 0.1
-    python -m repro serve-sharded --socket /tmp/repro.sock --m 6 --shards 3 --align-k 2
+    python -m repro serve --socket /tmp/repro.sock --m 6 --shards 3 --align-k 2
     python -m repro route --m 6 --shards 3 --strategy overlapping --k 2 --set 3,4
     python -m repro drive --socket /tmp/repro.sock --rate 200 --n 500 --shutdown
     python -m repro bench-serve --m 4 --rate 400 --n 250 --proc 0.005 --seed 42
@@ -57,8 +57,9 @@ controller — ``--policy compare`` races all three arms on the same
 seeded stream, ``--events PATH`` records every placement decision as a
 versioned trace that ``replay`` re-runs and byte-compares.
 
-The sharded tier (:mod:`repro.serve.shard`): ``serve-sharded`` runs N
-dispatcher shards behind the interval-aware router on one endpoint,
+The sharded tier (:mod:`repro.serve.shard`): ``serve --shards N`` runs
+N dispatcher shards behind the interval-aware router on one endpoint
+(a single server is the one-shard fleet, the default),
 ``route`` prints a shard plan and where a processing set would land,
 and ``bench-serve --shards N`` runs one real server process per shard
 with client-side routing — on a disjoint plan the merged digest equals
@@ -272,16 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the live dispatch service until a client sends shutdown")
     _endpoint_args(p)
     p.add_argument("--m", type=int, default=4)
+    p.add_argument("--shards", type=int, default=1,
+                   help="dispatcher shards behind the interval-aware router (1: single server)")
+    p.add_argument("--align-k", type=int, default=None,
+                   help="align shard boundaries to disjoint replication groups of this k "
+                   "(zero cross-talk, Theorem 6); default: even intervals")
     p.add_argument(
         "--scheduler",
         default="eft-min",
-        help="any registered zoo policy (see compare-schedulers --list)",
+        help="any registered zoo policy, per shard (see compare-schedulers --list)",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
+    p.add_argument("--seed", type=int, default=0, help="base seed (shard s uses seed+s)")
     p.add_argument("--slo", type=float, default=None,
-                   help="shed requests whose estimated flow exceeds this (virtual units)")
+                   help="shard-local: shed requests whose estimated flow exceeds this")
     p.add_argument("--max-queue", type=int, default=None,
-                   help="shed when every eligible machine has this many requests queued")
+                   help="shard-local: shed when every eligible machine has this many queued")
     p.add_argument("--time-scale", type=float, default=1.0,
                    help="wall seconds per virtual time unit")
     p.add_argument("--on-unavailable", default="park", choices=["park", "shed"],
@@ -300,37 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="journal durability: fsync per committed op, per batch, or never")
     p.add_argument("--journal-snapshot-every", type=int, default=0, metavar="N",
                    help="compact the journal with a snapshot every N records (0: never)")
-
-    p = sub.add_parser(
-        "serve-sharded",
-        help="run N dispatcher shards behind the interval-aware router on one endpoint",
-    )
-    _endpoint_args(p)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--shards", type=int, default=2, help="number of dispatcher shards")
-    p.add_argument("--align-k", type=int, default=None,
-                   help="align shard boundaries to disjoint replication groups of this k "
-                   "(zero cross-talk, Theorem 6); default: even intervals")
-    p.add_argument(
-        "--scheduler",
-        default="eft-min",
-        help="any registered zoo policy, per shard (see compare-schedulers --list)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="base seed (shard s uses seed+s)")
-    p.add_argument("--slo", type=float, default=None,
-                   help="shard-local: shed requests whose estimated flow exceeds this")
-    p.add_argument("--max-queue", type=int, default=None,
-                   help="shard-local: shed when every eligible machine has this many queued")
-    p.add_argument("--time-scale", type=float, default=1.0,
-                   help="wall seconds per virtual time unit")
-    p.add_argument("--on-unavailable", default="park", choices=["park", "shed"],
-                   help="requests whose whole machine set is down fleet-wide: hold or reject")
-    p.add_argument("--snapshot", default=None, metavar="PATH",
-                   help="write the canonical fleet-rollup metrics snapshot here periodically")
-    p.add_argument("--snapshot-every", type=float, default=1.0,
-                   help="seconds between snapshots (with --snapshot)")
-    p.add_argument("--faults", default=None, metavar="PATH",
-                   help="repro-faults JSON schedule to kill/revive machines through the router")
 
     p = sub.add_parser(
         "route",
@@ -893,7 +868,7 @@ def _load_faults(path: str | None):
     return FaultSchedule.from_json(Path(path).read_text())
 
 
-#: exit code of ``serve``/``serve-sharded`` on an already-bound
+#: exit code of ``serve`` on an already-bound
 #: endpoint — distinct from generic failure so wrappers can tell
 #: "pick another socket" from "the service crashed".
 EXIT_ADDRESS_IN_USE = 4
@@ -908,6 +883,8 @@ def _run_serve(args):
     _check_endpoint("serve", args)
     config = ServeConfig(
         m=args.m,
+        shards=args.shards,
+        align_k=args.align_k,
         scheduler=args.scheduler,
         seed=args.seed,
         slo=args.slo,
@@ -935,48 +912,10 @@ def _run_serve(args):
     return "final stats:\n" + json.dumps(stats, indent=2, sort_keys=True)
 
 
-def _run_serve_sharded(args):
-    import asyncio
-    import json
-
-    from .serve import AddressInUseError, ShardServeConfig, serve_sharded
-
-    _check_endpoint("serve-sharded", args)
-    config = ShardServeConfig(
-        m=args.m,
-        shards=args.shards,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        align_k=args.align_k,
-        slo=args.slo,
-        max_queue_depth=args.max_queue,
-        time_scale=args.time_scale,
-        on_unavailable=args.on_unavailable,
-        snapshot_path=args.snapshot,
-        snapshot_every=args.snapshot_every,
-    )
-    try:
-        stats = asyncio.run(
-            serve_sharded(
-                config,
-                socket_path=args.socket,
-                host=args.host if args.socket is None else None,
-                port=args.port,
-                faults=_load_faults(args.faults),
-            )
-        )
-    except AddressInUseError as exc:
-        return f"serve-sharded: {exc}", EXIT_ADDRESS_IN_USE
-    return "final stats:\n" + json.dumps(stats, indent=2, sort_keys=True)
-
-
 def _run_route(args) -> str:
     from .serve import ShardPlan
 
-    if args.align_k is not None:
-        plan = ShardPlan.aligned(args.m, args.align_k, args.shards)
-    else:
-        plan = ShardPlan.even(args.m, args.shards)
+    plan = ShardPlan.cut(args.m, args.shards, args.align_k)
     lines = [plan.describe()]
     if args.strategy is not None:
         from .psets.replication import get_strategy
@@ -1276,7 +1215,6 @@ _HANDLERS = {
     "vec-check": _run_vec_check,
     "rebalance": _run_rebalance,
     "serve": _run_serve,
-    "serve-sharded": _run_serve_sharded,
     "route": _run_route,
     "drive": _run_drive,
     "bench-serve": _run_bench_serve,

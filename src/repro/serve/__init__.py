@@ -13,16 +13,17 @@ live asyncio service rather than inside the discrete-event simulator:
   (flow histograms, shed counters, queue-depth gauges, canonical
   snapshot dumps);
 * :mod:`~repro.serve.frontend` — workers, fault kill/revive, the
-  protocol frontend (``repro serve``);
+  protocol frontend (``repro serve``, one shard or ``--shards N``);
 * :mod:`~repro.serve.driver` — open-loop Poisson load generation
   (``repro drive``);
 * :mod:`~repro.serve.shadow` — virtual-time replay proving the service
-  takes exactly the engine's decisions (golden-trace byte identity);
+  takes exactly the engine's decisions (golden-trace byte identity,
+  single server and sharded, merged and per shard);
 * :mod:`~repro.serve.loopback` — in-process service+driver runs
   (``repro bench-serve``);
 * :mod:`~repro.serve.shard` — the sharded tier: :class:`ShardPlan`
-  partitioning, the interval-aware :class:`ShardRouter` with
-  cross-shard failure handoff, the ``serve-sharded`` frontend and the
+  partitioning, the interval-aware :class:`ShardRouter` (with
+  cross-shard failure handoff) that every service enacts, and the
   multi-process ``bench-serve --shards N`` driver;
 * :mod:`~repro.serve.journal` — the write-ahead operation log that
   makes a dispatcher crash-recoverable (``Dispatcher.recover``);
@@ -73,23 +74,23 @@ from .protocol import (
 )
 from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted, drive_resilient
 from .supervisor import ShardSupervisor
-from .shadow import check_shadow_golden, shadow_golden_trace, shadow_replay, shadow_trace
+from .shadow import (
+    check_shadow_golden,
+    check_shard_shadow_golden,
+    shadow_golden_trace,
+    shadow_replay,
+    shadow_trace,
+    shard_shadow_traces,
+)
 from .shard import (
     Route,
     RoutedDecision,
     ShardPlan,
     ShardRouter,
-    ShardServeConfig,
-    ShardServeService,
-    build_sharded_service,
-    check_shard_shadow_golden,
     partition_instance,
     plan_for_instance,
     run_sharded_loopback,
     run_sharded_loopback_sync,
-    serve_sharded,
-    shard_shadow_replay,
-    shard_shadow_traces,
 )
 
 __all__ = [
@@ -124,12 +125,9 @@ __all__ = [
     "ServeService",
     "ShardPlan",
     "ShardRouter",
-    "ShardServeConfig",
-    "ShardServeService",
     "ShardSupervisor",
     "build_drive_instance",
     "build_service",
-    "build_sharded_service",
     "check_shadow_golden",
     "check_shard_shadow_golden",
     "check_version",
@@ -149,11 +147,9 @@ __all__ = [
     "run_sharded_loopback",
     "run_sharded_loopback_sync",
     "serve",
-    "serve_sharded",
     "shadow_golden_trace",
     "shadow_replay",
     "shadow_trace",
-    "shard_shadow_replay",
     "shard_shadow_traces",
     "task_from_wire",
     "task_to_wire",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.schedule import Schedule
@@ -41,6 +41,7 @@ from .metrics import ServeMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .journal import Journal, Recovery
+    from .shard.router import ShardRouter
 
 __all__ = [
     "DISPATCHED",
@@ -264,6 +265,24 @@ class Dispatcher:
             pass
         return task
 
+    def add_replicas(self, machines: Sequence[int], now: float, warmup: float = 0.0) -> None:
+        """Charge ``machines`` for joining a replica set: ``warmup`` on
+        their committed-work horizon (``max(completions, now) +
+        warmup``), then the policy's ``on_replicas_added`` hook.
+        Machines outside ``1..m`` are ignored."""
+        machines = [j for j in machines if 1 <= j <= self.m]
+        if not machines:
+            return
+        if warmup > 0.0:
+            for j in machines:
+                self.scheduler.completions[j] = max(self.scheduler.completions[j], now) + warmup
+        # Setup-time policies (NC-Setup) invalidate their warm state so
+        # widened replicas pay the cache-warmup penalty again; probed,
+        # so every other policy is unaffected.
+        hook = getattr(self.scheduler, "on_replicas_added", None)
+        if hook is not None:
+            hook(machines, now)
+
     def apply_placement(
         self,
         old_sets: Mapping[int, frozenset[int]],
@@ -278,9 +297,8 @@ class Dispatcher:
         set before and after the rebalance.  Three effects, in order:
 
         1. every machine *joining* some home's set is charged the
-           deterministic ``warmup`` penalty (data fetch before serving:
-           its committed-work horizon moves to ``max(completions, now)
-           + warmup``);
+           deterministic ``warmup`` penalty (data fetch before serving,
+           :meth:`add_replicas`);
         2. every queued-but-unstarted request whose current machine is
            no longer in its home's new set is withdrawn and re-placed
            with the engine's least-waiting-work rule
@@ -300,18 +318,7 @@ class Dispatcher:
                 for j in new - old_sets.get(u, frozenset())
             }
         )
-        if warmup > 0.0:
-            for j in added:
-                if 1 <= j <= self.m:
-                    base = max(self.scheduler.completions[j], now)
-                    self.scheduler.completions[j] = base + warmup
-        if added:
-            # Setup-time policies (NC-Setup) invalidate their warm
-            # state so widened replicas pay the cache-warmup penalty
-            # again; probed, so every other policy is unaffected.
-            hook = getattr(self.scheduler, "on_replicas_added", None)
-            if hook is not None:
-                hook([j for j in added if 1 <= j <= self.m], now)
+        self.add_replicas(added, now, warmup)
         migrated: list[DispatchDecision] = []
         for tid in sorted(self.placements):
             machine, start = self.placements[tid]
@@ -380,6 +387,16 @@ class Dispatcher:
         return unparked
 
     # -- results -------------------------------------------------------------
+    def task(self, tid: int) -> Task | None:
+        """The booked task ``tid`` (``None`` if unknown)."""
+        return self._tasks.get(tid)
+
+    def unbook(self, tid: int) -> None:
+        """Drop ``tid`` from the books only (scheduler state untouched):
+        a displaced request another dispatcher has re-placed."""
+        self.placements.pop(tid, None)
+        self._tasks.pop(tid, None)
+
     def schedule(self) -> Schedule:
         """The committed schedule of every dispatched request (shed and
         still-parked requests excluded)."""
@@ -470,19 +487,25 @@ class Dispatcher:
     def recover(
         cls,
         journal: "Journal",
-        scheduler: ImmediateDispatchScheduler,
+        scheduler: ImmediateDispatchScheduler | None = None,
         admission: AdmissionController | None = None,
         metrics: ServeMetrics | None = None,
         on_unavailable: str = "park",
+        into: "ShardRouter | None" = None,
     ) -> "Recovery":
         """Rebuild a dispatcher from a write-ahead ``journal``: restore
         the latest snapshot (if any), then replay the WAL suffix.  The
         scheduler/admission wiring must match the crashed process's —
-        replay re-derives every decision, byte-for-byte.  Returns the
-        full :class:`~repro.serve.journal.Recovery` (the dispatcher is
-        ``recovery.dispatcher``)."""
+        replay re-derives every decision, byte-for-byte.  ``into``
+        replays onto a blank :class:`~repro.serve.shard.router.
+        ShardRouter` instead of a fresh dispatcher over ``scheduler``
+        (how the serve frontend recovers its fleet, one shard or many).
+        Returns the full :class:`~repro.serve.journal.Recovery` (the
+        rebuilt object is ``recovery.dispatcher``)."""
         from .journal import recover as _recover
 
+        if into is not None:
+            return _recover(journal, lambda: into)
         return _recover(
             journal,
             lambda: cls(

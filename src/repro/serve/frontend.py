@@ -1,26 +1,50 @@
 """The asyncio serving layer: workers, frontend, live faults.
 
 :class:`ServeService` enacts the virtual-clocked decisions of a
-:class:`~repro.serve.dispatcher.Dispatcher` in real time: one asyncio
-worker per machine pulls dispatched requests off its FIFO queue and
-"serves" each for ``proc * time_scale`` wall seconds — the same
-one-task-at-a-time, run-to-completion machine model as the engine.
-The frontend accepts :mod:`repro.serve.protocol` frames over a unix
-socket or TCP and answers every ``submit`` immediately with the
-dispatch decision (the push model: no response ever waits on service
-completion).
+:class:`~repro.serve.shard.router.ShardRouter` in real time: one
+asyncio worker per machine pulls dispatched requests off its FIFO
+queue and "serves" each for ``proc * time_scale`` wall seconds — the
+same one-task-at-a-time, run-to-completion machine model as the
+engine.  A single server is the one-shard fleet
+(:meth:`~repro.serve.shard.plan.ShardPlan.single`, the default), where
+the router hands every request straight to its one
+:class:`~repro.serve.dispatcher.Dispatcher`; ``shards=N`` runs N
+dispatcher shards behind the interval-aware router on the same
+endpoint (Theorem 6: on a disjoint plan, N independent copies of the
+single-server rule).  The frontend accepts :mod:`repro.serve.protocol`
+frames over a unix socket or TCP and answers every ``submit``
+immediately with the dispatch decision (the push model: no response
+ever waits on service completion).
 
-The division of labour is strict: *which machine gets a request* is
-decided by the dispatcher from the request's virtual release stamp, so
-assignments are reproducible run over run; the asyncio layer only
-controls *when* the work physically happens, which is where wall-clock
-jitter lives (and is measured, in the ``wall_flow`` histogram).
+The division of labour is strict: *which shard and machine gets a
+request* is decided by the router from the request's virtual release
+stamp, so assignments are reproducible run over run; the asyncio layer
+only controls *when* the work physically happens, which is where
+wall-clock jitter lives (and is measured, in the ``wall_flow``
+histogram).
 
-Fault injection: :meth:`ServeService.kill` stops a machine (its queued
-requests are re-dispatched over the alive machines; the in-flight one
-finishes — drain-on-failure semantics), :meth:`ServeService.revive`
-brings it back and re-dispatches parked requests.
-:meth:`ServeService.apply_faults` replays a
+Besides ``submit``/``stats``/``drain``/``ping``/``shutdown`` the
+frontend answers the router ops:
+
+``{"op": "route"}``
+    the shard plan (``ShardPlan.to_json`` payload), so a smart client
+    can route submits shard-side without a round trip per request;
+``{"op": "kill", "machine": j}`` / ``{"op": "revive", "machine": j}``
+    live fault injection: a kill stops the machine (its queued requests
+    are re-placed over the alive machines, cross-shard when the home
+    shard is out; the in-flight one finishes — drain-on-failure
+    semantics), a revive brings it back and re-places parked requests;
+``{"op": "detach-shard", "shard": s}`` / ``{"op": "reattach-shard", "shard": s}``
+    the supervision surface (:mod:`repro.serve.supervisor`): detach
+    marks a whole shard's process dead — routing degrades to the
+    cross-shard failure rule or parks — and reattach rejoins it,
+    re-placing anything parked in the interim.
+
+With a journal (``journal_dir``) every state-changing op — submit and
+the four fault/supervision ops alike — is validated, then logged
+before it is applied and acknowledged, so a restarted service rebuilds
+the fleet exactly; ``dedupe``-keyed submit retries are answered from
+the original decision.  :meth:`ServeService.apply_faults` replays a
 :class:`repro.faults.FaultSchedule` in scaled wall time, so the same
 outage scenarios used in degraded-mode simulation drive the live
 service.
@@ -37,13 +61,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..campaigns.trace import make_scheduler
 from ..faults.schedule import FaultSchedule
+from ..obs.recorders import MetricsRegistry
 from ..obs.snapshot import write_metrics
-from .admission import AdmissionController
-from .dispatcher import DISPATCHED, REQUEUED, DispatchDecision, Dispatcher
+from .dispatcher import DISPATCHED, REQUEUED, Dispatcher
 from .journal import Journal, Recovery
-from .metrics import ServeMetrics
 from .protocol import (
     ProtocolError,
     check_version,
@@ -53,6 +75,8 @@ from .protocol import (
     version_error,
     write_frame,
 )
+from .shard.plan import ShardPlan
+from .shard.router import RoutedDecision, ShardRouter
 
 __all__ = [
     "AddressInUseError",
@@ -85,8 +109,7 @@ async def start_endpoint(
     port: int | None = None,
 ) -> asyncio.AbstractServer:
     """Bind the server endpoint, translating EADDRINUSE into the typed
-    :class:`AddressInUseError` (shared by ``serve`` and
-    ``serve_sharded``).
+    :class:`AddressInUseError`.
 
     TCP binds surface EADDRINUSE on their own.  Unix sockets need a
     probe: asyncio *unlinks* an existing socket path before binding —
@@ -128,15 +151,23 @@ def _unix_socket_active(path: str) -> bool:
     return True
 
 
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Construction parameters of a dispatch service.
 
-    ``time_scale`` is wall seconds per virtual time unit: a request
-    with ``proc=0.01`` occupies its machine for ``0.01 * time_scale``
-    wall seconds.  ``slo`` / ``max_queue_depth`` configure admission
-    (``None`` disables each); ``snapshot_path`` + ``snapshot_every``
-    enable the periodic canonical metrics dump.
+    ``shards`` dispatcher shards (default 1: the single server) cut
+    machines ``1..m`` by :meth:`ShardPlan.cut`: even intervals, or
+    boundaries aligned to disjoint replication groups of ``align_k``
+    (zero cross-talk).
+    ``seed`` seeds randomised schedulers (shard ``s`` uses
+    ``seed + s``).  ``time_scale`` is wall seconds per virtual time
+    unit: a request with ``proc=0.01`` occupies its machine for
+    ``0.01 * time_scale`` wall seconds.  ``slo`` / ``max_queue_depth``
+    configure shard-local admission (``None`` disables each);
+    ``snapshot_path`` + ``snapshot_every`` enable the periodic canonical
+    metrics dump.
 
     ``journal_dir`` enables the write-ahead journal
     (:mod:`repro.serve.journal`): every state transition is logged
@@ -148,6 +179,8 @@ class ServeConfig:
     """
 
     m: int = 4
+    shards: int = 1
+    align_k: int | None = None
     scheduler: str = "eft-min"
     seed: int = 0
     slo: float | None = None
@@ -163,6 +196,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("need at least one machine")
+        if self.shards < 1:
+            raise ValueError("need at least one shard")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be > 0")
         if self.snapshot_every <= 0:
@@ -175,44 +210,33 @@ def build_service(config: ServeConfig) -> "ServeService":
     """Wire a :class:`ServeService` from a :class:`ServeConfig`.
 
     With ``journal_dir`` set, an existing journal there is recovered:
-    the dispatcher is rebuilt decision-for-decision (the replay also
-    re-drives the metrics recorders), recovery counters land in the
-    registry, and the service resumes the unfinished work on start.
+    the router and its shard dispatchers are rebuilt decision-for-decision
+    (the replay also re-drives the metrics recorders), recovery counters
+    land in the registry, and the service resumes the unfinished work on
+    start.
     """
-    scheduler = make_scheduler(config.scheduler, config.m, seed=config.seed)
-    metrics = ServeMetrics()
-    admission = AdmissionController(slo=config.slo, max_queue_depth=config.max_queue_depth)
-    admission = admission if admission.enabled else None
     journal: Journal | None = None
     recovery: Recovery | None = None
+    router = ShardRouter(
+        ShardPlan.cut(config.m, config.shards, config.align_k),
+        scheduler=config.scheduler,
+        seed=config.seed,
+        slo=config.slo,
+        max_queue_depth=config.max_queue_depth,
+        on_unavailable=config.on_unavailable,
+    )
     if config.journal_dir is not None:
         journal = Journal(config.journal_dir, fsync=config.journal_fsync)
         if journal.has_state:
             t0 = time.perf_counter()
-            recovery = Dispatcher.recover(
-                journal,
-                scheduler,
-                admission=admission,
-                metrics=metrics,
-                on_unavailable=config.on_unavailable,
-            )
-            registry = metrics.registry
+            recovery = Dispatcher.recover(journal, into=router)
+            registry = router.router_registry
             registry.counter("recovery_runs_total").inc()
             registry.counter("recovery_replayed_total").inc(recovery.n_replayed)
             registry.counter("recovery_dropped_tail_total").inc(recovery.n_dropped_tail)
             registry.gauge("recovery_seconds").set(time.perf_counter() - t0)
-    if recovery is not None:
-        dispatcher = recovery.dispatcher
-    else:
-        dispatcher = Dispatcher(
-            scheduler,
-            admission=admission,
-            metrics=metrics,
-            on_unavailable=config.on_unavailable,
-        )
     return ServeService(
-        dispatcher,
-        metrics,
+        router,
         time_scale=config.time_scale,
         journal=journal,
         recovery=recovery,
@@ -221,7 +245,7 @@ def build_service(config: ServeConfig) -> "ServeService":
 
 
 class ServeService:
-    """Real-time enactment of a :class:`Dispatcher`.
+    """Real-time enactment of a :class:`ShardRouter`.
 
     Must be :meth:`start`-ed inside a running event loop; :meth:`stop`
     cancels the workers.  ``time_scale`` converts virtual time units to
@@ -230,8 +254,7 @@ class ServeService:
 
     def __init__(
         self,
-        dispatcher: Dispatcher,
-        metrics: ServeMetrics,
+        router: ShardRouter,
         time_scale: float = 1.0,
         journal: Journal | None = None,
         recovery: Recovery | None = None,
@@ -239,13 +262,13 @@ class ServeService:
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be > 0")
-        self.dispatcher = dispatcher
-        self.metrics = metrics
+        self.router = router
         self.time_scale = time_scale
-        self.m = dispatcher.m
+        self.m = router.m
         self.journal = journal
         self.recovery = recovery
         self.journal_snapshot_every = journal_snapshot_every
+        self._errors = router.router_registry.counter("errors_total")
         self._queues: dict[int, asyncio.Queue] = {}
         self._workers: list[asyncio.Task] = []
         self._t0: float | None = None
@@ -255,8 +278,8 @@ class ServeService:
         self.n_completed = 0
         self._completed_tids: set[int] = set()
         #: dedupe key -> original decision (idempotent retries are
-        #: answered from here without touching the dispatcher).
-        self._dedupe: dict[str, DispatchDecision] = {}
+        #: answered from here without touching the router).
+        self._dedupe: dict[str, RoutedDecision] = {}
         if recovery is not None:
             self.n_completed = recovery.n_completed
             self._completed_tids = set(recovery.completed)
@@ -276,22 +299,16 @@ class ServeService:
         ):
             return
         journal.write_snapshot(self._snapshot_state())
-        self.metrics.registry.counter("journal_snapshots_total").inc()
+        self.router.router_registry.counter("journal_snapshots_total").inc()
 
     def _snapshot_state(self) -> dict[str, Any]:
+        # A dedupe entry is the submit ack it replays plus the task.
         dedupe_wire = {
-            key: {
-                "task": task_to_wire(d.task),
-                "status": d.status,
-                "machine": d.machine,
-                "start": d.start,
-                "est_flow": d.est_flow,
-                "reason": d.reason,
-            }
+            key: {**self._submit_response(d), "task": task_to_wire(d.task)}
             for key, d in self._dedupe.items()
         }
         return {
-            "dispatcher": self.dispatcher.state_dict(),
+            "dispatcher": self.router.state_dict(),
             "service": {
                 "completed": sorted(self._completed_tids),
                 "n_completed": self.n_completed,
@@ -314,12 +331,8 @@ class ServeService:
             # Re-enqueue the work the crashed process had placed but
             # not finished (at-least-once service; dispatch stays
             # exactly-once through the journal + dedupe cache).
-            arrival = loop.time()
             for tid, machine in self.recovery.pending():
-                task = self.dispatcher._tasks[tid]
-                self._outstanding += 1
-                self._idle.clear()
-                self._queues[machine].put_nowait((task, arrival))
+                self._enqueue(self.router.task(tid), machine)
 
     async def stop(self) -> None:
         for worker in self._workers:
@@ -336,24 +349,29 @@ class ServeService:
         return (asyncio.get_running_loop().time() - self._t0) / self.time_scale
 
     # -- request path --------------------------------------------------------
-    def submit(self, task) -> DispatchDecision:
-        """Decide and, if dispatched, enqueue for real-time service."""
-        decision = self.dispatcher.submit(task)
-        if decision.status == DISPATCHED:
-            self._enqueue(decision)
-        return decision
+    def submit(self, task) -> RoutedDecision:
+        """Route, decide and, if placed, enqueue for real-time service
+        on the placed machine's worker."""
+        routed = self.router.submit(task)
+        decision = routed.decision
+        if decision.status in (DISPATCHED, REQUEUED):
+            self._enqueue(decision.task, decision.machine)
+        return routed
 
-    def _enqueue(self, decision: DispatchDecision) -> None:
+    def _enqueue(self, task, machine: int, arrival: float | None = None) -> None:
         self._outstanding += 1
         self._idle.clear()
-        arrival = asyncio.get_running_loop().time()
-        self._queues[decision.machine].put_nowait((decision.task, arrival))
+        if arrival is None:
+            arrival = asyncio.get_running_loop().time()
+        self._queues[machine].put_nowait((task, arrival))
 
     async def _worker(self, machine: int) -> None:
         queue = self._queues[machine]
+        router = self.router
+        sid = router.plan.shard_of(machine)
         while True:
             task, arrival = await queue.get()
-            if machine not in self.dispatcher.alive:
+            if machine not in router.dispatchers[sid].alive:
                 # Killed with work still queued (race with kill's own
                 # drain): route it like any displaced task.
                 self._outstanding -= 1
@@ -362,7 +380,7 @@ class ServeService:
                 continue
             await asyncio.sleep(task.proc * self.time_scale)
             loop_now = asyncio.get_running_loop().time()
-            self.metrics.on_complete((loop_now - arrival) / self.time_scale)
+            router.shard_metrics[sid].on_complete((loop_now - arrival) / self.time_scale)
             self.n_completed += 1
             self._completed_tids.add(task.tid)
             # Completion durability rides the batch: a torn tail
@@ -378,11 +396,9 @@ class ServeService:
     def _route_displaced(self, task, arrival: float) -> None:
         now = self.now()
         self._journal_append("redispatch", {"tid": task.tid, "now": now}, commit=True)
-        decision = self.dispatcher.redispatch(task, now)
-        if decision.status == REQUEUED:
-            self._outstanding += 1
-            self._idle.clear()
-            self._queues[decision.machine].put_nowait((task, arrival))
+        routed = self.router.redispatch(task, now)
+        if routed.status == REQUEUED:
+            self._enqueue(task, routed.machine, arrival)
         # parked: it re-enters the queues at the next revive
 
     async def drain(self) -> int:
@@ -392,13 +408,25 @@ class ServeService:
         await self._idle.wait()
         return self.n_completed
 
-    # -- fault surface -------------------------------------------------------
+    # -- fault + supervision surface -----------------------------------------
+    def _check_machine(self, machine: int) -> None:
+        if not 1 <= machine <= self.m:
+            raise ValueError(f"machine {machine} outside 1..{self.m}")
+
+    def _enqueue_replaced(self, replaced: list[RoutedDecision]) -> int:
+        arrival = asyncio.get_running_loop().time()
+        for routed in replaced:
+            self._enqueue(routed.task, routed.machine, arrival)
+        return len(replaced)
+
     def kill(self, machine: int) -> int:
         """Stop ``machine``: no further dispatches, queued requests are
-        re-dispatched over the alive machines (the in-flight request
-        finishes — drain-on-failure).  Returns how many were displaced."""
+        re-placed over the alive machines, fleet-wide (the in-flight
+        request finishes — drain-on-failure).  Returns how many were
+        displaced."""
+        self._check_machine(machine)
         self._journal_append("kill", {"machine": machine, "now": self.now()}, commit=True)
-        self.dispatcher.kill(machine)
+        self.router.kill(machine)
         displaced = []
         queue = self._queues.get(machine)
         if queue is not None:
@@ -412,16 +440,27 @@ class ServeService:
 
     def revive(self, machine: int) -> int:
         """Revive ``machine`` and enqueue any unparked requests;
-        returns how many left the parking lot."""
-        arrival = asyncio.get_running_loop().time()
+        returns how many left the parking lots."""
+        self._check_machine(machine)
         now = self.now()
         self._journal_append("revive", {"machine": machine, "now": now}, commit=True)
-        unparked = self.dispatcher.revive(machine, now)
-        for decision in unparked:
-            self._outstanding += 1
-            self._idle.clear()
-            self._queues[decision.machine].put_nowait((decision.task, arrival))
-        return len(unparked)
+        return self._enqueue_replaced(self.router.revive(machine, now))
+
+    def detach_shard(self, sid: int) -> None:
+        """Mark shard ``sid`` down at the router (its process died);
+        idempotent — see :meth:`ShardRouter.detach_shard`."""
+        self.router.check_shard(sid)
+        self._journal_append("detach-shard", {"shard": sid}, commit=True)
+        self.router.detach_shard(sid)
+
+    def reattach_shard(self, sid: int) -> int:
+        """Rejoin shard ``sid`` at the router and enqueue any re-placed
+        router-parked requests; returns how many left the parking
+        lot."""
+        self.router.check_shard(sid)
+        now = self.now()
+        self._journal_append("reattach-shard", {"shard": sid, "now": now}, commit=True)
+        return self._enqueue_replaced(self.router.reattach_shard(sid, now=now))
 
     async def apply_faults(self, faults: FaultSchedule) -> None:
         """Replay ``faults`` in scaled wall time (run as a background
@@ -443,23 +482,25 @@ class ServeService:
                 self.revive(machine)
 
     # -- introspection -------------------------------------------------------
+    def registry(self) -> MetricsRegistry:
+        """The canonical metrics view (``stats`` payload, snapshot
+        files): a one-shard fleet reports under its dispatcher's own
+        metric names; a sharded fleet adds every member's metrics under
+        a ``shard<s>/`` or ``router/`` prefix."""
+        return self.router.fleet_registry(members=self.router.n_shards > 1)
+
     def stats(self) -> dict[str, Any]:
-        """Service counters plus the live metrics snapshot (the
-        ``stats`` op payload)."""
-        d = self.dispatcher
-        stats: dict[str, Any] = {
-            "now": self.now(),
-            "m": self.m,
-            "alive": sorted(d.alive),
-            "requests": d.n_dispatched + d.n_shed + len(d.parked),
-            "dispatched": d.n_dispatched,
-            "shed": d.n_shed,
-            "requeued": d.n_requeued,
-            "parked": len(d.parked),
-            "completed": self.n_completed,
-            "outstanding": self._outstanding,
-            "metrics": self.metrics.registry.snapshot(),
-        }
+        """Fleet + per-shard counters plus the live metrics snapshot
+        (the ``stats`` op payload)."""
+        stats = self.router.stats()
+        stats.update(
+            {
+                "now": self.now(),
+                "completed": self.n_completed,
+                "outstanding": self._outstanding,
+                "metrics": self.registry().snapshot(),
+            }
+        )
         if self.journal is not None:
             stats["journal"] = {
                 "seq": self.journal.seq,
@@ -480,7 +521,7 @@ class ServeService:
         :func:`serve` on shutdown)."""
         while True:
             await asyncio.sleep(every)
-            write_metrics(self.metrics.registry, path, meta={"source": "repro-serve"})
+            write_metrics(self.registry(), path, meta={"source": "repro-serve"})
 
     # -- frontend ------------------------------------------------------------
     async def handle_connection(
@@ -500,7 +541,7 @@ class ServeService:
                 try:
                     message = await read_frame(reader)
                 except ProtocolError as exc:
-                    self.metrics.on_error()
+                    self._errors.inc()
                     await write_frame(writer, {"ok": False, "error": str(exc)})
                     break  # framing is lost; drop the connection
                 if message is None:
@@ -521,60 +562,83 @@ class ServeService:
                 pass
 
     @staticmethod
-    def _submit_response(decision: DispatchDecision) -> dict[str, Any]:
+    def _submit_response(routed: RoutedDecision) -> dict[str, Any]:
+        d = routed.decision
         return {
             "ok": True,
             "op": "submit",
-            "tid": decision.task.tid,
-            "status": decision.status,
-            "machine": decision.machine,
-            "start": decision.start,
-            "est_flow": decision.est_flow,
-            "reason": decision.reason,
+            "tid": d.task.tid,
+            "status": d.status,
+            "machine": d.machine,
+            "start": d.start,
+            "est_flow": d.est_flow,
+            "reason": d.reason,
+            "shard": routed.shard,
+            "handoff": routed.handoff,
         }
+
+    def _submit(self, message: dict[str, Any]) -> dict[str, Any]:
+        key = message.get("dedupe")
+        if key is not None and not isinstance(key, str):
+            self._errors.inc()
+            return {
+                "ok": False,
+                "op": "submit",
+                "tid": message.get("tid"),
+                "error": f"dedupe key must be a string, got {type(key).__name__}",
+            }
+        if key is not None and key in self._dedupe:
+            self.router.router_registry.counter("dedupe_hits_total").inc()
+            return self._submit_response(self._dedupe[key])
+        try:
+            task = task_from_wire(message)
+        except ProtocolError as exc:
+            self._errors.inc()
+            return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
+        # Write-ahead: the journal record lands (and syncs) before the
+        # decision is taken or acknowledged, so a crash after this line
+        # replays the submit and a retried duplicate hits the rebuilt
+        # dedupe cache instead of re-dispatching.
+        self._journal_append("submit", {"task": task_to_wire(task), "dedupe": key}, commit=True)
+        try:
+            routed = self.submit(task)
+        except ValueError as exc:
+            self._errors.inc()
+            return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
+        if key is not None:
+            self._dedupe[key] = routed
+        self._maybe_snapshot()
+        return self._submit_response(routed)
+
+    def _control(self, op: str, message: dict[str, Any]) -> dict[str, Any]:
+        """The four fault/supervision ops; raises on a bad argument."""
+        if op == "kill":
+            return {"displaced": self.kill(int(message["machine"]))}
+        if op == "revive":
+            return {"unparked": self.revive(int(message["machine"]))}
+        if op == "detach-shard":
+            self.detach_shard(int(message["shard"]))
+            return {"down": sorted(self.router.down_shards)}
+        return {"unparked": self.reattach_shard(int(message["shard"]))}
 
     async def _handle_op(self, message: dict[str, Any]) -> dict[str, Any]:
         complaint = check_version(message)
         if complaint is not None:
-            self.metrics.on_error()
+            self._errors.inc()
             return version_error(message, complaint)
         op = message.get("op")
-        if op == "ping":
-            return {"ok": True, "op": "pong", "now": self.now()}
         if op == "submit":
-            key = message.get("dedupe")
-            if key is not None and not isinstance(key, str):
-                self.metrics.on_error()
-                return {
-                    "ok": False,
-                    "op": "submit",
-                    "tid": message.get("tid"),
-                    "error": f"dedupe key must be a string, got {type(key).__name__}",
-                }
-            if key is not None and key in self._dedupe:
-                self.metrics.registry.counter("dedupe_hits_total").inc()
-                return self._submit_response(self._dedupe[key])
+            return self._submit(message)
+        if op == "ping":
+            return {"ok": True, "op": "pong", "now": self.now(), "shards": self.router.n_shards}
+        if op == "route":
+            return {"ok": True, "op": "route", "plan": self.router.plan.to_json()}
+        if op in ("kill", "revive", "detach-shard", "reattach-shard"):
             try:
-                task = task_from_wire(message)
-            except ProtocolError as exc:
-                self.metrics.on_error()
-                return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
-            # Write-ahead: the journal record lands (and syncs) before
-            # the decision is taken or acknowledged, so a crash after
-            # this line replays the submit and a retried duplicate hits
-            # the rebuilt dedupe cache instead of re-dispatching.
-            self._journal_append(
-                "submit", {"task": task_to_wire(task), "dedupe": key}, commit=True
-            )
-            try:
-                decision = self.submit(task)
-            except ValueError as exc:
-                self.metrics.on_error()
-                return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
-            if key is not None:
-                self._dedupe[key] = decision
-            self._maybe_snapshot()
-            return self._submit_response(decision)
+                return {"ok": True, "op": op, **self._control(op, message)}
+            except (KeyError, TypeError, ValueError) as exc:
+                self._errors.inc()
+                return {"ok": False, "op": op, "error": str(exc)}
         if op == "stats":
             return {"ok": True, "op": "stats", "stats": self.stats()}
         if op == "drain":
@@ -582,7 +646,7 @@ class ServeService:
             return {"ok": True, "op": "drain", "completed": completed}
         if op == "shutdown":
             return {"ok": True, "op": "shutdown"}
-        self.metrics.on_error()
+        self._errors.inc()
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 
@@ -632,7 +696,5 @@ async def serve(
         await asyncio.gather(*background, return_exceptions=True)
         await service.stop()
         if config.snapshot_path is not None:
-            write_metrics(
-                service.metrics.registry, config.snapshot_path, meta={"source": "repro-serve"}
-            )
+            write_metrics(service.registry(), config.snapshot_path, meta={"source": "repro-serve"})
     return service.stats()

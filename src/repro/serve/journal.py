@@ -1,12 +1,13 @@
 """Write-ahead journal of dispatcher state transitions.
 
 The serving tier's crash-recovery backbone: every state-changing
-operation the frontend applies to a :class:`~repro.serve.dispatcher.
-Dispatcher` — submit, kill, revive, failure-path redispatch, rebalance
-``apply_placement``, and the service-layer ``complete`` — is appended
-to an on-disk journal *before* it is acknowledged, so a process that
-dies mid-drive can be rebuilt exactly by replaying the log
-(:func:`recover` / :meth:`Dispatcher.recover`).
+operation the frontend applies to its :class:`~repro.serve.shard.
+router.ShardRouter` (or a bare :class:`~repro.serve.dispatcher.
+Dispatcher`) — submit, kill, revive, failure-path redispatch, rebalance
+``apply_placement``, shard detach/reattach, and the service-layer
+``complete`` — is appended to an on-disk journal *before* it is
+acknowledged, so a process that dies mid-drive can be rebuilt exactly
+by replaying the log (:func:`recover` / :meth:`Dispatcher.recover`).
 
 The dispatcher is a *virtual-clocked pure function of its operation
 stream* (release stamps, not wall clocks, decide placements), which is
@@ -383,7 +384,7 @@ def replay_records(
                 dispatcher.revive(int(data["machine"]), float(data["now"]))
             elif kind == "redispatch":
                 tid = int(data["tid"])
-                task = dispatcher._tasks.get(tid)
+                task = dispatcher.task(tid)
                 if task is None:
                     raise JournalCorruptError(
                         f"redispatch of unknown tid {tid} (journal suffix without its submit)"
@@ -397,6 +398,10 @@ def replay_records(
                     warmup=float(data.get("warmup", 0.0)),
                     version=data.get("version"),
                 )
+            elif kind == "detach-shard":
+                dispatcher.detach_shard(int(data["shard"]))
+            elif kind == "reattach-shard":
+                dispatcher.reattach_shard(int(data["shard"]), now=float(data["now"]))
             elif kind == "complete":
                 tid = int(data["tid"])
                 recovery.completed.add(tid)
@@ -413,43 +418,38 @@ def replay_records(
             recovery.n_replay_errors += 1
 
 
-def recover(
-    journal: Journal,
-    make_dispatcher: Callable[[], Any],
-    restore_state: Callable[[Any, Mapping[str, Any]], None] | None = None,
-) -> Recovery:
+def recover(journal: Journal, make_dispatcher: Callable[[], Any]) -> Recovery:
     """Rebuild a dispatcher from ``journal``.
 
     ``make_dispatcher`` builds the blank dispatcher (same scheduler /
     admission / metrics wiring as the crashed process — recovery
     re-derives decisions, so the wiring must match).  When the journal
-    holds a snapshot it is loaded first via ``restore_state`` (defaults
-    to the dispatcher's own ``load_state_dict``), then the WAL suffix
-    replays on top.
+    holds a snapshot it is loaded first via the dispatcher's own
+    ``load_state_dict``, then the WAL suffix replays on top.
     """
     dispatcher = make_dispatcher()
     recovery = Recovery(dispatcher=dispatcher, n_dropped_tail=journal.n_dropped_tail)
     if journal.snapshot_state is not None:
         state = journal.snapshot_state
-        if restore_state is not None:
-            restore_state(dispatcher, state["dispatcher"])
-        else:
-            dispatcher.load_state_dict(state["dispatcher"])
+        dispatcher.load_state_dict(state["dispatcher"])
         service = state.get("service", {})
         recovery.completed = set(int(t) for t in service.get("completed", []))
         recovery.n_completed = int(service.get("n_completed", len(recovery.completed)))
-        from .protocol import task_from_wire  # local: journal stays protocol-light
-
         from .dispatcher import DispatchDecision
+        from .protocol import task_from_wire  # local: journal stays protocol-light
+        from .shard.router import RoutedDecision
 
         for key, wire in service.get("dedupe", {}).items():
-            recovery.dedupe[key] = DispatchDecision(
+            decision = DispatchDecision(
                 task=task_from_wire(wire["task"]),
                 status=wire["status"],
                 machine=wire.get("machine"),
                 start=wire.get("start"),
                 est_flow=wire.get("est_flow"),
                 reason=wire.get("reason"),
+            )
+            recovery.dedupe[key] = RoutedDecision(
+                decision, wire.get("shard"), wire.get("handoff", False)
             )
         recovery.seq = journal.snapshot_seq
     replay_records(journal.records(), dispatcher, recovery)

@@ -65,9 +65,7 @@ async def run_loopback(
                 await asyncio.gather(fault_task, return_exceptions=True)
             await service.stop()
     if metrics_path is not None:
-        write_metrics(
-            service.metrics.registry, metrics_path, meta={"source": "repro-serve-loopback"}
-        )
+        write_metrics(service.registry(), metrics_path, meta={"source": "repro-serve-loopback"})
     return report
 
 

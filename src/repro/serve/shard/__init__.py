@@ -8,17 +8,16 @@ paper's own structure:
   partitions (Theorem 6 composition, zero cross-talk) and interval
   covers for overlapping rings with an explicit bounded handoff set;
 * :mod:`~repro.serve.shard.router` — :class:`ShardRouter`, the
-  virtual-clocked decision tier: shard-local dispatch, shard-local
-  admission, deterministic cross-shard failure handoff via the
-  engine's least-waiting-work rule;
-* :mod:`~repro.serve.shard.service` — :class:`ShardServeService` /
-  :func:`serve_sharded`, the asyncio frontend (same wire protocol,
-  plus ``route`` / ``kill`` / ``revive`` ops) with fleet-rollup
-  metrics (``repro serve-sharded``);
-* :mod:`~repro.serve.shard.shadow` — golden byte-identity of the
-  sharded tier on disjoint plans, merged and per shard;
+  virtual-clocked decision tier every ``repro serve`` enacts (one
+  shard by default, ``--shards N`` for a fleet): shard-local dispatch,
+  shard-local admission, deterministic cross-shard failure handoff via
+  the engine's least-waiting-work rule;
 * :mod:`~repro.serve.shard.bench` — one real server process per shard
   with client-side routing (``repro bench-serve --shards N``).
+
+The asyncio frontend is :class:`repro.serve.frontend.ServeService` and
+the golden byte-identity checks (merged and per shard) live in
+:mod:`repro.serve.shadow`.
 """
 
 from .bench import (
@@ -29,23 +28,14 @@ from .bench import (
 )
 from .plan import Route, ShardPlan
 from .router import RoutedDecision, ShardRouter
-from .service import ShardServeConfig, ShardServeService, build_sharded_service, serve_sharded
-from .shadow import check_shard_shadow_golden, shard_shadow_replay, shard_shadow_traces
 
 __all__ = [
     "Route",
     "RoutedDecision",
     "ShardPlan",
     "ShardRouter",
-    "ShardServeConfig",
-    "ShardServeService",
-    "build_sharded_service",
-    "check_shard_shadow_golden",
     "partition_instance",
     "plan_for_instance",
     "run_sharded_loopback",
     "run_sharded_loopback_sync",
-    "serve_sharded",
-    "shard_shadow_replay",
-    "shard_shadow_traces",
 ]

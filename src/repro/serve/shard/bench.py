@@ -1,8 +1,7 @@
 """Multi-process sharded loopback: real throughput, same placements.
 
-The in-process :class:`~repro.serve.shard.service.ShardServeService`
-demonstrates the router frontend, but all N shards share one event
-loop — it cannot show a throughput win.  This module runs the sharded
+An in-process ``repro serve --shards N`` runs the router frontend, but
+all N shards share one event loop — it cannot show a throughput win.  This module runs the sharded
 tier the way a deployment would: **one server process per shard**, each
 a plain single-dispatcher service on its own unix socket, with the
 :class:`~repro.serve.shard.plan.ShardPlan` applied *client side* (the

@@ -108,6 +108,14 @@ class ShardPlan:
         return ShardPlan(m=m, intervals=((1, m),))
 
     @staticmethod
+    def cut(m: int, n_shards: int, align_k: int | None = None) -> "ShardPlan":
+        """The plan ``--shards N [--align-k K]`` names: :meth:`aligned`
+        to disjoint ``align_k``-groups when given, else :meth:`even`."""
+        if align_k is not None:
+            return ShardPlan.aligned(m, align_k, n_shards)
+        return ShardPlan.even(m, n_shards)
+
+    @staticmethod
     def even(m: int, n_shards: int) -> "ShardPlan":
         """``n_shards`` near-equal contiguous intervals (interval cover
         for overlapping ring replication — straddling sets become the

@@ -8,16 +8,20 @@ each with its own scheduler, shard-local
 dispatcher, the router is *synchronous and virtual-clocked* — every
 placement is a pure function of the admitted request stream — which is
 what lets shadow mode byte-compare a sharded run against the
-single-dispatcher golden traces (:mod:`repro.serve.shard.shadow`).
+single-dispatcher golden traces (:mod:`repro.serve.shadow`).  The
+one-shard plan (:meth:`ShardPlan.single`) makes the router *exactly*
+one :class:`Dispatcher`: every request is handed straight to it, and
+the router keeps no per-request state of its own.
 
 Routing invariants:
 
 * **shard-local sets** (the whole processing set inside one shard —
-  always the case on a Theorem-6 disjoint plan) are submitted to the
-  owner shard's dispatcher unchanged, so per-shard decisions are
-  *identical* to the fleet-wide dispatcher's (EFT only reads the
-  eligible machines' completion times, and only this shard's tasks
-  write them);
+  always the case on a Theorem-6 disjoint plan) are handed to the
+  owner shard's dispatcher unchanged — submit *and* failure/unpark
+  redispatch — so per-shard decisions are *identical* to the
+  fleet-wide dispatcher's (EFT only reads the eligible machines'
+  completion times, and only this shard's tasks write them), parking
+  and shedding included;
 * **straddling sets** (the plan's bounded handoff set, overlapping
   ring replication) are dispatched to the owner shard restricted to
   the owner-side fragment; the cross-shard remainder is touched only
@@ -25,45 +29,60 @@ Routing invariants:
   router *hands off* using the engine's failure rule — least waiting
   work over all alive remote candidates, smallest index on ties — via
   the target dispatcher's ``redispatch`` path;
-* a request with **no alive machine anywhere** in its set is parked at
-  the router (or shed with ``on_unavailable="shed"``) and re-placed on
-  the first revival that intersects it, in park order.
+* a straddling request with **no alive machine anywhere** in its set,
+  or any request owned by a detached shard, is parked at the router
+  (or shed with ``on_unavailable="shed"``) and re-placed on the first
+  revival that intersects it, in park order.
 
 Every dispatcher addresses machines by their *global* 1-based index
 (each is built over the full ``m``), so placements merge without
 renumbering; a shard only ever receives tasks restricted to its own
 interval, so its scheduler state never references foreign machines.
+The shards' books are the fleet's books: the router only remembers the
+original task of each request a shard booked under a restricted copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Mapping
 
 from ...campaigns.trace import make_scheduler
+from ...core.dispatch import ImmediateDispatchScheduler
 from ...core.schedule import Schedule
 from ...core.task import Instance, Task
 from ...obs.recorders import MetricsRegistry
 from ...obs.rollup import rollup_registries
 from ..admission import AdmissionController
-from ..dispatcher import DISPATCHED, PARKED, REQUEUED, SHED, DispatchDecision, Dispatcher
+from ..dispatcher import (
+    DISPATCHED,
+    PARKED,
+    REQUEUED,
+    SHED,
+    SHED_UNAVAILABLE,
+    DispatchDecision,
+    Dispatcher,
+)
 from ..metrics import ServeMetrics
-from .plan import ShardPlan
+from .plan import Route, ShardPlan
 
 __all__ = ["RoutedDecision", "ShardRouter"]
 
-#: reason attached to router-shed requests whose whole set was down.
-SHED_UNAVAILABLE = "unavailable"
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoutedDecision:
     """A dispatch decision plus its routing: which shard took it and
-    whether it travelled the cross-shard handoff path."""
+    whether it travelled the cross-shard handoff path.  Reads like the
+    :class:`DispatchDecision` it wraps (``task`` is always the original,
+    unrestricted request)."""
 
     decision: DispatchDecision
     shard: int | None
     handoff: bool = False
+
+    @property
+    def task(self) -> Task:
+        return self.decision.task
 
     @property
     def status(self) -> str:
@@ -72,6 +91,18 @@ class RoutedDecision:
     @property
     def machine(self) -> int | None:
         return self.decision.machine
+
+    @property
+    def start(self) -> float | None:
+        return self.decision.start
+
+    @property
+    def est_flow(self) -> float | None:
+        return self.decision.est_flow
+
+    @property
+    def reason(self) -> str | None:
+        return self.decision.reason
 
 
 class ShardRouter:
@@ -84,19 +115,19 @@ class ShardRouter:
     scheduler:
         Scheduler name per shard (``eft-min`` etc.); each shard gets
         its own instance, seeded ``seed + shard_id`` for the randomised
-        ones.
+        ones.  A one-shard plan also accepts a fresh scheduler object.
     slo / max_queue_depth:
         Shard-local admission (each shard reviews against its own
         analytic state only — per-shard admission ceilings).
     on_unavailable:
         ``"park"`` (default) or ``"shed"`` for requests whose whole
-        set is dead fleet-wide.
+        set is dead.
     """
 
     def __init__(
         self,
         plan: ShardPlan,
-        scheduler: str = "eft-min",
+        scheduler: str | ImmediateDispatchScheduler = "eft-min",
         seed: int = 0,
         slo: float | None = None,
         max_queue_depth: int | None = None,
@@ -104,9 +135,14 @@ class ShardRouter:
     ) -> None:
         if on_unavailable not in ("park", "shed"):
             raise ValueError(f"on_unavailable must be 'park' or 'shed', got {on_unavailable!r}")
+        if not isinstance(scheduler, str):
+            if plan.n_shards != 1:
+                raise ValueError("a scheduler object can only back a one-shard plan")
+            if scheduler.m != plan.m:
+                raise ValueError(f"scheduler has m={scheduler.m}, plan has m={plan.m}")
         self.plan = plan
         self.m = plan.m
-        self.scheduler_name = scheduler
+        self.scheduler_name = scheduler if isinstance(scheduler, str) else scheduler.name
         self.on_unavailable = on_unavailable
         self.shard_metrics: list[ServeMetrics] = []
         self.dispatchers: list[Dispatcher] = []
@@ -115,20 +151,28 @@ class ShardRouter:
             admission = AdmissionController(slo=slo, max_queue_depth=max_queue_depth)
             self.dispatchers.append(
                 Dispatcher(
-                    make_scheduler(scheduler, plan.m, seed=seed + sid),
-                    admission=admission if admission.enabled else None,
+                    scheduler
+                    if not isinstance(scheduler, str)
+                    else make_scheduler(scheduler, plan.m, seed=seed + sid),
+                    admission=admission,
                     metrics=metrics,
+                    on_unavailable=on_unavailable,
                 )
             )
             self.shard_metrics.append(metrics)
         self.router_registry = MetricsRegistry()
         self._routed = self.router_registry.counter("router_routed_total")
+        self._routed_by_shard = [
+            self.router_registry.counter(f"router_routed_shard[{sid}]_total")
+            for sid in range(plan.n_shards)
+        ]
         self._handoffs = self.router_registry.counter("router_handoffs_total")
+        #: processing set -> its route (routing is a pure function of the set)
+        self._routes: dict[frozenset[int] | None, Route] = {}
         self.down_shards: set[int] = set()
         self.parked: list[Task] = []
-        self.decisions: list[RoutedDecision] = []
-        self._tasks: dict[int, Task] = {}
-        self.placements: dict[int, tuple[int, float]] = {}
+        #: original task of every request a shard booked restricted
+        self._restricted: dict[int, Task] = {}
         self.n_handoffs = 0
         self.n_shed = 0
 
@@ -152,26 +196,63 @@ class ShardRouter:
             out |= self.shard_alive(sid)
         return frozenset(out)
 
+    @property
+    def placements(self) -> dict[int, tuple[int, float]]:
+        """Merged committed placements ``tid -> (machine, start)``."""
+        merged: dict[int, tuple[int, float]] = {}
+        for d in self.dispatchers:
+            merged.update(d.placements)
+        return merged
+
+    def task(self, tid: int) -> Task | None:
+        """The original task of a booked request (``None`` if unknown)."""
+        task = self._restricted.get(tid)
+        if task is None:
+            for d in self.dispatchers:
+                task = d.task(tid)
+                if task is not None:
+                    break
+        return task
+
     # -- the decision path ---------------------------------------------------
+    def _route(self, task: Task) -> Route:
+        route = self._routes.get(task.machines)
+        if route is None:
+            route = self._routes[task.machines] = self.plan.route(task.eligible(self.m))
+        return route
+
     def submit(self, task: Task) -> RoutedDecision:
         """Route and decide one fresh release (release order, as the
         dispatcher contract requires — per-shard substreams of a
         release-ordered stream are release-ordered)."""
-        route = self.plan.route(task.eligible(self.m))
-        self._routed.inc()
-        self.router_registry.counter(f"router_routed_shard[{route.owner}]_total").inc()
+        route = self._routes.get(task.machines) or self._route(task)
         owner = route.owner
-        owner_frag = route.owner_fragment
-        if owner not in self.down_shards and owner_frag & self.dispatchers[owner].alive:
-            if route.is_local:
-                decision = self.dispatchers[owner].submit(task)
-            else:
-                decision = self.dispatchers[owner].submit(task.restricted_to(owner_frag))
-            return self._book(task, decision, owner)
-        # Owner-side fragment fully dead: cross-shard failure handoff.
-        return self._place_failed(task, route, now=task.release, reason="handoff")
+        up = owner not in self.down_shards
+        if up and route.is_local:
+            routed = RoutedDecision(self.dispatchers[owner].submit(task), owner)
+        elif up and route.owner_fragment & self.dispatchers[owner].alive:
+            decision = self.dispatchers[owner].submit(task.restricted_to(route.owner_fragment))
+            routed = self._book(task, decision, owner)
+        else:
+            # Owner detached or its fragment fully dead: cross-shard handoff.
+            routed = self._place_failed(task, route, task.release, "handoff")
+        self._routed.inc()
+        self._routed_by_shard[owner].inc()
+        return routed
 
-    def _place_failed(self, task: Task, route, now: float, reason: str) -> RoutedDecision:
+    def redispatch(self, task: Task, now: float, reason: str = "failure") -> RoutedDecision:
+        """Re-place a displaced task (machine failure, unpark,
+        migration): a shard-local set goes back to its owner's
+        ``redispatch``, anything else takes the cross-shard handoff rule
+        over every alive candidate."""
+        route = self._route(task)
+        if route.is_local and route.owner not in self.down_shards:
+            return RoutedDecision(
+                self.dispatchers[route.owner].redispatch(task, now, reason=reason), route.owner
+            )
+        return self._place_failed(task, route, now, reason)
+
+    def _place_failed(self, task: Task, route: Route, now: float, reason: str) -> RoutedDecision:
         """The failure path: place over every alive candidate fleet-wide
         with the engine's least-waiting-work rule, or park/shed."""
         candidates = [
@@ -182,17 +263,14 @@ class ShardRouter:
         ]
         if not candidates:
             if self.on_unavailable == "shed":
-                decision = DispatchDecision(task=task, status=SHED, reason=SHED_UNAVAILABLE)
-                self.decisions.append(RoutedDecision(decision=decision, shard=None))
                 self.n_shed += 1
                 self.router_registry.counter("router_shed_unavailable_total").inc()
-                return self.decisions[-1]
+                decision = DispatchDecision(task=task, status=SHED, reason=SHED_UNAVAILABLE)
+                return RoutedDecision(decision, None)
             self.parked.append(task)
-            decision = DispatchDecision(task=task, status=PARKED)
-            self.decisions.append(RoutedDecision(decision=decision, shard=None))
             self.router_registry.counter("router_parked_total").inc()
             self.router_registry.gauge("router_parked_now").set(len(self.parked))
-            return self.decisions[-1]
+            return RoutedDecision(DispatchDecision(task=task, status=PARKED), None)
         sid, _ = min(
             candidates,
             key=lambda c: (self.dispatchers[c[0]].waiting_work(c[1], now), c[1]),
@@ -209,26 +287,23 @@ class ShardRouter:
     def _book(
         self, task: Task, decision: DispatchDecision, shard: int, handoff: bool = False
     ) -> RoutedDecision:
-        """Record a shard decision under the *original* task (the shard
-        may have seen a fragment-restricted copy)."""
+        """Remember the *original* task of a placement a shard booked
+        under a restricted copy, and drop the stale booking another
+        shard holds for it (a displaced straddler re-placed elsewhere)."""
         if decision.status in (DISPATCHED, REQUEUED):
-            self._tasks[task.tid] = task
-            self.placements[task.tid] = (decision.machine, decision.start)
-        elif decision.status == SHED:
-            self.n_shed += 1
-        elif decision.status == PARKED:
-            # The shard parked it (a race only possible through direct
-            # dispatcher use); keep router books consistent anyway.
-            pass
-        routed = RoutedDecision(decision=decision, shard=shard, handoff=handoff)
-        self.decisions.append(routed)
-        return routed
+            if decision.task is not task:
+                self._restricted[task.tid] = task
+                decision = replace(decision, task=task)
+            for sid, d in enumerate(self.dispatchers):
+                if sid != shard:
+                    d.unbook(task.tid)
+        return RoutedDecision(decision, shard, handoff)
 
     # -- rebalance surface ---------------------------------------------------
     def apply_placement(
         self,
-        old_sets: dict[int, frozenset[int]],
-        new_sets: dict[int, frozenset[int]],
+        old_sets: Mapping[int, frozenset[int]],
+        new_sets: Mapping[int, frozenset[int]],
         now: float,
         warmup: float = 0.0,
         version: int | None = None,
@@ -237,15 +312,15 @@ class ShardRouter:
 
         The sharded analogue of
         :meth:`repro.serve.dispatcher.Dispatcher.apply_placement`:
-        machines joining a home's replica set are charged ``warmup`` on
-        their owning shard's scheduler; queued-but-unstarted requests
-        whose machine left their home's set are withdrawn from the
-        shard that booked them and re-placed through the router's
-        cross-shard failure rule (least waiting work over every alive
-        candidate, smallest index on ties), in tid order — a migration
-        may therefore *hand off* to another shard.  Counters and the
-        placement-version gauge land in the router registry (lazily, so
-        never-rebalanced fleets snapshot without rebalance keys).
+        machines joining a home's replica set are handed to their owning
+        shard's :meth:`Dispatcher.add_replicas` (warmup plus the policy's
+        ``on_replicas_added`` hook); queued-but-unstarted requests whose
+        machine left their home's set are withdrawn from the shard that
+        booked them and re-placed through :meth:`redispatch`, in tid
+        order — a migration onto a straddling set may therefore *hand
+        off* to another shard.  Counters and the placement-version gauge
+        land in the router registry (lazily, so never-rebalanced fleets
+        snapshot without rebalance keys).
         """
         added = sorted(
             {
@@ -254,34 +329,23 @@ class ShardRouter:
                 for j in new - old_sets.get(u, frozenset())
             }
         )
-        if warmup > 0.0:
-            for j in added:
-                d = self.dispatchers[self.plan.shard_of(j)]
-                d.scheduler.completions[j] = max(d.scheduler.completions[j], now) + warmup
+        for (lo, hi), d in zip(self.plan.intervals, self.dispatchers):
+            d.add_replicas([j for j in added if lo <= j <= hi], now, warmup)
+        placements = self.placements
         migrated: list[RoutedDecision] = []
-        for tid in sorted(self.placements):
-            machine, start = self.placements[tid]
+        for tid in sorted(placements):
+            machine, start = placements[tid]
             if start <= now:
                 continue
-            task = self._tasks[tid]
+            task = self.task(tid)
             if task.key is None or task.key not in new_sets:
                 continue
             new_set = new_sets[task.key]
             if machine in new_set:
                 continue
-            sid = self.plan.shard_of(machine)
-            pulled = self.dispatchers[sid].withdraw(tid, now)
-            if pulled is None:  # pragma: no cover - guarded by start > now
-                continue
-            del self.placements[tid]
-            del self._tasks[tid]
-            moved = Task(
-                tid=task.tid,
-                release=task.release,
-                proc=task.proc,
-                machines=frozenset(new_set),
-                key=task.key,
-            )
+            self.dispatchers[self.plan.shard_of(machine)].withdraw(tid, now)
+            self._restricted.pop(tid, None)
+            moved = replace(task, machines=frozenset(new_set))
             migrated.append(self.redispatch(moved, now, reason="rebalance"))
         self.router_registry.counter("router_rebalance_applied_total").inc()
         self.router_registry.counter("router_rebalance_migrated_total").inc(len(migrated))
@@ -298,28 +362,23 @@ class ShardRouter:
         self.dispatchers[sid].kill(machine)
         return sid
 
-    def redispatch(self, task: Task, now: float, reason: str = "failure") -> RoutedDecision:
-        """Re-place a displaced task (machine failure) fleet-wide: the
-        cross-shard handoff rule over every alive candidate."""
-        return self._place_failed(task, self.plan.route(task.eligible(self.m)), now, reason)
-
     def revive(self, machine: int, now: float = 0.0) -> list[RoutedDecision]:
-        """Revive ``machine`` and re-place every router-parked task
-        whose set now intersects the fleet's alive machines, in park
-        order (the engine's recovery rule)."""
+        """Revive ``machine``: its shard re-places the shard-local
+        requests it parked, then the router re-places every
+        router-parked task whose set now intersects the fleet's alive
+        machines, each in park order (the engine's recovery rule)."""
         sid = self.plan.shard_of(machine)
         if machine in self.dispatchers[sid].alive:
             return []
-        # The shard dispatcher holds no parked tasks (the router parks
-        # before a doomed submit reaches a shard), so its revive only
-        # flips the alive bit and records the metric.
-        self.dispatchers[sid].revive(machine, now)
-        return self._unpark(now)
+        unparked = [RoutedDecision(d, sid) for d in self.dispatchers[sid].revive(machine, now)]
+        return unparked + self._unpark(now)
 
     def _unpark(self, now: float) -> list[RoutedDecision]:
         """Re-place every router-parked task whose set now intersects
         the fleet's alive machines, in park order (the engine's
         recovery rule)."""
+        if not self.parked:
+            return []
         alive = self.alive()
         pending, self.parked = self.parked, []
         replaced: list[RoutedDecision] = []
@@ -335,6 +394,11 @@ class ShardRouter:
         return replaced
 
     # -- supervision surface -------------------------------------------------
+    def check_shard(self, sid: int) -> None:
+        """Raise :class:`ValueError` unless ``sid`` names a shard."""
+        if not 0 <= sid < self.n_shards:
+            raise ValueError(f"shard {sid} out of range [0, {self.n_shards})")
+
     def detach_shard(self, sid: int) -> None:
         """Mark shard ``sid`` down — its *process* died, so the router
         must stop routing to it regardless of the (stale) alive bits in
@@ -342,8 +406,7 @@ class ShardRouter:
         the cross-shard failure path (least waiting work over every
         alive candidate elsewhere) or park when no shard can serve
         them.  Idempotent."""
-        if not 0 <= sid < self.n_shards:
-            raise ValueError(f"shard {sid} out of range [0, {self.n_shards})")
+        self.check_shard(sid)
         if sid in self.down_shards:
             return
         self.down_shards.add(sid)
@@ -361,8 +424,7 @@ class ShardRouter:
         Router-parked tasks whose sets the rejoined shard can now
         serve are re-placed in park order, exactly like a machine
         revival.  Returns those re-placements."""
-        if not 0 <= sid < self.n_shards:
-            raise ValueError(f"shard {sid} out of range [0, {self.n_shards})")
+        self.check_shard(sid)
         if sid not in self.down_shards:
             return []
         if dispatcher is not None:
@@ -382,8 +444,12 @@ class ShardRouter:
     def schedule(self) -> Schedule:
         """The merged committed schedule across every shard, under the
         original (unfragmented) tasks."""
-        inst = Instance(m=self.m, tasks=tuple(self._tasks.values()))
-        return Schedule(inst, dict(self.placements))
+        tasks = tuple(
+            self._restricted.get(tid) or d.task(tid)
+            for d in self.dispatchers
+            for tid in d.placements
+        )
+        return Schedule(Instance(m=self.m, tasks=tasks), self.placements)
 
     def shard_schedule(self, sid: int) -> Schedule:
         """Shard ``sid``'s own committed schedule (its dispatcher's
@@ -398,7 +464,9 @@ class ShardRouter:
         return rollup_registries(named, members=members)
 
     def stats(self) -> dict[str, Any]:
-        """Router counters plus per-shard dispatcher counters."""
+        """Fleet totals, router counters and per-shard dispatcher
+        counters.  ``requests`` counts every answered submit once;
+        ``dispatched`` also counts failure/unpark re-placements."""
         per_shard = []
         for sid, d in enumerate(self.dispatchers):
             lo, hi = self.plan.intervals[sid]
@@ -415,10 +483,53 @@ class ShardRouter:
             )
         return {
             "m": self.m,
+            "alive": sorted(self.alive()),
+            "requests": self._routed.value,
+            "dispatched": sum(s["dispatched"] for s in per_shard),
+            "shed": self.n_shed + sum(s["shed"] for s in per_shard),
+            "requeued": sum(s["requeued"] for s in per_shard),
+            "parked": len(self.parked) + sum(s["parked"] for s in per_shard),
             "shards": per_shard,
             "down_shards": sorted(self.down_shards),
             "routed": self._routed.value,
             "handoffs": self.n_handoffs,
-            "parked": len(self.parked),
-            "shed": self.n_shed,
         }
+
+    # -- crash recovery ------------------------------------------------------
+    def state_dict(self) -> dict[str, Any]:
+        """Everything a journal snapshot needs to rebuild the fleet:
+        each shard's :meth:`Dispatcher.state_dict` plus the router's
+        own books (detached shards, parking lot, original tasks of
+        restricted bookings, counters)."""
+        from ..protocol import task_to_wire
+
+        return {
+            "intervals": [list(iv) for iv in self.plan.intervals],
+            "shards": [d.state_dict() for d in self.dispatchers],
+            "down_shards": sorted(self.down_shards),
+            "parked": [task_to_wire(t) for t in self.parked],
+            "restricted": [task_to_wire(t) for t in self._restricted.values()],
+            "counters": {
+                "routed": self._routed.value,
+                "n_handoffs": self.n_handoffs,
+                "n_shed": self.n_shed,
+            },
+        }
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Restore :meth:`state_dict` output onto this (freshly built)
+        router; the plan and scheduler wiring must match."""
+        from ..protocol import task_from_wire
+
+        intervals = tuple(tuple(iv) for iv in state["intervals"])
+        if intervals != self.plan.intervals:
+            raise ValueError(f"snapshot has shards {intervals}, router has {self.plan.intervals}")
+        for d, shard_state in zip(self.dispatchers, state["shards"]):
+            d.load_state_dict(shard_state)
+        self.down_shards = set(int(s) for s in state["down_shards"])
+        self.parked = [task_from_wire(w) for w in state["parked"]]
+        self._restricted = {t.tid: t for t in map(task_from_wire, state["restricted"])}
+        counters = state["counters"]
+        self._routed.value = int(counters["routed"])
+        self.n_handoffs = int(counters["n_handoffs"])
+        self.n_shed = int(counters["n_shed"])

@@ -26,8 +26,9 @@ not cover.  :class:`ShardSupervisor` closes that hole:
 Recovery time (death observed → socket accepting) and restart/death
 counts are exported through a :class:`repro.obs.recorders.
 MetricsRegistry`; a router-fronted deployment pairs these hooks with
-:meth:`ShardRouter.detach_shard` / ``reattach_shard`` for graceful
-degradation while the shard is down.
+the ``detach-shard`` / ``reattach-shard`` ops of ``repro serve
+--shards N`` (:meth:`ShardRouter.detach_shard` / ``reattach_shard``)
+for graceful degradation while the shard is down.
 """
 
 from __future__ import annotations

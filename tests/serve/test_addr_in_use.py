@@ -115,22 +115,22 @@ class TestCLIExitCode:
         assert "address" in proc.stdout.lower() + proc.stderr.lower()
         assert "Traceback" not in proc.stderr
 
-    def test_serve_sharded_exits_4_on_busy_port(self):
+    def test_serve_shards_exits_4_on_busy_port(self):
         held = socket.socket()
         held.bind(("127.0.0.1", 0))
         held.listen(8)
         port = held.getsockname()[1]
         try:
             proc = self._run_cli(
-                "serve-sharded",
+                "serve",
                 "--host",
                 "127.0.0.1",
                 "--port",
                 str(port),
                 "--m",
-                "4",
+                "6",
                 "--shards",
-                "2",
+                "3",
             )
         finally:
             held.close()

@@ -130,18 +130,18 @@ class TestServiceFaultSurface:
                 displaced = service.kill(1)
                 # The queued tail (machine-1-only) has nowhere to go: parked.
                 assert displaced >= 2
-                assert len(service.dispatcher.parked) == displaced
+                assert service.stats()["parked"] == displaced
                 # A fresh machine-1-only task also parks.
                 parked = service.submit(
                     Task(tid=3, release=0.1, proc=1.0, machines=frozenset({1}))
                 )
                 assert parked.status == "parked"
-                n_parked = len(service.dispatcher.parked)
+                n_parked = service.stats()["parked"]
                 assert service.revive(1) == n_parked  # everything re-enters
                 completed = await service.drain()
                 assert completed == 4  # nothing was lost
                 assert service.stats()["outstanding"] == 0
-                assert service.dispatcher.parked == []
+                assert service.stats()["parked"] == 0
             finally:
                 await service.stop()
 

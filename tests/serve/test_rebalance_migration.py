@@ -186,3 +186,26 @@ class TestShardRouterApplyPlacement:
         snap = r.router_registry.snapshot()
         assert not [k for k in snap["counters"] if "rebalance" in k]
         assert "router_placement_version" not in snap["gauges"]
+
+    def test_widened_replicas_lose_setup_warmth_like_the_dispatcher(self):
+        """The policy's ``on_replicas_added`` hook runs under the router
+        too: NC-Setup forgets machine 3's warm key once key 1 widens onto
+        it, so the next task of that key places like the dispatcher's."""
+        from repro.campaigns.trace import make_scheduler
+
+        def drive(d):
+            d.submit(_task(0, release=0.0, machines={3}, key=1))  # warms 3
+            for tid in range(1, 5):
+                d.submit(_task(tid, release=0.0, machines={1, 2}, key=1))
+            d.apply_placement({1: frozenset({1, 2})}, {1: frozenset({1, 2, 3})}, now=0.5)
+            decision = d.submit(_task(5, release=0.6, machines={1, 2, 3}, key=1))
+            return decision.machine, decision.start
+
+        single = drive(Dispatcher(make_scheduler("nc-setup", 4)))
+        assert drive(ShardRouter(ShardPlan.single(4), scheduler="nc-setup")) == single
+        assert single == (1, 3.0)
+
+    def test_out_of_range_added_machines_ignored(self):
+        r = self._router()
+        r.apply_placement({1: frozenset({1})}, {1: frozenset({1, 9})}, now=0.0, warmup=1.0)
+        assert all(c == 0.0 for d in r.dispatchers for c in d.scheduler.completions.values())

@@ -55,11 +55,12 @@ def test_divergence_is_detected(name, monkeypatch):
     original = shadow_mod.shadow_replay
 
     def perturbed(instance, scheduler):
-        dispatcher, decisions = original(instance, scheduler)
-        tid = next(iter(dispatcher.placements))
-        machine, start = dispatcher.placements[tid]
-        dispatcher.placements[tid] = (machine, start + 0.125)
-        return dispatcher, decisions
+        router, decisions = original(instance, scheduler)
+        books = router.dispatchers[0].placements
+        tid = next(iter(books))
+        machine, start = books[tid]
+        books[tid] = (machine, start + 0.125)
+        return router, decisions
 
     monkeypatch.setattr(shadow_mod, "shadow_replay", perturbed)
     with pytest.raises(GoldenMismatch, match="diverged"):

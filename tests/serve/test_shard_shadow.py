@@ -50,17 +50,18 @@ def test_shard_traces_carry_shard_meta():
 
 
 def test_divergence_is_detected(monkeypatch):
-    import repro.serve.shard.shadow as shadow_mod
+    import repro.serve.shadow as shadow_mod
 
-    original = shadow_mod.shard_shadow_replay
+    original = shadow_mod.shadow_replay
 
-    def perturbed(instance, plan, scheduler, seed=0):
-        router, decisions = original(instance, plan, scheduler, seed)
-        tid = next(iter(router.placements))
-        machine, start = router.placements[tid]
-        router.placements[tid] = (machine, start + 0.125)
+    def perturbed(instance, scheduler, plan=None, seed=0):
+        router, decisions = original(instance, scheduler, plan=plan, seed=seed)
+        books = router.dispatchers[1].placements
+        tid = next(iter(books))
+        machine, start = books[tid]
+        books[tid] = (machine, start + 0.125)
         return router, decisions
 
-    monkeypatch.setattr(shadow_mod, "shard_shadow_replay", perturbed)
+    monkeypatch.setattr(shadow_mod, "shadow_replay", perturbed)
     with pytest.raises(GoldenMismatch):
         check_shard_shadow_golden("eft-min-m6-disjoint", 2)
