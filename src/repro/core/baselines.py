@@ -20,6 +20,8 @@ decision, i.e. it never uses :math:`p_i` to decide).
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 import numpy as np
 
 from .dispatch import ImmediateDispatchScheduler
@@ -56,6 +58,12 @@ class LeastWorkAssign(ImmediateDispatchScheduler):
         machine = min(eligible, key=lambda j: (self.assigned_work[j], j))
         self.assigned_work[machine] += task.proc
         return machine, frozenset(eligible)
+
+    def state_dict(self) -> dict[str, Any]:
+        return {"assigned_work": list(self.assigned_work.values())}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        self.assigned_work = dict(enumerate(state["assigned_work"], 1))
 
 
 class RoundRobinAssign(ImmediateDispatchScheduler):

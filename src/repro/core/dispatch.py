@@ -17,7 +17,7 @@ adversaries that interleave observation and submission (Theorems 3–5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from .schedule import Schedule
 from .task import Instance, Task
@@ -109,6 +109,13 @@ class ImmediateDispatchScheduler:
         update their own warm/feedback state here.
         """
         return task.proc
+
+    def state_dict(self) -> dict[str, Any]:
+        """Policy state for serve snapshots (see :mod:`repro.schedulers.contract`)."""
+        return {}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Restore :meth:`state_dict` output onto a fresh policy."""
 
     def service_of(self, tid: int, default: float) -> float:
         """The recorded service time of a dispatched task (``default``

@@ -29,6 +29,9 @@ information a coordinator has when the request arrives.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from typing import Any, Mapping
+
 from .dispatch import ImmediateDispatchScheduler
 from .task import Task
 
@@ -38,28 +41,42 @@ __all__ = ["LeastOutstanding", "C3Like"]
 class _OutstandingTracker(ImmediateDispatchScheduler):
     """Shared machinery: per-machine outstanding counts derived from
     dispatch history and the current time (a dispatched task is
-    outstanding while ``now < its completion``)."""
+    outstanding while ``now < its completion``), kept incrementally: a
+    query at ``now`` retires the in-flight heap's finished prefix —
+    for any query sequence, the entries a full rescan would drop."""
 
     clairvoyant = False
 
     def __init__(self, m: int) -> None:
         super().__init__(m)
-        #: (completion_time, machine) of every dispatched task
+        #: min-heap of (completion_time, machine) of in-flight dispatches
         self._inflight: list[tuple[float, int]] = []
+        #: live outstanding count per machine (its entries in ``_inflight``)
+        self._counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
+
+    def _retire(self, now: float) -> dict[int, int]:
+        """Drop dispatches finished by ``now``; returns the live counts."""
+        heap, counts = self._inflight, self._counts
+        while heap and heap[0][0] <= now:
+            counts[heappop(heap)[1]] -= 1
+        return counts
 
     def outstanding(self, now: float) -> dict[int, int]:
         """Outstanding request count per machine at time ``now``."""
-        counts = {j: 0 for j in range(1, self.m + 1)}
-        still = []
-        for completion, machine in self._inflight:
-            if completion > now:
-                counts[machine] += 1
-                still.append((completion, machine))
-        self._inflight = still  # drop finished entries
-        return counts
+        return dict(self._retire(now))
 
     def _record_dispatch(self, machine: int, completion: float) -> None:
-        self._inflight.append((completion, machine))
+        heappush(self._inflight, (completion, machine))
+        self._counts[machine] += 1
+
+    def state_dict(self) -> dict[str, Any]:
+        return {"inflight": sorted(self._inflight)}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        self._inflight = sorted(map(tuple, state["inflight"]))  # sorted is a heap
+        self._counts = {j: 0 for j in range(1, self.m + 1)}
+        for _, j in self._inflight:
+            self._counts[j] += 1
 
 
 class LeastOutstanding(_OutstandingTracker):
@@ -71,7 +88,7 @@ class LeastOutstanding(_OutstandingTracker):
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         eligible = sorted(task.eligible(self.m))
-        counts = self.outstanding(task.release)
+        counts = self._retire(task.release)
         machine = min(eligible, key=lambda j: (counts[j], j))
         start = max(task.release, self.completions[machine])
         self._record_dispatch(machine, start + task.proc)
@@ -94,32 +111,36 @@ class C3Like(_OutstandingTracker):
         self.alpha = alpha
         self.ewma: dict[int, float] = {j: 1.0 for j in range(1, m + 1)}
         self.name = "C3"
-        #: (completion_time, machine, service_time) pending feedback
+        #: min-heap of (completion_time, machine, service_time) pending feedback
         self._pending_feedback: list[tuple[float, int, float]] = []
 
     def _absorb_feedback(self, now: float) -> None:
-        still = []
         # Feedback must be absorbed in completion order for the EWMA to
-        # be deterministic.
-        for completion, machine, service in sorted(self._pending_feedback):
-            if completion <= now:
-                self.ewma[machine] = (
-                    (1 - self.alpha) * self.ewma[machine] + self.alpha * service
-                )
-            else:
-                still.append((completion, machine, service))
-        self._pending_feedback = still
+        # be deterministic: the heap pops in sorted-tuple order.
+        pending, ewma, alpha = self._pending_feedback, self.ewma, self.alpha
+        while pending and pending[0][0] <= now:
+            _, machine, service = heappop(pending)
+            ewma[machine] = (1 - alpha) * ewma[machine] + alpha * service
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         now = task.release
         self._absorb_feedback(now)
         eligible = sorted(task.eligible(self.m))
-        counts = self.outstanding(now)
+        counts = self._retire(now)
         machine = min(
             eligible, key=lambda j: ((1 + counts[j]) ** 3 * self.ewma[j], j)
         )
         start = max(now, self.completions[machine])
         completion = start + task.proc
         self._record_dispatch(machine, completion)
-        self._pending_feedback.append((completion, machine, task.proc))
+        heappush(self._pending_feedback, (completion, machine, task.proc))
         return machine, frozenset(eligible)
+
+    def state_dict(self) -> dict[str, Any]:
+        feedback = sorted(self._pending_feedback)
+        return {**super().state_dict(), "ewma": list(self.ewma.values()), "feedback": feedback}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        super().load_state_dict(state)
+        self.ewma = dict(enumerate(state["ewma"], 1))
+        self._pending_feedback = sorted(map(tuple, state["feedback"]))

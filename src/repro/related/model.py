@@ -40,6 +40,9 @@ class SpeedCluster:
         if np.any(s <= 0):
             raise ValueError("speeds must be positive")
         object.__setattr__(self, "speeds", s)
+        # Plain floats (bit-identical to the array's) for the per-task
+        # ``speed`` lookups of the dispatch hot path.
+        object.__setattr__(self, "_speeds", tuple(s.tolist()))
 
     @property
     def m(self) -> int:
@@ -47,9 +50,9 @@ class SpeedCluster:
 
     def speed(self, machine: int) -> float:
         """Speed of 1-based machine index."""
-        if not (1 <= machine <= self.m):
+        if not (1 <= machine <= len(self._speeds)):
             raise ValueError(f"machine {machine} outside 1..{self.m}")
-        return float(self.speeds[machine - 1])
+        return self._speeds[machine - 1]
 
     def exec_time(self, work: float, machine: int) -> float:
         """Execution time of ``work`` units on ``machine``."""

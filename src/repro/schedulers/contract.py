@@ -55,6 +55,11 @@ Optional surface
     policies invalidate their warm state here so newly-widened replicas
     pay the warmup penalty again.
 
+``state_dict()`` / ``load_state_dict(state)``
+    JSON-ready policy state beyond ``completions``/``task_counts``
+    (in-flight counts, warm sets, EWMAs), empty by default; serve
+    snapshots store it.
+
 ``name`` (instance or class attribute)
     Human-readable policy name, recorded in trace headers.
 """

@@ -21,8 +21,8 @@ The *system* model: the first task of each key group on a machine pays
 ``exec_time`` hook so the analytic books, the engine, and the serve
 tier all see the realised times.
 
-Warm state is keyed ``(machine, task.key)``; unkeyed tasks share one
-pseudo-key (the machine warms once).  A rebalance that widens replica
+Warm state is keyed ``(machine, task.key)``; unkeyed tasks share the
+key ``None`` (the machine warms once).  A rebalance that widens replica
 sets invalidates the warm state of the added machines via
 :meth:`NCSetup.on_replicas_added` — the
 :meth:`repro.serve.dispatcher.Dispatcher.apply_placement` integration —
@@ -30,6 +30,8 @@ so migration is not free.
 """
 
 from __future__ import annotations
+
+from typing import Any, Mapping
 
 from ..core.nonclairvoyant import _OutstandingTracker
 from ..core.task import Task
@@ -53,21 +55,16 @@ class NCSetup(_OutstandingTracker):
         self.setup_paid = 0.0
         self.name = f"NC-Setup(s={self.setup:g})"
 
-    @staticmethod
-    def _key_of(task: Task):
-        # Unkeyed tasks share one pseudo-key: the machine warms once.
-        return task.key if task.key is not None else ()
-
     def is_warm(self, machine: int, task: Task) -> bool:
         """Whether ``machine`` is configured (cache-warm) for ``task``."""
-        return self._key_of(task) in self.warm[machine]
+        return task.key in self.warm[machine]
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         eligible = sorted(task.eligible(self.m))
-        counts = self.outstanding(task.release)
+        counts = self._retire(task.release)
+        key, warm, setup = task.key, self.warm, self.setup
         machine = min(
-            eligible,
-            key=lambda j: (counts[j] + (0.0 if self.is_warm(j, task) else self.setup), j),
+            eligible, key=lambda j: (counts[j] + (0.0 if key in warm[j] else setup), j)
         )
         return machine, frozenset(eligible)
 
@@ -79,10 +76,19 @@ class NCSetup(_OutstandingTracker):
         if not self.is_warm(machine, task):
             dur += self.setup
             self.setup_paid += self.setup
-            self.warm[machine].add(self._key_of(task))
+            self.warm[machine].add(task.key)
         start = max(task.release, self.completions[machine])
         self._record_dispatch(machine, start + dur)
         return dur
+
+    def state_dict(self) -> dict[str, Any]:
+        warm = [sorted(self.warm[j], key=str) for j in range(1, self.m + 1)]
+        return {**super().state_dict(), "warm": warm, "setup_paid": self.setup_paid}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        super().load_state_dict(state)
+        self.warm = {j: set(keys) for j, keys in enumerate(state["warm"], 1)}
+        self.setup_paid = state["setup_paid"]
 
     # -- rebalance integration --------------------------------------------
     def on_replicas_added(self, machines, now: float) -> None:

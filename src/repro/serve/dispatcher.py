@@ -408,9 +408,10 @@ class Dispatcher:
         """Everything a journal snapshot needs to rebuild this
         dispatcher mid-stream: the books, the alive set, the parking
         lot, and the scheduler's decision-relevant state (completion
-        horizons, task counts, release watermark, and — for randomised
-        tie-breaks — the RNG state, so post-restore draws continue the
-        crashed process's sequence exactly)."""
+        horizons, task counts, release watermark, the policy's own
+        ``state_dict()`` under ``policy``, and — for randomised tie-breaks
+        — the RNG state, so post-restore draws continue the crashed
+        process's sequence exactly)."""
         from .protocol import task_to_wire
 
         scheduler_state: dict[str, Any] = {
@@ -426,6 +427,9 @@ class Dispatcher:
             rng = getattr(getattr(self.scheduler, "tiebreak", None), "rng", None)
         if rng is not None:
             scheduler_state["rng_state"] = rng.bit_generator.state
+        policy_state = self.scheduler.state_dict()
+        if policy_state:
+            scheduler_state["policy"] = policy_state
         return {
             "m": self.m,
             "on_unavailable": self.on_unavailable,
@@ -470,6 +474,8 @@ class Dispatcher:
         self.scheduler.completions = {int(j): float(c) for j, c in sched["completions"].items()}
         self.scheduler.task_counts = {int(j): int(c) for j, c in sched["task_counts"].items()}
         self.scheduler._last_release = float(sched["last_release"])
+        if "policy" in sched:
+            self.scheduler.load_state_dict(sched["policy"])
         if "cursor" in sched and hasattr(self.scheduler, "_cursor"):
             self.scheduler._cursor = int(sched["cursor"])
         if "rng_state" in sched:

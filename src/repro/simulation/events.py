@@ -1,8 +1,8 @@
 """Event primitives for the discrete-event simulator.
 
 A minimal, allocation-light event core: events are ``(time, priority,
-seq, kind, payload)`` records ordered by time, then by a fixed
-per-kind priority, then by a monotone sequence number.
+seq, kind, payload)`` named tuples ordered as plain tuples — by time,
+then by a fixed per-kind priority, then by a monotone sequence number.
 
 The within-instant order is pinned: at equal times **MACHINE_UP fires
 before COMPLETE fires before MACHINE_DOWN fires before RELEASE fires
@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
@@ -78,16 +77,19 @@ _KIND_PRIORITY: dict[EventKind, int] = {
 }
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled simulator event (orderable by time, then kind
-    priority, then seq)."""
+class Event(NamedTuple):
+    """A scheduled simulator event.  Ordered as a plain tuple: by time,
+    then kind priority, then seq (unique, so the comparison never
+    reaches ``kind`` or ``payload``)."""
 
     time: float
     priority: int
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
+
+
+_new_event = tuple.__new__  # skips NamedTuple's Python-level __new__ per push
 
 
 class EventQueue:
@@ -100,7 +102,7 @@ class EventQueue:
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns the event object."""
-        ev = Event(time, _KIND_PRIORITY[kind], next(self._counter), kind, payload)
+        ev = _new_event(Event, (time, _KIND_PRIORITY[kind], next(self._counter), kind, payload))
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -115,7 +117,8 @@ class EventQueue:
         priority = _KIND_PRIORITY[kind]
         counter = self._counter
         self._heap.extend(
-            Event(time, priority, next(counter), kind, payload) for time, payload in items
+            _new_event(Event, (time, priority, next(counter), kind, payload))
+            for time, payload in items
         )
         heapq.heapify(self._heap)
 

@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Instance, Task, eft_schedule
 from repro.core.nonclairvoyant import C3Like, LeastOutstanding
+from repro.schedulers import NCSetup
 from tests.conftest import restricted_unit_instances
 
 
@@ -92,3 +94,61 @@ class TestAgainstEFT:
         eft_val = eft_schedule(inst, tiebreak="min").max_flow
         lor_val = LeastOutstanding(8).run(inst).max_flow
         assert lor_val <= 3 * eft_val + 2
+
+
+def _scan(inflight: list, m: int, now: float) -> dict[int, int]:
+    """The brute-force outstanding count: rescan every in-flight
+    ``(completion, machine)`` and drop the finished ones (the oracle
+    for the incremental heap)."""
+    counts = {j: 0 for j in range(1, m + 1)}
+    inflight[:] = [(c, j) for c, j in inflight if c > now]
+    for _, j in inflight:
+        counts[j] += 1
+    return counts
+
+
+_TRACKER_OPS = st.lists(
+    st.one_of(
+        # dispatch: release gap, proc, processing set, key
+        st.tuples(
+            st.just("submit"),
+            st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+            st.sampled_from([0.5, 1.0, 2.0]),
+            st.frozensets(st.integers(1, 3), min_size=1),
+            st.sampled_from([None, 1, 2]),
+        ),
+        # a query at any (non-monotone) time
+        st.tuples(st.just("query"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 6.0])),
+    ),
+    max_size=40,
+)
+
+
+class TestIncrementalOutstanding:
+    @pytest.mark.parametrize("cls", [LeastOutstanding, C3Like, NCSetup])
+    @given(ops=_TRACKER_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_counts_equal_brute_force_scan(self, cls, ops):
+        m, sched = 3, cls(3)
+        inflight, feedback, ewma, release = [], [], {j: 1.0 for j in range(1, 4)}, 0.0
+        for op in ops:
+            if op[0] == "query":
+                assert sched.outstanding(op[1]) == _scan(inflight, m, op[1])
+                continue
+            _, gap, proc, machines, key = op
+            release += gap
+            _scan(inflight, m, release)  # choose() queries at the release
+            if cls is C3Like:  # the sorted-rescan feedback oracle
+                for c, j, service in sorted(feedback):
+                    if c <= release:
+                        ewma[j] = (1 - sched.alpha) * ewma[j] + sched.alpha * service
+                feedback = [f for f in feedback if f[0] > release]
+            task = Task(tid=len(sched.history), release=release, proc=proc,
+                        machines=machines, key=key)
+            rec = sched.submit(task)
+            completion = rec.start + sched.service_of(task.tid, proc)
+            inflight.append((completion, rec.machine))
+            feedback.append((completion, rec.machine, proc))
+            if cls is C3Like:
+                assert sched.ewma == ewma
+        assert sched.outstanding(0.0) == _scan(inflight, m, 0.0)

@@ -1,11 +1,14 @@
 """Unit tests for the virtual-clocked dispatch decision core."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EFT, Instance, Task, eft_schedule
+from repro.schedulers import get_scheduler, list_schedulers
 from repro.serve import DISPATCHED, PARKED, REQUEUED, SHED, Dispatcher
 from repro.simulation.engine import Simulator
 from repro.simulation.workload import WorkloadSpec, generate_workload
@@ -162,3 +165,56 @@ class TestFaults:
     def test_invalid_on_unavailable_rejected(self):
         with pytest.raises(ValueError):
             Dispatcher(EFT(2, tiebreak="min"), on_unavailable="explode")
+
+
+def _restored(live: Dispatcher, policy: str, m: int, seed: int = 0) -> Dispatcher:
+    """A fresh dispatcher loaded from ``live``'s snapshot, through JSON
+    as a journal snapshot stores it."""
+    restored = Dispatcher(get_scheduler(policy, m, seed=seed))
+    restored.load_state_dict(json.loads(json.dumps(live.state_dict())))
+    return restored
+
+
+class TestPolicySnapshot:
+    """A snapshot restored mid-stream decides exactly like the live
+    dispatcher it was taken from (recovered ≡ uninterrupted), including
+    the policy's own state: outstanding counts, warm sets, EWMAs."""
+
+    def test_nc_setup_keeps_warm_sets(self):
+        live = Dispatcher(get_scheduler("nc-setup", 2))
+        live.submit(Task(tid=0, release=0.0, proc=1.0, machines=frozenset({1}), key=7))
+        live.submit(Task(tid=1, release=0.0, proc=1.0, machines=frozenset({2}), key=8))
+        restored = _restored(live, "nc-setup", 2)
+        nxt = Task(tid=2, release=5.0, proc=1.0, machines=frozenset({1, 2}), key=8)
+        assert live.submit(nxt).machine == 2  # warm for key 8
+        assert restored.submit(nxt).machine == 2
+
+    @pytest.mark.parametrize("policy", [info["name"] for info in list_schedulers()])
+    def test_restored_mid_stream_matches_live(self, policy):
+        m, rng = 5, np.random.default_rng(11)
+        tasks, release = [], 0.0
+        for tid in range(90):
+            release += float(rng.exponential(0.3))
+            machines = frozenset(int(j) for j in rng.choice(m, size=2, replace=False) + 1)
+            key = None if tid % 7 == 0 else int(rng.integers(0, 4))
+            tasks.append(
+                Task(tid=tid, release=release, proc=float(rng.exponential(1.0)),
+                     machines=machines, key=key)
+            )
+        live = Dispatcher(get_scheduler(policy, m, seed=3))
+        for task in tasks[:45]:
+            live.submit(task)
+        restored = _restored(live, policy, m, seed=3)
+        for task in tasks[45:]:
+            a, b = live.submit(task), restored.submit(task)
+            assert (a.status, a.machine, a.start) == (b.status, b.machine, b.start)
+        assert restored.state_dict() == live.state_dict()
+
+    def test_snapshot_without_policy_state_still_loads(self):
+        live = Dispatcher(get_scheduler("nc-setup", 2))
+        live.submit(Task(tid=0, release=0.0, proc=1.0, key=7))
+        state = live.state_dict()
+        del state["scheduler"]["policy"]  # a snapshot from before the hook
+        restored = Dispatcher(get_scheduler("nc-setup", 2))
+        restored.load_state_dict(state)
+        assert restored.placements == live.placements

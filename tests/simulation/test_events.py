@@ -1,9 +1,11 @@
 """Unit tests for the event queue."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EFT, eft_schedule
 from repro.simulation import EventKind, EventQueue, Simulator
+from repro.simulation.events import _KIND_PRIORITY, Event
 from tests.conftest import unrestricted_instances
 
 
@@ -123,6 +125,60 @@ class TestExtend:
         q = EventQueue()
         q.extend(EventKind.RELEASE, [])
         assert not q and q.peek_time() is None
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+_KINDS = st.sampled_from(list(EventKind))
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _KINDS, _TIMES),
+        st.tuples(st.just("extend"), _KINDS, st.lists(_TIMES, max_size=6)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=60,
+)
+
+
+class TestQueueOrderProperty:
+    """Any interleaving of push/extend/pop pops in the order of a sort
+    by ``(time, kind priority, insertion index)`` — the pinned
+    same-instant kind order, FIFO within a kind."""
+
+    @given(_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_pop_order_is_time_priority_insertion(self, ops):
+        q, pending, inserted = EventQueue(), [], 0
+
+        def add(time_, kind):
+            nonlocal inserted
+            pending.append((time_, _KIND_PRIORITY[kind], inserted, kind))
+            inserted += 1
+            return inserted - 1
+
+        for op in ops:
+            if op[0] == "push":
+                _, kind, time_ = op
+                q.push(time_, kind, add(time_, kind))
+            elif op[0] == "extend":
+                _, kind, times = op
+                q.extend(kind, [(time_, add(time_, kind)) for time_ in times])
+            elif pending:
+                pending.sort()
+                time_, _, index, kind = pending.pop(0)
+                ev = q.pop()
+                assert (ev.time, ev.kind, ev.payload) == (time_, kind, index)
+        pending.sort()
+        assert [(ev.time, ev.kind, ev.payload) for ev in (q.pop() for _ in pending)] == [
+            (time_, kind, index) for time_, _, index, kind in pending
+        ]
+        assert not q
+
+    def test_event_is_a_plain_tuple(self):
+        q = EventQueue()
+        ev = q.push(1.5, EventKind.COMPLETE, ("payload",))
+        assert isinstance(ev, Event) and isinstance(ev, tuple)
+        assert ev == (1.5, _KIND_PRIORITY[EventKind.COMPLETE], 0, EventKind.COMPLETE, ("payload",))
+        assert (ev.time, ev.seq, ev.kind, ev.payload) == (1.5, 0, EventKind.COMPLETE, ("payload",))
 
 
 class TestCoincidingTimesMatchAnalytic:
