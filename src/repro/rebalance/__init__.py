@@ -6,7 +6,7 @@ arrival stream, :class:`~repro.rebalance.controller.RebalanceController`
 re-solves Equation (15) against the live
 :class:`~repro.rebalance.placement.IntervalPlacement` on a cadence and
 proposes interval-structured placement changes, the serve tier enacts
-them (``Dispatcher.apply_placement`` / ``ShardRouter.apply_placement``)
+them (``ShardRouter.apply_placement``)
 and every decision lands in a versioned, replayable
 :mod:`~repro.rebalance.events` trace.
 """

@@ -6,15 +6,18 @@ One virtual-clocked run wires everything together:
   ``(release, home, size)`` arrivals — replica sets are resolved at
   dispatch time against the **live** placement, which is what makes
   re-replication visible to the workload at all;
-* a :class:`~repro.serve.dispatcher.Dispatcher` (any named scheduler)
-  places each request; machine faults kill/revive machines mid-run and
-  queued work drains off dead machines with the engine's failure rule;
+* the serve tier's one-shard fleet, a
+  :class:`~repro.serve.shard.router.ShardRouter` over
+  :meth:`ShardPlan.single <repro.serve.shard.plan.ShardPlan.single>`
+  (any named scheduler), places each request; machine faults
+  kill/revive machines mid-run and queued work drains off dead
+  machines with the engine's failure rule;
 * under ``policy="adaptive"``, a
   :class:`~repro.rebalance.controller.RebalanceController` runs its
   cadence checks at the exact cadence instants (interleaved with fault
   transitions in time order, faults first on ties) and every triggered
   proposal is enacted through
-  :meth:`~repro.serve.dispatcher.Dispatcher.apply_placement` — warmup
+  :meth:`~repro.serve.shard.router.ShardRouter.apply_placement` — warmup
   charged, shrunk-away queued work migrated; under ``policy="static"``
   the placement never moves (the controller is absent entirely, so the
   static run is byte-identical to the pre-rebalance code path).
@@ -37,9 +40,9 @@ import numpy as np
 from ..campaigns.trace import make_scheduler
 from ..core.task import Task
 from ..faults.schedule import FaultSchedule
-from ..serve.dispatcher import Dispatcher
 from ..serve.driver import percentile
-from ..serve.metrics import ServeMetrics
+from ..serve.shard.plan import ShardPlan
+from ..serve.shard.router import ShardRouter
 from ..simulation.dynamics import DynamicWorkloadSpec
 from .controller import RebalanceConfig, RebalanceController
 from .events import RebalanceTrace, dumps as dump_trace
@@ -77,19 +80,19 @@ def _assignments_digest(placements: Mapping[int, tuple[int, float]]) -> str:
     return h.hexdigest()
 
 
-def _drain_dead(dispatcher: Dispatcher, machine: int, now: float) -> None:
+def _drain_dead(router: ShardRouter, machine: int, now: float) -> None:
     """Move queued-but-unstarted work off a freshly killed machine with
     the engine's failure rule (started work finishes in place — the
     drain-then-die semantics of the serve tier)."""
     doomed = [
         tid
-        for tid, (j, start) in sorted(dispatcher.placements.items())
+        for tid, (j, start) in sorted(router.placements.items())
         if j == machine and start > now
     ]
     for tid in doomed:
-        task = dispatcher.withdraw(tid, now)
+        task = router.withdraw(tid, now)
         if task is not None:
-            dispatcher.redispatch(task, now, reason="failure")
+            router.redispatch(task, now, reason="failure")
 
 
 def run_rebalance(
@@ -106,13 +109,13 @@ def run_rebalance(
     config = config if config is not None else RebalanceConfig()
     stream = spec.stream(np.random.default_rng(seed))
     placement = IntervalPlacement.from_strategy(spec.replication())
-    metrics = ServeMetrics()
-    dispatcher = Dispatcher(make_scheduler(scheduler, spec.m, seed=seed), metrics=metrics)
+    router = ShardRouter(ShardPlan.single(spec.m), make_scheduler(scheduler, spec.m, seed=seed))
     controller = (
         RebalanceController(placement, config=config) if policy == "adaptive" else None
     )
     fault_events = list(faults.events()) if faults is not None else []
     fi = 0
+    n_migrated = 0
 
     def current_placement() -> IntervalPlacement:
         return controller.placement if controller is not None else placement
@@ -121,7 +124,7 @@ def run_rebalance(
         """Process fault transitions and cadence checks owed at or
         before ``until``, in time order (faults first on ties — a
         cadence check sees the cluster state of its instant)."""
-        nonlocal fi
+        nonlocal fi, n_migrated
         while True:
             fault_t = fault_events[fi][0] if fi < len(fault_events) else None
             check_t = (
@@ -138,22 +141,23 @@ def run_rebalance(
                 if not (1 <= j <= spec.m):
                     continue
                 if kind == "down":
-                    dispatcher.kill(j)
-                    _drain_dead(dispatcher, j, t)
+                    router.kill(j)
+                    _drain_dead(router, j, t)
                 else:
-                    dispatcher.revive(j, t)
+                    router.revive(j, t)
                 continue
             if check_t is not None and check_t <= until:
                 old_sets = controller.placement.sets()
                 decision = controller.step(check_t)
                 if decision.triggered:
-                    dispatcher.apply_placement(
+                    migrated = router.apply_placement(
                         old_sets,
                         controller.placement.sets(),
                         check_t,
                         warmup=config.warmup,
                         version=decision.version,
                     )
+                    n_migrated += sum(1 for d in migrated if d.reason == "rebalance")
                 continue
             break
 
@@ -169,13 +173,14 @@ def run_rebalance(
             machines=current_placement().replicas(home),
             key=home,
         )
-        dispatcher.submit(task)
+        router.submit(task)
         if controller is not None:
             controller.observe(release, home, proc)
 
+    placements = router.placements
     flows = [
-        dispatcher.placements[tid][1] + dispatcher._tasks[tid].proc - dispatcher._tasks[tid].release
-        for tid in sorted(dispatcher.placements)
+        placements[tid][1] + router.task(tid).proc - router.task(tid).release
+        for tid in sorted(placements)
     ]
     flow = (
         {
@@ -188,7 +193,7 @@ def run_rebalance(
         if flows
         else {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0, "mean": 0.0}
     )
-    digest = _assignments_digest(dispatcher.placements)
+    digest = _assignments_digest(placements)
     decisions = tuple(controller.decisions) if controller is not None else ()
     trace = RebalanceTrace(
         m=spec.m,
@@ -211,13 +216,11 @@ def run_rebalance(
         flow=flow,
         digest=digest,
         n_rebalances=sum(1 for d in decisions if d.triggered),
-        n_migrated=sum(
-            1 for d in dispatcher.decisions if d.reason == "rebalance"
-        ),
-        n_requeued=dispatcher.n_requeued,
+        n_migrated=n_migrated,
+        n_requeued=router.stats()["requeued"],
         final_version=controller.version if controller is not None else 0,
         trace=trace,
-        metrics=metrics.registry.snapshot(),
+        metrics=router.fleet_registry(members=False).snapshot(),
     )
 
 

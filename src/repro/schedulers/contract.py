@@ -50,8 +50,9 @@ Optional surface
 ----------------
 
 ``on_replicas_added(machines, now)``
-    Called by :meth:`repro.serve.dispatcher.Dispatcher.apply_placement`
-    when a rebalance widens replica sets onto ``machines``.  Setup-time
+    Called by :meth:`repro.serve.shard.router.ShardRouter.apply_placement`
+    (through each owning shard's ``Dispatcher.add_replicas``) when a
+    rebalance widens replica sets onto ``machines``.  Setup-time
     policies invalidate their warm state here so newly-widened replicas
     pay the warmup penalty again.
 

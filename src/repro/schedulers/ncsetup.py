@@ -25,7 +25,7 @@ Warm state is keyed ``(machine, task.key)``; unkeyed tasks share the
 key ``None`` (the machine warms once).  A rebalance that widens replica
 sets invalidates the warm state of the added machines via
 :meth:`NCSetup.on_replicas_added` — the
-:meth:`repro.serve.dispatcher.Dispatcher.apply_placement` integration —
+:meth:`repro.serve.shard.router.ShardRouter.apply_placement` integration —
 so migration is not free.
 """
 

@@ -5,8 +5,10 @@ live asyncio service rather than inside the discrete-event simulator:
 
 * :mod:`~repro.serve.protocol` — length-prefixed JSON framing over
   unix sockets or TCP;
-* :mod:`~repro.serve.dispatcher` — the virtual-clocked decision core,
-  sharing the scheduler ``submit`` contract with the engine;
+* :mod:`~repro.serve.dispatcher` — one shard's virtual-clocked books
+  (submit over the alive view, commits, withdraw, alive bits,
+  snapshots), sharing the scheduler ``submit`` contract with the
+  engine;
 * :mod:`~repro.serve.admission` — bounded-queue backpressure and SLO
   load shedding keyed to the paper's waiting-work flow bound;
 * :mod:`~repro.serve.metrics` — live :mod:`repro.obs` metrics
@@ -21,12 +23,15 @@ live asyncio service rather than inside the discrete-event simulator:
   single server and sharded, merged and per shard);
 * :mod:`~repro.serve.loopback` — in-process service+driver runs
   (``repro bench-serve``);
-* :mod:`~repro.serve.shard` — the sharded tier: :class:`ShardPlan`
-  partitioning, the interval-aware :class:`ShardRouter` (with
-  cross-shard failure handoff) that every service enacts, and the
+* :mod:`~repro.serve.shard` — the fleet surface: :class:`ShardPlan`
+  partitioning, and the interval-aware :class:`ShardRouter` that every
+  service enacts (one shard or many) — it owns the one parking lot,
+  the least-waiting-work failure rule with cross-shard handoff,
+  unavailable shedding and rebalance ``apply_placement`` — plus the
   multi-process ``bench-serve --shards N`` driver;
 * :mod:`~repro.serve.journal` — the write-ahead operation log that
-  makes a dispatcher crash-recoverable (``Dispatcher.recover``);
+  makes the fleet crash-recoverable
+  (``Dispatcher.recover(journal, into=router)``);
 * :mod:`~repro.serve.supervisor` — shard-process supervision: death
   detection, restart, journal replay, fleet rejoin;
 * :mod:`~repro.serve.resilient` — the chaos-tolerant client driver:

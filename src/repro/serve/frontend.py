@@ -3,7 +3,8 @@
 :class:`ServeService` enacts the virtual-clocked decisions of a
 :class:`~repro.serve.shard.router.ShardRouter` in real time: one
 asyncio worker per machine pulls dispatched requests off its FIFO
-queue and "serves" each for ``proc * time_scale`` wall seconds — the
+queue and "serves" each for its realised service time (the policy's
+``exec_time`` on that machine) times ``time_scale`` wall seconds — the
 same one-task-at-a-time, run-to-completion machine model as the
 engine.  A single server is the one-shard fleet
 (:meth:`~repro.serve.shard.plan.ShardPlan.single`, the default), where
@@ -378,7 +379,8 @@ class ServeService:
                 self._route_displaced(task, arrival)
                 self._settle()
                 continue
-            await asyncio.sleep(task.proc * self.time_scale)
+            service = router.dispatchers[sid].scheduler.service_of(task.tid, task.proc)
+            await asyncio.sleep(service * self.time_scale)
             loop_now = asyncio.get_running_loop().time()
             router.shard_metrics[sid].on_complete((loop_now - arrival) / self.time_scale)
             self.n_completed += 1

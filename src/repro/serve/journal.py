@@ -2,10 +2,9 @@
 
 The serving tier's crash-recovery backbone: every state-changing
 operation the frontend applies to its :class:`~repro.serve.shard.
-router.ShardRouter` (or a bare :class:`~repro.serve.dispatcher.
-Dispatcher`) — submit, kill, revive, failure-path redispatch, rebalance
-``apply_placement``, shard detach/reattach, and the service-layer
-``complete`` — is appended to an on-disk journal *before* it is
+router.ShardRouter` — submit, kill, revive, failure-path redispatch,
+rebalance ``apply_placement``, shard detach/reattach, and the
+service-layer ``complete`` — is appended to an on-disk journal *before* it is
 acknowledged, so a process that dies mid-drive can be rebuilt exactly
 by replaying the log (:func:`recover` / :meth:`Dispatcher.recover`).
 

@@ -1,10 +1,17 @@
 """Live service metrics, recorded into a :mod:`repro.obs` registry.
 
 :class:`ServeMetrics` is the observability surface of the serving
-layer: the dispatcher core drives the decision-path recorders
-(requests, dispatches, sheds, parks, requeues, per-machine queue-depth
-gauges) and the asyncio service layer drives the completion-path ones
-(completions, measured wall flow).  Everything lands in one
+layer's shard books: each shard's dispatcher drives the decision-path
+recorders (dispatches, admission sheds, requeues, kills/revives,
+per-machine queue-depth gauges) and the asyncio service layer drives
+the completion-path ones (completions, measured wall flow).  The fleet
+events — requests, parks, unparks, unavailable sheds, rebalances — are
+recorded by :class:`~repro.serve.shard.router.ShardRouter` in its own
+registry under the same naming scheme (``requests_total``,
+``parked_total``, ``parked_now``, ``unparked_total``, ``shed_total``
+with ``shed_<reason>_total``, ``rebalance_*_total``,
+``placement_version``), so a fleet rollup sums each event under one
+name.  Everything lands in one
 :class:`~repro.obs.recorders.MetricsRegistry`, so a snapshot taken at
 any instant serialises in the canonical byte-stable format of
 :mod:`repro.obs.snapshot` — the same format the campaign ``--metrics``
@@ -46,7 +53,6 @@ class ServeMetrics:
         flow_edges: Sequence[float] = DEFAULT_FLOW_EDGES,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.requests = self.registry.counter("requests_total")
         self.dispatched = self.registry.counter("dispatched_total")
         self.shed_total = self.registry.counter("shed_total")
         self.completed = self.registry.counter("completed_total")
@@ -55,9 +61,6 @@ class ServeMetrics:
         self.wall_flow = self.registry.histogram("wall_flow", flow_edges)
 
     # -- decision path (dispatcher core) ------------------------------------
-    def on_request(self) -> None:
-        self.requests.inc()
-
     def on_dispatch(self, machine: int, est_flow: float, depth: int) -> None:
         self.dispatched.inc()
         self.est_flow.observe(est_flow)
@@ -69,28 +72,8 @@ class ServeMetrics:
 
     # Fault-path recorders are created lazily (like the simulator's
     # SimRecorder), so a fault-free run's snapshot carries no fault keys.
-    def on_park(self, n_parked: int) -> None:
-        self.registry.counter("parked_total").inc()
-        self.registry.gauge("parked_now").set(n_parked)
-
-    def on_unpark(self, n_parked: int) -> None:
-        self.registry.counter("unparked_total").inc()
-        self.registry.gauge("parked_now").set(n_parked)
-
     def on_requeue(self) -> None:
         self.registry.counter("requeued_total").inc()
-
-    # Rebalance recorders are lazy for the same reason: a run that
-    # never rebalances must snapshot byte-identically to one that
-    # cannot (the no-trigger golden-identity guarantee).
-    def on_rebalance(
-        self, version: int | None, n_migrated: int, n_added: int
-    ) -> None:
-        self.registry.counter("rebalance_applied_total").inc()
-        self.registry.counter("rebalance_migrated_total").inc(n_migrated)
-        self.registry.counter("rebalance_warmup_machines_total").inc(n_added)
-        if version is not None:
-            self.registry.gauge("placement_version").set(version)
 
     def on_kill(self, machine: int, n_alive: int) -> None:
         self.registry.counter("machine_kills_total").inc()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Instance, Task
 from repro.schedulers import NCSetup, get_scheduler
-from repro.serve.dispatcher import Dispatcher
+from repro.serve import ShardPlan, ShardRouter
 from repro.simulation import Simulator
 
 
@@ -118,7 +118,7 @@ class TestEngineIntegration:
 class TestRebalanceIntegration:
     def test_apply_placement_chills_added_replicas(self):
         sched = NCSetup(2, setup=1.0)
-        disp = Dispatcher(sched)
+        disp = ShardRouter(ShardPlan.single(2), sched)
         d0 = disp.submit(_task(0, 0, 2.0, key=7, machines={1, 2}))
         warm_machine = d0.machine
         assert sched.is_warm(warm_machine, _task(0, 0, 1.0, key=7))
@@ -138,7 +138,7 @@ class TestRebalanceIntegration:
 
     def test_unchanged_sets_leave_warm_state_alone(self):
         sched = NCSetup(2, setup=1.0)
-        disp = Dispatcher(sched)
+        disp = ShardRouter(ShardPlan.single(2), sched)
         disp.submit(_task(0, 0, 2.0, key=7, machines={1}))
         disp.apply_placement(
             {7: frozenset({1})}, {7: frozenset({1})}, now=5.0

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import EFT
-from repro.serve import Dispatcher, Journal, JournalCorruptError, JournalError
+from repro.serve import (
+    Dispatcher,
+    Journal,
+    JournalCorruptError,
+    JournalError,
+    ShardPlan,
+    ShardRouter,
+)
 from repro.serve.journal import JournalRecord, decode_record, encode_record, recover
 from repro.serve.protocol import task_to_wire
 from repro.simulation.workload import WorkloadSpec, generate_workload
@@ -17,9 +24,13 @@ def _instance(seed: int = 0, m: int = 4, n: int = 30):
     return generate_workload(spec, rng=np.random.default_rng(seed))
 
 
+def _fleet(m: int) -> ShardRouter:
+    return ShardRouter(ShardPlan.single(m), EFT(m, tiebreak="min"))
+
+
 def _journal_a_drive(root, inst, kill_at=None, fsync="never"):
-    """Drive a dispatcher while journaling every transition; return it."""
-    dispatcher = Dispatcher(EFT(inst.m, tiebreak="min"))
+    """Drive a one-shard fleet while journaling every transition; return it."""
+    dispatcher = _fleet(inst.m)
     journal = Journal(root, fsync=fsync)
     tasks = list(inst)
     for i, task in enumerate(tasks):
@@ -168,9 +179,9 @@ class TestRecovery:
         inst = _instance(seed=1)
         live, journal = _journal_a_drive(tmp_path, inst, kill_at=10)
         journal.close()
-        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), EFT(inst.m, tiebreak="min"))
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
         assert recovery.dispatcher.placements == live.placements
-        assert recovery.dispatcher.alive == live.alive
+        assert recovery.dispatcher.alive() == live.alive()
         assert recovery.n_replayed == len(inst) + 1  # submits + the kill
         assert recovery.n_dropped_tail == 0
 
@@ -178,7 +189,7 @@ class TestRecovery:
         inst = _instance(seed=2, n=12)
         live, journal = _journal_a_drive(tmp_path, inst)
         journal.close()
-        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), EFT(inst.m, tiebreak="min"))
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
         assert set(recovery.dedupe) == {f"t:{task.tid}" for task in inst}
         for task in inst:
             decision = recovery.dedupe[f"t:{task.tid}"]
@@ -192,7 +203,7 @@ class TestRecovery:
         for tid in done:
             journal.append("complete", {"tid": tid})
         journal.close()
-        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), EFT(inst.m, tiebreak="min"))
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
         assert recovery.completed == set(done)
         pending = recovery.pending()
         assert [tid for tid, _ in pending] == sorted(
@@ -204,7 +215,7 @@ class TestRecovery:
     def test_snapshot_compacts_and_recovers(self, tmp_path):
         inst = _instance(seed=4, n=20)
         tasks = list(inst)
-        live = Dispatcher(EFT(inst.m, tiebreak="min"))
+        live = _fleet(inst.m)
         journal = Journal(tmp_path, fsync="never")
         for task in tasks[:12]:
             journal.append("submit", {"task": task_to_wire(task)}, commit=True)
@@ -218,7 +229,7 @@ class TestRecovery:
         reopened = Journal(tmp_path, fsync="never")
         assert reopened.snapshot_seq == 12
         assert len(list(reopened.records())) == len(tasks) - 12
-        recovery = Dispatcher.recover(reopened, EFT(inst.m, tiebreak="min"))
+        recovery = Dispatcher.recover(reopened, into=_fleet(inst.m))
         assert recovery.dispatcher.placements == live.placements
         assert recovery.n_replayed == len(tasks) - 12
 
@@ -237,6 +248,6 @@ class TestRecovery:
         stale = list(inst)[0]
         journal.append("submit", {"task": task_to_wire(stale)}, commit=True)
         journal.close()
-        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), EFT(inst.m, tiebreak="min"))
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
         assert recovery.n_replay_errors == 1
         assert len(recovery.dispatcher.placements) == len(inst)

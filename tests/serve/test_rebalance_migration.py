@@ -3,12 +3,17 @@
 import pytest
 
 from repro.core import EFT, Task
-from repro.serve import Dispatcher, ServeMetrics
+from repro.serve import Dispatcher
 from repro.serve.shard import ShardPlan, ShardRouter
 
 
-def _dispatcher(m=4, metrics=None):
-    return Dispatcher(EFT(m, tiebreak="min"), metrics=metrics)
+def _dispatcher(m=4):
+    return Dispatcher(EFT(m, tiebreak="min"))
+
+
+def _fleet(m=4):
+    """The one-shard fleet, which owns ``apply_placement``."""
+    return ShardRouter(ShardPlan.single(m), EFT(m, tiebreak="min"))
 
 
 def _task(tid, release, proc=1.0, machines=None, key=None):
@@ -49,10 +54,11 @@ class TestWithdraw:
         assert d.scheduler.task_counts[1] == 2
 
     def test_withdraw_then_redispatch_lands_elsewhere(self):
-        d = _dispatcher(m=2)
+        d = _fleet(m=2)
         d.submit(_task(0, release=0.0, machines={1}))
         d.submit(_task(1, release=0.0, machines={1}))
         moved = d.withdraw(1, now=0.0)
+        assert 1 not in d.placements
         decision = d.redispatch(
             _task(1, release=moved.release, machines={2}), now=0.0, reason="rebalance"
         )
@@ -62,31 +68,32 @@ class TestWithdraw:
 
 class TestApplyPlacement:
     def test_warmup_charged_to_added_machines_only(self):
-        d = _dispatcher(m=4)
+        d = _fleet(m=4)
         old = {1: frozenset({1, 2})}
         new = {1: frozenset({1, 2, 3})}
         d.apply_placement(old, new, now=5.0, warmup=2.0)
-        assert d.scheduler.completions[3] == 7.0            # max(0, 5) + 2
-        assert d.scheduler.completions[1] == 0.0
-        assert d.scheduler.completions[2] == 0.0
+        completions = d.dispatchers[0].scheduler.completions
+        assert completions[3] == 7.0                        # max(0, 5) + 2
+        assert completions[1] == 0.0
+        assert completions[2] == 0.0
 
     def test_warmup_stacks_on_committed_work(self):
-        d = _dispatcher(m=2)
+        d = _fleet(m=2)
         d.submit(_task(0, release=0.0, proc=10.0, machines={2}))
         d.apply_placement({1: frozenset({1})}, {1: frozenset({1, 2})}, now=1.0, warmup=3.0)
-        assert d.scheduler.completions[2] == 13.0           # max(10, 1) + 3
+        assert d.dispatchers[0].scheduler.completions[2] == 13.0  # max(10, 1) + 3
 
     def test_zero_warmup_never_perturbs(self):
         """warmup=0 must leave the scheduler state bit-identical — the
         no-trigger identity guarantee depends on it."""
-        d = _dispatcher(m=4)
+        d = _fleet(m=4)
         d.submit(_task(0, release=0.0, machines={1, 2}))
-        before = list(d.scheduler.completions)
+        before = dict(d.dispatchers[0].scheduler.completions)
         d.apply_placement({1: frozenset({1})}, {1: frozenset({1, 3})}, now=0.5, warmup=0.0)
-        assert list(d.scheduler.completions) == before
+        assert d.dispatchers[0].scheduler.completions == before
 
     def test_shrunk_set_migrates_queued_work(self):
-        d = _dispatcher(m=3)
+        d = _fleet(m=3)
         d.submit(_task(0, release=0.0, machines={1, 2}, key=1))  # starts on 1
         d.submit(_task(1, release=0.0, machines={1, 2}, key=1))  # starts on 2
         d.submit(_task(2, release=0.0, machines={1, 2}, key=1))  # queued on 1
@@ -100,7 +107,7 @@ class TestApplyPlacement:
         assert d.placements[0][0] == 1
 
     def test_surviving_machine_keeps_its_work(self):
-        d = _dispatcher(m=3)
+        d = _fleet(m=3)
         d.submit(_task(0, release=0.0, machines={1, 2}, key=1))
         d.submit(_task(1, release=0.0, machines={1, 2}, key=1))
         before = dict(d.placements)
@@ -112,22 +119,21 @@ class TestApplyPlacement:
         assert d.placements == before
 
     def test_keyless_tasks_never_migrate(self):
-        d = _dispatcher(m=2)
+        d = _fleet(m=2)
         d.submit(_task(0, release=0.0, machines={1}))
         d.submit(_task(1, release=0.0, machines={1}))        # queued, no key
         moved = d.apply_placement({1: frozenset({1})}, {1: frozenset({2})}, now=0.5)
         assert moved == []
 
     def test_metrics_roll_in(self):
-        metrics = ServeMetrics()
-        d = _dispatcher(m=3, metrics=metrics)
+        d = _fleet(m=3)
         d.submit(_task(0, release=0.0, machines={1, 2}, key=1))
         d.submit(_task(1, release=0.0, machines={1, 2}, key=1))
         d.submit(_task(2, release=0.0, machines={1, 2}, key=1))
         d.apply_placement(
             {1: frozenset({1, 2})}, {1: frozenset({2, 3})}, now=0.5, warmup=1.0, version=4
         )
-        snap = metrics.registry.snapshot()
+        snap = d.fleet_registry(members=False).snapshot()
         assert snap["counters"]["rebalance_applied_total"] == 1
         assert snap["counters"]["rebalance_migrated_total"] == 1
         assert snap["counters"]["rebalance_warmup_machines_total"] == 1
@@ -136,10 +142,9 @@ class TestApplyPlacement:
     def test_metrics_lazy_without_rebalance(self):
         """A run that never rebalances must snapshot without any
         rebalance keys — byte-identity with pre-rebalance snapshots."""
-        metrics = ServeMetrics()
-        d = _dispatcher(m=2, metrics=metrics)
+        d = _fleet(m=2)
         d.submit(_task(0, release=0.0, machines={1}))
-        snap = metrics.registry.snapshot()
+        snap = d.fleet_registry(members=False).snapshot()
         assert not [k for k in snap["counters"] if "rebalance" in k]
         assert "placement_version" not in snap["gauges"]
 
@@ -176,34 +181,29 @@ class TestShardRouterApplyPlacement:
         # Booked on the other shard now; books stay consistent.
         assert r.placements[0][0] == 3
         snap = r.router_registry.snapshot()
-        assert snap["counters"]["router_rebalance_applied_total"] == 1
-        assert snap["counters"]["router_rebalance_migrated_total"] == 1
-        assert snap["gauges"]["router_placement_version"] == 1
+        assert snap["counters"]["rebalance_applied_total"] == 1
+        assert snap["counters"]["rebalance_migrated_total"] == 1
+        assert snap["gauges"]["placement_version"] == 1
 
     def test_lazy_counters(self):
         r = self._router()
         r.submit(_task(0, release=0.0, machines={1}, key=1))
         snap = r.router_registry.snapshot()
         assert not [k for k in snap["counters"] if "rebalance" in k]
-        assert "router_placement_version" not in snap["gauges"]
+        assert "placement_version" not in snap["gauges"]
 
     def test_widened_replicas_lose_setup_warmth_like_the_dispatcher(self):
-        """The policy's ``on_replicas_added`` hook runs under the router
-        too: NC-Setup forgets machine 3's warm key once key 1 widens onto
-        it, so the next task of that key places like the dispatcher's."""
-        from repro.campaigns.trace import make_scheduler
-
-        def drive(d):
-            d.submit(_task(0, release=0.0, machines={3}, key=1))  # warms 3
-            for tid in range(1, 5):
-                d.submit(_task(tid, release=0.0, machines={1, 2}, key=1))
-            d.apply_placement({1: frozenset({1, 2})}, {1: frozenset({1, 2, 3})}, now=0.5)
-            decision = d.submit(_task(5, release=0.6, machines={1, 2, 3}, key=1))
-            return decision.machine, decision.start
-
-        single = drive(Dispatcher(make_scheduler("nc-setup", 4)))
-        assert drive(ShardRouter(ShardPlan.single(4), scheduler="nc-setup")) == single
-        assert single == (1, 3.0)
+        """The policy's ``on_replicas_added`` hook runs under the router:
+        NC-Setup forgets machine 3's warm key once key 1 widens onto it,
+        so the next task of that key pays the setup again and lands on
+        machine 1 instead of the once-warm machine 3."""
+        r = ShardRouter(ShardPlan.single(4), scheduler="nc-setup")
+        r.submit(_task(0, release=0.0, machines={3}, key=1))  # warms 3
+        for tid in range(1, 5):
+            r.submit(_task(tid, release=0.0, machines={1, 2}, key=1))
+        r.apply_placement({1: frozenset({1, 2})}, {1: frozenset({1, 2, 3})}, now=0.5)
+        decision = r.submit(_task(5, release=0.6, machines={1, 2, 3}, key=1))
+        assert (decision.machine, decision.start) == (1, 3.0)
 
     def test_out_of_range_added_machines_ignored(self):
         r = self._router()

@@ -108,13 +108,14 @@ class TestMetrics:
         assert snap["counters"]["dispatched_total"] == 2
         assert snap["counters"]["shard0/dispatched_total"] == 1
         assert snap["counters"]["shard1/dispatched_total"] == 1
-        assert snap["counters"]["router/router_routed_total"] == 2
+        assert snap["counters"]["router/requests_total"] == 2
+        assert snap["counters"]["requests_total"] == 2
 
     def test_stats_shape(self, plan):
         router = ShardRouter(plan)
         router.submit(_task(0, 0.0, {1, 2}))
         stats = router.stats()
-        assert stats["routed"] == 1
+        assert stats["requests"] == 1
         assert [s["machines"] for s in stats["shards"]] == [[1, 3], [4, 6]]
 
 
@@ -185,3 +186,101 @@ class TestSupervision:
             router.detach_shard(2)
         with pytest.raises(ValueError, match="out of range"):
             router.reattach_shard(-1)
+
+
+class TestOneParkingLot:
+    """The router's lot is the fleet's only parking lot: one unpark
+    loop, in global park order, that knows about detached shards."""
+
+    def test_detached_shard_work_stays_parked_across_machine_revive(self, plan):
+        router = ShardRouter(plan)
+        router.kill(1)
+        task = _task(0, 0.0, {1})
+        assert router.submit(task).status == PARKED
+        router.detach_shard(0)
+        # Machine 1 is back, but its shard's process is not.
+        assert router.revive(1, now=1.0) == []
+        assert router.parked == [task]
+        replaced = router.reattach_shard(0, now=2.0)
+        assert [(r.task.tid, r.status, r.machine, r.shard) for r in replaced] == [
+            (0, REQUEUED, 1, 0)
+        ]
+        assert router.parked == []
+
+    def test_fleet_metrics_match_stats(self, plan):
+        shedding = ShardRouter(plan, on_unavailable="shed")
+        shedding.kill(3)
+        shedding.kill(4)
+        assert shedding.submit(_task(0, 0.0, {3, 4})).status == SHED
+        counters = shedding.fleet_registry().snapshot()["counters"]
+        stats = shedding.stats()
+        assert counters["shed_total"] == stats["shed"] == 1
+        assert counters["shed_unavailable_total"] == 1
+        assert counters["requests_total"] == stats["requests"] == 1
+
+        router = ShardRouter(plan)
+        router.kill(1)
+        router.kill(2)
+        router.submit(_task(0, 0.0, {1}))
+        router.submit(_task(1, 0.0, {2}))
+        for machine in (1, 2):
+            router.revive(machine, now=1.0)
+            gauges = router.fleet_registry().snapshot()["gauges"]
+            assert gauges["parked_now"] == len(router.parked) == router.stats()["parked"]
+        assert router.parked == []
+
+    def test_revive_follows_global_park_order(self, plan):
+        router = ShardRouter(plan)
+        router.kill(3)
+        router.kill(4)
+        router.submit(_task(0, 0.0, {3, 4}))  # straddler: nothing alive anywhere
+        router.submit(_task(1, 0.0, {3}))     # shard-local: its one machine is dead
+        replaced = router.revive(3, now=1.0)
+        assert [(r.task.tid, r.machine, r.start) for r in replaced] == [(0, 3, 1.0), (1, 3, 2.0)]
+
+    def test_snapshot_with_shard_lots_still_recovers(self, tmp_path):
+        """A snapshot written while each shard kept its own parking lot
+        recovers with those lots folded into the router's, in shard
+        order, ahead of the router's own."""
+        from repro.serve import Journal
+
+        def wire(tid, machines):
+            return {"key": None, "machine_set": machines, "proc": 1.0, "release": 0.0, "tid": tid}
+
+        def shard(alive, parked):
+            zeros = {str(j): 0.0 for j in range(1, 5)}
+            return {
+                "alive": alive,
+                "counters": {"n_dispatched": 0, "n_requeued": 0, "n_shed": 0},
+                "inflight": {str(j): [] for j in range(1, 5)},
+                "m": 4,
+                "on_unavailable": "park",
+                "parked": parked,
+                "placements": {},
+                "scheduler": {
+                    "completions": zeros,
+                    "last_release": 0.0,
+                    "task_counts": {str(j): 0 for j in range(1, 5)},
+                },
+                "tasks": [],
+            }
+
+        state = {
+            "counters": {"n_handoffs": 0, "n_shed": 0, "routed": 3},
+            "down_shards": [],
+            "intervals": [[1, 2], [3, 4]],
+            "parked": [wire(0, [2, 3])],
+            "restricted": [],
+            "shards": [shard([3, 4], [wire(1, [1])]), shard([1, 2, 4], [wire(2, [3])])],
+        }
+        with Journal(tmp_path, fsync="never") as journal:
+            journal.write_snapshot({"dispatcher": state, "service": {}})
+        plan = ShardPlan.even(4, 2)
+        with Journal(tmp_path, fsync="never") as journal:
+            router = Dispatcher.recover(journal, into=ShardRouter(plan)).dispatcher
+        assert [t.tid for t in router.parked] == [1, 2, 0]
+        assert router.stats()["requests"] == 3
+        assert [r.task.tid for r in router.revive(1, now=1.0)] == [1]
+        replaced = router.revive(3, now=2.0)
+        assert [(r.task.tid, r.machine, r.start) for r in replaced] == [(2, 3, 2.0), (0, 3, 3.0)]
+        assert router.parked == []
