@@ -23,23 +23,32 @@ Format — one JSONL record per line::
 
 ``crc`` is the CRC-32 of the canonical JSON of the envelope without the
 ``crc`` field, so torn writes are detected structurally *and* by
-checksum.  A corrupt or truncated **tail** record is the signature of a
-crash mid-append: it is dropped, counted, and never replayed.  A
-corrupt record *before* intact ones cannot be produced by a crash and
-raises :class:`JournalCorruptError` — silent mid-log data loss must not
-recover quietly.
+checksum.  ``"crc"`` sorts first among the keys, so a line is that
+canonical body with ``"crc":c,`` spliced in after its opening brace:
+each record is encoded once.  A corrupt or truncated **tail** record is
+the signature of a crash mid-append: it is dropped, counted, and never
+replayed.  A corrupt record *before* intact ones cannot be produced by a
+crash and raises :class:`JournalCorruptError` — silent mid-log data loss
+must not recover quietly.
 
 Durability is batched: :meth:`Journal.append` buffers, :meth:`Journal.
 commit` flushes and (policy permitting) fsyncs.  The frontend commits
 before acking state-changing ops (write-ahead), while ``complete``
 records ride the batch — losing a tail ``complete`` merely re-serves an
 idempotent unit of simulated work (exactly-once *dispatch*,
-at-least-once *service*).
+at-least-once *service*).  Under ``fsync="batch"`` that means one fsync
+per ``batch_records`` appended records, counted across commits, plus
+one at :meth:`Journal.close` for any remainder.
+
+The journal keeps no in-memory copy of the log it writes: appending
+costs one encode and constant memory.  The records it holds are the
+ones read back at open, and :func:`recover` releases them once it has
+replayed them.
 
 Snapshots bound replay time: :meth:`Journal.write_snapshot` atomically
 persists a full state dict (``snapshot.json``, temp-file + rename) and
-compacts the WAL down to the records after it.  Recovery loads the
-snapshot, then replays the suffix.
+compacts the WAL to empty.  Recovery loads the snapshot, then replays
+the suffix.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ __all__ = [
 JOURNAL_VERSION = 1
 
 #: fsync policies: "commit" fsyncs on every :meth:`Journal.commit`,
-#: "batch" only when the batch counter overflows, "never" flushes to the
-#: OS but leaves syncing to the kernel (tests, throwaway runs).
+#: "batch" once per ``batch_records`` appends (counted across commits),
+#: "never" flushes to the OS but leaves syncing to the kernel (tests,
+#: throwaway runs).
 FSYNC_POLICIES = ("commit", "batch", "never")
 
 _WAL = "wal.jsonl"
@@ -93,8 +103,9 @@ class JournalRecord:
     data: Mapping[str, Any]
 
 
-def _canonical(envelope: dict[str, Any]) -> str:
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+# One encoder for every canonical body: ``json.dumps`` with non-default
+# arguments would build a fresh encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _crc(envelope: dict[str, Any]) -> int:
@@ -102,10 +113,14 @@ def _crc(envelope: dict[str, Any]) -> int:
 
 
 def encode_record(seq: int, kind: str, data: Mapping[str, Any]) -> str:
-    """Serialise one record to its JSONL line (no trailing newline)."""
-    envelope = {"v": JOURNAL_VERSION, "seq": seq, "kind": kind, "data": dict(data)}
-    envelope["crc"] = _crc({k: envelope[k] for k in ("v", "seq", "kind", "data")})
-    return _canonical(envelope)
+    """Serialise one record to its JSONL line (no trailing newline).
+
+    The line is the canonical JSON of the whole envelope, ``crc``
+    included; since ``"crc"`` sorts first, it is the CRC'd body with the
+    checksum spliced in after the opening brace.
+    """
+    body = _canonical({"data": dict(data), "kind": kind, "seq": seq, "v": JOURNAL_VERSION})
+    return '{"crc":%d,%s' % (zlib.crc32(body.encode("utf-8")), body[1:])
 
 
 def decode_record(line: str) -> JournalRecord:
@@ -195,10 +210,14 @@ class Journal:
         if missing).
     fsync:
         ``"commit"`` (default: fsync on every :meth:`commit`),
-        ``"batch"`` (fsync every ``batch_records`` appends) or
-        ``"never"``.
+        ``"batch"`` (one fsync per ``batch_records`` appended records,
+        counted across commits, and one at :meth:`close` for the
+        remainder) or ``"never"``.
     batch_records:
         Batch size of the ``"batch"`` policy.
+
+    Appending encodes each record once and keeps nothing of it in
+    memory; :meth:`records` yields only what was read back at open.
     """
 
     def __init__(self, root: str | Path, fsync: str = "commit", batch_records: int = 64) -> None:
@@ -215,10 +234,8 @@ class Journal:
         self.snapshot_state: dict[str, Any] | None = None
         self.snapshot_seq = 0
         self.n_dropped_tail = 0
-        self._pending_records: list[JournalRecord] = self._load()
-        self.seq = (
-            self._pending_records[-1].seq if self._pending_records else self.snapshot_seq
-        )
+        self._loaded: list[JournalRecord] = self._load()
+        self.seq = self._loaded[-1].seq if self._loaded else self.snapshot_seq
         self._fh = open(self._wal_path, "a", encoding="utf-8")
         self._unsynced = 0
 
@@ -244,12 +261,16 @@ class Journal:
 
     @property
     def has_state(self) -> bool:
-        """Whether recovery has anything to rebuild from."""
-        return self.snapshot_state is not None or bool(self._pending_records)
+        """Whether what was read back at open (a snapshot or WAL
+        records) gives recovery anything to rebuild from; ask before
+        :func:`recover`, which releases the records."""
+        return self.snapshot_state is not None or bool(self._loaded)
 
     def records(self) -> Iterator[JournalRecord]:
-        """The intact records after the snapshot, in append order."""
-        return iter(list(self._pending_records))
+        """The intact WAL records read back at open (those after the
+        snapshot), in append order.  Records appended since are not
+        mirrored here; :func:`recover` releases these once replayed."""
+        return iter(self._loaded)
 
     # -- appending -----------------------------------------------------------
     def append(self, kind: str, data: Mapping[str, Any], commit: bool = False) -> int:
@@ -259,27 +280,33 @@ class Journal:
         self.seq += 1
         line = encode_record(self.seq, kind, data)
         self._fh.write(line + "\n")
-        self._pending_records.append(JournalRecord(self.seq, kind, dict(data)))
         self._unsynced += 1
         if commit or (self.fsync == "batch" and self._unsynced >= self.batch_records):
             self.commit()
         return self.seq
 
     def commit(self) -> None:
-        """Flush buffered records; fsync when the policy asks for it."""
+        """Flush buffered records; fsync when the policy asks for it.
+
+        Only an fsync resets the unsynced count, so under ``"batch"``
+        per-record commits still fsync once per ``batch_records``.
+        """
         if self._fh.closed:
             return
         self._fh.flush()
         if self.fsync == "commit" or (
             self.fsync == "batch" and self._unsynced >= self.batch_records
         ):
-            os.fsync(self._fh.fileno())
+            self._sync()
+
+    def _sync(self) -> None:
+        os.fsync(self._fh.fileno())
         self._unsynced = 0
 
     # -- snapshots + compaction ----------------------------------------------
     def write_snapshot(self, state: Mapping[str, Any]) -> None:
         """Atomically persist ``state`` at the current seq and compact
-        the WAL down to the (normally empty) suffix after it."""
+        the WAL to empty (every record so far is in the snapshot)."""
         envelope: dict[str, Any] = {
             "v": JOURNAL_VERSION,
             "seq": self.seq,
@@ -295,9 +322,8 @@ class Journal:
         self.snapshot_state = dict(state)
         self.snapshot_seq = self.seq
         self._fh.close()
-        suffix = [r for r in self._pending_records if r.seq > self.snapshot_seq]
-        self._rewrite_wal(suffix)
-        self._pending_records = suffix
+        self._rewrite_wal([])
+        self._loaded = []
         self._fh = open(self._wal_path, "a", encoding="utf-8")
         self._unsynced = 0
 
@@ -311,8 +337,12 @@ class Journal:
         os.replace(tmp, self._wal_path)
 
     def close(self) -> None:
+        """Commit, fsync any records a ``"batch"`` journal still holds
+        unsynced (a clean shutdown is durable), and close the WAL."""
         if not self._fh.closed:
             self.commit()
+            if self.fsync == "batch" and self._unsynced:
+                self._sync()
             self._fh.close()
 
     def __enter__(self) -> "Journal":
@@ -424,7 +454,8 @@ def recover(journal: Journal, make_dispatcher: Callable[[], Any]) -> Recovery:
     admission / metrics wiring as the crashed process — recovery
     re-derives decisions, so the wiring must match).  When the journal
     holds a snapshot it is loaded first via the dispatcher's own
-    ``load_state_dict``, then the WAL suffix replays on top.
+    ``load_state_dict``, then the WAL suffix replays on top, after
+    which the journal releases the records it read back at open.
     """
     dispatcher = make_dispatcher()
     recovery = Recovery(dispatcher=dispatcher, n_dropped_tail=journal.n_dropped_tail)
@@ -452,4 +483,6 @@ def recover(journal: Journal, make_dispatcher: Callable[[], Any]) -> Recovery:
             )
         recovery.seq = journal.snapshot_seq
     replay_records(journal.records(), dispatcher, recovery)
+    # The replayed log now lives in the dispatcher; drop the parsed copy.
+    journal._loaded = []
     return recovery

@@ -1,6 +1,7 @@
 """Unit tests for the write-ahead journal and crash recovery."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestRecordCodec:
         envelope["v"] = 99
         with pytest.raises(JournalCorruptError, match="version"):
             decode_record(json.dumps(envelope))
+
+    def test_wal_format_pinned(self):
+        """Two literal lines: the WAL format is frozen byte-for-byte."""
+        task = {"tid": 7, "release": 0.5, "proc": 0.004, "machine_set": [2, 3], "key": None}
+        assert encode_record(3, "submit", {"task": task, "dedupe": "c:7"}) == (
+            '{"crc":3749934767,"data":{"dedupe":"c:7","task":{"key":null,'
+            '"machine_set":[2,3],"proc":0.004,"release":0.5,"tid":7}},'
+            '"kind":"submit","seq":3,"v":1}'
+        )
+        assert encode_record(4, "complete", {"tid": 7}) == (
+            '{"crc":4083252951,"data":{"tid":7},"kind":"complete","seq":4,"v":1}'
+        )
 
     @pytest.mark.parametrize("seq", [0, -1, 1.5, "3", True])
     def test_bad_seq_rejected(self, seq):
@@ -174,6 +187,79 @@ class TestJournalFile:
             Journal(tmp_path, fsync="never")
 
 
+def _count_fsyncs(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    monkeypatch.setattr("repro.serve.journal.os.fsync", lambda fd: calls.append(fd))
+    return calls
+
+
+def _submit_data(tid: int) -> dict:
+    task = {"tid": tid, "release": tid * 0.001, "proc": 0.004, "machine_set": [2, 3], "key": None}
+    return {"task": task, "dedupe": f"c:{tid}"}
+
+
+class TestBatchDurability:
+    """``fsync="batch"`` fsyncs once per ``batch_records`` appends,
+    however often the caller commits."""
+
+    def test_per_record_commits_fsync_every_batch(self, tmp_path, monkeypatch):
+        calls = _count_fsyncs(monkeypatch)
+        journal = Journal(tmp_path, fsync="batch", batch_records=64)
+        for tid in range(640):
+            journal.append("submit", _submit_data(tid), commit=True)
+        assert len(calls) == 10
+        journal.close()
+        assert len(calls) == 10  # nothing left unsynced
+
+    def test_mixed_commit_stream_fsyncs_every_batch(self, tmp_path, monkeypatch):
+        calls = _count_fsyncs(monkeypatch)
+        journal = Journal(tmp_path, fsync="batch", batch_records=64)
+        for tid in range(320):
+            journal.append("submit", _submit_data(tid), commit=True)
+            journal.append("complete", {"tid": tid})
+        assert len(calls) == 640 // 64
+        journal.close()
+
+    def test_close_syncs_the_remainder(self, tmp_path, monkeypatch):
+        calls = _count_fsyncs(monkeypatch)
+        journal = Journal(tmp_path, fsync="batch", batch_records=64)
+        for tid in range(70):
+            journal.append("submit", _submit_data(tid), commit=True)
+        assert len(calls) == 1
+        journal.close()
+        assert len(calls) == 2
+
+    def test_commit_and_never_policies_unchanged(self, tmp_path, monkeypatch):
+        calls = _count_fsyncs(monkeypatch)
+        with Journal(tmp_path / "c", fsync="commit") as journal:
+            journal.append("kill", {"machine": 1})
+            journal.append("revive", {"machine": 1, "now": 1.0}, commit=True)
+            assert len(calls) == 1
+        assert len(calls) == 2  # close commits, and "commit" fsyncs every commit
+        del calls[:]
+        with Journal(tmp_path / "n", fsync="never") as journal:
+            for tid in range(200):
+                journal.append("submit", _submit_data(tid), commit=True)
+        assert calls == []
+
+
+class TestBoundedMemory:
+    def test_append_keeps_no_copy_of_the_log(self, tmp_path):
+        journal = Journal(tmp_path, fsync="never")
+        payloads = [_submit_data(tid) for tid in range(20_000)]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for data in payloads:
+                journal.append("submit", data, commit=True)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            journal.close()
+        assert after - before < 1_000_000
+        assert list(journal.records()) == []  # only what was read back at open
+
+
 class TestRecovery:
     def test_recovered_dispatcher_matches_live(self, tmp_path):
         inst = _instance(seed=1)
@@ -184,6 +270,20 @@ class TestRecovery:
         assert recovery.dispatcher.alive() == live.alive()
         assert recovery.n_replayed == len(inst) + 1  # submits + the kill
         assert recovery.n_dropped_tail == 0
+
+    def test_recover_releases_the_replayed_log(self, tmp_path):
+        inst = _instance(seed=6)
+        live, journal = _journal_a_drive(tmp_path, inst, kill_at=5)
+        journal.close()
+        reopened = Journal(tmp_path, fsync="never")
+        assert len(list(reopened.records())) == len(inst) + 1
+        first = Dispatcher.recover(reopened, into=_fleet(inst.m))
+        assert list(reopened.records()) == []
+        reopened.close()
+        second = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
+        assert second.dispatcher.state_dict() == first.dispatcher.state_dict()
+        assert second.dispatcher.placements == first.dispatcher.placements == live.placements
+        assert second.n_replayed == first.n_replayed == len(inst) + 1
 
     def test_dedupe_cache_rebuilt(self, tmp_path):
         inst = _instance(seed=2, n=12)

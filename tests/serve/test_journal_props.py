@@ -1,8 +1,10 @@
 """Property tests for journal records (Hypothesis).
 
-Three invariants carry the crash-recovery story:
+Four invariants carry the crash-recovery story:
 
 * **round-trip** — every record survives encode → decode unchanged;
+* **fixed format** — the one-pass encoder writes exactly the line of
+  the original two-pass definition;
 * **corruption rejection** — *any* single-character mutation of an
   encoded line is detected (JSON damage or CRC mismatch), never
   silently accepted as a different record;
@@ -12,6 +14,7 @@ Three invariants carry the crash-recovery story:
 """
 
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,25 @@ class TestRoundTrip:
         line = encode_record(seq, kind, data)
         record = decode_record(line)
         assert encode_record(record.seq, record.kind, record.data) == line
+
+
+def _two_pass_encode(seq, kind, data):
+    """The original definition: CRC the canonical envelope without
+    ``crc``, then canonicalise the envelope again with it."""
+    envelope = {"v": 1, "seq": seq, "kind": kind, "data": dict(data)}
+    body = {k: envelope[k] for k in ("v", "seq", "kind", "data")}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    envelope["crc"] = zlib.crc32(canonical.encode("utf-8"))
+    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+
+
+class TestWalFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(seq=seqs, kind=kinds, data=payloads)
+    def test_one_pass_encoding_matches_two_pass(self, seq, kind, data):
+        """The single-encode line is byte-identical to the two-pass
+        definition of the WAL format."""
+        assert encode_record(seq, kind, data) == _two_pass_encode(seq, kind, data)
 
 
 class TestCorruptionRejection:
