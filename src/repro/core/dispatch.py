@@ -17,12 +17,20 @@ adversaries that interleave observation and submission (Theorems 3–5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .schedule import Schedule
 from .task import Instance, Task
 
-__all__ = ["DispatchRecord", "ImmediateDispatchScheduler", "run_online"]
+__all__ = ["DispatchRecord", "ImmediateDispatchScheduler", "realised", "run_online"]
+
+
+def realised(tasks: Iterable[Task], service: Mapping[int, float] | None) -> tuple[Task, ...]:
+    """``tasks`` with ``proc`` replaced by the realised service time in
+    ``service``: the *derived* instance schedules and metrics use."""
+    if not service:
+        return tuple(tasks)
+    return tuple(replace(t, proc=service[t.tid]) if t.tid in service else t for t in tasks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +67,8 @@ class ImmediateDispatchScheduler:
     preemptive = False
     #: Whether ``choose`` may read ``task.proc``.  Non-clairvoyant
     #: policies decide from observable state only; they may still use
-    #: the realised processing time in :meth:`exec_time` (the *system*
-    #: experiences the service time either way).
+    #: the realised processing time in :meth:`service`/:meth:`charge`
+    #: (the *system* experiences the service time either way).
     clairvoyant = True
 
     def __init__(self, m: int) -> None:
@@ -81,7 +89,7 @@ class ImmediateDispatchScheduler:
         self._last_release = 0.0
         #: realised service times that differ from ``task.proc`` —
         #: sparse so the plain identical-machines path (EFT and the
-        #: baselines, where ``exec_time == proc``) pays nothing and
+        #: baselines, where ``charge == proc``) pays nothing and
         #: stays byte-identical to the pre-zoo books.
         self._service: dict[int, float] = {}
 
@@ -99,15 +107,14 @@ class ImmediateDispatchScheduler:
         """Pick the machine for ``task``; return ``(machine, tie_set)``."""
         raise NotImplementedError
 
-    def exec_time(self, task: Task, machine: int) -> float:
-        """Realised service time of ``task`` on ``machine``.
+    def service(self, task: Task, machine: int) -> float:
+        """Service time of ``task`` on ``machine``, without side effects
+        (see :mod:`repro.schedulers.contract`)."""
+        return task.proc
 
-        Identical machines (the paper's model) return ``task.proc``.
-        Related machines divide work by the machine's speed; setup-time
-        models add a warmup penalty on cold machines.  Called exactly
-        once per dispatch, *after* :meth:`choose` — implementations may
-        update their own warm/feedback state here.
-        """
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """Commit ``task`` to ``machine`` from ``start`` and return its
+        service time there; called once per placement."""
         return task.proc
 
     def state_dict(self) -> dict[str, Any]:
@@ -123,6 +130,20 @@ class ImmediateDispatchScheduler:
         return self._service.get(tid, default)
 
     # -- driver ------------------------------------------------------------
+    def _book(self, task: Task, machine: int, start: float, horizon: bool = True) -> float:
+        """Charge ``task`` on ``machine`` from ``start`` into the books:
+        the realised service and, with ``horizon``, the machine's
+        horizon and task count.  Returns the charge."""
+        dur = self.charge(task, machine, start)
+        if dur != task.proc:
+            self._service[task.tid] = dur
+        elif self._service:
+            self._service.pop(task.tid, None)
+        if horizon:
+            self.completions[machine] = start + dur
+            self.task_counts[machine] += 1
+        return dur
+
     def submit(self, task: Task) -> DispatchRecord:
         """Dispatch one released task (tasks must arrive in release order)."""
         if task.release < self._last_release:
@@ -141,11 +162,7 @@ class ImmediateDispatchScheduler:
                 f"processing set {sorted(eligible)} of task {task.tid}"
             )
         start = max(task.release, self.completions[machine])
-        dur = self.exec_time(task, machine)
-        if dur != task.proc:
-            self._service[task.tid] = dur
-        self.completions[machine] = start + dur
-        self.task_counts[machine] += 1
+        self._book(task, machine, start)
         record = DispatchRecord(task=task, machine=machine, start=start, tie_set=tie_set)
         self.history.append(record)
         self._placements[task.tid] = (machine, start)
@@ -163,18 +180,6 @@ class ImmediateDispatchScheduler:
         of Theorem 8, up to the in-service task convention)."""
         return {j: max(0.0, c - t) for j, c in self.completions.items()}
 
-    def _realised_tasks(self) -> tuple[Task, ...]:
-        """Submitted tasks with ``proc`` replaced by the realised
-        service time where the two differ (related machines, setup
-        models); the common identical-machines path returns the tasks
-        untouched."""
-        if not self._service:
-            return tuple(self._tasks)
-        svc = self._service
-        return tuple(
-            replace(t, proc=svc[t.tid]) if t.tid in svc else t for t in self._tasks
-        )
-
     def schedule(self) -> Schedule:
         """Materialise the schedule of everything submitted so far.
 
@@ -183,7 +188,7 @@ class ImmediateDispatchScheduler:
         metrics and :meth:`~repro.core.schedule.Schedule.validate`
         apply unchanged.
         """
-        inst = Instance(m=self.m, tasks=self._realised_tasks())
+        inst = Instance(m=self.m, tasks=realised(self._tasks, self._service))
         return Schedule(inst, self._placements)
 
     @property

@@ -173,10 +173,8 @@ class SimRecorder:
         now = sim.now
         total_queued = 0
         total_work = 0.0
-        for j in range(1, sim.m + 1):
-            mach = sim.machines[j]
-            queued = len(mach.queue)
-            work = mach.waiting_work(now)
+        for j, work in enumerate(sim.waiting_profile(), 1):
+            queued = len(sim.machines[j].queue)
             self.registry.series(f"queue_len[{j}]").observe(now, queued)
             self.registry.series(f"waiting_work[{j}]").observe(now, work)
             total_queued += queued

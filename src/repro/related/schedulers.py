@@ -3,8 +3,8 @@
 Both schedulers are immediate dispatch and clairvoyant, like EFT, and
 are built *on* the core driver: they subclass
 :class:`~repro.core.dispatch.ImmediateDispatchScheduler` and express
-speed through the :meth:`~repro.core.dispatch.ImmediateDispatchScheduler.exec_time`
-hook — the ``proc`` field of incoming tasks is interpreted as *work*,
+speed through the ``service``/``charge`` hooks of
+:mod:`repro.schedulers.contract` — the ``proc`` field of tasks is *work*,
 the driver divides by the chosen machine's speed and materialises
 schedules over a derived instance whose processing times are the
 realised execution times, so all standard metrics, validation, the
@@ -41,18 +41,19 @@ __all__ = ["GreedyRelated", "SlowFitRelated"]
 
 class _RelatedBase(ImmediateDispatchScheduler):
     """Shared driver: the core immediate-dispatch loop plus a speed
-    cluster feeding :meth:`exec_time`."""
+    cluster feeding :meth:`service`."""
 
     def __init__(self, cluster: SpeedCluster) -> None:
         super().__init__(cluster.m)
         self.cluster = cluster
 
-    def exec_time(self, task: Task, machine: int) -> float:
-        """Work divided by the chosen machine's speed."""
+    def service(self, task: Task, machine: int) -> float:
+        """Work divided by the machine's speed."""
         return self.cluster.exec_time(task.proc, machine)
 
-    def _eligible(self, task: Task) -> list[int]:
-        return sorted(task.eligible(self.m))
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """Speed carries no state: the charge is the service."""
+        return self.service(task, machine)
 
 
 class GreedyRelated(_RelatedBase):
@@ -62,27 +63,15 @@ class GreedyRelated(_RelatedBase):
     name = "Greedy(Q)"
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
-        best = None
-        best_key = None
-        best_finish = None
-        for j in self._eligible(task):
-            finish = max(task.release, self.completions[j]) + self.cluster.exec_time(
-                task.proc, j
-            )
-            key = (finish, -self.cluster.speed(j), j)
-            if best_key is None or key < best_key:
-                best, best_key, best_finish = j, key, finish
-        assert best is not None
+        speed, work = self.cluster.speed, self.cluster.exec_time
+        finish = {
+            j: max(task.release, self.completions[j]) + work(task.proc, j)
+            for j in task.eligible(self.m)
+        }
+        _, _, best = min((f, -speed(j), j) for j, f in finish.items())
         # The tie set is the related-machine analogue of Eq. (2)'s
         # U'_i: every eligible machine achieving the minimal finish.
-        ties = frozenset(
-            j
-            for j in task.eligible(self.m)
-            if max(task.release, self.completions[j])
-            + self.cluster.exec_time(task.proc, j)
-            == best_finish
-        )
-        return best, ties
+        return best, frozenset(j for j, f in finish.items() if f == finish[best])
 
 
 class SlowFitRelated(_RelatedBase):
@@ -97,22 +86,20 @@ class SlowFitRelated(_RelatedBase):
         self.doublings = 0
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
-        eligible = self._eligible(task)
-        fastest_time = min(self.cluster.exec_time(task.proc, j) for j in eligible)
+        eligible = sorted(task.eligible(self.m))
+        fastest_time = min(self.service(task, j) for j in eligible)
         if self._bound is None:
             self._bound = fastest_time
         while True:
             deadline = task.release + 2 * self._bound
             # slowest machine (ties: lower index) that meets the deadline
-            candidates = []
-            for j in eligible:
-                finish = max(task.release, self.completions[j]) + self.cluster.exec_time(
-                    task.proc, j
-                )
-                if finish <= deadline + 1e-12:
-                    candidates.append((self.cluster.speed(j), j))
+            candidates = sorted(
+                (self.cluster.speed(j), j)
+                for j in eligible
+                if max(task.release, self.completions[j]) + self.service(task, j)
+                <= deadline + 1e-12
+            )
             if candidates:
-                candidates.sort()  # slowest speed first, then index
                 return candidates[0][1], frozenset(j for _, j in candidates)
             self._bound *= 2
             self.doublings += 1

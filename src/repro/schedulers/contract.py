@@ -17,15 +17,16 @@ Required surface (provided or overridden on the base class)
     (EFT's :math:`U'_i` of Equation (2); baselines report the full
     eligible set).
 
-``exec_time(task, machine) -> float``
-    The realised service time of the task on the chosen machine.
-    Identical machines return ``task.proc``; related machines divide
-    work by speed; setup-time models add a warmup penalty on cold
-    machines.  Called exactly once per dispatch, *after* ``choose`` —
-    implementations may update warm/feedback state here.  When the
-    result differs from ``task.proc`` the driver records it in the
-    sparse ``_service`` book, and both the analytic ``schedule()`` and
-    the engine build *derived* instances over realised times.
+``service(task, machine) -> float`` / ``charge(task, machine, start) -> float``
+    ``service`` is the task's service time on ``machine`` without side
+    effects (``task.proc``; work over speed on related machines; plus a
+    warmup when cold); the failure rule (:mod:`repro.core.failover`)
+    ranks candidates by it.  ``charge`` commits the task from ``start``
+    and returns its time, once per placement (fresh, re-placed,
+    unparked) in every layer; it may update warm/feedback state and
+    must be overridden with ``service``.  A charge other than
+    ``task.proc`` lands in the sparse ``_service`` book, over which
+    ``schedule()`` and the engine build *derived* instances.
 
 ``preemptive`` (class attribute, default ``False``)
     Whether the engine should preempt running tasks.  Preemptive
@@ -43,8 +44,8 @@ Required surface (provided or overridden on the base class)
 ``clairvoyant`` (class attribute, default ``True``)
     Whether ``choose`` reads ``task.proc``.  Non-clairvoyant policies
     decide from observable state only; they may still use the realised
-    processing time inside ``exec_time`` (the *system* experiences the
-    service time either way).
+    processing time inside ``service``/``charge`` (the *system*
+    experiences the service time either way).
 
 Optional surface
 ----------------
@@ -91,8 +92,8 @@ def check_policy(cls: type) -> None:
     """Structural contract check applied at registration time.
 
     Raises :class:`TypeError` on violations — a policy that is not an
-    ``ImmediateDispatchScheduler``, or a preemptive policy without a
-    callable ``preempt_key``.
+    ``ImmediateDispatchScheduler``, a preemptive policy without a
+    callable ``preempt_key``, or one overriding ``service`` only.
     """
     if not (isinstance(cls, type) and issubclass(cls, ImmediateDispatchScheduler)):
         raise TypeError(
@@ -106,6 +107,9 @@ def check_policy(cls: type) -> None:
             f"{cls.__name__} declares preemptive=True but has no callable "
             "preempt_key(task, remaining, now)"
         )
+    base = ImmediateDispatchScheduler
+    if cls.service is not base.service and cls.charge is base.charge:
+        raise TypeError(f"{cls.__name__} overrides service() but not charge()")
 
 
 def policy_info(key: str, scheduler: ImmediateDispatchScheduler, summary: str = "") -> PolicyInfo:

@@ -17,9 +17,9 @@ observable pair *(outstanding requests, cold penalty)*:
 with ties broken by index — a least-outstanding-requests rule that
 charges cold machines ``s`` phantom requests' worth of reluctance.
 The *system* model: the first task of each key group on a machine pays
-``setup`` extra service time (the warmup), recorded through the
-``exec_time`` hook so the analytic books, the engine, and the serve
-tier all see the realised times.
+``setup`` extra service time (the warmup), priced by ``service`` and
+paid by ``charge`` at every placement, so the analytic books, the
+engine, and the serve tier all see the realised times.
 
 Warm state is keyed ``(machine, task.key)``; unkeyed tasks share the
 key ``None`` (the machine warms once).  A rebalance that widens replica
@@ -68,16 +68,18 @@ class NCSetup(_OutstandingTracker):
         )
         return machine, frozenset(eligible)
 
-    def exec_time(self, task: Task, machine: int) -> float:
-        """Realised service: ``proc`` plus the warmup on a cold
-        machine; marks the machine warm and records the in-flight
-        completion for the outstanding counts."""
+    def service(self, task: Task, machine: int) -> float:
+        """``proc`` plus the warmup on a cold machine."""
+        return task.proc if self.is_warm(machine, task) else task.proc + self.setup
+
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """:meth:`service`, marking the machine warm and recording the
+        in-flight completion for the outstanding counts."""
         dur = task.proc
         if not self.is_warm(machine, task):
             dur += self.setup
             self.setup_paid += self.setup
             self.warm[machine].add(task.key)
-        start = max(task.release, self.completions[machine])
         self._record_dispatch(machine, start + dur)
         return dur
 

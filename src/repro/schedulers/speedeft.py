@@ -5,8 +5,8 @@ study flow time on related machines.  :class:`SpeedEFT` promotes the
 ``repro.related`` Greedy scheduler to a first-class zoo policy: it
 *is* :class:`~repro.related.GreedyRelated` — same lowering path, same
 core :class:`~repro.core.dispatch.ImmediateDispatchScheduler` driver,
-speeds expressed solely through the ``exec_time`` hook — wrapped in a
-registry-friendly constructor.
+speeds expressed solely through the ``service``/``charge`` hooks —
+wrapped in a registry-friendly constructor.
 
 ``task.proc`` is interpreted as *work*; the realised execution time on
 machine :math:`j` is :math:`w_i / s_j`.  Placement minimises the

@@ -26,7 +26,8 @@ live asyncio service rather than inside the discrete-event simulator:
 * :mod:`~repro.serve.shard` — the fleet surface: :class:`ShardPlan`
   partitioning, and the interval-aware :class:`ShardRouter` that every
   service enacts (one shard or many) — it owns the one parking lot,
-  the least-waiting-work failure rule with cross-shard handoff,
+  the earliest-finish failure rule (:mod:`repro.core.failover`) with
+  cross-shard handoff,
   unavailable shedding and rebalance ``apply_placement`` — plus the
   multi-process ``bench-serve --shards N`` driver;
 * :mod:`~repro.serve.journal` — the write-ahead operation log that

@@ -20,7 +20,7 @@ what makes the service deterministic and shadow-checkable:
 A dispatcher keeps one shard's books and nothing else: committed
 placements, in-flight depths, its machines' alive bits and its
 admission review.  The failure rule — parking, unparking in park order,
-least-waiting-work placement, shedding unavailable work, rebalance —
+earliest-finish placement, shedding unavailable work, rebalance —
 belongs to the fleet surface, :class:`~repro.serve.shard.router.
 ShardRouter`, which picks the machine and hands it to :meth:`commit`.
 A partially-dead processing set restricts the scheduler's view to the
@@ -165,22 +165,16 @@ class Dispatcher:
     def commit(self, task: Task, machine: int, now: float, reason: str) -> DispatchDecision:
         """Book a displaced ``task`` (failure, unpark, migration) onto
         ``machine``, which the router chose by its failure rule,
-        starting no earlier than ``now``.  The scheduler's completion
-        bookkeeping absorbs the work (future EFT decisions see it), but
-        its release-order ``submit`` contract does not cover
-        re-placement, so the books are updated directly — as the engine
-        does.  The re-placement is booked at the nominal ``proc``
-        throughout (horizon, ``est_flow``, depth), and a realised time
-        recorded for an earlier placement is dropped so that
-        :meth:`withdraw` and the live worker read the same duration."""
+        starting no earlier than ``now``.  The scheduler's release-order
+        ``submit`` contract does not cover re-placement, so the task
+        goes through its booking step directly, charged on ``machine``:
+        horizon, ``est_flow``, depth and the live worker read that."""
         start = max(now, self.scheduler.completions[machine])
-        self.scheduler.completions[machine] = start + task.proc
-        self.scheduler.task_counts[machine] += 1
-        self.scheduler._service.pop(task.tid, None)
+        service = self.scheduler._book(task, machine, start)
         self.n_requeued += 1
         if self.metrics is not None:
             self.metrics.on_requeue()
-        return self._commit(task, machine, start, task.proc, REQUEUED, reason=reason)
+        return self._commit(task, machine, start, service, REQUEUED, reason=reason)
 
     def _commit(
         self,
@@ -219,11 +213,11 @@ class Dispatcher:
 
         Completion unwinding is deliberately conservative: if the
         withdrawn request was the machine's committed tail
-        (``completions == start + proc``) the tail shrinks to ``start``
-        (remaining work finishes no later than that); a mid-queue
-        withdrawal leaves ``completions`` untouched, keeping a
-        deterministic idle hole rather than inventing an earlier finish
-        that later commits might overlap.
+        (``completions == start + service``, the booked service time)
+        the tail shrinks to ``start`` (remaining work finishes no later
+        than that); a mid-queue withdrawal leaves ``completions``
+        untouched, keeping a deterministic idle hole rather than
+        inventing an earlier finish that later commits might overlap.
         """
         placed = self.placements.get(tid)
         if placed is None:
@@ -233,12 +227,13 @@ class Dispatcher:
             return None
         task = self._tasks.pop(tid)
         del self.placements[tid]
-        if self.scheduler.completions[machine] == start + task.proc:
+        end = start + self.scheduler.service_of(tid, task.proc)
+        if self.scheduler.completions[machine] == end:
             self.scheduler.completions[machine] = start
         self.scheduler.task_counts[machine] -= 1
         heap = self._inflight[machine]
         try:
-            heap.remove(start + self.scheduler.service_of(tid, task.proc))
+            heap.remove(end)
             heapify(heap)
         except ValueError:  # pragma: no cover - popped by a depth() probe
             pass

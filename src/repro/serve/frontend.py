@@ -4,7 +4,7 @@
 :class:`~repro.serve.shard.router.ShardRouter` in real time: one
 asyncio worker per machine pulls dispatched requests off its FIFO
 queue and "serves" each for its realised service time (the policy's
-``exec_time`` on that machine) times ``time_scale`` wall seconds — the
+``charge`` on that machine) times ``time_scale`` wall seconds — the
 same one-task-at-a-time, run-to-completion machine model as the
 engine.  A single server is the one-shard fleet
 (:meth:`~repro.serve.shard.plan.ShardPlan.single`, the default), where

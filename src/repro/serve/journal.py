@@ -162,13 +162,15 @@ class _Scan:
 
     records: list[JournalRecord] = field(default_factory=list)
     n_dropped_tail: int = 0
+    n_stale: int = 0  #: records the snapshot already holds
 
 
 def _scan_wal(path: Path, base_seq: int) -> _Scan:
     """Read every intact record of ``path`` (seq > ``base_seq``).
 
-    The final record is allowed to be torn (crash mid-append): it is
-    dropped and counted.  Corruption anywhere earlier raises.
+    Leading records with ``seq <= base_seq`` (already in the snapshot)
+    are skipped.  The final record is allowed to be torn (crash
+    mid-append): it is dropped and counted.  Corruption elsewhere raises.
     """
     scan = _Scan()
     if not path.exists():
@@ -184,6 +186,9 @@ def _scan_wal(path: Path, base_seq: int) -> _Scan:
         at_tail = torn_tail is False and idx == len(body) - 1
         try:
             record = decode_record(line)
+            if record.seq <= base_seq and not scan.records:
+                scan.n_stale += 1
+                continue
             if record.seq != last_seq + 1:
                 raise JournalCorruptError(
                     f"journal sequence gap: expected seq={last_seq + 1}, found {record.seq}"
@@ -253,9 +258,8 @@ class Journal:
                 raise JournalCorruptError(f"unreadable snapshot: {exc}") from exc
         scan = _scan_wal(self._wal_path, self.snapshot_seq)
         self.n_dropped_tail = scan.n_dropped_tail
-        if scan.n_dropped_tail:
-            # Rewrite the WAL without the torn tail so the next append
-            # lands on a clean boundary.
+        if scan.n_dropped_tail or scan.n_stale:
+            # Rewrite without torn tail or stale records: clean boundary.
             self._rewrite_wal(scan.records)
         return scan.records
 

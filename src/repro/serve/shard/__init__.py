@@ -11,7 +11,8 @@ paper's own structure:
   virtual-clocked decision tier every ``repro serve`` enacts (one
   shard by default, ``--shards N`` for a fleet): shard-local dispatch,
   shard-local admission, deterministic cross-shard failure handoff via
-  the engine's least-waiting-work rule;
+  the earliest-finish failure rule the engine shares
+  (:mod:`repro.core.failover`);
 * :mod:`~repro.serve.shard.bench` — one real server process per shard
   with client-side routing (``repro bench-serve --shards N``).
 

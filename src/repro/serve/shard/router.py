@@ -25,10 +25,10 @@ Routing invariants:
   tasks write them);
 * **everything else** — a fresh release whose owner is detached or
   whose owner fragment is fully dead, a failure redispatch, an unpark,
-  a migration — takes the engine's failure rule (:meth:`_place_failed`):
-  least waiting work over every alive candidate fleet-wide, smallest
-  index on ties, committed onto the chosen machine's shard (a *handoff*
-  when that is not the owner);
+  a migration — takes the engine's failure rule (:meth:`_place_failed`,
+  :mod:`repro.core.failover`): earliest finish over every alive
+  candidate fleet-wide, charged onto the chosen machine's shard (a
+  *handoff* when that is not the owner);
 * a request with **no alive machine anywhere** in its set is parked in
   the router's lot (or shed with ``on_unavailable="shed"``) and
   re-placed, in park order, on the first revival or reattach that
@@ -49,6 +49,7 @@ from typing import Any, Mapping
 
 from ...campaigns.trace import make_scheduler
 from ...core.dispatch import ImmediateDispatchScheduler
+from ...core.failover import earliest_finish, split_parked
 from ...core.schedule import Schedule
 from ...core.task import Instance, Task
 from ...obs.recorders import MetricsRegistry
@@ -253,21 +254,22 @@ class ShardRouter:
         return self._place_failed(task, self._route(task), now, reason)
 
     def _place_failed(self, task: Task, route: Route, now: float, reason: str) -> RoutedDecision:
-        """The failure path: place over every alive candidate fleet-wide
-        with the engine's least-waiting-work rule (smallest index on
-        ties), or park/shed when there is none."""
-        candidates = [
-            (sid, j)
+        """The failure path: the engine's failure rule over every alive
+        candidate fleet-wide, or park/shed when there is none."""
+        shard_of = {
+            j: sid
             for sid, frag in route.fragments
             if sid not in self.down_shards
-            for j in sorted(frag & self.dispatchers[sid].alive)
-        ]
-        if not candidates:
+            for j in frag & self.dispatchers[sid].alive
+        }
+        if not shard_of:
             return self._park(task)
-        sid, machine = min(
-            candidates,
-            key=lambda c: (self.dispatchers[c[0]].waiting_work(c[1], now), c[1]),
+        machine = earliest_finish(
+            shard_of,
+            lambda j: self.dispatchers[shard_of[j]].waiting_work(j, now),
+            lambda j: self.dispatchers[shard_of[j]].scheduler.service(task, j),
         )
+        sid = shard_of[machine]
         frag = route.fragment(sid)
         sub = task if frag == task.eligible(self.m) else task.restricted_to(frag)
         decision = self.dispatchers[sid].commit(sub, machine, now, reason)
@@ -314,15 +316,8 @@ class ShardRouter:
         rule)."""
         if not self.parked:
             return []
-        alive = self.alive()
-        pending, self.parked = self.parked, []
-        replaced: list[RoutedDecision] = []
-        for task in pending:
-            if task.eligible(self.m) & alive:
-                # Cannot re-park: the set meets the alive machines.
-                replaced.append(self.redispatch(task, now, reason="unpark"))
-            else:
-                self.parked.append(task)
+        ready, self.parked = split_parked(self.parked, self.alive(), self.m)
+        replaced = [self.redispatch(task, now, reason="unpark") for task in ready]
         if replaced:
             self.router_registry.counter("unparked_total").inc(len(replaced))
         self.router_registry.gauge("parked_now").set(len(self.parked))
@@ -429,9 +424,9 @@ class ShardRouter:
         """Mark shard ``sid`` down — its *process* died, so the router
         must stop routing to it regardless of the (stale) alive bits in
         its dispatcher's books.  Submits owned by a detached shard take
-        the cross-shard failure path (least waiting work over every
-        alive candidate elsewhere) or park when no shard can serve
-        them.  Idempotent."""
+        the cross-shard failure path (earliest finish over every alive
+        candidate elsewhere) or park when no shard can serve them.
+        Idempotent."""
         self.check_shard(sid)
         if sid in self.down_shards:
             return

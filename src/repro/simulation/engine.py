@@ -38,7 +38,8 @@ follows ``fault_policy``: ``"restart"`` loses its progress and is
 re-dispatched (the partial work is credited to the failed machine as
 busy time and surfaced as ``wasted_work``), ``"resume"`` stays bound
 to the machine and continues with its residual at recovery.  Queued
-tasks are re-dispatched under either policy.  Utilisation divides by
+tasks are re-dispatched under either policy by :mod:`repro.core.failover`
+and run for the policy's ``charge`` there.  Utilisation divides by
 *alive* machine-seconds (downtime is removed from the denominator), so
 ``utilization <= 1`` still holds on degraded runs.  An empty fault
 schedule reproduces the fault-free run bit-for-bit (the zero-fault
@@ -49,14 +50,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.dispatch import ImmediateDispatchScheduler
+from ..core.dispatch import ImmediateDispatchScheduler, realised
 from ..core.eft import EFT
+from ..core.failover import earliest_finish, split_parked
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task
 from ..core.tiebreak import MaxIndex, MinIndex
@@ -116,14 +118,14 @@ class MachineState:
     #: check after the whole batch dispatched.
     preempt_pending: bool = False
 
-    def waiting_work(self, now: float) -> float:
+    def waiting_work(self, now: float, work: Callable[[Task], float]) -> float:
         """Remaining work at ``now``: residual of the running task plus
-        everything queued (the :math:`w_t(j)` of Theorem 8); a paused
-        task's residual counts — the work still has to happen here."""
+        ``work(task)`` of everything queued (the :math:`w_t(j)` of
+        Theorem 8); a paused task's residual counts here too."""
         residual = max(0.0, self.busy_until - now) if self.current is not None else 0.0
         if self.paused is not None:
             residual += self.paused_residual
-        return residual + sum(t.proc for t in self.queue)
+        return residual + sum(map(work, self.queue))
 
 
 @dataclass(slots=True)
@@ -539,35 +541,30 @@ class Simulator:
         self._try_start(self.machines[machine])
 
     # -- fault handlers ------------------------------------------------------
-    def _engine_choose(self, candidates: Iterable[int]) -> int:
-        """EFT over the engine's authoritative state: the alive
-        candidate with the least remaining work wins, smallest index on
-        ties.  Used for failure-time re-dispatch, which must not go
-        through the scheduler (its release-order contract only covers
-        fresh releases)."""
-        return min(
-            sorted(candidates),
-            key=lambda j: self.machines[j].waiting_work(self.now),
-        )
-
     def _park(self, task: Task) -> None:
         self.parked.append(task)
         self._obs_hook("on_park", task)
 
-    def _redispatch(self, task: Task) -> None:
-        """Place ``task`` after a failure: onto the best alive machine
-        of its set, or the parking lot if the whole set is down."""
+    def _redispatch(self, task: Task, hook: str = "on_requeue") -> None:
+        """Place ``task`` after a failure or at an unpark by the failure
+        rule over the engine's state, charged on its new machine, or
+        park it when its whole set is down.  The scheduler's horizons
+        are not written: ``submit`` covers fresh releases only."""
         candidates = task.eligible(self.m) & self._alive
         if not candidates:
             self.assigned_machine.pop(task.tid, None)
             self._park(task)
             return
-        machine = self._engine_choose(candidates)
-        self.assigned_machine[task.tid] = machine
-        self.n_requeued += 1
+        sched, now = self.scheduler, self.now
+        waiting = {j: self.machines[j].waiting_work(now, self._service_time) for j in candidates}
+        machine = earliest_finish(waiting, waiting.get, lambda j: sched.service(task, j))
         mach = self.machines[machine]
+        sched._book(task, machine, now + waiting[machine], horizon=False)
+        self.assigned_machine[task.tid] = machine
+        if hook == "on_requeue":
+            self.n_requeued += 1
         mach.queue.append(task)
-        self._obs_hook("on_requeue", task, machine)
+        self._obs_hook(hook, task, machine)
         self._try_start(mach)
 
     def _handle_machine_down(self, machine: int) -> None:
@@ -631,20 +628,9 @@ class Simulator:
             self._obs_hook("on_resume", task, machine)
         # Recovery may revive parked tasks (their alive set was empty);
         # re-dispatch in park order at this very instant.
-        if self.parked:
-            still_parked: list[Task] = []
-            for task in self.parked:
-                candidates = task.eligible(self.m) & self._alive
-                if not candidates:
-                    still_parked.append(task)
-                    continue
-                target = self._engine_choose(candidates)
-                self.assigned_machine[task.tid] = target
-                tgt = self.machines[target]
-                tgt.queue.append(task)
-                self._obs_hook("on_unpark", task, target)
-                self._try_start(tgt)
-            self.parked = still_parked
+        ready, self.parked = split_parked(self.parked, self._alive, self.m)
+        for task in ready:
+            self._redispatch(task, "on_unpark")
         self._try_start(mach)
 
     # -- run ------------------------------------------------------------------
@@ -886,27 +872,7 @@ class Simulator:
         else:
             inst = Instance(m=m, tasks=tuple(started_tasks))
         sched = VecSchedule(inst, sched_mach, sched_start, sched_tids)
-        all_flows = flows + pending_ages
-        completed_busy = sum(ms.busy_time for ms in self.machines.values())
-        in_flight_busy = sum(
-            self.now - ms.stint_start
-            for ms in self.machines.values()
-            if ms.current is not None
-        )
-        total_busy = completed_busy + in_flight_busy
-        all_done = n_completed == n and not self._feed and not self.events.has_work()
-        horizon = makespan if all_done else max(self.now, makespan)
-        capacity = m * horizon
-        util = total_busy / capacity if capacity > 0 else 0.0
-        return SimulationResult(
-            schedule=sched,
-            max_flow=max(all_flows, default=0.0),
-            mean_flow=(sum(all_flows) / len(all_flows)) if all_flows else 0.0,
-            makespan=makespan,
-            n_completed=n_completed,
-            utilization=util,
-            n_pending=n - n_started,
-        )
+        return self._summarise(sched, flows + pending_ages, makespan, n_completed, n, n_started)
 
     def result(self) -> SimulationResult:
         """Summarise the run so far (exact on a drained queue, honest
@@ -915,16 +881,9 @@ class Simulator:
             tid: (self.assigned_machine[tid], self.starts[tid])
             for tid in self.starts
         }
-        started_tasks = tuple(t for t in self._tasks if t.tid in self.starts)
-        svc = self._svc
-        if svc:
-            # Service-aware policies: the schedule carries realised
-            # execution times, mirroring the analytic driver's derived
-            # instance (standard metrics and validation apply).
-            started_tasks = tuple(
-                replace(t, proc=svc[t.tid]) if t.tid in svc else t
-                for t in started_tasks
-            )
+        # Service-aware policies: the schedule carries realised times,
+        # as the analytic driver's derived instance does.
+        started_tasks = realised((t for t in self._tasks if t.tid in self.starts), self._svc)
         inst = Instance(m=self.m, tasks=started_tasks)
         sched = Schedule(inst, placements)
         fault_active = self.faults is not None and bool(self.faults)
@@ -948,6 +907,16 @@ class Simulator:
             pending_ages = [self.now - t.release for t in self._tasks if t.tid not in self.starts]
             all_flows = flows + pending_ages
         makespan = max(self.completions.values(), default=0.0)
+        return self._summarise(
+            sched, all_flows, makespan, len(self.completions), len(self._tasks), len(self.starts)
+        )
+
+    def _summarise(
+        self, sched: Schedule, flows: list[float], makespan: float, n_done: int, n: int, n_run: int
+    ) -> SimulationResult:
+        """The :class:`SimulationResult` over ``sched`` and ``flows``, with
+        ``n_done`` of ``n`` released tasks completed and ``n_run`` started:
+        flow statistics, utilisation and the fault counters."""
         completed_busy = sum(m.busy_time for m in self.machines.values())
         in_flight_busy = sum(
             self.now - m.stint_start
@@ -959,26 +928,23 @@ class Simulator:
         # completed *and* no release is still fed or queued and no
         # COMPLETE is queued (a truncated run may leave future releases
         # pending).
-        all_done = (
-            len(self.completions) == len(self._tasks)
-            and not self._feed
-            and not self.events.has_work()
-        )
+        all_done = n_done == n and not self._feed and not self.events.has_work()
         # Over [0, horizon] each machine's credited segments are
         # disjoint and lie within its alive time, so utilisation is
         # <= 1 by construction once downtime leaves the denominator.
         horizon = makespan if all_done else max(self.now, makespan)
+        fault_active = self.faults is not None and bool(self.faults)
         downtime = self.faults.total_downtime(horizon) if fault_active else 0.0
         capacity = self.m * horizon - downtime
         util = total_busy / capacity if capacity > 0 else 0.0
         return SimulationResult(
             schedule=sched,
-            max_flow=max(all_flows, default=0.0),
-            mean_flow=(sum(all_flows) / len(all_flows)) if all_flows else 0.0,
+            max_flow=max(flows, default=0.0),
+            mean_flow=(sum(flows) / len(flows)) if flows else 0.0,
             makespan=makespan,
-            n_completed=len(self.completions),
+            n_completed=n_done,
             utilization=util,
-            n_pending=len(self._tasks) - len(self.starts),
+            n_pending=n - n_run,
             n_requeued=self.n_requeued,
             n_parked=len(self.parked),
             n_resumed=self.n_resumed,
@@ -990,7 +956,10 @@ class Simulator:
     # -- state inspection -----------------------------------------------------
     def waiting_profile(self) -> list[float]:
         """Current :math:`w_t(j)` for every machine, 1-based order."""
-        return [self.machines[j].waiting_work(self.now) for j in range(1, self.m + 1)]
+        return [
+            self.machines[j].waiting_work(self.now, self._service_time)
+            for j in range(1, self.m + 1)
+        ]
 
     def uncompleted_on(self, machines: Sequence[int]) -> int:
         """Number of released-but-uncompleted tasks assigned to

@@ -24,33 +24,33 @@ class TestSetupModel:
         t = _task(0, 0, 2.0, key=7)
         machine, ties = s.choose(t)
         assert machine == 1 and ties == frozenset({1, 2})
-        assert s.exec_time(t, machine) == pytest.approx(3.5)
+        assert s.charge(t, machine, t.release) == pytest.approx(3.5)
         assert s.setup_paid == pytest.approx(1.5)
         assert s.is_warm(1, t)
 
     def test_warm_machine_is_free(self):
         s = NCSetup(2, setup=1.0)
         a = _task(0, 0, 2.0, key=7)
-        s.exec_time(a, 1)
+        s.charge(a, 1, a.release)
         b = _task(1, 5, 2.0, key=7)
-        assert s.exec_time(b, 1) == pytest.approx(2.0)
+        assert s.charge(b, 1, b.release) == pytest.approx(2.0)
         assert s.setup_paid == pytest.approx(1.0)
 
     def test_warmth_is_per_key(self):
         s = NCSetup(1, setup=1.0)
-        s.exec_time(_task(0, 0, 1.0, key=7), 1)
+        s.charge(_task(0, 0, 1.0, key=7), 1, 0.0)
         # a different key on the same machine is still cold
-        assert s.exec_time(_task(1, 2, 1.0, key=8), 1) == pytest.approx(2.0)
+        assert s.charge(_task(1, 2, 1.0, key=8), 1, 2.0) == pytest.approx(2.0)
         assert s.setup_paid == pytest.approx(2.0)
 
     def test_unkeyed_tasks_share_one_warmup(self):
         s = NCSetup(1, setup=1.0)
-        s.exec_time(_task(0, 0, 1.0), 1)
-        assert s.exec_time(_task(1, 2, 1.0), 1) == pytest.approx(1.0)
+        s.charge(_task(0, 0, 1.0), 1, 0.0)
+        assert s.charge(_task(1, 2, 1.0), 1, 2.0) == pytest.approx(1.0)
 
     def test_choose_prefers_warm_machine(self):
         s = NCSetup(2, setup=1.0)
-        s.exec_time(_task(0, 0, 1.0, key=7), 2)  # warm machine 2 for key 7
+        s.charge(_task(0, 0, 1.0, key=7), 2, 0.0)  # warm machine 2 for key 7
         machine, _ = s.choose(_task(1, 5, 1.0, key=7))
         # counts equal (0, 0); machine 1 scores 0+setup, machine 2 scores 0
         assert machine == 2
@@ -58,8 +58,8 @@ class TestSetupModel:
     def test_outstanding_count_beats_warmth(self):
         s = NCSetup(2, setup=0.5)
         # two in-flight requests warm machine 1 but load it up
-        s.exec_time(_task(0, 0, 4.0, key=7), 1)
-        s.exec_time(_task(1, 0, 4.0, key=7), 1)
+        s.charge(_task(0, 0, 4.0, key=7), 1, 0.0)
+        s.charge(_task(1, 0, 4.0, key=7), 1, 0.0)
         machine, _ = s.choose(_task(2, 1, 1.0, key=7))
         # machine 1: q=2 + 0; machine 2: q=0 + 0.5 -> machine 2 wins
         assert machine == 2
@@ -79,7 +79,7 @@ class TestSetupModel:
             for tid, p in enumerate(procs):
                 t = _task(tid, tid * 0.1, p, key=tid)
                 machine, _ = s.choose(t)
-                s.exec_time(t, machine)
+                s.charge(t, machine, t.release)
                 picked.append(machine)
             choices.append(picked)
         assert choices[0] == choices[1]

@@ -23,7 +23,7 @@ class TestConstruction:
 
     def test_explicit_speeds(self):
         s = SpeedEFT(3, speeds=[1.0, 2.0, 4.0])
-        assert s.exec_time(Task(tid=0, release=0.0, proc=4.0), 3) == pytest.approx(1.0)
+        assert s.service(Task(tid=0, release=0.0, proc=4.0), 3) == pytest.approx(1.0)
 
     def test_cluster_object(self):
         s = SpeedEFT(4, speeds=SpeedCluster.geometric(4))

@@ -27,10 +27,10 @@ PINNED = {
     "eft-rand": "ccb8ea910b88d31ac8241537d6403fc683d054107b582959d36fc42bcd344a9a",
     "least-work": "d2072d4d7ca95159b563bcf5d5ea5b02e7b9d1deac0c41fcc0c3c2c80c28b935",
     "lor": "dc10d9e71bfc5e669d8d0d76f2d089868fe648a5995cc1d59486049e91f0a729",
-    "nc-setup": "d0ec8839442ed140a29638c822d55fc1b961199a87cdbfb5d0cb7af4f645ee28",
+    "nc-setup": "ef6c472110e3e16d7063f492e2cac363e82b68df216d9621d50cbcc7d715784b",
     "random": "d45082642de59f30ee87426742640bc3d97bd3b48781797d44c5b6006999d99a",
     "round-robin": "2dad7f6b2c2e59e97a8f4dc7cc24cdbe270507cc1e4efad283655853529ddfb2",
-    "speed-eft": "97720f16e7cda6df09535edd6e694bf31f9c0b5411a5909487670fb39dc51e56",
+    "speed-eft": "34a4d79d772bdc3310374b6266d745d7eb986b0c68551f50690e8c52fa5aab8b",
     "srpt-ps": "d2d824511c055e399938fe6bdec958e498f98bbf671325298c7a0079a368cd38",
 }
 

@@ -124,10 +124,11 @@ class TestServiceTime:
             assert (dec.machine, dec.start) == (sched.machine_of(tid), sched.start_of(tid))
             assert dec.est_flow == pytest.approx(sched.flow_of(dec.task.tid)), dec.task.tid
 
-    def test_requeue_books_nominal_proc_everywhere(self):
-        """A re-placed task is booked at ``proc`` on the horizon, in
-        ``est_flow``, in its depth entry and in the service time the
-        live worker reads — so withdrawing it clears its depth."""
+    def test_requeue_books_the_charge_everywhere(self):
+        """A re-placed task is charged the policy's ``charge`` on its new
+        machine — on the horizon, in ``est_flow``, in its depth entry and
+        in the service time the live worker reads — so withdrawing it
+        clears its depth and unwinds the tail exactly."""
         fleet = ShardRouter(ShardPlan.single(2), "nc-setup")
         shard = fleet.dispatchers[0]
         task = Task(tid=0, release=0.0, proc=1.0, machines=frozenset({1, 2}))
@@ -135,12 +136,39 @@ class TestServiceTime:
         assert shard.scheduler.service_of(0, task.proc) > task.proc  # cold setup
         fleet.kill(first.machine)
         moved = fleet.redispatch(task, now=0.5)
-        assert (moved.machine, moved.start, moved.est_flow) == (2, 0.5, 1.5)
-        assert shard.scheduler.completions[2] == 1.5
-        assert shard.scheduler.service_of(0, task.proc) == task.proc
-        assert shard.depth(2, 0.4) == 1
+        # machine 2 is cold for the key as well: proc 1.0 + setup 1.0
+        assert (moved.machine, moved.start, moved.est_flow) == (2, 0.5, 2.5)
+        assert shard.scheduler.completions[2] == 2.5
+        assert shard.scheduler.service_of(0, task.proc) == 2.0
+        assert shard.depth(2, 2.4) == 1
         assert fleet.withdraw(0, now=0.4) == task
         assert shard.depth(2, 0.4) == 0
+        assert shard.scheduler.completions[2] == 0.5
+
+    def test_requeue_onto_warm_machine_drops_the_old_charge(self):
+        fleet = ShardRouter(ShardPlan.single(2), "nc-setup")
+        shard = fleet.dispatchers[0]
+        fleet.submit(Task(tid=0, release=0.0, proc=1.0, machines=frozenset({2})))  # warms 2
+        task = Task(tid=1, release=0.0, proc=1.0, machines=frozenset({1, 2}))
+        first = fleet.submit(task)
+        assert first.machine == 1 and shard.scheduler.service_of(1, 1.0) == 2.0
+        fleet.kill(1)
+        moved = fleet.redispatch(task, now=0.5)
+        assert (moved.machine, moved.start, moved.est_flow) == (2, 2.0, 3.0)
+        assert shard.scheduler.service_of(1, task.proc) == task.proc
+
+    def test_withdrawn_speed_tail_leaves_no_hole(self):
+        """Withdrawing the tail of a Speed-EFT machine unwinds its
+        horizon to the tail's start, as it does for EFT: the next
+        commit there starts at the withdrawn start."""
+        d = Dispatcher(get_scheduler("speed-eft", 4))  # machine 1 runs at speed 4
+        first = d.submit(Task(tid=0, release=0.0, proc=4.0, machines=frozenset({1})))
+        tail = d.submit(Task(tid=1, release=0.0, proc=4.0, machines=frozenset({1})))
+        assert (first.start, tail.start, d.scheduler.completions[1]) == (0.0, 1.0, 2.0)
+        assert d.withdraw(1, now=0.5) is not None
+        assert d.scheduler.completions[1] == 1.0
+        moved = Task(tid=2, release=0.5, proc=4.0, machines=frozenset({1}))
+        assert d.commit(moved, 1, 0.5, "failure").start == tail.start
 
 
 def _fleet(m: int, **kwargs) -> ShardRouter:

@@ -84,10 +84,10 @@ STREAM_DIGESTS = {
     "eft-rand": "86894d36b8900088a77e240a4b393fae25130005185355f0e02af9a0cf10ad81",
     "least-work": "20b3ec1d0110dc5b7bcc6cc25f9f781b67f5d4a2722b31c99366484da4cc74c3",
     "lor": "fb9eca43a022ce0990476679758b2f98dce8f19afc10dae1b3aba8166d86e8d0",
-    "nc-setup": "99de703e688ef015dd913df30a496ccbb5ab70733d6f69fe6243fbd5fbf9f9c9",
+    "nc-setup": "52e995d26b9e0950f06cb65209d8be1733b37d9167619aae3d6e91ddd02d5a54",
     "random": "753cd671178cddab47870ac7de9b9f3e7ff113ac1150ef2d6c318044ff7fdad1",
     "round-robin": "278f7bff9807c2ec134062091796a18e7c472ec924eb041e0f7c19a39d9b9dbe",
-    "speed-eft": "3e200cc1f921baf1ec3d504772584437c00002b5aa972d93377a532085905e3d",
+    "speed-eft": "bad20921a5033653f1f4e3ad4a84bb8cc7d42188ab8edc73e28e83372d3d5933",
     "srpt-ps": "c50dd956bcfe16791b1003921ec0d90f309ea22a9a3f6dfbaa76d6ee67e63691",
 }
 

@@ -333,6 +333,45 @@ class TestRecovery:
         assert recovery.dispatcher.placements == live.placements
         assert recovery.n_replayed == len(tasks) - 12
 
+    def test_crash_between_snapshot_and_compaction_recovers(self, tmp_path, monkeypatch):
+        """A crash after ``write_snapshot`` renamed the snapshot but
+        before it compacted the WAL leaves records the snapshot already
+        holds; reopening skips them and recovers the same state as an
+        uninterrupted run."""
+        inst = _instance(seed=4, n=20)
+        tasks = list(inst)
+        recovered = []
+        for name, crash in (("clean", False), ("crashed", True)):
+            live = _fleet(inst.m)
+            journal = Journal(tmp_path / name, fsync="never")
+            for task in tasks[:12]:
+                journal.append("submit", {"task": task_to_wire(task)}, commit=True)
+                live.submit(task)
+            state = {"dispatcher": live.state_dict(), "service": {}}
+            if crash:
+                def die(self, records):
+                    raise OSError("crashed before compaction")
+
+                monkeypatch.setattr(Journal, "_rewrite_wal", die)
+                with pytest.raises(OSError, match="compaction"):
+                    journal.write_snapshot(state)
+                monkeypatch.undo()
+                journal = Journal(tmp_path / name, fsync="never")
+            else:
+                journal.write_snapshot(state)
+            assert journal.snapshot_seq == 12
+            assert list(journal.records()) == []
+            for task in tasks[12:]:
+                journal.append("submit", {"task": task_to_wire(task)}, commit=True)
+                live.submit(task)
+            journal.close()
+            reopened = Journal(tmp_path / name, fsync="never")
+            recovery = Dispatcher.recover(reopened, into=_fleet(inst.m))
+            assert recovery.dispatcher.placements == live.placements
+            assert recovery.n_replayed == len(tasks) - 12
+            recovered.append(recovery.dispatcher.state_dict())
+        assert recovered[0] == recovered[1]
+
     def test_replay_rejects_unknown_kind(self, tmp_path):
         journal = Journal(tmp_path, fsync="never")
         journal.append("launch-missiles", {}, commit=True)
