@@ -214,7 +214,7 @@ def replay_into(scheduler: ImmediateDispatchScheduler, trace: Trace) -> Schedule
     """
     if scheduler.m != trace.m:
         raise ValueError(f"trace has m={trace.m}, scheduler has m={scheduler.m}")
-    if scheduler.n_dispatched:
+    if not scheduler.fresh:
         raise ValueError("replay_into needs a fresh scheduler (tasks already dispatched)")
     return scheduler.run(trace.instance())
 

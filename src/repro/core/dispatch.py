@@ -9,9 +9,13 @@ need.
 :class:`ImmediateDispatchScheduler` is the common driver: it keeps the
 per-machine completion times :math:`C_{j,i}` and the running schedule,
 and subclasses implement :meth:`choose` (which machine gets the task).
-The :meth:`submit` method enforces release-order submission, making the
-class usable both for offline replay (:meth:`run`) and by adaptive
-adversaries that interleave observation and submission (Theorems 3–5).
+The :meth:`place` method is the decision step: it enforces
+release-order submission, asks :meth:`choose` and books the charge,
+retaining nothing per decision (EFT decides from the completion times
+alone, Equation (2)).  :meth:`submit` is :meth:`place` plus the
+placement books :meth:`schedule` reads, making the class usable both
+for offline replay (:meth:`run`) and by adaptive adversaries that
+interleave observation and submission (Theorems 3–5).
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ def realised(tasks: Iterable[Task], service: Mapping[int, float] | None) -> tupl
 
 @dataclass(frozen=True, slots=True)
 class DispatchRecord:
-    """One dispatch decision, kept for analysis and tests.
+    """One dispatch decision, as returned by
+    :meth:`ImmediateDispatchScheduler.place`.
 
     ``tie_set`` is the candidate set the scheduler reported for the
     decision (for EFT this is :math:`U'_i` of Equation (2); baselines
@@ -79,7 +84,6 @@ class ImmediateDispatchScheduler:
         self.completions: dict[int, float] = {j: 0.0 for j in range(1, m + 1)}
         #: per-machine count of assigned tasks (used by adversaries)
         self.task_counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
-        self.history: list[DispatchRecord] = []
         self._placements_dict: dict[int, tuple[int, float]] = {}
         #: columnar placements (tids, machines, starts) awaiting
         #: materialisation — set by the array backend, which syncs books
@@ -144,8 +148,12 @@ class ImmediateDispatchScheduler:
             self.task_counts[machine] += 1
         return dur
 
-    def submit(self, task: Task) -> DispatchRecord:
-        """Dispatch one released task (tasks must arrive in release order)."""
+    def place(self, task: Task) -> DispatchRecord:
+        """Decide and book one released task (tasks must arrive in
+        release order) without recording the placement: horizons, task
+        counts and service times move, the placement books do not.
+        Callers that keep their own books (the serve ``Dispatcher``)
+        use this; :meth:`submit` adds the books."""
         if task.release < self._last_release:
             raise ValueError(
                 f"task {task.tid} released at {task.release} submitted after a task "
@@ -163,9 +171,14 @@ class ImmediateDispatchScheduler:
             )
         start = max(task.release, self.completions[machine])
         self._book(task, machine, start)
-        record = DispatchRecord(task=task, machine=machine, start=start, tie_set=tie_set)
-        self.history.append(record)
-        self._placements[task.tid] = (machine, start)
+        return DispatchRecord(task=task, machine=machine, start=start, tie_set=tie_set)
+
+    def submit(self, task: Task) -> DispatchRecord:
+        """Dispatch one released task (tasks must arrive in release
+        order): :meth:`place`, then record the placement for
+        :meth:`schedule`."""
+        record = self.place(task)
+        self._placements[task.tid] = (record.machine, record.start)
         self._tasks.append(task)
         return record
 
@@ -193,10 +206,20 @@ class ImmediateDispatchScheduler:
 
     @property
     def n_dispatched(self) -> int:
-        # Counted off the task list, not ``history``: the array backend
-        # syncs dispatches without materialising DispatchRecords (the
-        # per-decision objects are the cost it exists to avoid).
+        """Tasks recorded by :meth:`submit` (:meth:`place` records none)."""
         return len(self._tasks)
+
+    @property
+    def fresh(self) -> bool:
+        """Whether no task has been placed or booked yet — judged from
+        the state every booking writes (release watermark, task counts,
+        horizons), so a scheduler used through :meth:`place` or a
+        re-placement is not fresh either."""
+        return (
+            self._last_release == 0.0
+            and not any(self.task_counts.values())
+            and not any(self.completions.values())
+        )
 
     def run(self, instance: Instance) -> Schedule:
         """Replay a full instance in release order and return the schedule."""

@@ -13,13 +13,17 @@ what makes the service deterministic and shadow-checkable:
 * **shadow mode** — feeding a recorded arrival stream through
   :meth:`submit` reproduces the discrete-event
   :class:`~repro.simulation.engine.Simulator` exactly, decision for
-  decision, since both drive the *same* scheduler object through the
-  same ``submit`` contract (:mod:`repro.serve.shadow` turns this into a
-  byte-identity check against the golden traces).
+  decision, since both drive the *same* scheduler decision step
+  (:meth:`~repro.core.dispatch.ImmediateDispatchScheduler.place`, which
+  the simulator's ``submit`` wraps; :mod:`repro.serve.shadow` turns this
+  into a byte-identity check against the golden traces).
 
 A dispatcher keeps one shard's books and nothing else: committed
 placements, in-flight depths, its machines' alive bits and its
-admission review.  The failure rule — parking, unparking in park order,
+admission review.  These are the serve tier's only per-request books:
+the scheduler is driven through its non-recording ``place``, so it
+holds horizons, task counts and service times but no copy of the
+request.  The failure rule — parking, unparking in park order,
 earliest-finish placement, shedding unavailable work, rebalance —
 belongs to the fleet surface, :class:`~repro.serve.shard.router.
 ShardRouter`, which picks the machine and hands it to :meth:`commit`.
@@ -84,10 +88,10 @@ class Dispatcher:
     ----------
     scheduler:
         The dispatch policy (e.g. :class:`repro.core.eft.EFT` with any
-        tie-break).  The dispatcher calls ``scheduler.submit`` for every
-        admitted fresh release, so the scheduler's bookkeeping stays
-        authoritative — the same integration contract the simulator
-        uses.
+        tie-break).  The dispatcher calls ``scheduler.place`` for every
+        admitted fresh release: the scheduler's horizons stay
+        authoritative — the decision step the simulator uses — while
+        the placements are booked here only.
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`;
         reviewed *before* the scheduler sees the request, so shed
@@ -158,7 +162,7 @@ class Dispatcher:
                 if self.metrics is not None:
                     self.metrics.on_shed(reason)
                 return DispatchDecision(task=task, status=SHED, reason=reason)
-        record = self.scheduler.submit(sub)
+        record = self.scheduler.place(sub)
         service = self.scheduler.service_of(task.tid, task.proc)
         return self._commit(task, record.machine, record.start, service, DISPATCHED)
 
@@ -166,7 +170,7 @@ class Dispatcher:
         """Book a displaced ``task`` (failure, unpark, migration) onto
         ``machine``, which the router chose by its failure rule,
         starting no earlier than ``now``.  The scheduler's release-order
-        ``submit`` contract does not cover re-placement, so the task
+        ``place`` contract does not cover re-placement, so the task
         goes through its booking step directly, charged on ``machine``:
         horizon, ``est_flow``, depth and the live worker read that."""
         start = max(now, self.scheduler.completions[machine])

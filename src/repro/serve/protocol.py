@@ -77,6 +77,18 @@ MAX_FRAME = 1 << 20
 
 _HEADER = struct.Struct(">I")
 
+#: One compact encoder per process: ``json.dumps`` with non-default
+#: ``separators`` would build a fresh ``JSONEncoder`` on every frame.
+_compact = json.JSONEncoder(separators=(",", ":"))
+
+#: Interned machine sets of decoded submits, keyed by the wire list as
+#: a tuple: a stream has few distinct sets, so every task with the same
+#: list shares one frozenset.  Clients pick the keys, so the cache is
+#: cleared whenever it holds :data:`_INTERN_IDS` machine ids in total.
+_interned: dict[tuple, frozenset[int]] = {}
+_INTERN_IDS = 1 << 16
+_interned_ids = 0
+
 
 class ProtocolError(ValueError):
     """Raised on malformed frames or messages."""
@@ -120,7 +132,7 @@ def validate_length(length: object) -> int:
 
 def encode_frame(message: dict[str, Any]) -> bytes:
     """Serialise ``message`` to one wire frame (header + JSON body)."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    body = _compact.encode(message).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise FrameTooLargeError(f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}")
     return _HEADER.pack(len(body)) + body
@@ -219,7 +231,7 @@ def task_from_wire(message: dict[str, Any]) -> Task:
     machine_set = message.get("machine_set")
     if machine_set is not None:
         try:
-            machine_set = frozenset(int(j) for j in machine_set)
+            machine_set = _intern(machine_set)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed machine_set: {exc}") from exc
     key = message.get("key")
@@ -233,3 +245,18 @@ def task_from_wire(message: dict[str, Any]) -> Task:
         )
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+
+
+def _intern(raw: Any) -> frozenset[int]:
+    """The shared frozenset of the wire machine list ``raw``."""
+    global _interned_ids
+    key = tuple(raw)
+    machines = _interned.get(key)
+    if machines is None:
+        machines = frozenset(int(j) for j in key)
+        if _interned_ids + len(key) > _INTERN_IDS:
+            _interned.clear()
+            _interned_ids = 0
+        _interned[key] = machines
+        _interned_ids += len(key)
+    return machines

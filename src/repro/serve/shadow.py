@@ -70,7 +70,7 @@ def shadow_replay(
     plan = ShardPlan.single(instance.m) if plan is None else plan
     if plan.m != instance.m:
         raise ValueError(f"instance has m={instance.m}, plan has m={plan.m}")
-    if not isinstance(scheduler, str) and scheduler.n_dispatched:
+    if not isinstance(scheduler, str) and not scheduler.fresh:
         raise ValueError("shadow replay needs a fresh scheduler (tasks already dispatched)")
     router = ShardRouter(plan, scheduler=scheduler, seed=seed)
     decisions = [router.submit(task) for task in instance]

@@ -718,7 +718,7 @@ class Simulator:
             return "fault schedule needs per-event work"
         if self.now != 0.0 or self._tasks or self.starts or self.parked:
             return "simulation already started"
-        if s._tasks or s._placements or any(v != 0.0 for v in s.completions.values()):
+        if not s.fresh:
             return "scheduler already has dispatches"
         if not self.events and not self._feed:
             return "no pending work"
@@ -742,11 +742,6 @@ class Simulator:
         exactly where the reference loop would have been.  Returns
         ``None`` (and records :attr:`fallback_reason`) when the run is
         not expressible; nothing is mutated in that case.
-
-        The one sync divergence: ``scheduler.history`` stays empty —
-        per-decision DispatchRecords are the object cost this path
-        exists to avoid (``n_dispatched`` and the placement books stay
-        exact).
         """
         reason = self._array_fallback_reason(until)
         if reason is None:

@@ -11,11 +11,11 @@ class TestDriver:
         with pytest.raises(NotImplementedError):
             sched.submit(Task(tid=0, release=0, proc=1))
 
-    def test_history_records_tie_sets(self):
+    def test_submit_returns_tie_set(self):
         eft = EFT(3, tiebreak="min")
-        eft.submit(Task(tid=0, release=0, proc=1))
-        assert eft.history[0].tie_set == {1, 2, 3}
-        assert eft.history[0].machine == 1
+        record = eft.submit(Task(tid=0, release=0, proc=1))
+        assert record.tie_set == {1, 2, 3}
+        assert record.machine == 1
 
     def test_task_counts(self):
         eft = EFT(2, tiebreak="min")

@@ -143,7 +143,7 @@ class TestIncrementalOutstanding:
                     if c <= release:
                         ewma[j] = (1 - sched.alpha) * ewma[j] + sched.alpha * service
                 feedback = [f for f in feedback if f[0] > release]
-            task = Task(tid=len(sched.history), release=release, proc=proc,
+            task = Task(tid=sched.n_dispatched, release=release, proc=proc,
                         machines=machines, key=key)
             rec = sched.submit(task)
             completion = rec.start + sched.service_of(task.tid, proc)

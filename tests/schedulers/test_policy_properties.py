@@ -9,8 +9,10 @@ one parametrized harness is what keeps the pluggable contract honest.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns.trace import dumps, record, replay_into
+from repro.core import Task
 from repro.schedulers import get_scheduler, list_schedulers
 from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
@@ -79,3 +81,37 @@ class TestSharedInvariants:
             replayer = get_scheduler(policy, inst.m, seed=SEED)
             replayed = replay_into(replayer, trace)
             assert replayed.same_placements(trace.schedule(), tol=0.0)
+
+
+@st.composite
+def _streams(draw, max_m: int = 5, max_n: int = 20):
+    """Release-ordered keyed tasks with any processing times and sets."""
+    m = draw(st.integers(1, max_m))
+    release, tasks = 0.0, []
+    for tid in range(draw(st.integers(1, max_n))):
+        release += draw(st.sampled_from([0.0, 0.25, 1.0, 2.5]))
+        machines = draw(st.none() | st.frozensets(st.integers(1, m), min_size=1))
+        tasks.append(Task(
+            tid=tid, release=release, proc=draw(st.sampled_from([0.5, 1.0, 3.0])),
+            machines=machines, key=draw(st.none() | st.integers(0, 2)),
+        ))
+    return m, tasks
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@given(stream=_streams())
+@settings(max_examples=25, deadline=None)
+def test_place_matches_submit(policy, stream):
+    """``place`` is ``submit`` without the placement books: twin
+    schedulers decide and charge identically, step by step."""
+    m, tasks = stream
+    placed = get_scheduler(policy, m, seed=SEED)
+    submitted = get_scheduler(policy, m, seed=SEED)
+    for task in tasks:
+        a, b = placed.place(task), submitted.submit(task)
+        assert (a.machine, a.start, a.tie_set) == (b.machine, b.start, b.tie_set)
+        assert placed.completions == submitted.completions
+        assert placed.task_counts == submitted.task_counts
+        assert placed._service == submitted._service
+    assert placed._tasks == [] and placed._placements == {}
+    assert submitted.n_dispatched == len(tasks)

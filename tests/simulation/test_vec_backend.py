@@ -331,6 +331,17 @@ class TestFallbacks:
         )._array_fallback_reason(None)
         assert texts["auto"] == texts["reference"]
 
+    def test_scheduler_used_through_place_falls_back(self):
+        """``place`` records no placement, but the freshness rule
+        reads the horizons it moved."""
+        inst = _workload(rng=29, n=40)
+        eft = EFT(inst.m)
+        eft.place(inst.tasks[0])
+        assert eft.n_dispatched == 0 and not eft.fresh
+        sim = Simulator(eft, backend="auto")
+        sim.add_instance(inst)
+        assert sim._array_fallback_reason(None) == "scheduler already has dispatches"
+
     def test_fault_schedule_falls_back_but_empty_one_does_not(self):
         from repro.faults import FaultSchedule
 
