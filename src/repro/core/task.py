@@ -17,10 +17,20 @@ machine count and enforces the paper's numbering convention
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Task", "Instance"]
+
+
+def _in_order(tasks: Sequence["Task"]) -> bool:
+    """Whether ``tasks`` is already sorted by ``(release, tid)`` (ties
+    included, so sorting it again would change nothing)."""
+    for a, b in zip(tasks, tasks[1:]):
+        if b.release < a.release or (b.release == a.release and b.tid < a.tid):
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,10 +42,11 @@ class Task:
     tid:
         Stable identifier of the task (unique within an instance).
     release:
-        Release time :math:`r_i \\ge 0`; the scheduler learns nothing
-        about the task before this time (online model).
+        Release time :math:`r_i \\ge 0`, finite; the scheduler learns
+        nothing about the task before this time (online model).
     proc:
-        Processing time :math:`p_i > 0`.
+        Processing time :math:`p_i > 0`, finite.  NaN and infinite
+        times are rejected with a ``non-finite`` error.
     machines:
         Processing set :math:`\\mathcal{M}_i` as a frozenset of 1-based
         machine indices, or ``None`` for "every machine" (the
@@ -53,17 +64,22 @@ class Task:
     key: int | None = None
 
     def __post_init__(self) -> None:
-        if self.release < 0:
-            raise ValueError(f"task {self.tid}: release must be >= 0, got {self.release}")
-        if self.proc <= 0:
-            raise ValueError(f"task {self.tid}: processing time must be > 0, got {self.proc}")
+        # chained compares: NaN fails both, so it cannot slip past as
+        # ``nan < 0`` would
+        if not 0.0 <= self.release < math.inf:
+            rule = "must be >= 0" if math.isfinite(self.release) else "is non-finite"
+            raise ValueError(f"task {self.tid}: release {rule}, got {self.release}")
+        if not 0.0 < self.proc < math.inf:
+            rule = "must be > 0" if math.isfinite(self.proc) else "is non-finite"
+            raise ValueError(f"task {self.tid}: processing time {rule}, got {self.proc}")
         if self.machines is not None:
             if not isinstance(self.machines, frozenset):
                 object.__setattr__(self, "machines", frozenset(self.machines))
             if not self.machines:
                 raise ValueError(f"task {self.tid}: processing set may not be empty")
-            if any((not isinstance(j, int)) or j < 1 for j in self.machines):
-                raise ValueError(f"task {self.tid}: machine indices must be ints >= 1")
+            for j in self.machines:
+                if not isinstance(j, int) or j < 1:
+                    raise ValueError(f"task {self.tid}: machine indices must be ints >= 1")
 
     def eligible(self, m: int) -> frozenset[int]:
         """Concrete processing set on an ``m``-machine cluster."""
@@ -95,7 +111,10 @@ class Instance:
     convention that tasks are numbered by non-decreasing release time.
     Ties between tasks released at the same instant are served in
     ``tid`` order (the adversaries of Section 6 rely on a deterministic
-    within-batch order).
+    within-batch order).  Tasks handed over in that order already (as
+    the generators do) are kept as given, without a sort.  Duplicate
+    tids and out-of-range sets are rejected, naming the first offender
+    in sorted order.
     """
 
     m: int
@@ -104,17 +123,23 @@ class Instance:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"need at least one machine, got m={self.m}")
-        tasks = tuple(sorted(self.tasks, key=lambda t: (t.release, t.tid)))
+        tasks = tuple(self.tasks)
+        if not _in_order(tasks):
+            tasks = tuple(sorted(tasks, key=lambda t: (t.release, t.tid)))
         object.__setattr__(self, "tasks", tasks)
         seen: set[int] = set()
+        # ids of the set objects already range-checked; generated
+        # instances share one set per home, so most tasks skip ``max``
+        checked: set[int] = set()
         for t in tasks:
             if t.tid in seen:
                 raise ValueError(f"duplicate task id {t.tid}")
             seen.add(t.tid)
-            if t.machines is not None and max(t.machines) > self.m:
-                raise ValueError(
-                    f"task {t.tid}: processing set {sorted(t.machines)} exceeds m={self.m}"
-                )
+            ms = t.machines
+            if ms is not None and id(ms) not in checked:
+                if max(ms) > self.m:
+                    raise ValueError(f"task {t.tid}: processing set {sorted(ms)} exceeds m={self.m}")
+                checked.add(id(ms))
 
     # -- basic container protocol ------------------------------------
     def __len__(self) -> int:

@@ -73,9 +73,7 @@ class DualPartition(ReplicationStrategy):
             min((u - x) % m, (x - u) % m) for x in outside
         )
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         a = self._group_a(u)
         b = self._group_b(u)
         if self._centrality(u, b, self.m) > self._centrality(u, a, self.m):
@@ -96,14 +94,8 @@ class RandomKSets(ReplicationStrategy):
     def __init__(self, m: int, k: int, salt: str = "layout") -> None:
         super().__init__(m, k)
         self.salt = salt
-        self._cache: dict[int, frozenset[int]] = {}
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
-        cached = self._cache.get(u)
-        if cached is not None:
-            return cached
+    def _replicas(self, u: int) -> frozenset[int]:
         chosen = {u}
         counter = 0
         while len(chosen) < self.k:
@@ -112,9 +104,7 @@ class RandomKSets(ReplicationStrategy):
             ).digest()
             chosen.add(int.from_bytes(digest, "big") % self.m + 1)
             counter += 1
-        out = frozenset(chosen)
-        self._cache[u] = out
-        return out
+        return frozenset(chosen)
 
 
 class MirroredIntervals(ReplicationStrategy):
@@ -123,9 +113,7 @@ class MirroredIntervals(ReplicationStrategy):
 
     name = "mirrored"
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         if u % 2 == 1:
             return ring_interval(u, self.k, self.m)
         start = (u - self.k) % self.m + 1

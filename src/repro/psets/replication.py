@@ -14,7 +14,11 @@ set to an interval :math:`I_k(u)` of ``k`` machines:
   (Corollary 1).
 
 Both are exposed as :class:`ReplicationStrategy` objects mapping a home
-machine ``u`` to its replica set, and can rewrite whole instances.
+machine ``u`` to its replica set, and can rewrite whole instances.  A
+strategy builds each home's set once and hands out that same immutable
+frozenset on every later call, so an instance generated from it holds
+at most ``m`` distinct set objects.  Sets are values: nothing may rely
+on their identity.
 """
 
 from __future__ import annotations
@@ -35,7 +39,11 @@ __all__ = [
 
 
 class ReplicationStrategy:
-    """Maps a home machine to the set of machines holding its data."""
+    """Maps a home machine to the set of machines holding its data.
+
+    Subclasses define :meth:`_replicas`; :meth:`replicas` checks the
+    home and memoises the set per home.
+    """
 
     name = "abstract"
 
@@ -44,9 +52,22 @@ class ReplicationStrategy:
             raise ValueError(f"replication factor k={k} outside 1..{m}")
         self.m = m
         self.k = k
+        # slot u holds the set of home u once built; a list, so a
+        # non-integral home fails the index instead of hitting the memo
+        self._sets: list[frozenset[int] | None] = [None] * (m + 1)
 
     def replicas(self, u: int) -> frozenset[int]:
-        """Replica set :math:`I_k(u)` of data homed on machine ``u``."""
+        """Replica set :math:`I_k(u)` of data homed on machine ``u``
+        (the same frozenset object on every call)."""
+        if not (1 <= u <= self.m):
+            raise ValueError(f"machine {u} outside 1..{self.m}")
+        s = self._sets[u]
+        if s is None:
+            s = self._sets[u] = self._replicas(u)
+        return s
+
+    def _replicas(self, u: int) -> frozenset[int]:
+        """Build the replica set of home ``1 <= u <= m``."""
         raise NotImplementedError
 
     def all_sets(self) -> list[frozenset[int]]:
@@ -78,9 +99,7 @@ class NoReplication(ReplicationStrategy):
     def __init__(self, m: int, k: int = 1) -> None:
         super().__init__(m, 1)
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         return frozenset({u})
 
 
@@ -93,9 +112,7 @@ class OverlappingIntervals(ReplicationStrategy):
 
     name = "overlapping"
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         return ring_interval(u, self.k, self.m)
 
 
@@ -108,9 +125,7 @@ class DisjointIntervals(ReplicationStrategy):
 
     name = "disjoint"
 
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         base = self.k * ((u - 1) // self.k)
         return frozenset(range(base + 1, min(self.m, base + self.k) + 1))
 

@@ -76,9 +76,7 @@ class IntervalPlacement(ReplicationStrategy):
         self._intervals = table
 
     # -- ReplicationStrategy contract -----------------------------------------
-    def replicas(self, u: int) -> frozenset[int]:
-        if not (1 <= u <= self.m):
-            raise ValueError(f"machine {u} outside 1..{self.m}")
+    def _replicas(self, u: int) -> frozenset[int]:
         start, size = self._intervals[u]
         return ring_interval(start, size, self.m)
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import struct
 from typing import Any
 
@@ -212,8 +211,10 @@ def task_from_wire(message: dict[str, Any]) -> Task:
     """Build the :class:`Task` of a ``submit`` message.
 
     Raises :class:`ProtocolError` on missing or ill-typed fields (the
-    :class:`Task` validators catch the value errors: negative release,
-    non-positive proc, empty or out-of-range machine sets).
+    :class:`Task` validators catch the value errors: negative or
+    non-finite release — json carries ``NaN``/``Infinity`` — and
+    non-positive or non-finite proc, empty or out-of-range machine
+    sets).
     """
     try:
         tid = int(message["tid"])
@@ -221,13 +222,6 @@ def task_from_wire(message: dict[str, Any]) -> Task:
         proc = float(message["proc"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed submit message: {exc}") from exc
-    # Python's json module happily emits and parses NaN/Infinity, and
-    # the Task validators don't catch NaN (``nan < 0`` is false), so
-    # non-finite stamps must be rejected at the wire boundary.
-    if not math.isfinite(release):
-        raise ProtocolError(f"non-finite release {release!r}")
-    if not math.isfinite(proc):
-        raise ProtocolError(f"non-finite proc {proc!r}")
     machine_set = message.get("machine_set")
     if machine_set is not None:
         try:

@@ -62,6 +62,7 @@ __all__ = [
     "StaticPopularity",
     "ZipfDrift",
     "arrival_times",
+    "bake_instance",
     "generate_dynamic_workload",
     "profile_from_dict",
     "profile_to_dict",
@@ -405,6 +406,33 @@ class HotspotShift(PopularityProfile):
 # ---------------------------------------------------------------------------
 
 
+def bake_instance(
+    m: int,
+    strategy: ReplicationStrategy,
+    releases: np.ndarray,
+    sizes: np.ndarray,
+    homes: np.ndarray,
+    keys: np.ndarray | None = None,
+) -> Instance:
+    """Bake parallel arrays into an :class:`Instance`: task ``i`` is
+    released at ``releases[i]``, runs for ``sizes[i]`` on the replica
+    set ``strategy.replicas(homes[i])`` and carries ``keys[i]`` (or no
+    key).  Tasks with the same home share that home's one immutable
+    frozenset; nothing may rely on the identity of a task's set."""
+    replicas = strategy.replicas
+    home_col = np.asarray(homes, dtype=np.int64).tolist()
+    key_col = [None] * len(home_col) if keys is None else np.asarray(keys, dtype=np.int64).tolist()
+    columns = zip(
+        np.asarray(releases, dtype=float).tolist(),
+        np.asarray(sizes, dtype=float).tolist(),
+        home_col,
+        key_col,
+        strict=True,
+    )
+    tasks = tuple(Task(i, r, p, replicas(h), key) for i, (r, p, h, key) in enumerate(columns))
+    return Instance(m=m, tasks=tasks)
+
+
 @dataclass(frozen=True)
 class DynamicStream:
     """The raw arrival stream: parallel arrays of release times, home
@@ -424,18 +452,10 @@ class DynamicStream:
         """Bake the stream into an :class:`Instance` under a *fixed*
         replication strategy (the static-placement view).  Each task
         carries its home machine in ``key``, so placements that change
-        later can still resolve the task's data location."""
-        tasks = tuple(
-            Task(
-                tid=i,
-                release=float(self.releases[i]),
-                proc=float(self.sizes[i]),
-                machines=strategy.replicas(int(self.homes[i])),
-                key=int(self.homes[i]),
-            )
-            for i in range(self.n)
-        )
-        return Instance(m=m, tasks=tasks)
+        later can still resolve the task's data location.  Tasks with
+        the same home share one immutable set (see
+        :func:`bake_instance`)."""
+        return bake_instance(m, strategy, self.releases, self.sizes, self.homes, keys=self.homes)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.task import Instance, Task
 from ..psets.replication import ReplicationStrategy, get_strategy
 from .arrivals import poisson_release_times
-from .dynamics import RateProfile, arrival_times
+from .dynamics import RateProfile, arrival_times, bake_instance
 from .popularity import MachinePopularity, shuffled_case, uniform_case, worst_case
 
 __all__ = [
@@ -123,6 +123,9 @@ def generate_workload(
     A pre-built ``popularity`` overrides the spec's case (useful to
     share one shuffled permutation across several load points, as the
     paper's Figure 11 facets do).
+
+    Tasks with the same home machine share that home's one immutable
+    replica set; nothing may rely on the identity of a task's set.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     pop = popularity if popularity is not None else popularity_for_case(spec.m, spec.case, spec.s, gen)
@@ -135,16 +138,7 @@ def generate_workload(
         releases = poisson_release_times(spec.lam, spec.n, gen)
     homes = pop.sample_homes(spec.n, gen)
     sizes = sample_sizes(spec.size_dist, spec.n, spec.proc, gen)
-    tasks = tuple(
-        Task(
-            tid=i,
-            release=float(releases[i]),
-            proc=float(sizes[i]),
-            machines=strat.replicas(int(homes[i])),
-        )
-        for i in range(spec.n)
-    )
-    return Instance(m=spec.m, tasks=tasks)
+    return bake_instance(spec.m, strat, releases, sizes, homes)
 
 
 def inject_outage(

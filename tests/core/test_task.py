@@ -1,7 +1,9 @@
 """Unit tests for the task/instance model."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from repro.core import Instance, Task
@@ -21,6 +23,24 @@ class TestTask:
     def test_zero_processing_rejected(self):
         with pytest.raises(ValueError, match="processing"):
             Task(tid=0, release=0, proc=0)
+
+    @pytest.mark.parametrize("release", [math.nan, math.inf, -math.inf])
+    def test_non_finite_release_rejected(self, release):
+        with pytest.raises(ValueError, match="non-finite"):
+            Task(tid=0, release=release, proc=1.0)
+
+    @pytest.mark.parametrize("proc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_proc_rejected(self, proc):
+        with pytest.raises(ValueError, match="non-finite"):
+            Task(tid=0, release=0.0, proc=proc)
+
+    def test_finite_negative_release_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"release must be >= 0, got -1\.5"):
+            Task(tid=0, release=-1.5, proc=1.0)
+
+    def test_numpy_int_machine_index_rejected(self):
+        with pytest.raises(ValueError, match="indices"):
+            Task(tid=0, release=0, proc=1, machines=frozenset({np.int64(1)}))
 
     def test_empty_processing_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -84,6 +104,14 @@ class TestInstance:
         tasks = (Task(tid=0, release=0, proc=1, machines=frozenset({3})),)
         with pytest.raises(ValueError, match="exceeds"):
             Instance(m=2, tasks=tasks)
+
+    @pytest.mark.parametrize("field", ["releases", "procs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_build_rejects_non_finite_times(self, field, bad):
+        columns = {"releases": [0.0, 1.0], "procs": [1.0, 1.0]}
+        columns[field][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Instance.build(2, **columns)
 
     def test_zero_machines_rejected(self):
         with pytest.raises(ValueError, match="machine"):
