@@ -72,6 +72,13 @@ faults-smoke:
 		results/.faults-smoke/a.json results/.faults-smoke/b.json
 	rm -rf results/.faults-smoke
 
+# The serve smokes also pin their assignment digests as literals, so a
+# change that moved every run the same way still fails.  The chaos digest
+# is BENCH_recovery.json's assignments_digest.
+SERVE_SMOKE_SHA := 57a1b94bba79490c5b8e49891fe59e0285877245cbe8787c47df0bdb117ff593
+SHARD_SMOKE_SHA := dbe180eb289ec7d4ce87f9e2aeaa5894c330367472a4483b9192c9bd2b0ef678
+CHAOS_SMOKE_SHA := 01504c64677be0039f31e4f1c3aeec7fd08ba1d7a174172618aa0e18208bc5b9
+
 # Serving smoke: a short loopback bench-serve must drop nothing
 # (errors: 0), place identically across two same-seed runs (equal
 # assignment digests) and write a schema-valid metrics snapshot.
@@ -91,6 +98,7 @@ serve-smoke:
 	grep "assignments sha256" results/.serve-smoke/a.txt > results/.serve-smoke/a.sha
 	grep "assignments sha256" results/.serve-smoke/b.txt > results/.serve-smoke/b.sha
 	cmp results/.serve-smoke/a.sha results/.serve-smoke/b.sha
+	grep -q "assignments sha256: $(SERVE_SMOKE_SHA)" results/.serve-smoke/a.sha
 	PYTHONPATH=src $(PYTHON) -m repro.obs.validate \
 		results/.serve-smoke/a.metrics.json results/.serve-smoke/b.metrics.json
 	rm -rf results/.serve-smoke
@@ -123,6 +131,7 @@ shard-smoke:
 	grep "assignments sha256" results/.shard-smoke/single.txt > results/.shard-smoke/single.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/b.sha
 	cmp results/.shard-smoke/a.sha results/.shard-smoke/single.sha
+	grep -q "assignments sha256: $(SHARD_SMOKE_SHA)" results/.shard-smoke/a.sha
 	PYTHONPATH=src timeout 120 $(PYTHON) -m repro serve \
 		--socket results/.shard-smoke/serve.sock --m 6 --shards 3 --align-k 2 \
 		> results/.shard-smoke/serve.log 2>&1 & \
@@ -164,6 +173,7 @@ chaos-smoke:
 	grep "assignments sha256" results/.chaos-smoke/clean.txt > results/.chaos-smoke/clean.sha
 	grep "assignments sha256" results/.chaos-smoke/chaos.txt > results/.chaos-smoke/chaos.sha
 	cmp results/.chaos-smoke/clean.sha results/.chaos-smoke/chaos.sha
+	grep -q "assignments sha256: $(CHAOS_SMOKE_SHA)" results/.chaos-smoke/chaos.sha
 
 # Rebalance smoke: on a hotspot-shift workload the adaptive policy
 # must beat both static placements on p99 flow, the recorded trace

@@ -46,8 +46,9 @@ validatable with ``python -m repro.obs.validate PATH``.
 The serving verbs run the dispatch algorithms live (:mod:`repro.serve`):
 ``serve`` starts the service on a unix socket or TCP port, ``drive``
 replays a generated workload against it open-loop at its Poisson
-pacing, and ``bench-serve`` runs both ends in one process over a
-loopback socket — placements are deterministic per seed, so two
+pacing, and ``bench-serve`` runs both ends over loopback sockets
+(:func:`repro.serve.loopback.run_loopback`) — placements are
+deterministic per seed, so two
 ``bench-serve`` runs with the same arguments print the same
 ``assignments sha256`` line.
 
@@ -63,7 +64,9 @@ N dispatcher shards behind the interval-aware router on one endpoint
 ``route`` prints a shard plan and where a processing set would land,
 and ``bench-serve --shards N`` runs one real server process per shard
 with client-side routing — on a disjoint plan the merged digest equals
-the single-server one (Theorem 6), while throughput scales.
+the single-server one (Theorem 6); ``--chaos`` adds journals, shard
+supervision, chaos proxies and resilient drives, and ``--kill-shard``
+a mid-drive SIGKILL.
 """
 
 from __future__ import annotations
@@ -348,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(N=1 is the fair single-server baseline; disjoint plans keep the "
                    "digest identical to an unsharded run)")
     p.add_argument("--chaos", action="store_true",
-                   help="with --shards: journalled servers under a supervisor, driven "
-                   "through a seeded chaos proxy by the resilient client")
+                   help="requires --shards: journalled shard servers restarted by the "
+                   "supervisor, driven through seeded chaos proxies by resilient drives")
     p.add_argument("--chaos-seed", type=int, default=0, help="chaos fault-stream seed")
     p.add_argument("--chaos-drop", type=float, default=0.02,
                    help="per-frame probability of dropping the connection")
@@ -362,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos-latency", type=float, default=0.0,
                    help="upper bound (s) of a uniform per-frame delay")
     p.add_argument("--kill-shard", type=int, default=None, metavar="SID",
-                   help="with --chaos: SIGKILL this shard's server mid-drive and let "
+                   help="requires --chaos: SIGKILL this shard's server mid-drive and let "
                    "the supervisor recover it from its journal")
     p.add_argument("--kill-after", type=float, default=0.5, metavar="FRAC",
                    help="when to kill, as a fraction of the workload's release span")
     p.add_argument("--recovery-out", default=None, metavar="PATH",
-                   help="with --chaos: write recovery-time + fault stats JSON here")
+                   help="requires --chaos: write recovery-time + fault stats JSON here")
 
     p = sub.add_parser(
         "compare-schedulers",
@@ -979,7 +982,18 @@ def _run_drive(args) -> str:
 
 
 def _run_bench_serve(args) -> str:
-    from .serve import ServeConfig, build_drive_instance, run_loopback_sync
+    if args.chaos and args.shards is None:
+        raise SystemExit("bench-serve --chaos requires --shards")
+    for flag, value in (("--kill-shard", args.kill_shard), ("--recovery-out", args.recovery_out)):
+        if value is not None and not args.chaos:
+            raise SystemExit(f"bench-serve {flag} requires --chaos")
+    if args.shards is not None and (
+        args.slo is not None or args.max_queue is not None or args.faults or args.metrics
+    ):
+        raise SystemExit(
+            "bench-serve --shards does not support --slo/--max-queue/--faults/--metrics"
+        )
+    from .serve import ServeConfig, build_drive_instance, run_loopback
 
     instance = build_drive_instance(
         source=args.source,
@@ -991,74 +1005,44 @@ def _run_bench_serve(args) -> str:
         proc=args.proc,
         seed=args.seed,
     )
-    if args.chaos and args.shards is None:
-        raise SystemExit("bench-serve --chaos requires --shards")
-    if args.shards is not None:
-        if args.slo is not None or args.max_queue is not None or args.faults or args.metrics:
-            raise SystemExit(
-                "bench-serve --shards does not support --slo/--max-queue/--faults/--metrics"
-            )
-        from .serve import plan_for_instance, run_sharded_loopback_sync
+    chaos = None
+    if args.chaos:
+        from .chaos import ChaosConfig
 
-        plan = plan_for_instance(instance, args.shards)
-        if args.chaos:
-            import json
-
-            from .chaos import ChaosConfig
-            from .serve import run_chaos_loopback_sync
-
-            result = run_chaos_loopback_sync(
-                instance,
-                args.shards,
-                scheduler=args.scheduler,
-                seed=args.seed,
-                time_scale=args.time_scale,
-                target_rate=args.rate,
-                plan=plan,
-                chaos=ChaosConfig(
-                    seed=args.chaos_seed,
-                    p_drop=args.chaos_drop,
-                    p_truncate=args.chaos_truncate,
-                    p_corrupt=args.chaos_corrupt,
-                    p_duplicate=args.chaos_duplicate,
-                    latency=args.chaos_latency,
-                ),
-                kill_shard=args.kill_shard,
-                kill_after=args.kill_after,
-            )
-            lines = [plan.describe(), result.to_text()]
-            if args.recovery_out:
-                with open(args.recovery_out, "w", encoding="utf-8") as fh:
-                    json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                lines.append(f"recovery stats: {args.recovery_out}")
-            return "\n".join(lines)
-        report = run_sharded_loopback_sync(
-            instance,
-            args.shards,
+        chaos = ChaosConfig(
+            seed=args.chaos_seed,
+            p_drop=args.chaos_drop,
+            p_truncate=args.chaos_truncate,
+            p_corrupt=args.chaos_corrupt,
+            p_duplicate=args.chaos_duplicate,
+            latency=args.chaos_latency,
+        )
+    result = run_loopback(
+        instance,
+        ServeConfig(
+            m=args.m,
             scheduler=args.scheduler,
             seed=args.seed,
+            slo=args.slo,
+            max_queue_depth=args.max_queue,
             time_scale=args.time_scale,
-            target_rate=args.rate,
-            plan=plan,
-        )
-        return "\n".join([plan.describe(), report.to_text()])
-    config = ServeConfig(
-        m=args.m,
-        scheduler=args.scheduler,
-        seed=args.seed,
-        slo=args.slo,
-        max_queue_depth=args.max_queue,
-        time_scale=args.time_scale,
-    )
-    report = run_loopback_sync(
-        instance,
-        config,
+        ),
+        shards=args.shards,
         target_rate=args.rate,
         faults=_load_faults(args.faults),
         metrics_path=args.metrics,
+        chaos=chaos,
+        kill_shard=args.kill_shard,
+        kill_after=args.kill_after,
     )
-    lines = [report.to_text()]
+    lines = [result.to_text()]
+    if args.recovery_out:
+        import json
+
+        with open(args.recovery_out, "w", encoding="utf-8") as fh:
+            json.dump(result.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        lines.append(f"recovery stats: {args.recovery_out}")
     if args.metrics:
         lines.append(f"metrics: {args.metrics}")
     return "\n".join(lines)

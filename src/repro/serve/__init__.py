@@ -16,30 +16,31 @@ live asyncio service rather than inside the discrete-event simulator:
   snapshot dumps);
 * :mod:`~repro.serve.frontend` — workers, fault kill/revive, the
   protocol frontend (``repro serve``, one shard or ``--shards N``);
-* :mod:`~repro.serve.driver` — open-loop Poisson load generation
-  (``repro drive``);
+* :mod:`~repro.serve.driver` — the one open-loop driver (``repro
+  drive``): plain, or resilient under a :class:`ClientResilience`;
 * :mod:`~repro.serve.shadow` — virtual-time replay proving the service
   takes exactly the engine's decisions (golden-trace byte identity,
   single server and sharded, merged and per shard);
-* :mod:`~repro.serve.loopback` — in-process service+driver runs
-  (``repro bench-serve``);
+* :mod:`~repro.serve.loopback` — the one run harness
+  (``repro bench-serve``): the in-process service, or one server
+  process per shard, optionally journalled, under chaos and with a
+  shard kill;
 * :mod:`~repro.serve.shard` — the fleet surface: :class:`ShardPlan`
   partitioning, and the interval-aware :class:`ShardRouter` that every
   service enacts (one shard or many) — it owns the one parking lot,
   the earliest-finish failure rule (:mod:`repro.core.failover`) with
   cross-shard handoff,
   unavailable shedding and rebalance ``apply_placement`` — plus the
-  multi-process ``bench-serve --shards N`` driver;
+  client-side routing of the multi-process harness
+  (:func:`plan_for_instance`, :func:`partition_instance`);
 * :mod:`~repro.serve.journal` — the write-ahead operation log that
   makes the fleet crash-recoverable
   (``Dispatcher.recover(journal, into=router)``);
 * :mod:`~repro.serve.supervisor` — shard-process supervision: death
   detection, restart, journal replay, fleet rejoin;
-* :mod:`~repro.serve.resilient` — the chaos-tolerant client driver:
+* :mod:`~repro.serve.resilient` — the driver's chaos envelope:
   retry with backoff, dedupe-keyed idempotent submits, circuit
-  breaker;
-* :mod:`~repro.serve.chaosbench` — the end-to-end chaos benchmark
-  (``repro bench-serve --chaos``).
+  breaker.
 """
 
 from .admission import SHED_QUEUE_FULL, SHED_SLO, AdmissionController, estimated_flow
@@ -51,7 +52,6 @@ from .dispatcher import (
     DispatchDecision,
     Dispatcher,
 )
-from .chaosbench import ChaosBenchResult, run_chaos_loopback, run_chaos_loopback_sync
 from .driver import DriveReport, build_drive_instance, drive, percentile
 from .frontend import AddressInUseError, ServeConfig, ServeService, build_service, serve
 from .journal import (
@@ -61,7 +61,7 @@ from .journal import (
     JournalRecord,
     Recovery,
 )
-from .loopback import run_loopback, run_loopback_sync
+from .loopback import LoopbackResult, run_loopback
 from .metrics import ServeMetrics
 from .protocol import (
     MAX_FRAME,
@@ -78,7 +78,7 @@ from .protocol import (
     versioned,
     write_frame,
 )
-from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted, drive_resilient
+from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted
 from .supervisor import ShardSupervisor
 from .shadow import (
     check_shadow_golden,
@@ -95,14 +95,11 @@ from .shard import (
     ShardRouter,
     partition_instance,
     plan_for_instance,
-    run_sharded_loopback,
-    run_sharded_loopback_sync,
 )
 
 __all__ = [
     "AddressInUseError",
     "AdmissionController",
-    "ChaosBenchResult",
     "CircuitBreaker",
     "ClientResilience",
     "DISPATCHED",
@@ -114,6 +111,7 @@ __all__ = [
     "JournalCorruptError",
     "JournalError",
     "JournalRecord",
+    "LoopbackResult",
     "MAX_FRAME",
     "PARKED",
     "PROTOCOL_VERSION",
@@ -139,19 +137,13 @@ __all__ = [
     "check_version",
     "decode_frame",
     "drive",
-    "drive_resilient",
     "encode_frame",
     "estimated_flow",
     "partition_instance",
     "percentile",
     "plan_for_instance",
     "read_frame",
-    "run_chaos_loopback",
-    "run_chaos_loopback_sync",
     "run_loopback",
-    "run_loopback_sync",
-    "run_sharded_loopback",
-    "run_sharded_loopback_sync",
     "serve",
     "shadow_golden_trace",
     "shadow_replay",

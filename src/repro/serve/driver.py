@@ -7,7 +7,10 @@ the wire at the workload's own Poisson pacing: request ``i`` is sent at
 wall offset ``release_i * time_scale`` whether or not earlier responses
 have arrived (open loop, so a saturated service sees the true arrival
 process, not one throttled by its own latency).  Responses are
-collected concurrently on the same connection.
+collected concurrently on the same connection.  Given a
+:class:`~repro.serve.resilient.ClientResilience` envelope, the same
+driver also survives a lossy transport (dedupe-keyed resends over
+reconnects); without one it is a single plain connection.
 
 Because the service decides placements from the *virtual* release
 stamps carried by the requests, a drive of the same workload (same
@@ -25,18 +28,23 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.task import Instance
+from ..core.task import Instance, Task
 from ..simulation.kvstore import KeyValueStore
 from ..simulation.workload import WorkloadSpec, generate_workload
 from ..obs.rollup import rollup_snapshots
-from .protocol import read_frame, task_to_wire, versioned, write_frame
+from .protocol import ProtocolError, read_frame, task_to_wire, versioned, write_frame
+from .resilient import ClientResilience, ResilienceExhausted
 
 __all__ = ["DriveReport", "build_drive_instance", "drive", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``values`` by nearest-rank on the
-    sorted data.
+    """The ``q``-quantile (0..1) of ``values``: the sorted value at
+    index ``round(q * (n - 1))``.
+
+    ``round`` is Python's round-half-to-even, so this is neither
+    nearest-rank nor interpolated: for ``n = 4`` and ``q = 0.5`` the
+    index is ``round(1.5) = 2``, the third value.
 
     Raises :class:`ValueError` on an empty sequence — a percentile of
     nothing is not 0, and silently reporting one hid empty-tail bugs.
@@ -235,62 +243,187 @@ async def drive(
     drain: bool = True,
     stats: bool = True,
     shutdown: bool = False,
+    resilience: ClientResilience | None = None,
+    dedupe_prefix: str = "drive",
 ) -> DriveReport:
     """Replay ``instance`` against a running service and report.
 
     Requests go out open-loop at ``release * time_scale`` wall offsets;
     after the last submit the driver (optionally) drains the service,
     pulls the final stats and (optionally) shuts the server down.
+
+    With ``resilience=None`` the drive uses one connection, sends plain
+    submits and raises if the connection is lost.  A
+    :class:`~repro.serve.resilient.ClientResilience` envelope makes it
+    survive a lossy transport: every submit carries the dedupe key
+    ``"{dedupe_prefix}:{tid}"`` and must be acked within
+    ``ack_timeout``; a timeout, dropped connection or corrupt frame
+    reconnects after backoff (held off by the circuit breaker) and
+    resends everything sent-but-unacked in tid order before fresh
+    sends, so the service first sees every submit in release order and
+    answers repeats from its dedupe cache.  Such a run acks every
+    submit exactly once or raises
+    :class:`~repro.serve.resilient.ResilienceExhausted`.
     """
     if (socket_path is None) == (host is None or port is None):
         raise ValueError("drive needs exactly one of socket_path or host+port")
     if time_scale <= 0:
         raise ValueError("time_scale must be > 0")
-    if socket_path is not None:
-        reader, writer = await asyncio.open_unix_connection(path=str(socket_path))
-    else:
-        reader, writer = await asyncio.open_connection(host=host, port=port)
+    # Plain mode catches nothing (a lost connection raises) and never
+    # records a failure, so its breaker never holds a connect off.
+    recoverable: tuple[type[BaseException], ...] = ()
+    ack_timeout = control_timeout = None
+    if resilience is not None:
+        recoverable = (ProtocolError, OSError, EOFError, asyncio.TimeoutError, TimeoutError)
+        ack_timeout = resilience.ack_timeout
+        control_timeout = max(10.0, 20 * resilience.ack_timeout)
+    breaker = (resilience or ClientResilience()).make_breaker()
     report = DriveReport(target_rate=target_rate)
     tasks = list(instance)
-    acks: list[dict[str, Any] | None] = []
-
-    async def collect() -> None:
-        for _ in range(len(tasks)):
-            acks.append(await read_frame(reader))
-
+    n = len(tasks)
+    acks: dict[int, dict[str, Any]] = {}
+    unacked: dict[int, Task] = {}  # sent but not yet acked, keyed by tid
+    n_unaddressed = 0  # plain mode: error frames that name no tid
+    next_i = 0  # index of the next fresh (never-sent) task
+    attempt = 0  # consecutive no-progress connection epochs
     loop = asyncio.get_running_loop()
-    collector = loop.create_task(collect())
-    try:
-        t0 = loop.time()
-        for task in tasks:
+    reader: asyncio.StreamReader | None = None
+    writer: asyncio.StreamWriter | None = None
+
+    async def connect() -> None:
+        nonlocal reader, writer
+        hold = breaker.holdoff(loop.time())
+        if hold > 0:
+            await asyncio.sleep(hold)
+        if socket_path is not None:
+            reader, writer = await asyncio.open_unix_connection(path=str(socket_path))
+        else:
+            reader, writer = await asyncio.open_connection(host=host, port=port)
+
+    async def teardown() -> None:
+        nonlocal reader, writer
+        if writer is not None:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, BrokenPipeError):  # pragma: no cover
+                pass
+        reader = writer = None
+
+    async def backoff(progress: bool, what: str) -> None:
+        nonlocal attempt
+        await teardown()
+        if progress:
+            attempt = 0
+            breaker.record_success()
+        else:
+            attempt += 1
+        breaker.record_failure(loop.time())
+        if attempt > resilience.retry.retries:
+            raise ResilienceExhausted(
+                f"{what} after {attempt} consecutive failed connection attempts"
+            )
+        report.n_reconnects += 1
+        await asyncio.sleep(resilience.retry.delay(dedupe_prefix, max(attempt, 1)))
+
+    def submit_frame(task: Task) -> dict[str, Any]:
+        message = {"op": "submit", **task_to_wire(task)}
+        if resilience is not None:
+            message["dedupe"] = f"{dedupe_prefix}:{task.tid}"
+        return versioned(message)
+
+    async def sender(t0: float) -> None:
+        nonlocal next_i
+        for tid in sorted(unacked):
+            await write_frame(writer, submit_frame(unacked[tid]))
+            report.n_retries += 1
+        while next_i < n:
+            task = tasks[next_i]
             delay = t0 + task.release * time_scale - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            await write_frame(writer, versioned({"op": "submit", **task_to_wire(task)}))
+            await write_frame(writer, submit_frame(task))
+            unacked[task.tid] = task
             report.n_sent += 1
-        await collector
+            next_i += 1
+
+    async def receiver() -> None:
+        nonlocal n_unaddressed
+        while len(acks) + n_unaddressed < n:
+            try:
+                message = await asyncio.wait_for(read_frame(reader), ack_timeout)
+            except asyncio.TimeoutError:
+                if unacked:
+                    raise
+                continue  # nothing in flight — keep listening
+            if message is None:
+                raise ConnectionResetError("server closed the connection")
+            tid = message.get("tid")
+            if tid is None:
+                if resilience is not None:
+                    # the server lost framing on our stream and is
+                    # about to drop the connection
+                    raise ProtocolError(str(message.get("error", "unaddressed error frame")))
+                n_unaddressed += 1  # tallied below as its task's error
+                continue
+            tid = int(tid)
+            if tid in acks:
+                report.n_dup_acks += 1
+                continue
+            acks[tid] = message
+            unacked.pop(tid, None)
+
+    async def request(message: dict[str, Any]) -> dict[str, Any]:
+        nonlocal attempt
+        while True:
+            try:
+                if writer is None:
+                    await connect()
+                await write_frame(writer, message)
+                response = await asyncio.wait_for(read_frame(reader), control_timeout)
+                if response is None:
+                    raise ConnectionResetError("server closed during control op")
+                attempt = 0
+                breaker.record_success()
+                return response
+            except recoverable:
+                await backoff(False, f"control op {message.get('op')!r} failed")
+
+    t0 = loop.time()
+    try:
+        while len(acks) + n_unaddressed < n:
+            acked_before = len(acks)
+            try:
+                await connect()
+                epoch = [loop.create_task(sender(t0)), loop.create_task(receiver())]
+                try:
+                    await asyncio.wait(epoch, return_when=asyncio.FIRST_EXCEPTION)
+                finally:
+                    for task in epoch:
+                        task.cancel()
+                    await asyncio.gather(*epoch, return_exceptions=True)
+                for task in epoch:
+                    if not task.cancelled() and task.exception() is not None:
+                        raise task.exception()
+            except recoverable:
+                await backoff(len(acks) > acked_before, f"{len(acks)}/{n} acked")
+            else:
+                attempt = 0
+                breaker.record_success()
         report.elapsed = loop.time() - t0
         if drain:
-            await write_frame(writer, {"op": "drain"})
-            await read_frame(reader)
+            await request({"op": "drain"})
         if stats:
-            await write_frame(writer, {"op": "stats"})
-            response = await read_frame(reader)
-            if response is not None and response.get("ok"):
+            response = await request({"op": "stats"})
+            if response.get("ok"):
                 report.server_stats = response.get("stats")
         if shutdown:
-            await write_frame(writer, {"op": "shutdown"})
-            await read_frame(reader)
+            await request({"op": "shutdown"})
     finally:
-        collector.cancel()
-        await asyncio.gather(collector, return_exceptions=True)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
+        await teardown()
 
-    for ack in acks:
+    for task in tasks:
+        ack = acks.get(task.tid)
         if ack is None or not ack.get("ok"):
             report.n_errors += 1
             continue
@@ -306,5 +439,4 @@ async def drive(
             report.shed_by_reason[reason] = report.shed_by_reason.get(reason, 0) + 1
         elif status == "parked":
             report.n_parked += 1
-    report.n_errors += report.n_sent - len(acks)
     return report

@@ -12,22 +12,19 @@ paper's own structure:
   shard by default, ``--shards N`` for a fleet): shard-local dispatch,
   shard-local admission, deterministic cross-shard failure handoff via
   the earliest-finish failure rule the engine shares
-  (:mod:`repro.core.failover`);
-* :mod:`~repro.serve.shard.bench` — one real server process per shard
-  with client-side routing (``repro bench-serve --shards N``).
+  (:mod:`repro.core.failover`).
+
+:func:`plan_for_instance` and :func:`partition_instance` (in
+:mod:`~repro.serve.shard.plan`) are the client-side routing of the
+multi-process harness, :func:`repro.serve.loopback.run_loopback` with
+``shards=N``.
 
 The asyncio frontend is :class:`repro.serve.frontend.ServeService` and
 the golden byte-identity checks (merged and per shard) live in
 :mod:`repro.serve.shadow`.
 """
 
-from .bench import (
-    partition_instance,
-    plan_for_instance,
-    run_sharded_loopback,
-    run_sharded_loopback_sync,
-)
-from .plan import Route, ShardPlan
+from .plan import Route, ShardPlan, partition_instance, plan_for_instance
 from .router import RoutedDecision, ShardRouter
 
 __all__ = [
@@ -37,6 +34,4 @@ __all__ = [
     "ShardRouter",
     "partition_instance",
     "plan_for_instance",
-    "run_sharded_loopback",
-    "run_sharded_loopback_sync",
 ]

@@ -31,9 +31,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ...core.task import Instance, Task
 from ...psets.sets import is_contiguous
 
-__all__ = ["Route", "ShardPlan"]
+__all__ = ["Route", "ShardPlan", "partition_instance", "plan_for_instance"]
 
 
 @dataclass(frozen=True)
@@ -297,3 +298,30 @@ class ShardPlan:
         for sid, (lo, hi) in enumerate(self.intervals):
             lines.append(f"  shard {sid}: machines {lo}..{hi} ({hi - lo + 1})")
         return "\n".join(lines)
+
+
+def plan_for_instance(instance: Instance, n_shards: int) -> ShardPlan:
+    """The plan a sharded run of ``instance`` should use: a disjoint
+    (zero cross-talk) cut of its processing-set family when one exists,
+    else an even interval cover (straddling sets routed by fragment)."""
+    if n_shards == 1:
+        return ShardPlan.single(instance.m)
+    try:
+        return ShardPlan.for_family(instance.processing_sets(), instance.m, n_shards)
+    except ValueError:
+        return ShardPlan.even(instance.m, n_shards)
+
+
+def partition_instance(instance: Instance, plan: ShardPlan) -> dict[int, Instance]:
+    """Client-side routing: split ``instance`` into per-shard
+    substreams, restricting straddling sets to their owner fragment
+    (exactly what the router does server-side).  Shards with no tasks
+    are omitted."""
+    per: dict[int, list[Task]] = {}
+    for task in instance:
+        route = plan.route(task.eligible(instance.m))
+        sub = task if route.is_local else task.restricted_to(route.owner_fragment)
+        per.setdefault(route.owner, []).append(sub)
+    return {
+        sid: Instance(m=instance.m, tasks=tuple(tasks)) for sid, tasks in sorted(per.items())
+    }

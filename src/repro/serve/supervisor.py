@@ -1,8 +1,9 @@
 """Shard supervision: detect a dead shard process, restart it, replay
 its journal, rejoin it to the fleet.
 
-The sharded tier (:mod:`repro.serve.shard.bench`) runs one server
-process per shard.  Without supervision a SIGKILL'd shard silently
+The multi-process loopback (:func:`repro.serve.loopback.run_loopback`
+with ``shards=N``) runs one server process per shard, and the
+supervisor is the one place those processes are started.  Without supervision a SIGKILL'd shard silently
 takes every queued and in-flight task of its interval with it — the
 infrastructure failure mode the paper's flow-time bounds never model
 and ``repro.faults`` (machine failures *inside* the simulation) does
@@ -37,14 +38,37 @@ import asyncio
 import multiprocessing
 import os
 import signal
+import socket
 import time
 from pathlib import Path
 from typing import Any, Callable
 
 from ..obs.recorders import MetricsRegistry
-from .shard.bench import _shard_server_main, _wait_for_socket
 
 __all__ = ["ShardSupervisor"]
+
+
+def _shard_server_main(config_kwargs: dict, socket_path: str) -> None:
+    """Entry point of one shard server process (spawn-safe)."""
+    from .frontend import ServeConfig, serve
+
+    asyncio.run(serve(ServeConfig(**config_kwargs), socket_path=socket_path))
+
+
+def _wait_for_socket(path: str, timeout: float = 15.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if Path(path).exists():
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(path)
+                return
+            except OSError:
+                pass
+            finally:
+                probe.close()
+        time.sleep(0.02)
+    raise TimeoutError(f"shard server socket {path} not accepting within {timeout}s")
 
 
 class ShardSupervisor:

@@ -93,3 +93,27 @@ class TestCommands:
 
         spec = importlib.util.find_spec("repro.__main__")
         assert spec is not None
+
+
+class TestBenchServeFlags:
+    """Chaos-only flags are refused without ``--chaos`` instead of being
+    silently ignored by a clean drive."""
+
+    BASE = ["bench-serve", "--m", "6", "--k", "2", "--strategy", "disjoint",
+            "--rate", "400", "--n", "12", "--proc", "0.005", "--seed", "42"]
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--shards", "3", "--kill-shard", "0"], "--kill-shard"),
+            (["--kill-shard", "0"], "--kill-shard"),
+            (["--shards", "3", "--recovery-out", "out.json"], "--recovery-out"),
+            (["--recovery-out", "out.json"], "--recovery-out"),
+            (["--chaos"], "--chaos"),
+        ],
+    )
+    def test_chaos_only_flag_needs_chaos(self, tmp_path, monkeypatch, extra, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=flag):
+            main(self.BASE + extra)
+        assert not (tmp_path / "out.json").exists()

@@ -16,7 +16,6 @@ from repro.serve import (
     build_drive_instance,
     build_service,
     run_loopback,
-    run_loopback_sync,
 )
 
 # Tiny virtual procs keep wall time per test well under a second.
@@ -30,12 +29,12 @@ def _fast_instance(**overrides):
 class TestLoopback:
     def test_clean_run_no_drops(self, tmp_path):
         metrics_path = tmp_path / "serve.metrics.json"
-        report = run_loopback_sync(
+        report = run_loopback(
             _fast_instance(),
             ServeConfig(m=FAST["m"]),
             target_rate=FAST["rate"],
             metrics_path=metrics_path,
-        )
+        ).report
         assert report.n_errors == 0
         assert report.n_acked == report.n_sent == FAST["n"]
         assert report.n_dispatched == FAST["n"]
@@ -52,7 +51,7 @@ class TestLoopback:
     def test_assignments_identical_across_runs(self):
         """The acceptance check: same seed, same placements, twice."""
         reports = [
-            run_loopback_sync(_fast_instance(), ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+            run_loopback(_fast_instance(), ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
             for _ in range(2)
         ]
         assert reports[0].assignments == reports[1].assignments
@@ -64,7 +63,7 @@ class TestLoopback:
         from repro.serve import shadow_replay
 
         inst = _fast_instance()
-        report = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        report = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
         dispatcher, _ = shadow_replay(inst, make_scheduler("eft-min", FAST["m"], seed=0))
         assert dict(report.assignments) == {
             tid: machine for tid, (machine, _) in dispatcher.placements.items()
@@ -72,22 +71,22 @@ class TestLoopback:
 
     def test_slo_shedding_reported(self):
         """An absurdly tight SLO sheds everything after the first wave."""
-        report = run_loopback_sync(
+        report = run_loopback(
             _fast_instance(),
             ServeConfig(m=FAST["m"], slo=0.004),  # == proc: zero queueing allowed
             target_rate=FAST["rate"],
-        )
+        ).report
         assert report.n_errors == 0
         assert report.n_shed > 0
         assert report.n_dispatched + report.n_shed == FAST["n"]
         assert set(report.shed_by_reason) == {"slo"}
 
     def test_kv_source(self):
-        report = run_loopback_sync(
+        report = run_loopback(
             _fast_instance(source="kv", n_keys=64),
             ServeConfig(m=FAST["m"]),
             target_rate=FAST["rate"],
-        )
+        ).report
         assert report.n_errors == 0
         assert report.n_dispatched == FAST["n"]
 
@@ -95,12 +94,12 @@ class TestLoopback:
         """A mid-run outage displaces work but loses nothing."""
         # Machine 1 down from virtual t=0.02 to well past the run's end.
         faults = FaultSchedule.build([(1, 0.02, 10.0)])
-        report = run_loopback_sync(
+        report = run_loopback(
             _fast_instance(n=60),
             ServeConfig(m=FAST["m"]),
             target_rate=FAST["rate"],
             faults=faults,
-        )
+        ).report
         assert report.n_errors == 0
         assert report.n_acked == report.n_sent == 60
         # No parked requests (k=2 sets always intersect the 3 alive

@@ -20,8 +20,8 @@ from repro.serve import (
     ServeConfig,
     build_drive_instance,
     build_service,
-    drive_resilient,
-    run_loopback_sync,
+    drive,
+    run_loopback,
 )
 
 FAST = dict(m=4, n=40, rate=400.0, k=2, proc=0.004, seed=42)
@@ -96,11 +96,11 @@ async def _serve_and_drive(tmp, chaos, instance, resilience=None, config=None):
         async with server, ChaosProxy(
             chaos, upstream_socket=upstream, listen_socket=listen
         ):
-            report = await drive_resilient(
+            report = await drive(
                 instance,
                 socket_path=listen,
                 target_rate=FAST["rate"],
-                resilience=resilience,
+                resilience=resilience if resilience is not None else ClientResilience(),
             )
             stats = service.stats()  # needs the running loop
     finally:
@@ -111,7 +111,7 @@ async def _serve_and_drive(tmp, chaos, instance, resilience=None, config=None):
 class TestResilientDrive:
     def test_clean_transport_matches_plain_driver(self, tmp_path):
         inst = _fast_instance()
-        baseline = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        baseline = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
         report, _ = asyncio.run(_serve_and_drive(tmp_path, ChaosConfig(), inst))
         assert report.n_acked == FAST["n"]
         assert report.n_errors == 0
@@ -123,7 +123,7 @@ class TestResilientDrive:
         """The satellite case: heavy at-least-once duplication on both
         directions, yet every task dispatches exactly once."""
         inst = _fast_instance()
-        baseline = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        baseline = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
         chaos = ChaosConfig(seed=13, p_duplicate=0.3)
         report, stats = asyncio.run(_serve_and_drive(tmp_path, chaos, inst))
         assert report.n_acked == FAST["n"]
@@ -138,7 +138,7 @@ class TestResilientDrive:
 
     def test_lossy_transport_recovers_same_digest(self, tmp_path):
         inst = _fast_instance()
-        baseline = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        baseline = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
         chaos = ChaosConfig(seed=5, p_drop=0.03, p_truncate=0.02, p_corrupt=0.03, p_duplicate=0.05)
         resilience = ClientResilience(ack_timeout=0.5, breaker_cooldown=0.05)
         report, _ = asyncio.run(_serve_and_drive(tmp_path, chaos, inst, resilience=resilience))
@@ -156,7 +156,7 @@ class TestResilientDrive:
         )
         with pytest.raises(ResilienceExhausted):
             asyncio.run(
-                drive_resilient(
+                drive(
                     inst,
                     socket_path=str(tmp_path / "nobody-home.sock"),
                     resilience=resilience,
@@ -165,4 +165,4 @@ class TestResilientDrive:
 
     def test_endpoint_arguments_validated(self):
         with pytest.raises(ValueError, match="exactly one"):
-            asyncio.run(drive_resilient(_fast_instance(n=1)))
+            asyncio.run(drive(_fast_instance(n=1), resilience=ClientResilience()))

@@ -24,7 +24,7 @@ from repro.serve import (
     build_service,
     drive,
     read_frame,
-    run_loopback_sync,
+    run_loopback,
     task_to_wire,
     write_frame,
 )
@@ -78,7 +78,7 @@ class TestShardedService:
 
         config = ServeConfig(**THREE, align_k=FAST["k"])
         report = asyncio.run(_with_service(config, go))
-        single = run_loopback_sync(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"])
+        single = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
         assert report.n_errors == 0
         assert report.n_acked == report.n_sent == FAST["n"]
         assert report.assignments_digest == single.assignments_digest

@@ -9,14 +9,14 @@ each case runs in a few seconds.
 
 import pytest
 
+from repro.chaos import ChaosConfig
 from repro.serve import (
-    ChaosBenchResult,
+    LoopbackResult,
     ServeConfig,
     ShardSupervisor,
     build_drive_instance,
-    run_chaos_loopback_sync,
+    run_loopback,
 )
-from repro.serve.shard.bench import run_sharded_loopback_sync
 
 FAST = dict(m=4, n=80, rate=400.0, k=2, strategy="disjoint", proc=0.004, seed=42)
 
@@ -81,18 +81,18 @@ class TestCrashRecoveryDigest:
         """Tentpole acceptance: SIGKILL a shard mid-drive; after journal
         replay the merged digest byte-matches the uninterrupted run."""
         inst = _fast_instance()
-        baseline = run_sharded_loopback_sync(
-            inst, n_shards=2, target_rate=FAST["rate"]
-        )
-        result = run_chaos_loopback_sync(
+        baseline = run_loopback(
+            inst, ServeConfig(m=FAST["m"]), shards=2, target_rate=FAST["rate"]
+        ).report
+        result = run_loopback(
             inst,
-            n_shards=2,
+            ServeConfig(m=FAST["m"], journal_fsync="never"),
+            shards=2,
             target_rate=FAST["rate"],
             kill_shard=0,
             kill_after=0.4,
-            journal_fsync="never",
         )
-        assert isinstance(result, ChaosBenchResult)
+        assert isinstance(result, LoopbackResult)
         assert result.lost == 0
         assert result.double_dispatched == 0
         assert result.killed_shards == [0]
@@ -102,11 +102,15 @@ class TestCrashRecoveryDigest:
 
     def test_no_kill_no_chaos_matches_plain_sharded_run(self, tmp_path):
         inst = _fast_instance()
-        baseline = run_sharded_loopback_sync(
-            inst, n_shards=2, target_rate=FAST["rate"]
-        )
-        result = run_chaos_loopback_sync(
-            inst, n_shards=2, target_rate=FAST["rate"], journal_fsync="never"
+        baseline = run_loopback(
+            inst, ServeConfig(m=FAST["m"]), shards=2, target_rate=FAST["rate"]
+        ).report
+        result = run_loopback(
+            inst,
+            ServeConfig(m=FAST["m"], journal_fsync="never"),
+            shards=2,
+            target_rate=FAST["rate"],
+            chaos=ChaosConfig(),
         )
         assert result.lost == 0
         assert result.double_dispatched == 0
