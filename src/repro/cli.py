@@ -353,22 +353,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chaos", action="store_true",
                    help="requires --shards: journalled shard servers restarted by the "
                    "supervisor, driven through seeded chaos proxies by resilient drives")
-    p.add_argument("--chaos-seed", type=int, default=0, help="chaos fault-stream seed")
-    p.add_argument("--chaos-drop", type=float, default=0.02,
-                   help="per-frame probability of dropping the connection")
-    p.add_argument("--chaos-truncate", type=float, default=0.01,
-                   help="per-frame probability of a partial write then close")
-    p.add_argument("--chaos-corrupt", type=float, default=0.02,
-                   help="per-frame probability of flipping one body byte")
-    p.add_argument("--chaos-duplicate", type=float, default=0.05,
-                   help="per-frame probability of delivering the frame twice")
-    p.add_argument("--chaos-latency", type=float, default=0.0,
-                   help="upper bound (s) of a uniform per-frame delay")
+    p.add_argument("--chaos-seed", type=int, default=None,
+                   help="requires --chaos: chaos fault-stream seed (default 0)")
+    p.add_argument("--chaos-drop", type=float, default=None,
+                   help="requires --chaos: per-frame probability of dropping the "
+                   "connection (default 0.02)")
+    p.add_argument("--chaos-truncate", type=float, default=None,
+                   help="requires --chaos: per-frame probability of a partial write "
+                   "then close (default 0.01)")
+    p.add_argument("--chaos-corrupt", type=float, default=None,
+                   help="requires --chaos: per-frame probability of flipping one body "
+                   "byte (default 0.02)")
+    p.add_argument("--chaos-duplicate", type=float, default=None,
+                   help="requires --chaos: per-frame probability of delivering the "
+                   "frame twice (default 0.05)")
+    p.add_argument("--chaos-latency", type=float, default=None,
+                   help="requires --chaos: upper bound (s) of a uniform per-frame "
+                   "delay (default 0)")
     p.add_argument("--kill-shard", type=int, default=None, metavar="SID",
                    help="requires --chaos: SIGKILL this shard's server mid-drive and let "
                    "the supervisor recover it from its journal")
-    p.add_argument("--kill-after", type=float, default=0.5, metavar="FRAC",
-                   help="when to kill, as a fraction of the workload's release span")
+    p.add_argument("--kill-after", type=float, default=None, metavar="FRAC",
+                   help="requires --chaos: when to kill, as a fraction of the "
+                   "workload's release span (default 0.5)")
     p.add_argument("--recovery-out", default=None, metavar="PATH",
                    help="requires --chaos: write recovery-time + fault stats JSON here")
 
@@ -720,8 +727,11 @@ def _run_vec_check(args) -> str | tuple[str, int]:
     gate.  Regenerates every golden fixture through
     ``Simulator(backend=...)`` and compares the serialised trace
     byte-for-byte against the checked-in file; any drift (including a
-    broken silent fallback for the EFT-Rand golden) exits non-zero."""
+    broken silent fallback for the EFT-Rand golden) exits non-zero.
+    Two fresh-workload lines follow: the engine's backends agree, and
+    ``eft_schedule`` takes the array path to the reference placements."""
     from .campaigns import goldens as goldens_mod
+    from .core import EFT, VecSchedule, eft_schedule
     from .simulation import Simulator
     from .simulation.workload import WorkloadSpec, generate_workload
 
@@ -748,8 +758,6 @@ def _run_vec_check(args) -> str | tuple[str, int]:
     inst = generate_workload(spec, rng=42)
     results = {}
     for backend in ("reference", args.backend):
-        from .core import EFT
-
         sim = Simulator(EFT(10, tiebreak="min"), backend=backend)
         sim.add_instance(inst)
         results[backend] = sim.run()
@@ -765,7 +773,23 @@ def _run_vec_check(args) -> str | tuple[str, int]:
         f"  {'fresh-workload parity':<22} {'ok' if parity else 'FAIL'}   "
         f"(m=10, n=600, bit-exact fields)"
     )
-    lines.append(f"{len(names) + 1 - failed}/{len(names) + 1} checks passed")
+    # The front door: eft_schedule must decide Min on the array engine,
+    # placement for placement what the reference EFT.run decides.
+    front = eft_schedule(inst, "min")
+    reference = EFT(10, "min").run(inst)
+    door = (
+        isinstance(front, VecSchedule)
+        and front.same_placements(reference, tol=0.0)
+        and front.max_flow == reference.max_flow
+        and front.mean_flow == reference.mean_flow
+    )
+    if not door:
+        failed += 1
+    lines.append(
+        f"  {'eft_schedule parity':<22} {'ok' if door else 'FAIL'}   "
+        f"(array path == EFT(10, 'min').run, bit-exact)"
+    )
+    lines.append(f"{len(names) + 2 - failed}/{len(names) + 2} checks passed")
     return ("\n".join(lines), 0 if failed == 0 else 1)
 
 
@@ -981,11 +1005,28 @@ def _run_drive(args) -> str:
     return report.to_text()
 
 
+#: bench-serve flags that only mean something under ``--chaos``: flag,
+#: argparse dest and the value ``--chaos`` runs with when it is not given.
+_CHAOS_ONLY = (
+    ("--chaos-seed", "chaos_seed", 0),
+    ("--chaos-drop", "chaos_drop", 0.02),
+    ("--chaos-truncate", "chaos_truncate", 0.01),
+    ("--chaos-corrupt", "chaos_corrupt", 0.02),
+    ("--chaos-duplicate", "chaos_duplicate", 0.05),
+    ("--chaos-latency", "chaos_latency", 0.0),
+    ("--kill-shard", "kill_shard", None),
+    ("--kill-after", "kill_after", 0.5),
+    ("--recovery-out", "recovery_out", None),
+)
+
+
 def _run_bench_serve(args) -> str:
     if args.chaos and args.shards is None:
         raise SystemExit("bench-serve --chaos requires --shards")
-    for flag, value in (("--kill-shard", args.kill_shard), ("--recovery-out", args.recovery_out)):
-        if value is not None and not args.chaos:
+    for flag, attr, default in _CHAOS_ONLY:
+        if getattr(args, attr) is None:
+            setattr(args, attr, default)
+        elif not args.chaos:
             raise SystemExit(f"bench-serve {flag} requires --chaos")
     if args.shards is not None and (
         args.slo is not None or args.max_queue is not None or args.faults or args.metrics

@@ -1,13 +1,5 @@
 """Core scheduling model: tasks, schedules, EFT/FIFO and baselines."""
 
-from .arrayeft import (
-    array_eft_fmax,
-    array_eft_schedule,
-    clear_set_cache,
-    fast_eft_fmax,
-    fast_eft_schedule,
-    set_cache_info,
-)
 from .baselines import LeastWorkAssign, RandomAssign, RoundRobinAssign
 from .composition import ComposedDisjointScheduler
 from .dispatch import DispatchRecord, ImmediateDispatchScheduler, run_online
@@ -18,7 +10,7 @@ from .metrics import ScheduleStats, flow_percentiles, summarize, waiting_profile
 from .nonclairvoyant import C3Like, LeastOutstanding
 from .schedule import Assignment, Schedule, ScheduleError
 from .task import Instance, Task
-from .vecengine import VecRun, VecSchedule, VecUnsupported
+from .vecengine import VecSchedule, VecUnsupported, clear_set_cache, set_cache_info
 from .tiebreak import (
     FunctionTieBreak,
     LeastLoadedFirst,
@@ -34,8 +26,6 @@ __all__ = [
     "C3Like",
     "ComposedDisjointScheduler",
     "DispatchRecord",
-    "array_eft_fmax",
-    "array_eft_schedule",
     "EFT",
     "FIFO",
     "FunctionTieBreak",
@@ -55,13 +45,10 @@ __all__ = [
     "ScheduleStats",
     "Task",
     "TieBreak",
-    "VecRun",
     "VecSchedule",
     "VecUnsupported",
     "clear_set_cache",
     "eft_schedule",
-    "fast_eft_fmax",
-    "fast_eft_schedule",
     "fifo_schedule",
     "flow_percentiles",
     "get_tiebreak",

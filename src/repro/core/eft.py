@@ -34,6 +34,13 @@ from .dispatch import ImmediateDispatchScheduler
 from .schedule import Schedule
 from .task import Instance, Task
 from .tiebreak import TieBreak, get_tiebreak
+from .vecengine import (
+    VecSchedule,
+    VecUnsupported,
+    array_prefer_max,
+    eft_decide,
+    lower_eligibility,
+)
 
 __all__ = ["EFT", "eft_schedule"]
 
@@ -83,6 +90,30 @@ def eft_schedule(
 ) -> Schedule:
     """Schedule ``instance`` with EFT and return the schedule.
 
-    One-shot convenience over :class:`EFT`.
+    Plain Min/Max tie-breaks decide on the array engine (the same rule
+    ``Simulator(backend="auto")`` applies) and return a lazy
+    :class:`~repro.core.vecengine.VecSchedule`, decision-identical to
+    the reference; every other tie-break runs ``EFT(m, tiebreak,
+    rng).run(instance)``.
     """
-    return EFT(instance.m, tiebreak=tiebreak, rng=rng).run(instance)
+    tb = get_tiebreak(tiebreak, rng)
+    prefer_max = array_prefer_max(tb)
+    if prefer_max is not None:
+        tasks = instance.tasks
+        try:
+            elig = lower_eligibility(instance.m, tasks)
+        except VecUnsupported:
+            pass
+        else:
+            rel = [t.release for t in tasks]
+            proc = [t.proc for t in tasks]
+            machines, starts, _ = eft_decide(instance.m, rel, proc, elig, prefer_max)
+            # Decisions come in instance order, so the rows need no tids.
+            return VecSchedule(
+                instance,
+                machines,
+                starts,
+                releases=np.asarray(rel, dtype=np.float64),
+                procs=np.asarray(proc, dtype=np.float64),
+            )
+    return EFT(instance.m, tiebreak=tb).run(instance)

@@ -69,6 +69,14 @@ class _OutstandingTracker(ImmediateDispatchScheduler):
         heappush(self._inflight, (completion, machine))
         self._counts[machine] += 1
 
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """Record the placement as in flight for its :meth:`service`
+        time.  The books move here, not in ``choose``, so a re-placement
+        counts where the task actually runs."""
+        dur = self.service(task, machine)
+        self._record_dispatch(machine, start + dur)
+        return dur
+
     def state_dict(self) -> dict[str, Any]:
         return {"inflight": sorted(self._inflight)}
 
@@ -90,8 +98,6 @@ class LeastOutstanding(_OutstandingTracker):
         eligible = sorted(task.eligible(self.m))
         counts = self._retire(task.release)
         machine = min(eligible, key=lambda j: (counts[j], j))
-        start = max(task.release, self.completions[machine])
-        self._record_dispatch(machine, start + task.proc)
         return machine, frozenset(eligible)
 
 
@@ -130,11 +136,14 @@ class C3Like(_OutstandingTracker):
         machine = min(
             eligible, key=lambda j: ((1 + counts[j]) ** 3 * self.ewma[j], j)
         )
-        start = max(now, self.completions[machine])
-        completion = start + task.proc
-        self._record_dispatch(machine, completion)
-        heappush(self._pending_feedback, (completion, machine, task.proc))
         return machine, frozenset(eligible)
+
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """The base record, plus the service observation fed back to
+        the EWMA once the task completes."""
+        dur = super().charge(task, machine, start)
+        heappush(self._pending_feedback, (start + dur, machine, dur))
+        return dur
 
     def state_dict(self) -> dict[str, Any]:
         feedback = sorted(self._pending_feedback)

@@ -1,36 +1,29 @@
 """Vectorized batched simulation core — the engine behind
-``Simulator(backend="array")`` and the ``fast_eft_*`` entry points.
+``Simulator(backend="array")`` and the array path of
+:func:`~repro.core.eft.eft_schedule`.
 
 The reference :class:`~repro.simulation.engine.Simulator` is an
 object-per-event loop: three heap events per task, a ``DispatchRecord``
 per decision and dict state everywhere.  Profiling the Figure 9–11
 campaigns shows the bookkeeping — not the decision rule — dominating.
 This module re-implements the *identical* EFT semantics (Equation (2)
-with the deterministic Min/Max tie-breaks) on flat ``float64`` arrays:
+with the deterministic Min/Max tie-breaks) on flat arrays:
 
-* the workload is lowered once into a structured array
-  (:data:`TASK_DTYPE`) plus per-distinct-processing-set eligibility
-  tuples, cached process-wide in an LRU
+* processing sets are lowered to sorted eligibility tuples once per
+  distinct set, cached process-wide in an LRU
   (:func:`lower_processing_set`) so campaign loops re-solving the same
   replica sets never re-lower them;
 * the inherently sequential decision recurrence runs as one tight pass
   over pre-lowered scalars (no per-task numpy dispatch, no record
   objects), bit-identical to the reference arithmetic — including the
   ``max()`` argument-order conventions, so even signed zeros match;
-* everything *around* the recurrence — flows, completion masks at a
-  cutoff, per-machine busy time, queue depths and waiting-work
-  profiles at observation instants — is derived in batched numpy
-  passes (:class:`VecRun`);
 * schedules materialise lazily: :class:`VecSchedule` is a
   :class:`~repro.core.schedule.Schedule` backed by the flat arrays
   that only builds per-task :class:`Assignment` objects when a caller
   actually asks for them.
 
-Batched observation semantics follow the engine's pinned same-instant
-event order (COMPLETE < RELEASE < OBSERVE): a query at time ``t`` sees
-completions at exactly ``t`` applied, releases at exactly ``t``
-dispatched and same-instant starts begun — the settled state of the
-instant, exactly what a ``sim.at(t, ...)`` callback observes.
+:func:`array_prefer_max` is the one rule for which tie-breaks the
+engine can express; the simulator and ``eft_schedule`` both ask it.
 
 Byte-identity with the reference engine is the regression oracle
 (``tests/simulation/test_vec_backend.py`` replays every golden fixture
@@ -40,7 +33,6 @@ through the array backend); the speedup is tracked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -48,12 +40,12 @@ import numpy as np
 
 from .schedule import Assignment, Schedule
 from .task import Instance, Task
+from .tiebreak import MaxIndex, MinIndex
 
 __all__ = [
-    "TASK_DTYPE",
     "VecUnsupported",
-    "VecRun",
     "VecSchedule",
+    "array_prefer_max",
     "clear_set_cache",
     "eft_decide",
     "lower_eligibility",
@@ -61,15 +53,22 @@ __all__ = [
     "set_cache_info",
 ]
 
-#: Structured per-task layout of a lowered workload: release and
-#: processing times as flat ``float64`` columns plus the id of the
-#: task's distinct processing set (index into the lowered-set table).
-TASK_DTYPE = np.dtype([("release", "f8"), ("proc", "f8"), ("set", "i8")])
-
-
 class VecUnsupported(Exception):
     """The configuration cannot be expressed on the array fast path
     (the caller must fall back to the reference implementation)."""
+
+
+def array_prefer_max(tiebreak: object) -> bool | None:
+    """Whether the array engine scans from the highest index
+    (``MaxIndex``) or the lowest (``MinIndex``); ``None`` when it
+    cannot express ``tiebreak`` at all.  Subclasses don't qualify —
+    they may override the choice."""
+    kind = type(tiebreak)
+    if kind is MinIndex:
+        return False
+    if kind is MaxIndex:
+        return True
+    return None
 
 
 @lru_cache(maxsize=65536)
@@ -104,24 +103,6 @@ def lower_eligibility(m: int, tasks: Sequence[Task]) -> list[tuple[int, ...]]:
     """Pre-lowered sorted eligibility tuple per task (cache-shared)."""
     lower = lower_processing_set
     return [lower(m, t.machines) for t in tasks]
-
-
-def lower_tasks(m: int, tasks: Sequence[Task]) -> np.ndarray:
-    """Lower ``tasks`` into one :data:`TASK_DTYPE` structured array.
-
-    The ``set`` column indexes the distinct lowered sets in first-seen
-    order; use :func:`lower_eligibility` when per-task tuples are all
-    that is needed.
-    """
-    out = np.empty(len(tasks), dtype=TASK_DTYPE)
-    ids: dict[frozenset[int] | None, int] = {}
-    for i, t in enumerate(tasks):
-        sid = ids.get(t.machines)
-        if sid is None:
-            lower_processing_set(m, t.machines)  # validates + warms cache
-            sid = ids.setdefault(t.machines, len(ids))
-        out[i] = (t.release, t.proc, sid)
-    return out
 
 
 def eft_decide(
@@ -200,9 +181,10 @@ class VecSchedule(Schedule):
     per-task :class:`Assignment` objects only exist once something
     asks for them; the objective and the bulk accessors come straight
     off the arrays.  ``machines``/``starts`` are in *decision order*
-    with ``tids`` carrying the task ids of each row; rows coincide
-    with instance order whenever the workload was fed release-sorted
-    (the common case), and the lazy tid mapping covers the rest.
+    with ``tids`` carrying the task ids of each row; ``tids=None``
+    says the rows already are in instance order.  ``releases`` and
+    ``procs`` (instance order) spare re-reading them from the tasks
+    when the caller holds them as arrays.
     """
 
     def __init__(
@@ -210,59 +192,79 @@ class VecSchedule(Schedule):
         instance: Instance,
         machines: np.ndarray,
         starts: np.ndarray,
-        tids: np.ndarray,
+        tids: np.ndarray | None = None,
+        releases: np.ndarray | None = None,
+        procs: np.ndarray | None = None,
     ) -> None:
         self.instance = instance
-        if not (len(machines) == len(starts) == len(tids) == len(instance.tasks)):
+        n = len(instance.tasks)
+        if not (len(machines) == len(starts) == n and (tids is None or len(tids) == n)):
             raise ValueError("placement arrays must cover the instance exactly")
         self._mach = np.asarray(machines, dtype=np.int64)
         self._start = np.asarray(starts, dtype=np.float64)
-        self._tids = np.asarray(tids, dtype=np.int64)
+        self._tids = None if tids is None else np.asarray(tids, dtype=np.int64)
+        if releases is not None:
+            self._releases = releases
+        if procs is not None:
+            self._procs = procs
 
     # -- lazy materialisation ---------------------------------------------
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """Row index of each instance task (instance order)."""
+    def _rows(self) -> np.ndarray | slice:
+        """Row index of each instance task (instance order); the full
+        slice when the rows already are in instance order."""
+        if self._tids is None:
+            return slice(None)
         inst_tids = np.fromiter(
             (t.tid for t in self.instance.tasks), dtype=np.int64, count=len(self._tids)
         )
         if np.array_equal(inst_tids, self._tids):
-            return np.arange(len(self._tids))
+            return slice(None)
         row_of = {int(tid): i for i, tid in enumerate(self._tids)}
         return np.fromiter(
             (row_of[int(tid)] for tid in inst_tids), dtype=np.int64, count=len(inst_tids)
         )
 
     @cached_property
+    def _releases(self) -> np.ndarray:
+        return np.fromiter(
+            (t.release for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
+        )
+
+    @cached_property
+    def _procs(self) -> np.ndarray:
+        return np.fromiter(
+            (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
+        )
+
+    @cached_property
     def _assignments(self) -> dict[int, Assignment]:
-        rows = self._rows
-        mach = self._mach
-        start = self._start
+        mach = self.machines_array().tolist()
+        start = self.starts_array().tolist()
         return {
-            t.tid: Assignment(task=t, machine=int(mach[rows[i]]), start=float(start[rows[i]]))
+            t.tid: Assignment(task=t, machine=mach[i], start=start[i])
             for i, t in enumerate(self.instance.tasks)
         }
 
     # -- array accessors ----------------------------------------------------
     def machines_array(self) -> np.ndarray:
-        """Machine of every task, in instance order."""
-        return self._mach[self._rows]
+        """Machine of every task, in instance order (read-only)."""
+        return self._in_order(self._mach)
 
     def starts_array(self) -> np.ndarray:
-        """Start time of every task, in instance order."""
-        return self._start[self._rows]
+        """Start time of every task, in instance order (read-only)."""
+        return self._in_order(self._start)
+
+    def _in_order(self, rows: np.ndarray) -> np.ndarray:
+        # Identity rows give a view of the placement arrays themselves.
+        out = rows[self._rows]
+        out.flags.writeable = False
+        return out
 
     def _flow_array(self) -> np.ndarray:
         # ((start + proc) - release) elementwise: the exact association
         # of Assignment.flow, so the bits match the dict-based path.
-        rel = np.fromiter(
-            (t.release for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-        )
-        proc = np.fromiter(
-            (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-        )
-        starts = self.starts_array()
-        return (starts + proc) - rel
+        return (self.starts_array() + self._procs) - self._releases
 
     # -- vectorized overrides ----------------------------------------------
     def __len__(self) -> int:
@@ -284,177 +286,11 @@ class VecSchedule(Schedule):
     def makespan(self) -> float:
         if not len(self._mach):
             return 0.0
-        proc = np.fromiter(
-            (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-        )
-        return float((self.starts_array() + proc).max())
+        return float((self.starts_array() + self._procs).max())
 
     def flows(self) -> np.ndarray:
         return self._flow_array()
 
     def machine_loads(self) -> np.ndarray:
-        loads = np.bincount(
-            self.machines_array() - 1,
-            weights=np.fromiter(
-                (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-            ),
-            minlength=self.m,
-        )
+        loads = np.bincount(self.machines_array() - 1, weights=self._procs, minlength=self.m)
         return loads[: self.m]
-
-
-@dataclass(frozen=True)
-class VecRun:
-    """A completed vectorized run: placements plus batched queries.
-
-    All arrays are in decision (release) order.  The observation
-    queries implement the engine's pinned same-instant semantics: at
-    time ``t``, completions at exactly ``t`` have freed their
-    machines, releases at exactly ``t`` have been dispatched and
-    same-instant starts have begun — what an OBSERVE callback sees.
-    """
-
-    m: int
-    tasks: tuple[Task, ...]
-    releases: np.ndarray
-    procs: np.ndarray
-    machines: np.ndarray
-    starts: np.ndarray
-    #: per-machine completion-time vector after the last dispatch
-    #: (index 0 unused) — the analytic scheduler state.
-    final_completions: np.ndarray
-
-    @classmethod
-    def from_instance(
-        cls, instance: Instance, tiebreak: str = "min"
-    ) -> "VecRun":
-        """Decide the whole instance on the fast path.
-
-        Raises :class:`VecUnsupported` for tie-breaks other than the
-        deterministic ``min``/``max`` pair.
-        """
-        if tiebreak not in ("min", "max"):
-            raise VecUnsupported(
-                f"array engine supports 'min'/'max' tie-breaks, not {tiebreak!r}"
-            )
-        tasks = instance.tasks
-        elig = lower_eligibility(instance.m, tasks)
-        rel = [t.release for t in tasks]
-        proc = [t.proc for t in tasks]
-        mach, starts, comp = eft_decide(
-            instance.m, rel, proc, elig, prefer_max=(tiebreak == "max")
-        )
-        return cls(
-            m=instance.m,
-            tasks=tasks,
-            releases=np.asarray(rel, dtype=np.float64),
-            procs=np.asarray(proc, dtype=np.float64),
-            machines=np.asarray(mach, dtype=np.int64),
-            starts=np.asarray(starts, dtype=np.float64),
-            final_completions=np.asarray(comp, dtype=np.float64),
-        )
-
-    # -- derived arrays -----------------------------------------------------
-    @property
-    def n(self) -> int:
-        return len(self.machines)
-
-    @cached_property
-    def completions(self) -> np.ndarray:
-        """Per-task completion times (``start + proc`` elementwise)."""
-        return self.starts + self.procs
-
-    @cached_property
-    def flow_times(self) -> np.ndarray:
-        """Per-task flow times, reference association ``(C_i) - r_i``."""
-        return self.completions - self.releases
-
-    def fmax(self) -> float:
-        """The objective :math:`F_{max}`."""
-        return float(self.flow_times.max()) if self.n else 0.0
-
-    def schedule(self, instance: Instance) -> VecSchedule:
-        """The run as a lazily materialising :class:`VecSchedule`."""
-        tids = np.fromiter((t.tid for t in self.tasks), dtype=np.int64, count=self.n)
-        return VecSchedule(instance, self.machines, self.starts, tids)
-
-    # -- batched truncation masks ------------------------------------------
-    def released_by(self, t: float) -> np.ndarray:
-        """Mask of tasks released at or before ``t``."""
-        return self.releases <= t
-
-    def started_by(self, t: float) -> np.ndarray:
-        """Mask of tasks started at or before ``t`` (pinned order: a
-        start at exactly ``t`` has happened)."""
-        return self.starts <= t
-
-    def completed_by(self, t: float) -> np.ndarray:
-        """Mask of tasks completed at or before ``t``."""
-        return self.completions <= t
-
-    def busy_time_by_machine(self, t: float) -> np.ndarray:
-        """Work *performed* by ``t`` per machine (index 0 unused):
-        completed tasks in full, the in-flight task pro-rated from its
-        start — the engine's truncation-honest busy accounting."""
-        done = self.completed_by(t)
-        busy = np.bincount(
-            self.machines, weights=np.where(done, self.procs, 0.0), minlength=self.m + 1
-        )
-        running = self.started_by(t) & ~done
-        if running.any():
-            busy += np.bincount(
-                self.machines[running],
-                weights=t - self.starts[running],
-                minlength=self.m + 1,
-            )
-        return busy[: self.m + 1]
-
-    # -- batched observation ------------------------------------------------
-    @cached_property
-    def _by_machine(self) -> dict[int, np.ndarray]:
-        """Row indices per machine, in dispatch order."""
-        order = np.argsort(self.machines, kind="stable")
-        groups: dict[int, np.ndarray] = {}
-        if not self.n:
-            return {j: np.empty(0, dtype=np.int64) for j in range(1, self.m + 1)}
-        bounds = np.searchsorted(self.machines[order], np.arange(1, self.m + 2))
-        for j in range(1, self.m + 1):
-            groups[j] = order[bounds[j - 1] : bounds[j]]
-        return groups
-
-    def waiting_profile_at(self, times: Sequence[float]) -> np.ndarray:
-        """Waiting work :math:`w_t(j)` for every machine at each
-        observation instant — shape ``(len(times), m)``, machine
-        :math:`M_j` in column ``j - 1``.
-
-        One batched pass per machine: releases and post-dispatch
-        completion times are nondecreasing along a machine's dispatch
-        order, so a ``searchsorted`` finds the last task dispatched by
-        each instant and the profile is ``max(0, C_j(t) - t)``.
-        """
-        ts = np.asarray(times, dtype=np.float64)
-        out = np.zeros((len(ts), self.m))
-        for j, rows in self._by_machine.items():
-            if not len(rows):
-                continue
-            rel_j = self.releases[rows]
-            comp_j = self.completions[rows]
-            idx = np.searchsorted(rel_j, ts, side="right")
-            have = idx > 0
-            c_at = np.where(have, comp_j[np.maximum(idx - 1, 0)], 0.0)
-            out[:, j - 1] = np.maximum(0.0, c_at - ts)
-        return out
-
-    def queue_depths_at(self, times: Sequence[float]) -> np.ndarray:
-        """Released-but-unstarted tasks per machine at each instant —
-        shape ``(len(times), m)`` (the engine's run-queue length; the
-        in-service task is not queued)."""
-        ts = np.asarray(times, dtype=np.float64)
-        out = np.zeros((len(ts), self.m), dtype=np.int64)
-        for j, rows in self._by_machine.items():
-            if not len(rows):
-                continue
-            released = np.searchsorted(self.releases[rows], ts, side="right")
-            started = np.searchsorted(self.starts[rows], ts, side="right")
-            out[:, j - 1] = released - started
-        return out

@@ -25,7 +25,7 @@ import numpy as np
 from ..campaigns.cache import ResultCache
 from ..campaigns.runner import run_campaign
 from ..campaigns.spec import CampaignSpec, Unit
-from ..core.arrayeft import fast_eft_fmax
+from ..core.eft import eft_schedule
 from ..maxload.lp import max_load_lp
 from ..obs.recorders import MetricsRegistry, linear_edges
 from ..simulation.popularity import MachinePopularity, shuffled_case, uniform_case, worst_case
@@ -160,7 +160,7 @@ def measure_unit(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
             rng=np.random.default_rng(seed + 1000 * rep + load),
             popularity=pop,
         )
-        runs.append(fast_eft_fmax(inst, tiebreak=str(params["heuristic"])))
+        runs.append(eft_schedule(inst, tiebreak=str(params["heuristic"])).max_flow)
     return {"fmax_runs": [float(f) for f in runs]}
 
 

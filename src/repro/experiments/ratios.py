@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.arrayeft import fast_eft_fmax
+from ..core.eft import eft_schedule
 from ..core.task import Instance
 from ..offline.unit_opt import optimal_unit_fmax
 from ..psets.replication import get_strategy
@@ -79,7 +79,7 @@ def study(
     ratios = []
     for _ in range(trials):
         inst = random_structured_instance(m, k, n, strategy, rng)
-        eft_val = fast_eft_fmax(inst, tiebreak=tiebreak)
+        eft_val = eft_schedule(inst, tiebreak=tiebreak).max_flow
         opt_val = optimal_unit_fmax(inst)
         ratios.append(eft_val / opt_val)
     return RatioStudy(strategy=strategy, m=m, k=k, trials=trials, ratios=np.array(ratios))

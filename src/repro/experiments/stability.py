@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.arrayeft import fast_eft_fmax
+from ..core.eft import eft_schedule
 from ..maxload.lp import max_load_lp
 from ..simulation.popularity import MachinePopularity, worst_case
 from ..simulation.workload import WorkloadSpec, generate_workload
@@ -67,7 +67,7 @@ def run(
                 inst = generate_workload(
                     spec, rng=np.random.default_rng(rng_seed + rep), popularity=pop
                 )
-                vals.append(fast_eft_fmax(inst, tiebreak="min"))
+                vals.append(eft_schedule(inst, tiebreak="min").max_flow)
             medians.append(float(np.median(vals)))
         table.add_row(
             label,

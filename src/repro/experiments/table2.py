@@ -26,8 +26,7 @@ from ..adversaries import (
     IntervalTwoAdversary,
     NestedAdversary,
 )
-from ..core.arrayeft import fast_eft_fmax
-from ..core.eft import EFT
+from ..core.eft import EFT, eft_schedule
 from ..core.task import Instance
 from ..offline.unit_opt import optimal_unit_fmax
 from ..psets.replication import DisjointIntervals
@@ -48,7 +47,7 @@ def disjoint_empirical_ratio(
     homes = gen.integers(1, m + 1, size=n)
     machine_sets = [strat.replicas(int(h)) for h in homes]
     inst = Instance.build(m, releases=releases, procs=1.0, machine_sets=machine_sets)
-    eft_val = fast_eft_fmax(inst, tiebreak="min")
+    eft_val = eft_schedule(inst, tiebreak="min").max_flow
     opt_val = optimal_unit_fmax(inst)
     return eft_val / opt_val
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.arrayeft import fast_eft_schedule
+from ..core.eft import eft_schedule
 from ..core.metrics import flow_percentiles
 from ..core.nonclairvoyant import C3Like, LeastOutstanding
 from ..simulation.popularity import MachinePopularity, shuffled_case
@@ -26,7 +26,7 @@ _QS = (50.0, 95.0, 99.0, 100.0)
 
 def _percentiles_for(policy: str, inst, m: int) -> dict[float, float]:
     if policy == "EFT-Min":
-        sched = fast_eft_schedule(inst, tiebreak="min")
+        sched = eft_schedule(inst, tiebreak="min")
     elif policy == "LOR":
         sched = LeastOutstanding(m).run(inst)
     elif policy == "C3":

@@ -26,8 +26,8 @@ hierarchy.
   the two failure modes are complementary, which is why Double-Fit
   interleaves them).
 
-With identical speeds, Greedy coincides with EFT-Min — property-tested
-in ``tests/related/test_schedulers.py``.
+With identical speeds, Greedy coincides with EFT-Min, faulted runs
+included — property-tested in ``tests/related/test_schedulers.py``.
 """
 
 from __future__ import annotations
@@ -57,10 +57,15 @@ class _RelatedBase(ImmediateDispatchScheduler):
 
 
 class GreedyRelated(_RelatedBase):
-    """Greedy / EFT on related machines: earliest finish time wins
-    (ties: faster machine, then lower index)."""
+    """Greedy / EFT on related machines — the zoo's Speed-EFT: earliest
+    finish time wins (ties: faster machine, then lower index).
 
-    name = "Greedy(Q)"
+    The ``speed-eft`` registry entry runs it on a two-tier fleet, a
+    quarter of the machines (at least one) at 4x: the smallest
+    configuration where speed-awareness visibly beats speed-blind EFT.
+    """
+
+    name = "Speed-EFT"
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         speed, work = self.cluster.speed, self.cluster.exec_time

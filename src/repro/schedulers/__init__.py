@@ -13,8 +13,8 @@ three policies beyond the paper's EFT family:
 * :class:`~repro.schedulers.ncsetup.NCSetup` — non-clairvoyant
   dispatch with per-machine setup times modelling replica cache warmup
   (Mäcker et al.);
-* :class:`~repro.schedulers.speedeft.SpeedEFT` — speed-aware EFT on
-  related machines (Bansal & Cloostermans / Bansal & Kulkarni).
+* Speed-EFT — :class:`~repro.related.GreedyRelated`, speed-aware EFT
+  on related machines (Bansal & Cloostermans / Bansal & Kulkarni).
 
 ``repro compare-schedulers`` runs the zoo head-to-head on shared
 seeded workloads (:mod:`~repro.schedulers.compare`), and
@@ -26,7 +26,6 @@ from .compare import CompareConfig, compare_cell, render_table, run_compare
 from .contract import PolicyInfo, check_policy, policy_info
 from .ncsetup import NCSetup
 from .registry import canonical_name, get_scheduler, list_schedulers, register
-from .speedeft import SpeedEFT
 from .srpt import SRPTPS
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "NCSetup",
     "PolicyInfo",
     "SRPTPS",
-    "SpeedEFT",
     "canonical_name",
     "check_policy",
     "compare_cell",

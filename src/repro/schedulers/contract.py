@@ -15,7 +15,8 @@ Required surface (provided or overridden on the base class)
     The placement decision.  ``machine`` must be in ``task.eligible(m)``
     (the driver enforces it); ``tie_set`` is the reported candidate set
     (EFT's :math:`U'_i` of Equation (2); baselines report the full
-    eligible set).
+    eligible set).  ``choose`` moves no books: a failure re-placement
+    never calls it, so whatever a placement commits goes in ``charge``.
 
 ``service(task, machine) -> float`` / ``charge(task, machine, start) -> float``
     ``service`` is the task's service time on ``machine`` without side

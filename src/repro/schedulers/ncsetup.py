@@ -73,14 +73,12 @@ class NCSetup(_OutstandingTracker):
         return task.proc if self.is_warm(machine, task) else task.proc + self.setup
 
     def charge(self, task: Task, machine: int, start: float) -> float:
-        """:meth:`service`, marking the machine warm and recording the
-        in-flight completion for the outstanding counts."""
-        dur = task.proc
+        """The base record of :meth:`service` (warmup included), then
+        mark the machine warm."""
+        dur = super().charge(task, machine, start)
         if not self.is_warm(machine, task):
-            dur += self.setup
             self.setup_paid += self.setup
             self.warm[machine].add(task.key)
-        self._record_dispatch(machine, start + dur)
         return dur
 
     def state_dict(self) -> dict[str, Any]:

@@ -32,9 +32,10 @@ from ..core.baselines import LeastWorkAssign, RandomAssign, RoundRobinAssign
 from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.eft import EFT
 from ..core.nonclairvoyant import C3Like, LeastOutstanding
+from ..related.model import SpeedCluster
+from ..related.schedulers import GreedyRelated
 from .contract import check_policy
 from .ncsetup import NCSetup
-from .speedeft import SpeedEFT
 from .srpt import SRPTPS
 
 __all__ = ["register", "get_scheduler", "list_schedulers", "canonical_name"]
@@ -186,8 +187,8 @@ register(
 )
 register(
     "speed-eft",
-    lambda m, seed: SpeedEFT(m),
-    cls=SpeedEFT,
+    lambda m, seed: GreedyRelated(SpeedCluster.two_tier(m, fast=max(1, m // 4), speedup=4.0)),
+    cls=GreedyRelated,
     summary="speed-aware EFT on related machines (two-tier default)",
     aliases=("speedeft", "greedy(q)"),
 )

@@ -61,8 +61,13 @@ from ..core.eft import EFT
 from ..core.failover import earliest_finish, split_parked
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task
-from ..core.tiebreak import MaxIndex, MinIndex
-from ..core.vecengine import VecSchedule, VecUnsupported, eft_decide, lower_eligibility
+from ..core.vecengine import (
+    VecSchedule,
+    VecUnsupported,
+    array_prefer_max,
+    eft_decide,
+    lower_eligibility,
+)
 from ..faults.policies import RESTART, RESUME, validate_policy
 from .events import EventKind, EventQueue
 
@@ -707,9 +712,10 @@ class Simulator:
         if type(s) is not EFT:
             # Registry policies (SRPT-PS, NC-Setup, Speed-EFT, the
             # baselines, even EFT subclasses) take the reference loop;
-            # the pinned literal reason lets callers branch on it.
+            # the pinned literal reason lets callers branch on it.  The
+            # tie-break test below is eft_schedule's rule too.
             return "scheduler"
-        if type(s.tiebreak) not in (MinIndex, MaxIndex):
+        if array_prefer_max(s.tiebreak) is None:
             name = getattr(s.tiebreak, "name", "custom")
             return f"tie-break {name!r} needs per-decision work"
         if self.obs is not None:
@@ -767,7 +773,7 @@ class Simulator:
         m = self.m
         rel = [t.release for t in released]
         proc = [t.proc for t in released]
-        prefer_max = type(self.scheduler.tiebreak) is MaxIndex
+        prefer_max = array_prefer_max(self.scheduler.tiebreak)
         mach_l, start_l, comp_after = eft_decide(m, rel, proc, elig, prefer_max)
         rel_a = np.asarray(rel)
         proc_a = np.asarray(proc)

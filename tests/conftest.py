@@ -75,3 +75,46 @@ def restricted_unit_instances(draw, max_m: int = 6, max_n: int = 18):
         )
         tasks.append(Task(tid=i, release=release, proc=1.0, machines=frozenset(subset)))
     return Instance(m=m, tasks=tuple(tasks))
+
+
+@st.composite
+def faulted_streams(draw, max_m: int = 5, max_n: int = 30):
+    """A random stream under machine outages: ``(instance, faults,
+    fault_policy)``.  Tasks carry optional processing sets, so runs
+    re-place, park and unpark."""
+    from repro.faults import FaultSchedule
+
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, max_n))
+    times = st.floats(0, 20, allow_nan=False, allow_infinity=False)
+    tasks = tuple(
+        Task(
+            tid=i,
+            release=draw(times),
+            proc=draw(st.floats(0.1, 5, allow_nan=False, allow_infinity=False)),
+            machines=draw(st.none() | st.frozensets(st.integers(1, m), min_size=1)),
+        )
+        for i in range(n)
+    )
+    outages = draw(
+        st.lists(
+            st.tuples(st.integers(1, m), times, st.floats(0.1, 10, allow_nan=False)),
+            min_size=1,
+            max_size=2 * m,
+        )
+    )
+    faults = FaultSchedule.build([(j, s, s + d) for j, s, d in outages])
+    policy = draw(st.sampled_from(["restart", "resume"]))
+    return Instance(m=m, tasks=tasks), faults, policy
+
+
+def faulted_decisions(scheduler, stream) -> tuple[dict, dict, dict]:
+    """``(assigned_machine, starts, completions)`` of one reference-loop
+    run of ``scheduler`` over a :func:`faulted_streams` draw."""
+    from repro.simulation import Simulator
+
+    instance, faults, policy = stream
+    sim = Simulator(scheduler, faults=faults, fault_policy=policy, backend="reference")
+    sim.add_instance(instance)
+    sim.run()
+    return dict(sim.assigned_machine), dict(sim.starts), dict(sim.completions)

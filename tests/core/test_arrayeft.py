@@ -1,88 +1,92 @@
-"""The array fast path must be decision-identical to reference EFT."""
+"""``eft_schedule``'s array path must be decision-identical to the
+reference ``EFT(m, tiebreak).run``."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import eft_schedule
-from repro.core.arrayeft import (
-    array_eft_fmax,
-    array_eft_schedule,
-    clear_set_cache,
-    fast_eft_fmax,
-    fast_eft_schedule,
-    set_cache_info,
-)
+from repro.core import EFT, MinIndex, VecSchedule, eft_schedule
+from repro.core.vecengine import clear_set_cache, set_cache_info
+from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
+
+
+def _reference(inst, tiebreak="min", rng=None):
+    return EFT(inst.m, tiebreak=tiebreak, rng=rng).run(inst)
 
 
 @given(restricted_unit_instances())
 @settings(max_examples=80, deadline=None)
 def test_identical_min(inst):
-    assert array_eft_schedule(inst, "min").same_placements(
-        eft_schedule(inst, tiebreak="min")
-    )
+    assert eft_schedule(inst, "min").same_placements(_reference(inst, "min"), tol=0.0)
 
 
 @given(restricted_unit_instances())
 @settings(max_examples=50, deadline=None)
 def test_identical_max(inst):
-    assert array_eft_schedule(inst, "max").same_placements(
-        eft_schedule(inst, tiebreak="max")
-    )
+    assert eft_schedule(inst, "max").same_placements(_reference(inst, "max"), tol=0.0)
 
 
 @given(unrestricted_instances())
 @settings(max_examples=50, deadline=None)
 def test_identical_on_unrestricted(inst):
-    assert array_eft_schedule(inst, "min").same_placements(
-        eft_schedule(inst, tiebreak="min")
-    )
+    assert eft_schedule(inst, "min").same_placements(_reference(inst, "min"), tol=0.0)
 
 
 @given(restricted_unit_instances())
 @settings(max_examples=40, deadline=None)
 def test_fmax_shortcut_agrees(inst):
-    assert array_eft_fmax(inst, "min") == pytest.approx(
-        eft_schedule(inst, tiebreak="min").max_flow
-    )
+    sched = eft_schedule(inst, "min")
+    ref = _reference(inst, "min")
+    assert sched.max_flow == ref.max_flow
+    assert sched.mean_flow == ref.mean_flow
+    assert sched.makespan == ref.makespan
+    assert list(sched.machine_loads()) == list(ref.machine_loads())
 
 
-def test_rand_rejected():
-    from repro.core import Instance
-
-    inst = Instance.build(2, releases=[0])
-    with pytest.raises(ValueError, match="min.*max"):
-        array_eft_schedule(inst, "rand")
-    with pytest.raises(ValueError, match="min.*max"):
-        array_eft_fmax(inst, "rand")
-
-
-def test_fast_entry_points_fall_back_for_rand():
-    """The auto-selected entry points must not crash on pass-through
-    tie-breaks: ``rand`` silently takes the reference path, and with a
-    pinned seed it reproduces the reference decisions exactly."""
+def test_rand_falls_back_to_reference():
+    """Tie-breaks the array engine cannot express take the reference
+    path, and with a pinned seed reproduce its decisions exactly."""
     from repro.simulation import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(m=6, n=120, lam=0.6 * 6, k=2, strategy="overlapping")
     inst = generate_workload(spec, rng=9)
-    fast = fast_eft_schedule(inst, tiebreak="rand", rng=77)
-    ref = eft_schedule(inst, tiebreak="rand", rng=77)
-    assert fast.same_placements(ref, tol=0.0)
-    assert fast_eft_fmax(inst, tiebreak="rand", rng=77) == ref.max_flow
+    sched = eft_schedule(inst, tiebreak="rand", rng=77)
+    assert not isinstance(sched, VecSchedule)
+    ref = _reference(inst, "rand", rng=77)
+    assert sched.same_placements(ref, tol=0.0)
+    assert sched.max_flow == ref.max_flow
 
 
-def test_fast_entry_points_use_array_path_for_min_max():
-    from repro.core.vecengine import VecSchedule
+def test_min_max_take_array_path():
+    from repro.core import MaxIndex
     from repro.simulation import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(m=6, n=80, lam=0.5 * 6, k=2, strategy="disjoint")
     inst = generate_workload(spec, rng=2)
-    for tb in ("min", "max"):
-        sched = fast_eft_schedule(inst, tiebreak=tb)
+    for tb in ("min", "max", MinIndex(), MaxIndex()):
+        sched = eft_schedule(inst, tiebreak=tb)
         assert isinstance(sched, VecSchedule)
-        assert sched.same_placements(eft_schedule(inst, tiebreak=tb), tol=0.0)
-        assert fast_eft_fmax(inst, tiebreak=tb) == eft_schedule(inst, tiebreak=tb).max_flow
+        ref = _reference(inst, tb)
+        assert sched.same_placements(ref, tol=0.0)
+        assert sched.max_flow == ref.max_flow
+
+
+def test_same_array_rule_as_simulator():
+    """``eft_schedule`` and ``Simulator(backend="auto")`` take the array
+    path for exactly the same tie-breaks (one shared predicate)."""
+    from repro.simulation import WorkloadSpec, generate_workload
+
+    class Custom(MinIndex):
+        pass
+
+    spec = WorkloadSpec(m=5, n=60, lam=0.6 * 5, k=2, strategy="overlapping")
+    inst = generate_workload(spec, rng=5)
+    for tb in ("min", "max", "rand", "least_loaded", Custom()):
+        sim = Simulator(EFT(inst.m, tiebreak=tb, rng=3))
+        sim.add_instance(inst)
+        sim.run()
+        on_array = isinstance(eft_schedule(inst, tb, rng=3), VecSchedule)
+        assert on_array == (sim.backend_used == "array"), tb
 
 
 def test_processing_set_cache_is_reused_across_calls():
@@ -93,10 +97,10 @@ def test_processing_set_cache_is_reused_across_calls():
     spec = WorkloadSpec(m=8, n=100, lam=0.5 * 8, k=2, strategy="overlapping")
     inst = generate_workload(spec, rng=4)
     clear_set_cache()
-    array_eft_schedule(inst, "min")
+    eft_schedule(inst, "min")
     first = set_cache_info()
     assert first.misses > 0  # the distinct sets were lowered once...
-    array_eft_schedule(inst, "min")
+    eft_schedule(inst, "min")
     second = set_cache_info()
     assert second.misses == first.misses  # ...and never again
     assert second.hits > first.hits
@@ -125,18 +129,16 @@ def test_identical_on_dynamic_workloads(seed, tiebreak):
         k=2,
     )
     inst = generate_dynamic_workload(spec, rng=seed)
-    assert array_eft_schedule(inst, tiebreak).same_placements(
-        eft_schedule(inst, tiebreak=tiebreak)
+    assert eft_schedule(inst, tiebreak).same_placements(
+        _reference(inst, tiebreak), tol=0.0
     )
 
 
 def test_workload_scale_sanity():
-    """A Figure-11-sized workload runs through the fast path and
+    """A Figure-11-sized workload runs through the array path and
     matches the reference on the objective."""
     from repro.simulation import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(m=15, n=4000, lam=0.7 * 15, k=3, strategy="overlapping")
     inst = generate_workload(spec, rng=3)
-    assert array_eft_fmax(inst, "min") == pytest.approx(
-        eft_schedule(inst, tiebreak="min").max_flow
-    )
+    assert eft_schedule(inst, "min").max_flow == _reference(inst, "min").max_flow

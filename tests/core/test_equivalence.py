@@ -17,7 +17,7 @@ from tests.conftest import unrestricted_instances
 @given(unrestricted_instances())
 @settings(max_examples=120, deadline=None)
 def test_fifo_equals_eft_min(inst):
-    assert eft_schedule(inst, tiebreak="min").same_placements(
+    assert EFT(inst.m, tiebreak="min").run(inst).same_placements(
         fifo_schedule(inst, tiebreak="min")
     )
 
@@ -25,7 +25,7 @@ def test_fifo_equals_eft_min(inst):
 @given(unrestricted_instances())
 @settings(max_examples=60, deadline=None)
 def test_fifo_equals_eft_max(inst):
-    assert eft_schedule(inst, tiebreak="max").same_placements(
+    assert EFT(inst.m, tiebreak="max").run(inst).same_placements(
         fifo_schedule(inst, tiebreak="max")
     )
 
@@ -35,7 +35,7 @@ def test_fifo_equals_eft_max(inst):
 def test_fifo_equals_eft_unit_tasks(inst):
     """Unit tasks maximise simultaneous completions (hence ties) —
     the hardest case for the equivalence."""
-    assert eft_schedule(inst, tiebreak="min").same_placements(
+    assert EFT(inst.m, tiebreak="min").run(inst).same_placements(
         fifo_schedule(inst, tiebreak="min")
     )
 
@@ -54,7 +54,7 @@ def test_fifo_equals_eft_random_tiebreak(inst):
 @settings(max_examples=60, deadline=None)
 def test_equal_objectives_follow(inst):
     """Corollary of Proposition 1: identical Fmax (and every flow)."""
-    a = eft_schedule(inst, tiebreak="min")
+    a = EFT(inst.m, tiebreak="min").run(inst)
     b = fifo_schedule(inst, tiebreak="min")
     assert a.max_flow == b.max_flow
     assert np.allclose(a.flows(), b.flows())

@@ -53,6 +53,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "w_tau" in out
 
+    def test_vec_check_gates_eft_schedule(self, capsys, monkeypatch):
+        """``vec-check`` prints and counts the ``eft_schedule`` line, and
+        a front door that stops taking the array path fails the gate."""
+        import repro.core
+        from repro.core import EFT
+
+        args = ["vec-check", "--backend", "array", "--golden", "eft-min-m4"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "eft_schedule parity    ok" in out
+        assert "3/3 checks passed" in out
+        monkeypatch.setattr(
+            repro.core, "eft_schedule", lambda inst, tb: EFT(inst.m, tb).run(inst)
+        )
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "eft_schedule parity    FAIL" in out
+        assert "2/3 checks passed" in out
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -110,6 +129,15 @@ class TestBenchServeFlags:
             (["--shards", "3", "--recovery-out", "out.json"], "--recovery-out"),
             (["--recovery-out", "out.json"], "--recovery-out"),
             (["--chaos"], "--chaos"),
+            (["--shards", "3", "--chaos-seed", "7"], "--chaos-seed"),
+            (["--shards", "3", "--chaos-drop", "0.5"], "--chaos-drop"),
+            (["--shards", "3", "--chaos-truncate", "0.5"], "--chaos-truncate"),
+            (["--shards", "3", "--chaos-corrupt", "0.5"], "--chaos-corrupt"),
+            (["--shards", "3", "--chaos-duplicate", "0.5"], "--chaos-duplicate"),
+            (["--shards", "3", "--chaos-latency", "0.1"], "--chaos-latency"),
+            (["--shards", "3", "--kill-after", "0.9"], "--kill-after"),
+            (["--chaos-drop", "0"], "--chaos-drop"),
+            (["--kill-after", "0.5"], "--kill-after"),
         ],
     )
     def test_chaos_only_flag_needs_chaos(self, tmp_path, monkeypatch, extra, flag):
@@ -117,3 +145,34 @@ class TestBenchServeFlags:
         with pytest.raises(SystemExit, match=flag):
             main(self.BASE + extra)
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra, chaos, kill_after",
+        [
+            ([], dict(seed=0, p_drop=0.02, p_truncate=0.01, p_corrupt=0.02,
+                      p_duplicate=0.05, latency=0.0), 0.5),
+            (["--chaos-seed", "7", "--chaos-drop", "0", "--kill-after", "0.4"],
+             dict(seed=7, p_drop=0.0, p_truncate=0.01, p_corrupt=0.02,
+                  p_duplicate=0.05, latency=0.0), 0.4),
+        ],
+    )
+    def test_chaos_runs_with_its_defaults(self, monkeypatch, extra, chaos, kill_after):
+        """Under ``--chaos`` an omitted chaos flag takes the bench's mild
+        fault mix, not ``ChaosConfig``'s all-zero defaults."""
+        import repro.serve
+        from repro.chaos import ChaosConfig
+
+        seen = {}
+
+        class _Result:
+            def to_text(self):
+                return "ok"
+
+        def fake_run_loopback(instance, config, **kwargs):
+            seen.update(kwargs)
+            return _Result()
+
+        monkeypatch.setattr(repro.serve, "run_loopback", fake_run_loopback)
+        main(self.BASE + ["--shards", "3", "--chaos"] + extra)
+        assert seen["chaos"] == ChaosConfig(**chaos)
+        assert seen["kill_after"] == kill_after

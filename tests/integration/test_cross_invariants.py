@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import EFT, RestrictedFIFO, eft_schedule
-from repro.core.arrayeft import array_eft_fmax
 from repro.core.nonclairvoyant import LeastOutstanding
 from repro.offline import (
     fptas_fmax,
@@ -79,9 +78,9 @@ def test_sum_and_max_optima_consistent(inst):
 def test_three_eft_implementations_agree(inst):
     """Analytic driver, array fast path and event-driven engine are
     three routes to the same schedule."""
-    analytic = eft_schedule(inst, tiebreak="min")
-    assert array_eft_fmax(inst, "min") == pytest.approx(analytic.max_flow)
-    sim = Simulator(EFT(inst.m, tiebreak="min"))
+    analytic = EFT(inst.m, tiebreak="min").run(inst)
+    assert eft_schedule(inst, tiebreak="min").max_flow == analytic.max_flow
+    sim = Simulator(EFT(inst.m, tiebreak="min"), backend="reference")
     sim.add_instance(inst)
     assert sim.run().max_flow == pytest.approx(analytic.max_flow)
 

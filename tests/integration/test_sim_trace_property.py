@@ -1,7 +1,7 @@
 """Property-style cross-validation of the three execution paths.
 
 For random workloads across seeds, machine counts and tie-breaks, the
-event-driven :class:`Simulator`, the analytic ``eft_schedule`` driver
+event-driven :class:`Simulator`, the analytic ``EFT.run`` driver
 and a recorded-trace replay must all produce the *same placements* —
 the engine's raison d'être (engine.py, reason 3) extended to the new
 trace substrate.
@@ -44,7 +44,7 @@ def test_simulator_matches_analytic_eft(m, tiebreak, seed):
     placement (random tie-breaks share the seed, so the decision
     streams coincide)."""
     inst = _instance(m, seed)
-    analytic = eft_schedule(inst, tiebreak=tiebreak, rng=seed)
+    analytic = EFT(m, tiebreak=tiebreak, rng=seed).run(inst)
     sim = Simulator(EFT(m, tiebreak=tiebreak, rng=seed))
     sim.add_instance(inst)
     result = sim.run()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import Instance, eft_schedule
+from repro.core import EFT, Instance
 from repro.related import GreedyRelated, SlowFitRelated, SpeedCluster
-from tests.conftest import unrestricted_instances
+from tests.conftest import faulted_decisions, faulted_streams, unrestricted_instances
 
 
 class TestGreedy:
@@ -38,17 +38,20 @@ class TestGreedy:
         sched = GreedyRelated(cluster).run(inst)
         sched.validate()
 
-    @given(unrestricted_instances(max_m=4, max_n=15))
+    @given(faulted_streams(max_m=4, max_n=20))
     @settings(max_examples=40, deadline=None)
-    def test_identical_speeds_reduce_to_eft(self, inst):
-        """With unit speeds Greedy's decisions coincide with EFT-Min
-        (finish-time tie -> lower index, same as EFT-Min's tie set
-        choice)."""
+    def test_identical_speeds_reduce_to_eft(self, stream):
+        """With unit speeds Greedy (the zoo's Speed-EFT) decides exactly
+        like EFT-Min (finish-time tie -> lower index, same as EFT-Min's
+        tie set choice): on the analytic driver and, decision for
+        decision, through machine outages under both fault policies
+        (Bansal & Kulkarni's related-machines reduction)."""
+        inst = stream[0]
         sched_q = GreedyRelated(SpeedCluster.identical(inst.m)).run(inst)
-        sched_p = eft_schedule(inst, tiebreak="min")
-        for t in inst:
-            assert sched_q.machine_of(t.tid) == sched_p.machine_of(t.tid)
-            assert sched_q.start_of(t.tid) == pytest.approx(sched_p.start_of(t.tid))
+        assert sched_q.same_placements(EFT(inst.m, tiebreak="min").run(inst), tol=0.0)
+        assert faulted_decisions(
+            GreedyRelated(SpeedCluster.identical(inst.m)), stream
+        ) == faulted_decisions(EFT(inst.m, tiebreak="min"), stream)
 
     def test_release_order_enforced(self):
         from repro.core import Task

@@ -1,11 +1,13 @@
 """NC-Setup: non-clairvoyant dispatch with per-machine setup times."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core import Instance, Task
+from repro.core import Instance, LeastOutstanding, Task
 from repro.schedulers import NCSetup, get_scheduler
 from repro.serve import ShardPlan, ShardRouter
 from repro.simulation import Simulator
+from tests.conftest import faulted_decisions, faulted_streams
 
 
 def _task(tid, release, proc, key=None, machines=None):
@@ -107,6 +109,20 @@ class TestEngineIntegration:
         assert sim.completions[1] == pytest.approx(6.0)  # no second warmup
         assert sim.scheduler.setup_paid == pytest.approx(1.0)
         assert res.mean_flow == pytest.approx((3.0 + 2.0) / 2)
+
+    @given(faulted_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_setup_is_least_outstanding(self, stream):
+        """At setup 0 NC-Setup is its least-outstanding rule (Mäcker et
+        al.'s reduction), decision for decision on the analytic driver
+        and through machine outages under both fault policies — every
+        re-placement reaches both policies' in-flight books."""
+        inst = stream[0]
+        ncs = NCSetup(inst.m, setup=0.0).run(inst)
+        assert ncs.same_placements(LeastOutstanding(inst.m).run(inst), tol=0.0)
+        assert faulted_decisions(NCSetup(inst.m, setup=0.0), stream) == faulted_decisions(
+            LeastOutstanding(inst.m), stream
+        )
 
     def test_registry_flags(self):
         s = get_scheduler("nc-setup", 2)

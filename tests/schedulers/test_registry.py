@@ -4,10 +4,10 @@ import pytest
 
 from repro.core import EFT
 from repro.core.dispatch import ImmediateDispatchScheduler
+from repro.related import GreedyRelated
 from repro.schedulers import (
     NCSetup,
     SRPTPS,
-    SpeedEFT,
     canonical_name,
     check_policy,
     get_scheduler,
@@ -29,7 +29,7 @@ class TestResolution:
     def test_zoo_classes(self):
         assert type(get_scheduler("srpt-ps", 3)) is SRPTPS
         assert type(get_scheduler("nc-setup", 3)) is NCSetup
-        assert type(get_scheduler("speed-eft", 3)) is SpeedEFT
+        assert type(get_scheduler("speed-eft", 3)) is GreedyRelated
         assert type(get_scheduler("eft-min", 3)) is EFT
 
     def test_canonicalisation(self):
@@ -80,7 +80,7 @@ class TestRegistration:
             check_policy(Broken)
 
     def test_contract_accepts_zoo(self):
-        for cls in (EFT, SRPTPS, NCSetup, SpeedEFT):
+        for cls in (EFT, SRPTPS, NCSetup, GreedyRelated):
             check_policy(cls)
 
 
@@ -90,7 +90,7 @@ class TestMakeSchedulerDelegation:
 
         assert type(make_scheduler("srpt-ps", 4)) is SRPTPS
         assert type(make_scheduler("nc-setup", 4)) is NCSetup
-        assert type(make_scheduler("speed-eft", 4)) is SpeedEFT
+        assert type(make_scheduler("speed-eft", 4)) is GreedyRelated
         # legacy spellings still work
         assert type(make_scheduler("EFT-Min", 4)) is EFT
         with pytest.raises(ValueError, match="unknown scheduler"):

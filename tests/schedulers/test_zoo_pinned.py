@@ -21,12 +21,12 @@ M = 12
 
 #: SHA-256 over ``tid:machine:start:completion;`` of every task
 PINNED = {
-    "c3": "601b64d174f219abff56822871f9c4a77ea885b978e0806ab51041812a00a62d",
+    "c3": "265e206df442451e9bb4175a829017ea4ae18ac68cfe6f9617a2060ad439255a",
     "eft-max": "36b8210e06feb3c8a24c304cc8fa5851dcba4deeb1af954e057ce6c53da5b31f",
     "eft-min": "1e23d4c3536a7759fe3aac0a78aa3f94e865174d0dd2b89f6fcb1ddfe755be8a",
     "eft-rand": "ccb8ea910b88d31ac8241537d6403fc683d054107b582959d36fc42bcd344a9a",
     "least-work": "d2072d4d7ca95159b563bcf5d5ea5b02e7b9d1deac0c41fcc0c3c2c80c28b935",
-    "lor": "dc10d9e71bfc5e669d8d0d76f2d089868fe648a5995cc1d59486049e91f0a729",
+    "lor": "8ab091c82048f80b9dd6d61914d1eb53bf81cf184e1e1a6cf54ed4ce03b664b6",
     "nc-setup": "ef6c472110e3e16d7063f492e2cac363e82b68df216d9621d50cbcc7d715784b",
     "random": "d45082642de59f30ee87426742640bc3d97bd3b48781797d44c5b6006999d99a",
     "round-robin": "2dad7f6b2c2e59e97a8f4dc7cc24cdbe270507cc1e4efad283655853529ddfb2",

@@ -78,12 +78,12 @@ SETS = [
 ]
 
 STREAM_DIGESTS = {
-    "c3": "8bae9c8e0fbd91047a5914b133f4508e4a0997f744c4bab021a3156c4228aae4",
+    "c3": "8c2d9f7c627f987123332823f88eb5446848b169637aedb79950ad5ca205347c",
     "eft-max": "7a46cef4139c208a24bb16dd92c962a308d625b2f64d66e52b6df99ce8dffd5d",
     "eft-min": "c50dd956bcfe16791b1003921ec0d90f309ea22a9a3f6dfbaa76d6ee67e63691",
     "eft-rand": "86894d36b8900088a77e240a4b393fae25130005185355f0e02af9a0cf10ad81",
     "least-work": "20b3ec1d0110dc5b7bcc6cc25f9f781b67f5d4a2722b31c99366484da4cc74c3",
-    "lor": "fb9eca43a022ce0990476679758b2f98dce8f19afc10dae1b3aba8166d86e8d0",
+    "lor": "8c2d9f7c627f987123332823f88eb5446848b169637aedb79950ad5ca205347c",
     "nc-setup": "52e995d26b9e0950f06cb65209d8be1733b37d9167619aae3d6e91ddd02d5a54",
     "random": "753cd671178cddab47870ac7de9b9f3e7ff113ac1150ef2d6c318044ff7fdad1",
     "round-robin": "278f7bff9807c2ec134062091796a18e7c472ec924eb041e0f7c19a39d9b9dbe",

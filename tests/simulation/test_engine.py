@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core import EFT, Instance, Task, eft_schedule
+from repro.core import EFT, Instance, Task
 from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
 
@@ -97,7 +97,7 @@ class TestEngineMatchesAnalyticDriver:
     @given(unrestricted_instances())
     @settings(max_examples=50, deadline=None)
     def test_same_schedule_unrestricted(self, inst):
-        analytic = eft_schedule(inst, tiebreak="min")
+        analytic = EFT(inst.m, tiebreak="min").run(inst)
         sim = Simulator(EFT(inst.m, tiebreak="min"))
         sim.add_instance(inst)
         result = sim.run()
@@ -107,7 +107,7 @@ class TestEngineMatchesAnalyticDriver:
     @given(restricted_unit_instances())
     @settings(max_examples=50, deadline=None)
     def test_same_schedule_restricted(self, inst):
-        analytic = eft_schedule(inst, tiebreak="max")
+        analytic = EFT(inst.m, tiebreak="max").run(inst)
         sim = Simulator(EFT(inst.m, tiebreak="max"))
         sim.add_instance(inst)
         result = sim.run()

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EFT, eft_schedule
+from repro.core import EFT
 from repro.simulation import EventKind, EventQueue, Simulator
 from repro.simulation.events import _KIND_PRIORITY, Event
 from tests.conftest import unrestricted_instances
@@ -206,7 +206,7 @@ class TestCoincidingTimesMatchAnalytic:
             ),
         )
         result = self._simulate(inst, "min")
-        analytic = eft_schedule(inst, tiebreak="min")
+        analytic = EFT(inst.m, tiebreak="min").run(inst)
         assert result.schedule.same_placements(analytic)
         for tid in (0, 1, 2):
             assert result.schedule.start_of(tid) == analytic.start_of(tid)
@@ -218,5 +218,5 @@ class TestCoincidingTimesMatchAnalytic:
         completion/release instants."""
         for tiebreak in ("min", "max"):
             result = self._simulate(inst, tiebreak)
-            analytic = eft_schedule(inst, tiebreak=tiebreak)
+            analytic = EFT(inst.m, tiebreak=tiebreak).run(inst)
             assert result.schedule.same_placements(analytic)
