@@ -10,11 +10,13 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# The reproduction report: every bench_*.py prints its table and
+# asserts its shape (the perf harness in benchmarks/perf runs apart).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	$(PYTHON) -m pytest -s benchmarks/ --ignore=benchmarks/perf
 
 bench-full:
-	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	REPRO_BENCH_SCALE=full $(PYTHON) -m pytest -s benchmarks/ --ignore=benchmarks/perf
 
 # Regenerate every paper table/figure via the CLI (quick scales).
 figures:
@@ -206,9 +208,8 @@ rebalance-smoke:
 vec-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro vec-check --backend array
 	PYTHONPATH=src $(PYTHON) -m repro vec-check --backend auto
-	PYTHONPATH=src $(PYTHON) -m pytest \
-		benchmarks/bench_scheduler_throughput.py -k speedup \
-		-q --benchmark-disable
+	PYTHONPATH=src $(PYTHON) -m pytest -q -s \
+		benchmarks/bench_scheduler_throughput.py -k speedup
 
 # Zoo-smoke: the compare-schedulers grid must be byte-deterministic
 # (two identical-seed runs, identical output including traces) and the
@@ -236,6 +237,7 @@ zoo-smoke:
 # outcome (not a pool abort), retries must heal a flaky unit, and an
 # interrupted campaign must leave a resumable manifest.
 runner-resilience:
-	PYTHONPATH=src $(PYTHON) -m repro.faults.selftest
+	PYTHONPATH=src $(PYTHON) -m pytest -q \
+		tests/campaigns/test_resilience.py tests/campaigns/test_resume.py
 
 all: install test bench

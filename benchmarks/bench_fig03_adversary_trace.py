@@ -7,8 +7,8 @@ from repro.experiments import fig03
 
 
 @pytest.mark.paper
-def test_fig03_trace(run_once):
-    result = run_once(fig03.run, m=6, k=3)
+def test_fig03_trace():
+    result = fig03.run(m=6, k=3)
     print()
     print(result.to_text())
     assert result.fmax == 4.0  # m - k + 1

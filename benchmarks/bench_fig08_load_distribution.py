@@ -6,8 +6,8 @@ from repro.experiments import fig08
 
 
 @pytest.mark.paper
-def test_fig08_load_distribution(benchmark):
-    table = benchmark(fig08.run, 6, 1.0, 7)
+def test_fig08_load_distribution():
+    table = fig08.run(6, 1.0, 7)
     print()
     print(table.to_text())
     # Worst-case hot machine at ~2.449 (m=6, s=1, lambda=m), as drawn.

@@ -11,7 +11,7 @@ from repro.experiments import fig10
 
 
 @pytest.mark.paper
-def test_fig10_maxload_sweep(run_once, scale):
+def test_fig10_maxload_sweep(scale):
     if scale == "full":
         kwargs = dict(m=15, n_permutations=100)  # paper grid by default
     else:
@@ -21,7 +21,7 @@ def test_fig10_maxload_sweep(run_once, scale):
             k_values=np.array([1, 2, 3, 4, 6, 8, 11, 15]),
             n_permutations=25,
         )
-    result = run_once(fig10.run, **kwargs)
+    result = fig10.run(**kwargs)
     print()
     print(result.to_text())
     ratio = result.sweep.ratio()

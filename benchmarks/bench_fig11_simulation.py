@@ -11,7 +11,7 @@ from repro.experiments import fig11
 
 
 @pytest.mark.paper
-def test_fig11_simulation(run_once, scale):
+def test_fig11_simulation(scale):
     if scale == "full":
         kwargs = dict(m=15, k=3, n=10_000, repeats=10)
     else:
@@ -26,7 +26,7 @@ def test_fig11_simulation(run_once, scale):
                 "worst": (10, 20, 30, 40),
             },
         )
-    result = run_once(fig11.run, **kwargs)
+    result = fig11.run(**kwargs)
     print()
     print(result.to_text())
 

@@ -17,29 +17,25 @@ from repro.simulation import WorkloadSpec, generate_workload, worst_case
 
 
 @pytest.mark.ablation
-def test_prediction_vs_simulation(run_once, scale):
+def test_prediction_vs_simulation(scale):
     m, k = 15, 3
     n = 8000 if scale == "full" else 3000
     pop = worst_case(m, 1.0)
     limit_pct = 100 * stability_limit(pop, k) / m  # = LP red line
     loads = [10, 20, 30]
 
-    def campaign():
-        table = TextTable(
-            title=f"Queueing prediction vs simulation (disjoint, worst case s=1, m={m}, k={k})",
-            headers=["load %", "predicted Fmax", "simulated Fmax (median of 3)"],
-        )
-        pred = predict_disjoint_curve(pop, k, loads, n=n)
-        for load in loads:
-            sims = []
-            for rep in range(3):
-                spec = WorkloadSpec(m=m, n=n, lam=load / 100 * m, k=k, strategy="disjoint")
-                inst = generate_workload(spec, rng=rep, popularity=pop)
-                sims.append(eft_schedule(inst, tiebreak="min").max_flow)
-            table.add_row(load, round(pred[float(load)], 2), float(np.median(sims)))
-        return table
-
-    table = run_once(campaign)
+    table = TextTable(
+        title=f"Queueing prediction vs simulation (disjoint, worst case s=1, m={m}, k={k})",
+        headers=["load %", "predicted Fmax", "simulated Fmax (median of 3)"],
+    )
+    pred = predict_disjoint_curve(pop, k, loads, n=n)
+    for load in loads:
+        sims = []
+        for rep in range(3):
+            spec = WorkloadSpec(m=m, n=n, lam=load / 100 * m, k=k, strategy="disjoint")
+            inst = generate_workload(spec, rng=rep, popularity=pop)
+            sims.append(eft_schedule(inst, tiebreak="min").max_flow)
+        table.add_row(load, round(pred[float(load)], 2), float(np.median(sims)))
     print()
     print(table.to_text())
     print(f"stability limit {limit_pct:.1f}% == LP max load "

@@ -7,9 +7,9 @@ from repro.experiments import ratios
 
 
 @pytest.mark.paper
-def test_ratio_study(run_once, scale):
+def test_ratio_study(scale):
     trials = 40 if scale == "full" else 15
-    table = run_once(ratios.run, m=8, k=3, n=40, trials=trials, rng_seed=5)
+    table = ratios.run(m=8, k=3, n=40, trials=trials, rng_seed=5)
     print()
     print(table.to_text())
     unrestricted, disjoint, overlapping = table.rows

@@ -12,15 +12,11 @@ flow — the tentpole claim of the rebalance subsystem.
 A second benchmark injects a machine outage on top of the shift and
 checks the controller still converges (the run completes, placements
 stay deterministic per seed) while the fault drains through the
-engine's failure rule.
-
-Both benchmarks merge their rows into ``BENCH_rebalance.json`` at the
-repo root (machine-readable mirror of the printed tables).
+engine's failure rule.  The arms' assignment digests are pinned in
+``tests/serve/test_fleet_pinned.py``.
 """
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -28,73 +24,39 @@ from repro.faults import FaultSchedule
 from repro.rebalance import RebalanceConfig, run_rebalance
 from repro.rebalance.units import default_spec
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rebalance.json"
-
 CONFIG = RebalanceConfig(cadence=25.0, window=50.0, headroom=0.75, warmup=2.0, max_k=5)
 
 
-def _write_bench_json(section: str, payload: dict) -> None:
-    """Merge ``payload`` under ``section`` into BENCH_rebalance.json."""
-    data = {}
-    if BENCH_JSON.is_file():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _arms(spec):
-    return [
+def _run_arms(spec, faults=None) -> dict:
+    """Race the three arms on one stream; ``{arm name: RebalanceResult}``."""
+    arms = [
         ("static-overlapping", replace(spec, strategy="overlapping"), "static"),
         ("static-disjoint", replace(spec, strategy="disjoint"), "static"),
         ("adaptive", replace(spec, strategy="overlapping"), "adaptive"),
     ]
-
-
-def _row(name: str, result) -> dict:
     return {
-        "policy": name,
-        "p50": result.flow["p50"],
-        "p99": result.flow["p99"],
-        "max": result.flow["max"],
-        "n_rebalances": result.n_rebalances,
-        "n_migrated": result.n_migrated,
-        "assignments_sha256": result.digest,
+        name: run_rebalance(arm_spec, policy=policy, config=CONFIG, seed=0, faults=faults)
+        for name, arm_spec, policy in arms
     }
 
 
-def _print_rows(rows: list[dict]) -> None:
+def _print_arms(by_name: dict) -> None:
     print(f"{'policy':<20} {'p50':>9} {'p99':>9} {'max':>9} {'rebal':>6} {'moved':>6}")
-    for r in rows:
+    for name, r in by_name.items():
         print(
-            f"{r['policy']:<20} {r['p50']:>9.3f} {r['p99']:>9.3f} "
-            f"{r['max']:>9.3f} {r['n_rebalances']:>6d} {r['n_migrated']:>6d}"
+            f"{name:<20} {r.flow['p50']:>9.3f} {r.flow['p99']:>9.3f} "
+            f"{r.flow['max']:>9.3f} {r.n_rebalances:>6d} {r.n_migrated:>6d}"
         )
 
 
 @pytest.mark.ablation
-def test_rebalance_beats_static_on_hotspot_shift(run_once, scale):
+def test_rebalance_beats_static_on_hotspot_shift(scale):
     n = 8000 if scale == "full" else 3000
     spec = default_spec({"m": 12, "n": n, "k": 2, "s": 1.5})
-
-    def sweep():
-        return [
-            (name, run_rebalance(arm_spec, policy=policy, config=CONFIG, seed=0))
-            for name, arm_spec, policy in _arms(spec)
-        ]
-
-    results = run_once(sweep)
-    rows = [_row(name, r) for name, r in results]
+    by_name = _run_arms(spec)
     print()
     print(f"hotspot-shift rebalance (m={spec.m}, n={n}, k={spec.k}, s=1.5)")
-    _print_rows(rows)
-    _write_bench_json(
-        "hotspot_shift",
-        {"m": spec.m, "n": n, "k": spec.k, "s": 1.5, "scale": scale, "points": rows},
-    )
-    by_name = {name: r for name, r in results}
+    _print_arms(by_name)
     adaptive = by_name["adaptive"]
     # The tentpole claim: the controller beats BOTH statics on p99.
     for static in ("static-overlapping", "static-disjoint"):
@@ -108,42 +70,22 @@ def test_rebalance_beats_static_on_hotspot_shift(run_once, scale):
 
 
 @pytest.mark.ablation
-def test_rebalance_survives_outage(run_once, scale):
+def test_rebalance_survives_outage(scale):
     n = 6000 if scale == "full" else 2400
     spec = default_spec({"m": 12, "n": n, "k": 2, "s": 1.5})
     # One machine rides out a maintenance window across the shift.
     horizon = n / spec.rate.rate(0.0)
     faults = FaultSchedule.build([(3, 0.3 * horizon, 0.5 * horizon)])
-
-    def sweep():
-        return [
-            (name, run_rebalance(arm_spec, policy=policy, config=CONFIG, seed=0, faults=faults))
-            for name, arm_spec, policy in _arms(spec)
-        ]
-
-    results = run_once(sweep)
-    rows = [_row(name, r) for name, r in results]
+    by_name = _run_arms(spec, faults)
     print()
     print(
         f"hotspot shift + outage on machine 3 over "
         f"[{0.3 * horizon:.0f}, {0.5 * horizon:.0f}) (m={spec.m}, n={n})"
     )
-    _print_rows(rows)
-    _write_bench_json(
-        "hotspot_shift_with_outage",
-        {
-            "m": spec.m,
-            "n": n,
-            "k": spec.k,
-            "scale": scale,
-            "faults": json.loads(faults.to_json()),
-            "points": rows,
-        },
-    )
-    by_name = {name: r for name, r in results}
+    _print_arms(by_name)
     adaptive = by_name["adaptive"]
     # Every task still lands exactly once, deterministically per seed.
-    for _, r in results:
+    for r in by_name.values():
         assert r.n == n
     rerun = run_rebalance(
         replace(spec, strategy="overlapping"),

@@ -26,36 +26,31 @@ def _bursty_instance(m: int, n: int, rng_seed: int) -> Instance:
 
 
 @pytest.mark.ablation
-def test_greedy_vs_slowfit(run_once):
+def test_greedy_vs_slowfit():
     m, n = 8, 400
     cluster = SpeedCluster.two_tier(m, fast=2, speedup=8.0)
 
-    def campaign():
-        table = TextTable(
-            title=f"Related machines (Q): Greedy vs Slow-Fit, two-tier cluster m={m}",
-            headers=["algorithm", "median Fmax", "mean flow", "doublings"],
+    table = TextTable(
+        title=f"Related machines (Q): Greedy vs Slow-Fit, two-tier cluster m={m}",
+        headers=["algorithm", "median Fmax", "mean flow", "doublings"],
+    )
+    for name, factory in (
+        ("Greedy", lambda: GreedyRelated(cluster)),
+        ("Slow-Fit", lambda: SlowFitRelated(cluster)),
+    ):
+        fmaxes, means, doublings = [], [], []
+        for seed in range(5):
+            scheduler = factory()
+            sched = scheduler.run(_bursty_instance(m, n, seed))
+            fmaxes.append(sched.max_flow)
+            means.append(sched.mean_flow)
+            doublings.append(getattr(scheduler, "doublings", 0))
+        table.add_row(
+            name,
+            float(np.median(fmaxes)),
+            float(np.mean(means)),
+            int(np.median(doublings)),
         )
-        for name, factory in (
-            ("Greedy", lambda: GreedyRelated(cluster)),
-            ("Slow-Fit", lambda: SlowFitRelated(cluster)),
-        ):
-            fmaxes, means, doublings = [], [], []
-            for seed in range(5):
-                sched = None
-                scheduler = factory()
-                sched = scheduler.run(_bursty_instance(m, n, seed))
-                fmaxes.append(sched.max_flow)
-                means.append(sched.mean_flow)
-                doublings.append(getattr(scheduler, "doublings", 0))
-            table.add_row(
-                name,
-                float(np.median(fmaxes)),
-                float(np.mean(means)),
-                int(np.median(doublings)),
-            )
-        return table
-
-    table = run_once(campaign)
     print()
     print(table.to_text())
     assert len(table.rows) == 2

@@ -17,37 +17,33 @@ from repro.simulation import WorkloadSpec, generate_workload, shuffled_case
 
 
 @pytest.mark.ablation
-def test_replica_selection_policies(run_once, scale):
+def test_replica_selection_policies(scale):
     m, k = 15, 3
     n = 6000 if scale == "full" else 2500
     pop = shuffled_case(m, 1.0, rng=3)
 
-    def campaign():
-        table = TextTable(
-            title=f"Replica selection under 40% load (m={m}, k={k}, shuffled s=1)",
-            headers=["size dist", "EFT-Min (clairvoyant)", "LOR", "C3-like", "Random"],
-        )
-        for dist in ("unit", "exp", "pareto"):
-            rows = {"eft": [], "lor": [], "c3": [], "rand": []}
-            for rep in range(3):
-                spec = WorkloadSpec(
-                    m=m, n=n, lam=0.4 * m, k=k, strategy="overlapping", size_dist=dist
-                )
-                inst = generate_workload(spec, rng=rep, popularity=pop)
-                rows["eft"].append(eft_schedule(inst, tiebreak="min").max_flow)
-                rows["lor"].append(LeastOutstanding(m).run(inst).max_flow)
-                rows["c3"].append(C3Like(m).run(inst).max_flow)
-                rows["rand"].append(RandomAssign(m, rng=rep).run(inst).max_flow)
-            table.add_row(
-                dist,
-                float(np.median(rows["eft"])),
-                float(np.median(rows["lor"])),
-                float(np.median(rows["c3"])),
-                float(np.median(rows["rand"])),
+    table = TextTable(
+        title=f"Replica selection under 40% load (m={m}, k={k}, shuffled s=1)",
+        headers=["size dist", "EFT-Min (clairvoyant)", "LOR", "C3-like", "Random"],
+    )
+    for dist in ("unit", "exp", "pareto"):
+        rows = {"eft": [], "lor": [], "c3": [], "rand": []}
+        for rep in range(3):
+            spec = WorkloadSpec(
+                m=m, n=n, lam=0.4 * m, k=k, strategy="overlapping", size_dist=dist
             )
-        return table
-
-    table = run_once(campaign)
+            inst = generate_workload(spec, rng=rep, popularity=pop)
+            rows["eft"].append(eft_schedule(inst, tiebreak="min").max_flow)
+            rows["lor"].append(LeastOutstanding(m).run(inst).max_flow)
+            rows["c3"].append(C3Like(m).run(inst).max_flow)
+            rows["rand"].append(RandomAssign(m, rng=rep).run(inst).max_flow)
+        table.add_row(
+            dist,
+            float(np.median(rows["eft"])),
+            float(np.median(rows["lor"])),
+            float(np.median(rows["c3"])),
+            float(np.median(rows["rand"])),
+        )
     print()
     print(table.to_text())
     for row in table.rows:

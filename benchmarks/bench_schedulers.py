@@ -1,20 +1,12 @@
 """Load sweep of the scheduler zoo.
 
 Races every zoo policy over shared seeded workloads at 70/90/100%
-cluster load on m=50 and records flow metrics, preemption counts and
-dispatch throughput per policy.  This is the capacity-planning view of
-the zoo: what each policy buys (SRPT's mean flow, Speed-EFT's fast
-tier) and what it costs (preemption events, setup charges, per-task
-decision time).  Rows merge into ``BENCH_schedulers.json`` at the repo
-root — regenerate the checked-in numbers with::
-
-    REPRO_BENCH_SCALE=full python -m pytest \
-        benchmarks/bench_schedulers.py -k sweep -s
+cluster load on m=50 and prints flow metrics and preemption counts per
+policy.  This is the capacity-planning view of the zoo: what each
+policy buys (SRPT's mean flow, Speed-EFT's fast tier) and what it
+costs (preemption events, setup charges).  Per-policy dispatch time is
+measured by the sim-zoo-faulted workload of ``benchmarks/perf``.
 """
-
-import json
-import time
-from pathlib import Path
 
 import pytest
 
@@ -22,22 +14,8 @@ from repro.schedulers import get_scheduler
 from repro.schedulers.compare import DEFAULT_POLICIES
 from repro.simulation import Simulator, WorkloadSpec, generate_workload
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_schedulers.json"
-
 M = 50
 LOADS = (0.7, 0.9, 1.0)
-
-
-def _write_bench_json(section: str, payload: dict) -> None:
-    """Merge ``payload`` under ``section`` into BENCH_schedulers.json."""
-    data = {}
-    if BENCH_JSON.is_file():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _workload(n: int, load: float):
@@ -47,80 +25,34 @@ def _workload(n: int, load: float):
     return generate_workload(spec, rng=0)
 
 
-def _timed_cell(policy: str, inst):
+def _run_cell(policy: str, inst):
     sim = Simulator(get_scheduler(policy, M, seed=0), backend="reference")
     sim.add_instance(inst)
-    t0 = time.perf_counter()
-    res = sim.run()
-    elapsed = time.perf_counter() - t0
-    return res, elapsed
-
-
-@pytest.fixture(scope="module")
-def bench_workload():
-    return _workload(20_000, 0.9)
-
-
-@pytest.mark.parametrize("policy", DEFAULT_POLICIES)
-def test_policy_dispatch_throughput(benchmark, bench_workload, policy):
-    """Per-policy engine throughput on the shared m=50 workload."""
-
-    def run():
-        sim = Simulator(get_scheduler(policy, M, seed=0), backend="reference")
-        sim.add_instance(bench_workload)
-        return sim.run()
-
-    result = benchmark(run)
-    assert result.n_completed == bench_workload.n
+    return sim.run()
 
 
 @pytest.mark.ablation
-def test_zoo_load_sweep(run_once, scale):
+def test_zoo_load_sweep(scale):
     """The zoo table: every policy at 70/90/100% load on m=50."""
     n = 200_000 if scale == "full" else 40_000
-
-    def sweep():
-        rows = []
-        for load in LOADS:
-            inst = _workload(n, load)
-            for policy in DEFAULT_POLICIES:
-                res, elapsed = _timed_cell(policy, inst)
-                rows.append(
-                    {
-                        "policy": policy,
-                        "load": load,
-                        "mean_flow": round(res.mean_flow, 6),
-                        "max_flow": round(res.max_flow, 6),
-                        "n_preempted": res.n_preempted,
-                        "utilization": round(res.utilization, 4),
-                        "wall_s": round(elapsed, 3),
-                        "tasks_per_s": round(n / elapsed),
-                    }
-                )
-        return rows
-
-    rows = run_once(sweep)
+    cells = {}
+    for load in LOADS:
+        inst = _workload(n, load)
+        for policy in DEFAULT_POLICIES:
+            cells[policy, load] = _run_cell(policy, inst)
     print()
     print(f"scheduler zoo sweep (m={M}, n={n}, k=3, scale={scale})")
     print(
         f"{'load':<6} {'policy':<11} {'mean_flow':>11} {'max_flow':>11} "
-        f"{'preempt':>8} {'tasks/s':>10}"
+        f"{'preempt':>8} {'util':>7}"
     )
-    for r in rows:
+    for (policy, load), res in cells.items():
         print(
-            f"{r['load']:<6.2f} {r['policy']:<11} {r['mean_flow']:>11.4f} "
-            f"{r['max_flow']:>11.4f} {r['n_preempted']:>8} {r['tasks_per_s']:>10}"
+            f"{load:<6.2f} {policy:<11} {res.mean_flow:>11.4f} "
+            f"{res.max_flow:>11.4f} {res.n_preempted:>8} {res.utilization:>7.4f}"
         )
-    by_cell = {(r["policy"], r["load"]): r for r in rows}
     for load in LOADS:
         # the zoo's provable ordering, now at benchmark scale
-        assert (
-            by_cell[("srpt-ps", load)]["mean_flow"]
-            <= by_cell[("eft-min", load)]["mean_flow"] + 1e-9
-        )
-        assert by_cell[("srpt-ps", load)]["n_preempted"] > 0
-        assert by_cell[("eft-min", load)]["n_preempted"] == 0
-    _write_bench_json(
-        f"zoo_sweep_{scale}",
-        {"m": M, "n": n, "k": 3, "scale": scale, "rows": rows},
-    )
+        assert cells["srpt-ps", load].mean_flow <= cells["eft-min", load].mean_flow + 1e-9
+        assert cells["srpt-ps", load].n_preempted > 0
+        assert cells["eft-min", load].n_preempted == 0

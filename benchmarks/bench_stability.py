@@ -11,9 +11,9 @@ from repro.experiments import stability
 
 
 @pytest.mark.paper
-def test_stability_phase_boundary(run_once, scale):
+def test_stability_phase_boundary(scale):
     ns = (1000, 2000, 4000, 8000) if scale == "full" else (500, 1000, 2000, 4000)
-    table = run_once(stability.run, m=15, k=3, ns=ns, repeats=3)
+    table = stability.run(m=15, k=3, ns=ns, repeats=3)
     print()
     print(table.to_text())
     stable_row, unstable_row = table.rows

@@ -15,12 +15,10 @@ from repro.psets import OverlappingIntervals
 
 
 @pytest.mark.ablation
-def test_strategy_exploration(run_once, scale):
+def test_strategy_exploration(scale):
     perms = 40 if scale == "full" else 12
     sim_tasks = 6000 if scale == "full" else 1500
-    table = run_once(
-        evaluate_strategies, m=15, k=3, n_permutations=perms, sim_tasks=sim_tasks
-    )
+    table = evaluate_strategies(m=15, k=3, n_permutations=perms, sim_tasks=sim_tasks)
     print()
     print(table.to_text())
     by_name = {row[0]: row for row in table.rows}
@@ -33,16 +31,11 @@ def test_strategy_exploration(run_once, scale):
 
 
 @pytest.mark.ablation
-def test_probe_collapse_comparison(run_once):
+def test_probe_collapse_comparison():
     m, k = 12, 3
 
-    def probe_both():
-        return (
-            adversarial_probe(OverlappingIntervals(m, k), steps=4 * m**2),
-            adversarial_probe(MirroredIntervals(m, k), steps=4 * m**2),
-        )
-
-    over, mirrored = run_once(probe_both)
+    over = adversarial_probe(OverlappingIntervals(m, k), steps=4 * m**2)
+    mirrored = adversarial_probe(MirroredIntervals(m, k), steps=4 * m**2)
     print(f"\nTheorem 8 probe (m={m}, k={k}): overlapping Fmax={over:g} "
           f"(= m-k+1={m - k + 1}), mirrored Fmax={mirrored:g}")
     assert over == m - k + 1

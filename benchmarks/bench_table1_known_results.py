@@ -10,8 +10,8 @@ from repro.experiments import table1
 
 
 @pytest.mark.paper
-def test_table1_render(benchmark):
-    table = benchmark(table1.run, 15)
+def test_table1_render():
+    table = table1.run(15)
     print()
     print(table.to_text())
     assert len(table.rows) >= 10

@@ -11,9 +11,9 @@ from repro.experiments import table2
 
 
 @pytest.mark.paper
-def test_table2_bounds(run_once, scale):
+def test_table2_bounds(scale):
     p = 100_000.0 if scale == "full" else 1000.0
-    table = run_once(table2.run, m=16, k=3, p=p)
+    table = table2.run(m=16, k=3, p=p)
     print()
     print(table.to_text())
     # every lower-bound row must achieve >= 95% of its theory value

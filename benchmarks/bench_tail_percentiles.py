@@ -12,9 +12,9 @@ from repro.experiments import tails
 
 
 @pytest.mark.paper
-def test_tail_percentiles(run_once, scale):
+def test_tail_percentiles(scale):
     n = 8000 if scale == "full" else 3000
-    table = run_once(tails.run, m=15, k=3, n=n, load=0.45, repeats=3)
+    table = tails.run(m=15, k=3, n=n, load=0.45, repeats=3)
     print()
     print(table.to_text())
     rows = {(r[0], r[1]): r for r in table.rows}

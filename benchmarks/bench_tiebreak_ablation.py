@@ -21,27 +21,23 @@ POLICIES = ("min", "max", "rand", "least_loaded")
 
 
 @pytest.mark.ablation
-def test_tiebreak_on_worst_case_workload(run_once):
+def test_tiebreak_on_worst_case_workload():
     m, k, n = 15, 3, 4000
     pop = worst_case(m, 1.0)
 
-    def campaign():
-        table = TextTable(
-            title="Ablation: tie-break policy, Worst-case s=1, overlapping k=3, load 45%",
-            headers=["policy", "median Fmax", "mean flow"],
-        )
-        for policy in POLICIES:
-            fmaxes, means = [], []
-            for rep in range(5):
-                spec = WorkloadSpec(m=m, n=n, lam=0.45 * m, k=k, strategy="overlapping")
-                inst = generate_workload(spec, rng=rep, popularity=pop)
-                sched = eft_schedule(inst, tiebreak=policy, rng=rep)
-                fmaxes.append(sched.max_flow)
-                means.append(sched.mean_flow)
-            table.add_row(policy, float(np.median(fmaxes)), float(np.mean(means)))
-        return table
-
-    table = run_once(campaign)
+    table = TextTable(
+        title="Ablation: tie-break policy, Worst-case s=1, overlapping k=3, load 45%",
+        headers=["policy", "median Fmax", "mean flow"],
+    )
+    for policy in POLICIES:
+        fmaxes, means = [], []
+        for rep in range(5):
+            spec = WorkloadSpec(m=m, n=n, lam=0.45 * m, k=k, strategy="overlapping")
+            inst = generate_workload(spec, rng=rep, popularity=pop)
+            sched = eft_schedule(inst, tiebreak=policy, rng=rep)
+            fmaxes.append(sched.max_flow)
+            means.append(sched.mean_flow)
+        table.add_row(policy, float(np.median(fmaxes)), float(np.mean(means)))
     print()
     print(table.to_text())
     values = {row[0]: row[1] for row in table.rows}
@@ -51,22 +47,18 @@ def test_tiebreak_on_worst_case_workload(run_once):
 
 
 @pytest.mark.ablation
-def test_tiebreak_on_adversary(run_once):
+def test_tiebreak_on_adversary():
     m, k = 8, 3
 
-    def campaign():
-        table = TextTable(
-            title=f"Ablation: tie-break policy on the Theorem 8 adversary (m={m}, k={k})",
-            headers=["policy", "Fmax", "bound m-k+1"],
+    table = TextTable(
+        title=f"Ablation: tie-break policy on the Theorem 8 adversary (m={m}, k={k})",
+        headers=["policy", "Fmax", "bound m-k+1"],
+    )
+    for policy in POLICIES:
+        result = EFTIntervalAdversary(m, k, steps=m**3).run(
+            lambda mm: EFT(mm, tiebreak=policy, rng=0)
         )
-        for policy in POLICIES:
-            result = EFTIntervalAdversary(m, k, steps=m**3).run(
-                lambda mm: EFT(mm, tiebreak=policy, rng=0)
-            )
-            table.add_row(policy, result.fmax, m - k + 1)
-        return table
-
-    table = run_once(campaign)
+        table.add_row(policy, result.fmax, m - k + 1)
     print()
     print(table.to_text())
     values = {row[0]: row[1] for row in table.rows}

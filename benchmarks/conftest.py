@@ -1,10 +1,9 @@
-"""Benchmark-suite configuration.
+"""Reproduction-report configuration.
 
-Every benchmark regenerates one paper table/figure (or an ablation) and
-prints the resulting rows, so ``pytest benchmarks/ --benchmark-only -s``
-doubles as the reproduction report.  Heavy experiment campaigns run
-once per benchmark (``pedantic`` with one round); micro-benchmarks of
-the hot paths use the default calibration.
+Every ``bench_*.py`` regenerates one paper table/figure (or an
+ablation), prints the resulting rows and asserts their shape, so
+``python -m pytest -s benchmarks/`` doubles as the reproduction report.
+Nothing here times anything: speed is measured by ``benchmarks/perf``.
 
 Scale knobs: set ``REPRO_BENCH_SCALE=full`` in the environment to run
 the paper-scale versions (Figure 10's 100-permutation sweep, Figure
@@ -26,13 +25,3 @@ def pytest_configure(config):
 def scale() -> str:
     """``quick`` (default) or ``full`` (paper-scale)."""
     return os.environ.get("REPRO_BENCH_SCALE", "quick")
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a heavy experiment exactly once under the benchmark timer."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner

@@ -1121,36 +1121,27 @@ def _run_verify(args) -> str:
     return verify.run().to_text()
 
 
+#: what ``repro all`` regenerates: each verb's own handler at its CLI
+#: defaults (fig10/fig11 at --quick)
+_ALL_VERBS = (
+    "table1", "table2", "fig03", "fig08", "fig10", "fig11", "ratios", "tails", "stability", "verify",
+)
+
+
 def _run_all(args) -> str:
     """Regenerate every table/figure at quick scale into --out."""
     from pathlib import Path
 
-    from .experiments import fig03, fig08, fig10, fig11, ratios, stability, table1, table2, tails, verify
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = {
-        "table1.txt": lambda: table1.run(15).to_text(),
-        "table2.txt": lambda: table2.run(m=16, k=3, p=1000).to_text(),
-        "fig03.txt": lambda: fig03.run().to_text(),
-        "fig08.txt": lambda: fig08.run().to_text(),
-        "fig10.txt": lambda: fig10.run(
-            m=15,
-            s_values=np.arange(0.0, 5.01, 0.5),
-            k_values=np.array([1, 2, 3, 4, 6, 8, 11, 15]),
-            n_permutations=25,
-        ).to_text(),
-        "fig11.txt": lambda: fig11.run(m=15, k=3, n=3000, repeats=3).to_text(),
-        "ratios.txt": lambda: ratios.run().to_text(),
-        "tails.txt": lambda: tails.run().to_text(),
-        "stability.txt": lambda: stability.run().to_text(),
-        "verify.txt": lambda: verify.run().to_text(),
-    }
+    parser = build_parser()
     lines = []
-    for name, job in jobs.items():
-        text = job()
-        (out / name).write_text(text + "\n")
-        lines.append(f"wrote {out / name}")
+    for verb in _ALL_VERBS:
+        argv = [verb, "--quick"] if verb in ("fig10", "fig11") else [verb]
+        text = _HANDLERS[verb](parser.parse_args(argv))
+        path = out / f"{verb}.txt"
+        path.write_text(text + "\n")
+        lines.append(f"wrote {path}")
     return "\n".join(lines)
 
 

@@ -27,8 +27,8 @@ engine can express; the simulator and ``eft_schedule`` both ask it.
 
 Byte-identity with the reference engine is the regression oracle
 (``tests/simulation/test_vec_backend.py`` replays every golden fixture
-through the array backend); the speedup is tracked by
-``benchmarks/bench_scheduler_throughput.py`` → ``BENCH_throughput.json``.
+through the array backend); ``make vec-smoke`` floor-checks the speedup
+at 10x, and ``benchmarks/perf`` measures it (``vecengine.decide_s``).
 """
 
 from __future__ import annotations

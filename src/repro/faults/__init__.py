@@ -9,12 +9,7 @@ reproducible scenario:
   (seeded exponential MTBF/MTTR failure/repair patterns);
 * :mod:`~repro.faults.policies` — what happens to the in-flight task
   of a failing machine (``restart`` elsewhere / ``resume`` on
-  recovery);
-* :mod:`~repro.faults.units` — misbehaving campaign units (crash,
-  hang, flaky) exercising the runner's crash isolation, per-unit
-  timeouts and retry;
-* :mod:`~repro.faults.selftest` — the CI runner-resilience smoke
-  (``python -m repro.faults.selftest``).
+  recovery).
 
 The consumer is :class:`repro.simulation.engine.Simulator` via its
 ``faults=`` / ``fault_policy=`` parameters: machines go DOWN and UP as

@@ -4,12 +4,21 @@ import time
 
 import pytest
 
-from repro.campaigns import CampaignSpec, ResultCache, RetryPolicy, Unit, run_campaign
+from repro.campaigns import (
+    CampaignSpec,
+    ResultCache,
+    RetryPolicy,
+    Unit,
+    build_manifest,
+    load_manifest,
+    run_campaign,
+    write_manifest,
+)
 
-OK = "repro.faults.units:ok"
-CRASH = "repro.faults.units:crash"
-SLEEP = "repro.faults.units:sleep"
-FLAKY = "repro.faults.units:flaky"
+OK = "tests.campaigns.unit_kinds:ok"
+CRASH = "tests.campaigns.unit_kinds:crash"
+SLEEP = "tests.campaigns.unit_kinds:sleep"
+FLAKY = "tests.campaigns.unit_kinds:flaky"
 
 
 def ok_units(n):
@@ -30,6 +39,23 @@ class TestCrashIsolation:
         assert failure.unit.label == "boom"
         assert "crashed" in failure.error
         assert "137" in failure.error
+
+    def test_crash_manifest_round_trips(self, tmp_path):
+        """A cached, time-limited campaign with a crashed worker leaves a
+        manifest that loads back and counts the failure."""
+        spec = CampaignSpec(
+            name="crash-manifest",
+            units=tuple(ok_units(4) + [Unit(kind=CRASH, params={"code": 137}, seed=9, label="boom")]),
+        )
+        cache = ResultCache(tmp_path / "cache")
+        result = run_campaign(spec, n_jobs=2, cache=cache, raise_on_error=False, timeout=60.0)
+        assert result.n_executed == 4
+        assert result.n_failed == 1
+        assert "crashed" in result.failures()[0].error
+        path = write_manifest(build_manifest(result), tmp_path / "crash.manifest.json")
+        back = load_manifest(path)
+        assert back.n_failed == 1
+        assert back.n_units == 5
 
     def test_crash_in_single_isolated_worker(self):
         spec = CampaignSpec(
@@ -117,6 +143,7 @@ class TestRetry:
         )
         first = run_campaign(spec, retry=2, cache=cache, raise_on_error=False)
         assert first.outcomes[0].ok
+        assert first.outcomes[0].attempts == 2
         again = run_campaign(spec, cache=cache)
         assert again.all_cached
 

@@ -15,7 +15,7 @@ from repro.campaigns import (
     write_manifest,
 )
 
-OK = "repro.faults.units:ok"
+OK = "tests.campaigns.unit_kinds:ok"
 
 
 def ok_units(n):
@@ -150,7 +150,7 @@ class TestCliExitCodes:
     def test_failure_exits_one_with_stderr_summary(self, fake_campaign, tmp_path, capsys):
         from repro.cli import main
 
-        fake_campaign(ok_units(2) + [Unit(kind="repro.faults.units:crash", params={}, seed=7, label="boom")])
+        fake_campaign(ok_units(2) + [Unit(kind="tests.campaigns.unit_kinds:crash", params={}, seed=7, label="boom")])
         code = main([
             "campaign", "fig11", "-j", "2",
             "--cache-dir", str(tmp_path / "cache"),

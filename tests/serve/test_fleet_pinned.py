@@ -3,10 +3,10 @@
 Two byte-level oracles that any restructuring of the serve tier's
 dispatcher/router split must reproduce exactly:
 
-* the six ``assignments_sha256`` values recorded in
-  ``BENCH_rebalance.json`` (hotspot shift, with and without a machine
-  outage; static-overlapping, static-disjoint and adaptive arms),
-  re-derived through :func:`repro.rebalance.run_rebalance`;
+* six rebalance assignment digests (the quick-scale runs of
+  ``benchmarks/bench_rebalance.py``: hotspot shift, with and without a
+  machine outage; static-overlapping, static-disjoint and adaptive
+  arms), re-derived through :func:`repro.rebalance.run_rebalance`;
 * seeded operation streams — submit, kill, revive, failure redispatch
   and rebalance ``apply_placement`` — on the one-shard fleet
   ``ShardRouter(ShardPlan.single(4))`` for every registry policy, each

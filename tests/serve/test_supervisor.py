@@ -77,6 +77,19 @@ class TestShardSupervisor:
 
 
 class TestCrashRecoveryDigest:
+    def test_process_fleet_matches_single_dispatcher(self):
+        """Theorem 6 across processes: one server process per shard on a
+        disjoint plan places exactly like the single dispatcher."""
+        inst = _fast_instance()
+        single = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report
+        fleet = run_loopback(
+            inst, ServeConfig(m=FAST["m"]), shards=2, target_rate=FAST["rate"]
+        ).report
+        for report in (single, fleet):
+            assert report.n_errors == 0
+            assert report.n_acked == report.n_sent == FAST["n"]
+        assert fleet.assignments_digest == single.assignments_digest
+
     def test_killed_shard_recovers_to_identical_digest(self, tmp_path):
         """Tentpole acceptance: SIGKILL a shard mid-drive; after journal
         replay the merged digest byte-matches the uninterrupted run."""
