@@ -201,13 +201,13 @@ rebalance-smoke:
 	rm -rf results/.rebalance-smoke
 
 # Vectorized-engine smoke: every golden fixture must replay
-# byte-identically through the array backend (EFT-Rand exercises the
-# silent reference fallback), a fresh workload must match the
-# reference bit-for-bit, and a quick-scale speedup race must clear
-# the throughput floor.
+# byte-identically through the array path (EFT-Rand exercises the
+# silent reference fallback), fresh workloads and eft_schedule must
+# match the reference bit-for-bit, and a quick-scale speedup race must
+# clear the throughput floor.
 vec-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro vec-check --backend array
-	PYTHONPATH=src $(PYTHON) -m repro vec-check --backend auto
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/simulation/test_vec_backend.py \
+		tests/campaigns/test_goldens.py tests/core/test_arrayeft.py
 	PYTHONPATH=src $(PYTHON) -m pytest -q -s \
 		benchmarks/bench_scheduler_throughput.py -k speedup
 

@@ -110,7 +110,7 @@ def generate(name: str, backend: str = "analytic") -> Trace:
     any :data:`repro.simulation.BACKENDS` name replays through
     ``Simulator(backend=...)`` instead.  Every route must serialise
     byte-identically — the array-engine regression oracle
-    (``tests/simulation/test_vec_backend.py``, ``repro vec-check``).
+    (``tests/campaigns/test_goldens.py``, ``make vec-smoke``).
     """
     case = GOLDEN_CASES[name]
     instance = case.make_instance()

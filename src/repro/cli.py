@@ -199,23 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for randomised schedulers")
 
     p = sub.add_parser(
-        "vec-check",
-        help="replay every golden fixture through the vectorized array backend "
-        "and assert byte-identity with the checked-in traces",
-    )
-    p.add_argument(
-        "--backend",
-        default="array",
-        choices=["array", "auto", "reference"],
-        help="Simulator backend to regenerate through (default: array)",
-    )
-    p.add_argument(
-        "--golden",
-        default=None,
-        help="check a single golden case instead of all of them",
-    )
-
-    p = sub.add_parser(
         "rebalance",
         help="dynamic hotspot-shift workload: static placements vs LP-driven adaptive re-replication",
     )
@@ -722,77 +705,6 @@ def _run_replay(args) -> str | tuple[str, int]:
     return "\n".join(lines)
 
 
-def _run_vec_check(args) -> str | tuple[str, int]:
-    """The ``vec-check`` subcommand: the array-engine byte-identity
-    gate.  Regenerates every golden fixture through
-    ``Simulator(backend=...)`` and compares the serialised trace
-    byte-for-byte against the checked-in file; any drift (including a
-    broken silent fallback for the EFT-Rand golden) exits non-zero.
-    Two fresh-workload lines follow: the engine's backends agree, and
-    ``eft_schedule`` takes the array path to the reference placements."""
-    from .campaigns import goldens as goldens_mod
-    from .core import EFT, VecSchedule, eft_schedule
-    from .simulation import Simulator
-    from .simulation.workload import WorkloadSpec, generate_workload
-
-    names = [args.golden] if args.golden else sorted(goldens_mod.GOLDEN_CASES)
-    lines = [f"array-engine byte-identity check (backend={args.backend})"]
-    failed = 0
-    for name in names:
-        case = goldens_mod.GOLDEN_CASES[name]
-        scheduler = case.make_scheduler()
-        sim = Simulator(scheduler, backend=args.backend)
-        sim.add_instance(case.make_instance())
-        sim.run()
-        engine = sim.backend_used or "?"
-        note = f" ({sim.fallback_reason})" if sim.fallback_reason else ""
-        try:
-            goldens_mod.check_golden(name, backend=args.backend)
-        except goldens_mod.GoldenMismatch as exc:
-            failed += 1
-            lines.append(f"  {name:<22} FAIL via {engine}{note}: {exc}")
-        else:
-            lines.append(f"  {name:<22} ok   via {engine}{note}")
-    # Cross-backend parity on a fresh workload, beyond the fixtures.
-    spec = WorkloadSpec(m=10, n=600, lam=0.6 * 10, k=3, strategy="overlapping")
-    inst = generate_workload(spec, rng=42)
-    results = {}
-    for backend in ("reference", args.backend):
-        sim = Simulator(EFT(10, tiebreak="min"), backend=backend)
-        sim.add_instance(inst)
-        results[backend] = sim.run()
-    ref, alt = results["reference"], results[args.backend]
-    parity = (
-        ref.max_flow == alt.max_flow
-        and ref.mean_flow == alt.mean_flow
-        and ref.schedule.same_placements(alt.schedule, tol=0.0)
-    )
-    if not parity:
-        failed += 1
-    lines.append(
-        f"  {'fresh-workload parity':<22} {'ok' if parity else 'FAIL'}   "
-        f"(m=10, n=600, bit-exact fields)"
-    )
-    # The front door: eft_schedule must decide Min on the array engine,
-    # placement for placement what the reference EFT.run decides.
-    front = eft_schedule(inst, "min")
-    reference = EFT(10, "min").run(inst)
-    door = (
-        isinstance(front, VecSchedule)
-        and front.same_placements(reference, tol=0.0)
-        and front.max_flow == reference.max_flow
-        and front.mean_flow == reference.mean_flow
-    )
-    if not door:
-        failed += 1
-    lines.append(
-        f"  {'eft_schedule parity':<22} {'ok' if door else 'FAIL'}   "
-        f"(array path == EFT(10, 'min').run, bit-exact)"
-    )
-    lines.append(f"{len(names) + 2 - failed}/{len(names) + 2} checks passed")
-    return ("\n".join(lines), 0 if failed == 0 else 1)
-
-
 def _run_rebalance(args) -> str:
     """The ``rebalance`` subcommand: run the hotspot-shift scenario
     under one policy or race all three arms on the same stream."""
@@ -1228,7 +1140,6 @@ _HANDLERS = {
     "campaign": _run_campaign,
     "faulted": _run_faulted,
     "replay": _run_replay,
-    "vec-check": _run_vec_check,
     "rebalance": _run_rebalance,
     "serve": _run_serve,
     "route": _run_route,

@@ -2,7 +2,7 @@
 
 from .baselines import LeastWorkAssign, RandomAssign, RoundRobinAssign
 from .composition import ComposedDisjointScheduler
-from .dispatch import DispatchRecord, ImmediateDispatchScheduler, run_online
+from .dispatch import DispatchRecord, ImmediateDispatchScheduler
 from .eft import EFT, eft_schedule
 from .fifo import FIFO, RestrictedFIFO, fifo_schedule
 from .gantt import render_gantt, render_profile
@@ -10,7 +10,7 @@ from .metrics import ScheduleStats, flow_percentiles, summarize, waiting_profile
 from .nonclairvoyant import C3Like, LeastOutstanding
 from .schedule import Assignment, Schedule, ScheduleError
 from .task import Instance, Task
-from .vecengine import VecSchedule, VecUnsupported, clear_set_cache, set_cache_info
+from .vecengine import VecSchedule, VecUnsupported
 from .tiebreak import (
     FunctionTieBreak,
     LeastLoadedFirst,
@@ -47,15 +47,12 @@ __all__ = [
     "TieBreak",
     "VecSchedule",
     "VecUnsupported",
-    "clear_set_cache",
     "eft_schedule",
     "fifo_schedule",
     "flow_percentiles",
     "get_tiebreak",
     "render_gantt",
     "render_profile",
-    "run_online",
-    "set_cache_info",
     "summarize",
     "waiting_profile",
 ]

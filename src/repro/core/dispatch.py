@@ -26,7 +26,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from .schedule import Schedule
 from .task import Instance, Task
 
-__all__ = ["DispatchRecord", "ImmediateDispatchScheduler", "realised", "run_online"]
+__all__ = ["DispatchRecord", "ImmediateDispatchScheduler", "realised"]
 
 
 def realised(tasks: Iterable[Task], service: Mapping[int, float] | None) -> tuple[Task, ...]:
@@ -230,8 +230,3 @@ class ImmediateDispatchScheduler:
         if self._service:
             return self.schedule()
         return Schedule(instance, self._placements)
-
-
-def run_online(instance: Instance, scheduler: ImmediateDispatchScheduler) -> Schedule:
-    """Convenience wrapper: run ``scheduler`` over ``instance``."""
-    return scheduler.run(instance)

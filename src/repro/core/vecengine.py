@@ -1,5 +1,5 @@
 """Vectorized batched simulation core — the engine behind
-``Simulator(backend="array")`` and the array path of
+``Simulator(backend="auto")`` and the array path of
 :func:`~repro.core.eft.eft_schedule`.
 
 The reference :class:`~repro.simulation.engine.Simulator` is an
@@ -46,11 +46,9 @@ __all__ = [
     "VecUnsupported",
     "VecSchedule",
     "array_prefer_max",
-    "clear_set_cache",
     "eft_decide",
     "lower_eligibility",
     "lower_processing_set",
-    "set_cache_info",
 ]
 
 class VecUnsupported(Exception):
@@ -87,16 +85,6 @@ def lower_processing_set(m: int, key: frozenset[int] | None) -> tuple[int, ...]:
     if max(key) > m:
         raise VecUnsupported(f"processing set {sorted(key)} exceeds m={m}")
     return tuple(sorted(key))
-
-
-def set_cache_info():
-    """``functools.lru_cache`` statistics of the set-lowering cache."""
-    return lower_processing_set.cache_info()
-
-
-def clear_set_cache() -> None:
-    """Drop every lowered processing set (mainly for tests)."""
-    lower_processing_set.cache_clear()
 
 
 def lower_eligibility(m: int, tasks: Sequence[Task]) -> list[tuple[int, ...]]:

@@ -26,7 +26,8 @@ only for work actually performed by ``until`` (completed tasks in
 full, the running task pro-rated from its start), so utilisation never
 exceeds 1; released-but-unstarted tasks contribute their current age
 ``now - r_i`` (a lower bound on their eventual flow) to ``max_flow``
-and ``mean_flow`` and are flagged by ``n_pending``.
+and ``mean_flow`` and are flagged by ``n_pending``.  A truncated run
+always takes the reference event loop.
 
 Fault injection (``faults=``): a :class:`repro.faults.FaultSchedule`
 adds MACHINE_DOWN/MACHINE_UP events.  While a machine is down it
@@ -48,7 +49,6 @@ identity guarded by ``tests/faults``).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 #: Valid ``Simulator(backend=...)`` names.
-BACKENDS = ("auto", "array", "reference")
+BACKENDS = ("auto", "reference")
 
 
 class UnknownBackendError(ValueError):
@@ -196,20 +196,21 @@ class Simulator:
         ``"resume"`` (continue with the residual at recovery).
     backend:
         Execution engine: ``"reference"`` always runs the event loop;
-        ``"array"`` and ``"auto"`` (the default — existing call sites
-        pick up the fast path with no changes) fast-forward eligible
-        runs through :mod:`repro.core.vecengine` and *silently* fall
-        back to the reference loop otherwise, recording why in
-        :attr:`fallback_reason`.  A run is eligible when it is fresh
+        ``"auto"`` (the default) fast-forwards an eligible run through
+        :mod:`repro.core.vecengine` and *silently* falls back to the
+        reference loop otherwise, recording why in
+        :attr:`fallback_reason`.  A run is eligible when it is a whole
+        drain (:meth:`run` with no cutoff) of a fresh simulator
         (nothing dispatched yet), the scheduler is plain :class:`EFT`
         with a deterministic Min/Max tie-break, no observer is
         attached, the fault schedule is absent or empty, the event
         queue is empty and tasks are waiting in the release feed
-        (everything fed by :meth:`add_tasks`/:meth:`add_instance` and
-        not yet run).  Results are bit-identical either
-        way — byte-identity over the golden fixtures is enforced by
-        ``tests/simulation/test_vec_backend.py`` and ``make vec-smoke``.
-        :attr:`backend_used` reports what the last :meth:`run` did.
+        (everything fed by :meth:`add_tasks`/:meth:`add_instance`).
+        Results are bit-identical either way — byte-identity over the
+        golden fixtures is enforced by
+        ``tests/simulation/test_vec_backend.py`` and
+        ``tests/campaigns/test_goldens.py``.  :attr:`backend_used`
+        reports what the last :meth:`run` did.
     """
 
     def __init__(
@@ -237,7 +238,7 @@ class Simulator:
         self.m = scheduler.m
         self.machines = {j: MachineState(index=j) for j in range(1, self.m + 1)}
         self.events = EventQueue()
-        #: tasks fed between runs, in feed order: they become RELEASE
+        #: tasks fed before a run, in feed order: they become RELEASE
         #: events only when the reference loop starts (the array path
         #: consumes them directly and never builds the events).
         self._feed: list[Task] = []
@@ -303,18 +304,10 @@ class Simulator:
     # the (surprisingly expensive) dict builds until first read.
 
     def _materialize_books(self) -> None:
-        tids, mach_l, start_l, comp_a, started_idx, completed_idx = self._lazy_books
+        tids, mach_l, start_l, comp_a = self._lazy_books
         self._lazy_books = None
-        if started_idx is None:  # full drain: everyone started and completed
-            self._starts = dict(zip(tids, start_l))
-            self._completions = dict(zip(tids, comp_a.tolist()))
-        else:
-            st = started_idx.tolist()
-            self._starts = dict(zip([tids[i] for i in st], [start_l[i] for i in st]))
-            ct = completed_idx.tolist()
-            self._completions = dict(
-                zip([tids[i] for i in ct], comp_a[completed_idx].tolist())
-            )
+        self._starts = dict(zip(tids, start_l))
+        self._completions = dict(zip(tids, comp_a.tolist()))
         self._assigned_machine = dict(zip(tids, mach_l))
 
     @property
@@ -648,14 +641,14 @@ class Simulator:
         and :meth:`result` reflect the state *at the cutoff*, not at
         the last event.  Calling :meth:`run` again resumes seamlessly.
 
-        Under ``backend="auto"``/``"array"`` an eligible run is
+        Under ``backend="auto"`` an eligible whole drain is
         fast-forwarded through the vectorized engine (bit-identical
-        result, full state sync — resuming, inspection and observers
-        added later all keep working); everything else takes the
+        result and final state — inspection and later runs keep
+        working); everything else, every cutoff included, takes the
         reference event loop, with :attr:`fallback_reason` recording
         why.
         """
-        if self.backend != "reference":
+        if self.backend == "auto":
             self.fallback_reason = None
             result = self._try_run_array(until)
             if result is not None:
@@ -667,14 +660,8 @@ class Simulator:
     def _run_reference(self, until: float | None) -> SimulationResult:
         """The event loop (see :meth:`run` for semantics)."""
         if self._feed:
-            # Materialise the feed unless nothing at all is due by the
-            # cutoff (then no callback can run either, and the feed stays
-            # for the array path of the next run).
-            head = self._release_feed()[0].release
-            nxt = self.events.peek_time()
-            if until is None or head <= until or (nxt is not None and nxt <= until):
-                self.events.extend(EventKind.RELEASE, ((t.release, t) for t in self._feed))
-                self._feed = []
+            self.events.extend(EventKind.RELEASE, ((t.release, t) for t in self._feed))
+            self._feed = []
         self._running = True
         try:
             while self.events:
@@ -722,6 +709,8 @@ class Simulator:
             return "observer hooks need per-event work"
         if self.faults is not None and bool(self.faults):
             return "fault schedule needs per-event work"
+        if until is not None:
+            return "cutoff needs per-event work"
         if self.now != 0.0 or self._tasks or self.starts or self.parked:
             return "simulation already started"
         if not s.fresh:
@@ -736,34 +725,25 @@ class Simulator:
         return None
 
     def _try_run_array(self, until: float | None) -> SimulationResult | None:
-        """Fast-forward an eligible run on the vectorized engine.
+        """Fast-forward an eligible whole drain on the vectorized engine.
 
-        Computes every dispatch decision for the releases due by
-        ``until`` in one :func:`repro.core.vecengine.eft_decide` pass
-        (identical arithmetic to the reference loop), then syncs the
-        complete simulator and scheduler state — machine states, run
-        queues, in-flight COMPLETEs, the releases after the cutoff left
-        in the feed, dispatch books — so a later :meth:`run`,
-        :meth:`result`, :meth:`waiting_profile` or adversary pick up
-        exactly where the reference loop would have been.  Returns
+        Computes every dispatch decision in one
+        :func:`repro.core.vecengine.eft_decide` pass (identical
+        arithmetic to the reference loop), then syncs the drained
+        simulator and scheduler state — machine states, dispatch books
+        — so :meth:`result`, :meth:`waiting_profile` and later feeds
+        see exactly what the reference loop would have left.  Returns
         ``None`` (and records :attr:`fallback_reason`) when the run is
         not expressible; nothing is mutated in that case.
         """
         reason = self._array_fallback_reason(until)
-        if reason is None:
-            # The feed in firing order (release, then feed order) — the
-            # exact order the reference loop submits it, out-of-order
-            # add_tasks feeds included.
-            feed = self._release_feed()
-            cut = len(feed) if until is None else bisect_right(
-                feed, until, key=attrgetter("release")
-            )
-            if cut == 0:
-                reason = "no releases before the cutoff"
         if reason is not None:
             self.fallback_reason = reason
             return None
-        released = feed if cut == len(feed) else feed[:cut]
+        # The feed in firing order (release, then feed order) — the
+        # exact order the reference loop submits it, out-of-order
+        # add_tasks feeds included.
+        released = self._release_feed()
         try:
             elig = lower_eligibility(self.m, released)
         except VecUnsupported as exc:
@@ -775,42 +755,22 @@ class Simulator:
         proc = [t.proc for t in released]
         prefer_max = array_prefer_max(self.scheduler.tiebreak)
         mach_l, start_l, comp_after = eft_decide(m, rel, proc, elig, prefer_max)
-        rel_a = np.asarray(rel)
         proc_a = np.asarray(proc)
         mach_a = np.asarray(mach_l, dtype=np.int64)
         start_a = np.asarray(start_l)
         comp_a = start_a + proc_a
         tids = [t.tid for t in released]
-
-        # Clock: full drain ends at the last COMPLETE; a truncated run
-        # advances to the cutoff (prefix non-empty => until >= 0).
-        if until is None:
-            now = float(comp_a.max())
-            started = completed = np.ones(n, dtype=bool)
-        else:
-            now = float(until)
-            started = start_a <= now
-            completed = comp_a <= now
-        self.now = now
+        # A drain ends at the last COMPLETE.
+        makespan = float(comp_a.max())
+        self.now = makespan
 
         # -- dispatch books (simulator + scheduler) -----------------------
         # Columnar sync: the dict views are deferred (see
         # :meth:`_materialize_books`) — a result-only run never builds
         # them, which is most of the per-task Python cost at scale.
-        started_idx = np.nonzero(started)[0]
-        completed_idx = np.nonzero(completed)[0]
-        n_started = n if until is None else len(started_idx)
-        n_completed = n if until is None else len(completed_idx)
-        self._lazy_books = (
-            tids,
-            mach_l,
-            start_l,
-            comp_a,
-            None if until is None else started_idx,
-            None if until is None else completed_idx,
-        )
+        self._lazy_books = (tids, mach_l, start_l, comp_a)
         self._tasks = released
-        self._feed = feed[cut:]
+        self._feed = []
         s = self.scheduler
         s.completions = {j: comp_after[j] for j in range(1, m + 1)}
         counts = np.bincount(mach_a, minlength=m + 1)
@@ -818,62 +778,29 @@ class Simulator:
         s._placements_dict = {}
         s._placements_lazy = (tids, mach_l, start_l)
         s._tasks = list(released)
-        s._last_release = rel[-1] if n else 0.0
+        s._last_release = rel[-1]
 
         # -- machine states ------------------------------------------------
         busy_until = np.zeros(m + 1)
         stint = np.zeros(m + 1)
-        np.maximum.at(busy_until, mach_a[started_idx], comp_a[started_idx])
-        np.maximum.at(stint, mach_a[started_idx], start_a[started_idx])
-        busy = np.bincount(
-            mach_a[completed_idx], weights=proc_a[completed_idx], minlength=m + 1
-        )
-        done_counts = np.bincount(mach_a[completed_idx], minlength=m + 1)
+        np.maximum.at(busy_until, mach_a, comp_a)
+        np.maximum.at(stint, mach_a, start_a)
+        busy = np.bincount(mach_a, weights=proc_a, minlength=m + 1)
         for j in range(1, m + 1):
             ms = self.machines[j]
             ms.busy_until = float(busy_until[j])
             ms.stint_start = float(stint[j])
             ms.busy_time = float(busy[j])
-            ms.tasks_done = int(done_counts[j])
-
-        # -- in-flight completions and the run queues of busy machines
-        # (the releases after the cutoff stay in the feed) ----------------
-        if until is not None:
-            for i in np.nonzero(started & ~completed)[0].tolist():
-                j = mach_l[i]
-                ms = self.machines[j]
-                ms.current = released[i]
-                self.events.push(
-                    float(comp_a[i]), EventKind.COMPLETE, (j, released[i], ms.epoch)
-                )
-            for i in np.nonzero(~started)[0].tolist():
-                self.machines[mach_l[i]].queue.append(released[i])
+            ms.tasks_done = int(counts[j])
 
         # -- result, derived in batch (reference summation order) ---------
-        if until is None:
-            flows = (comp_a - rel_a).tolist()
-            pending_ages: list[float] = []
-            sched_mach, sched_start = mach_a, start_a
-            sched_tids = np.asarray(tids, dtype=np.int64)
-            started_tasks = released
-            makespan = float(comp_a.max()) if n else 0.0
-        else:
-            flows = (comp_a[started_idx] - rel_a[started_idx]).tolist()
-            pending_ages = (now - rel_a[~started]).tolist()
-            sched_mach = mach_a[started_idx]
-            sched_start = start_a[started_idx]
-            sched_tids = np.asarray(tids, dtype=np.int64)[started_idx]
-            started_tasks = [released[i] for i in started_idx.tolist()]
-            makespan = float(comp_a[completed_idx].max()) if n_completed else 0.0
-        if (
-            self._fed_instance is not None
-            and len(started_tasks) == self._fed_instance.n
-        ):
+        flows = (comp_a - np.asarray(rel)).tolist()
+        if self._fed_instance is not None and n == self._fed_instance.n:
             inst = self._fed_instance
         else:
-            inst = Instance(m=m, tasks=tuple(started_tasks))
-        sched = VecSchedule(inst, sched_mach, sched_start, sched_tids)
-        return self._summarise(sched, flows + pending_ages, makespan, n_completed, n, n_started)
+            inst = Instance(m=m, tasks=tuple(released))
+        sched = VecSchedule(inst, mach_a, start_a, np.asarray(tids, dtype=np.int64))
+        return self._summarise(sched, flows, makespan, n, n, n)
 
     def result(self) -> SimulationResult:
         """Summarise the run so far (exact on a drained queue, honest

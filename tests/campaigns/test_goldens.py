@@ -19,9 +19,9 @@ class TestGoldens:
         assert trace.n > 0
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    @pytest.mark.parametrize("backend", ["reference", "array", "auto"])
+    @pytest.mark.parametrize("backend", ["reference", "auto"])
     def test_byte_identical_through_simulator_backends(self, name, backend):
-        """Replaying a golden through the event engine — on either
+        """Replaying a golden through the Simulator — on either
         backend — must serialise to exactly the checked-in bytes (the
         tentpole regression oracle; the EFT-Rand case exercises the
         silent reference fallback of the array path)."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EFT, MinIndex, VecSchedule, eft_schedule
-from repro.core.vecengine import clear_set_cache, set_cache_info
+from repro.core.vecengine import lower_processing_set
 from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
 
@@ -69,6 +69,7 @@ def test_min_max_take_array_path():
         ref = _reference(inst, tb)
         assert sched.same_placements(ref, tol=0.0)
         assert sched.max_flow == ref.max_flow
+        assert sched.mean_flow == ref.mean_flow
 
 
 def test_same_array_rule_as_simulator():
@@ -96,12 +97,12 @@ def test_processing_set_cache_is_reused_across_calls():
 
     spec = WorkloadSpec(m=8, n=100, lam=0.5 * 8, k=2, strategy="overlapping")
     inst = generate_workload(spec, rng=4)
-    clear_set_cache()
+    lower_processing_set.cache_clear()
     eft_schedule(inst, "min")
-    first = set_cache_info()
+    first = lower_processing_set.cache_info()
     assert first.misses > 0  # the distinct sets were lowered once...
     eft_schedule(inst, "min")
-    second = set_cache_info()
+    second = lower_processing_set.cache_info()
     assert second.misses == first.misses  # ...and never again
     assert second.hits > first.hits
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EFT, ImmediateDispatchScheduler, Instance, Task, run_online
+from repro.core import EFT, ImmediateDispatchScheduler, Instance, Task
 
 
 class TestDriver:
@@ -44,9 +44,9 @@ class TestDriver:
         with pytest.raises(ValueError, match="m="):
             EFT(2).run(inst)
 
-    def test_run_online_wrapper(self):
+    def test_run_returns_valid_schedule(self):
         inst = Instance.build(2, releases=[0, 0], procs=1.0)
-        sched = run_online(inst, EFT(2, tiebreak="min"))
+        sched = EFT(2, tiebreak="min").run(inst)
         sched.validate()
         assert len(sched) == 2
 

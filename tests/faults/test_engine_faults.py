@@ -59,6 +59,28 @@ class TestRestartPolicy:
             if done > 0.5:
                 assert sim.assigned_machine[tid] == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the killed placement stays in LOR's in-flight books",
+    )
+    def test_killed_placement_leaves_outstanding_books(self):
+        # LOR, m=3: task 0 starts on machine 1, is killed by the outage
+        # [1, 2) and restarts on machine 3.  At t=3 machine 1 is idle
+        # again, so task 1 (set {1, 2}) must go there; the entry booked
+        # for task 0's first placement still counts machine 1 as busy.
+        from repro.schedulers import get_scheduler
+
+        lor = get_scheduler("lor", 3)
+        sim = Simulator(lor, faults=FaultSchedule.build([(1, 1.0, 2.0)]))
+        sim.add_tasks([
+            Task(tid=0, release=0.0, proc=10.0, machines=frozenset({1, 3})),
+            Task(tid=1, release=3.0, proc=1.0, machines=frozenset({1, 2})),
+        ])
+        sim.run()
+        assert sim.assigned_machine[0] == 3
+        assert sim.assigned_machine[1] == 1
+        assert lor.outstanding(3.0) == {1: 1, 2: 0, 3: 1}
+
 
 class TestResumePolicy:
     def test_in_flight_task_resumes_with_residual(self):

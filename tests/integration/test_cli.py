@@ -53,25 +53,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "w_tau" in out
 
-    def test_vec_check_gates_eft_schedule(self, capsys, monkeypatch):
-        """``vec-check`` prints and counts the ``eft_schedule`` line, and
-        a front door that stops taking the array path fails the gate."""
-        import repro.core
-        from repro.core import EFT
-
-        args = ["vec-check", "--backend", "array", "--golden", "eft-min-m4"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "eft_schedule parity    ok" in out
-        assert "3/3 checks passed" in out
-        monkeypatch.setattr(
-            repro.core, "eft_schedule", lambda inst, tb: EFT(inst.m, tb).run(inst)
-        )
-        assert main(args) == 1
-        out = capsys.readouterr().out
-        assert "eft_schedule parity    FAIL" in out
-        assert "2/3 checks passed" in out
-
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out

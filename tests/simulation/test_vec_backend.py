@@ -1,14 +1,12 @@
 """The array backend must be bit-identical to the reference engine.
 
-The vectorized fast path (``Simulator(backend="array"|"auto")``) is
+The vectorized fast path (``Simulator(backend="auto")``) is
 only allowed to exist because nothing can tell it ran: every golden
 fixture replays byte-identically, every SimulationResult field matches
 the reference loop exactly (``==``, not approx), and ineligible
 configurations — random tie-breaks, fault schedules, observer hooks —
 fall back silently with the reason recorded.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -45,10 +43,10 @@ def _workload(m=8, n=300, k=3, strategy="overlapping", rng=5, load=0.7):
 
 
 def _pair(inst, tiebreak="min", until=None, feed="instance"):
-    """Run the same workload on both backends; return (array, reference)
+    """Run the same workload on both backends; return (auto, reference)
     (simulator, result) pairs."""
     out = []
-    for backend in ("array", "reference"):
+    for backend in ("auto", "reference"):
         sim = Simulator(EFT(inst.m, tiebreak=tiebreak), backend=backend)
         if feed == "instance":
             sim.add_instance(inst)
@@ -74,6 +72,7 @@ class TestFullDrainParity:
         inst = _workload(strategy=strategy)
         (sa, ra), (sr, rr) = _pair(inst, tiebreak=tiebreak)
         assert sa.backend_used == "array", sa.fallback_reason
+        assert sa.fallback_reason is None
         assert sr.backend_used == "reference"
         _assert_identical(ra, rr)
         # engine state is synced, not just the result
@@ -86,20 +85,11 @@ class TestFullDrainParity:
         assert sa.scheduler.task_counts == sr.scheduler.task_counts
         assert sa.scheduler.n_dispatched == sr.scheduler.n_dispatched
 
-    def test_explicit_array_backend_equals_auto(self):
-        inst = _workload(rng=11)
-        for backend in ("array", "auto"):
-            sim = Simulator(EFT(inst.m, tiebreak="min"), backend=backend)
-            sim.add_instance(inst)
-            sim.run()
-            assert sim.backend_used == "array"
-            assert sim.fallback_reason is None
-
     def test_result_recomputed_after_sync_matches(self):
         """result() re-derived from synced state (reference code path)
         must agree with the array-built result."""
         inst = _workload(rng=3)
-        sim = Simulator(EFT(inst.m, tiebreak="min"), backend="array")
+        sim = Simulator(EFT(inst.m, tiebreak="min"), backend="auto")
         sim.add_instance(inst)
         first = sim.run()
         assert sim.backend_used == "array"
@@ -132,16 +122,17 @@ class TestTruncationParity:
         for until in (0.0, 1.0, 2.0, 3.0):
             (sa, ra), (sr, rr) = _pair(inst, until=until)
             _assert_identical(ra, rr)
-            assert sa.backend_used == "array", sa.fallback_reason
 
     def test_negative_and_pre_release_cutoffs_fall_back(self):
         inst = _workload(rng=13)
-        sim = Simulator(EFT(inst.m), backend="array")
+        sim = Simulator(EFT(inst.m), backend="auto")
         sim.add_instance(inst)
         r = sim.run(until=-1.0)
         assert sim.backend_used == "reference"
         assert "cutoff" in sim.fallback_reason
         assert r.n_completed == 0
+        # resuming after a cutoff that released nothing drains exactly
+        _assert_identical(sim.run(), _pair(inst)[1][1])
 
 
 class TestShuffledReleases:
@@ -187,9 +178,9 @@ class TestShuffledReleases:
 
 @st.composite
 def _feed_scenarios(draw):
-    """Several out-of-order ``add_tasks`` batches, a cutoff, batches fed
-    after it, ``at()`` callbacks injecting tasks at their own instant,
-    and (sometimes) a fault schedule."""
+    """Several out-of-order ``add_tasks`` batches, ``at()`` callbacks
+    injecting tasks at their own instant, and (sometimes) a fault
+    schedule."""
     m = draw(st.integers(1, 4))
     tids = iter(range(10_000))
 
@@ -204,8 +195,6 @@ def _feed_scenarios(draw):
             for _ in range(draw(st.integers(1, max_size)))
         ]
 
-    until = draw(st.integers(0, 16)) / 2
-    resume_at = math.ceil(until)
     callbacks = []
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, 8))
@@ -218,58 +207,43 @@ def _feed_scenarios(draw):
     return {
         "m": m,
         "tiebreak": draw(st.sampled_from(["min", "max"])),
-        "before": [batch(0, 6, 8) for _ in range(draw(st.integers(1, 3)))],
-        "until": until,
-        "after": [batch(resume_at, resume_at + 6, 6) for _ in range(draw(st.integers(0, 2)))],
+        "batches": [batch(0, 6, 8) for _ in range(draw(st.integers(1, 3)))],
         "callbacks": callbacks,
         "outages": outages,
     }
 
 
 def _play(scn, backend):
-    """Feed, run to the cutoff, feed more, resume; returns the simulator
-    and both results."""
+    """Feed every batch, then drain; returns the simulator and its
+    result."""
     from repro.faults import FaultSchedule
 
     faults = FaultSchedule.build(scn["outages"]) if scn["outages"] else None
     sim = Simulator(EFT(scn["m"], tiebreak=scn["tiebreak"]), faults=faults, backend=backend)
-    for tasks in scn["before"]:
+    for tasks in scn["batches"]:
         sim.add_tasks(tasks)
     for at, injected in scn["callbacks"]:
         sim.at(at, lambda s, injected=injected: s.add_tasks(injected))
-    first = sim.run(until=scn["until"])
-    for tasks in scn["after"]:
-        sim.add_tasks(tasks)
-    return sim, (first, sim.run())
+    return sim, sim.run()
 
 
 class TestReleaseFeedParity:
-    """Tasks fed between runs wait in the release feed; the array path
+    """Tasks fed before a run wait in the release feed; the array path
     consumes it, the reference loop turns it into RELEASE events.  Both
     must behave as if every release had been pushed when it was fed."""
 
     @given(scn=_feed_scenarios())
     @settings(max_examples=60, deadline=None)
     def test_interleaved_feeds_match_reference(self, scn):
-        sa, results_a = _play(scn, "auto")
-        sr, results_r = _play(scn, "reference")
-        for ra, rr in zip(results_a, results_r):
-            _assert_identical(ra, rr)
+        sa, ra = _play(scn, "auto")
+        sr, rr = _play(scn, "reference")
+        _assert_identical(ra, rr)
+        if not scn["callbacks"] and not scn["outages"]:
+            assert sa.backend_used == "array", sa.fallback_reason
         assert sa.starts == sr.starts
         assert sa.completions == sr.completions
         assert sa.assigned_machine == sr.assigned_machine
         assert sa.now == sr.now
-
-    def test_run_with_nothing_due_keeps_the_feed_for_the_array_path(self):
-        inst = _workload(rng=47, n=50)
-        sim = Simulator(EFT(inst.m), backend="auto")
-        sim.add_instance(inst)
-        sim.run(until=-1.0)
-        assert sim.backend_used == "reference"
-        ra = sim.run()
-        assert sim.backend_used == "array", sim.fallback_reason
-        _, rr = _pair(inst)[1]
-        _assert_identical(ra, rr)
 
     @pytest.mark.parametrize(
         "pending, reason",
@@ -304,7 +278,7 @@ class TestFallbacks:
 
     def test_rand_tiebreak_falls_back_silently(self):
         inst = _workload(rng=17)
-        sim = Simulator(EFT(inst.m, tiebreak="rand", rng=1), backend="array")
+        sim = Simulator(EFT(inst.m, tiebreak="rand", rng=1), backend="auto")
         sim.add_instance(inst)
         ra = sim.run()
         assert sim.backend_used == "reference"
@@ -347,7 +321,7 @@ class TestFallbacks:
 
         inst = _workload(rng=23, n=150)
         faulted = Simulator(
-            EFT(inst.m), faults=FaultSchedule.build([(1, 5.0, 10.0)]), backend="array"
+            EFT(inst.m), faults=FaultSchedule.build([(1, 5.0, 10.0)]), backend="auto"
         )
         faulted.add_instance(inst)
         ra = faulted.run()
@@ -361,7 +335,7 @@ class TestFallbacks:
         for f in RESULT_FIELDS:
             assert getattr(ra, f) == getattr(rr, f), f
         # the zero-fault identity: an *empty* schedule is expressible
-        empty = Simulator(EFT(inst.m), faults=FaultSchedule.build([]), backend="array")
+        empty = Simulator(EFT(inst.m), faults=FaultSchedule.build([]), backend="auto")
         empty.add_instance(inst)
         re_ = empty.run()
         assert empty.backend_used == "array", empty.fallback_reason
@@ -371,10 +345,11 @@ class TestFallbacks:
 
     def test_started_simulator_falls_back(self):
         inst = _workload(rng=29, n=100)
-        sim = Simulator(EFT(inst.m), backend="array")
+        sim = Simulator(EFT(inst.m), backend="auto")
         sim.add_instance(inst)
         sim.run(until=5.0)
-        assert sim.backend_used == "array"
+        assert sim.backend_used == "reference"
+        assert sim.fallback_reason == "cutoff needs per-event work"
         sim.add_tasks([Task(tid=10_000, release=50.0, proc=1.0)])
         sim.run()
         assert sim.backend_used == "reference"
@@ -382,7 +357,7 @@ class TestFallbacks:
 
     def test_adversary_callback_falls_back(self):
         inst = _workload(rng=31, n=60)
-        sim = Simulator(EFT(inst.m), backend="array")
+        sim = Simulator(EFT(inst.m), backend="auto")
         sim.add_instance(inst)
         sim.at(1.0, lambda s: None)
         sim.run()
@@ -425,11 +400,11 @@ class TestZooFallback:
 
         inst = _workload(rng=43)
         runs = {}
-        for backend in ("array", "reference"):
+        for backend in ("auto", "reference"):
             sim = Simulator(get_scheduler(name, inst.m), backend=backend)
             sim.add_instance(inst)
             runs[backend] = (sim, sim.run())
-        sa, ra = runs["array"]
+        sa, ra = runs["auto"]
         sr, rr = runs["reference"]
         assert sa.backend_used == "array", sa.fallback_reason
         assert sr.backend_used == "reference"
@@ -439,7 +414,7 @@ class TestZooFallback:
             b: dumps(record(s.scheduler.schedule(), scheduler=name))
             for b, (s, _) in runs.items()
         }
-        assert texts["array"] == texts["reference"]
+        assert texts["auto"] == texts["reference"]
 
 
 class TestDynamicWorkloads:
