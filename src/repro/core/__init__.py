@@ -10,7 +10,7 @@ from .metrics import ScheduleStats, flow_percentiles, summarize, waiting_profile
 from .nonclairvoyant import C3Like, LeastOutstanding
 from .schedule import Assignment, Schedule, ScheduleError
 from .task import Instance, Task
-from .vecengine import VecSchedule, VecUnsupported
+from .vecengine import VecSchedule
 from .tiebreak import (
     FunctionTieBreak,
     LeastLoadedFirst,
@@ -46,7 +46,6 @@ __all__ = [
     "Task",
     "TieBreak",
     "VecSchedule",
-    "VecUnsupported",
     "eft_schedule",
     "fifo_schedule",
     "flow_percentiles",

@@ -85,7 +85,7 @@ class ImmediateDispatchScheduler:
         #: per-machine count of assigned tasks (used by adversaries)
         self.task_counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
         self._placements_dict: dict[int, tuple[int, float]] = {}
-        #: columnar placements (tids, machines, starts) awaiting
+        #: columnar placements (tasks, machines, starts) awaiting
         #: materialisation — set by the array backend, which syncs books
         #: in bulk and must not pay for a dict nobody may ever read.
         self._placements_lazy: tuple | None = None
@@ -102,8 +102,8 @@ class ImmediateDispatchScheduler:
         lazy = self._placements_lazy
         if lazy is not None:
             self._placements_lazy = None
-            tids, machines, starts = lazy
-            self._placements_dict = dict(zip(tids, zip(machines, starts)))
+            tasks, machines, starts = lazy
+            self._placements_dict = dict(zip([t.tid for t in tasks], zip(machines, starts)))
         return self._placements_dict
 
     # -- to be provided by subclasses -------------------------------------

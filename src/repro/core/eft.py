@@ -36,7 +36,6 @@ from .task import Instance, Task
 from .tiebreak import TieBreak, get_tiebreak
 from .vecengine import (
     VecSchedule,
-    VecUnsupported,
     array_prefer_max,
     eft_decide,
     lower_eligibility,
@@ -100,20 +99,15 @@ def eft_schedule(
     prefer_max = array_prefer_max(tb)
     if prefer_max is not None:
         tasks = instance.tasks
-        try:
-            elig = lower_eligibility(instance.m, tasks)
-        except VecUnsupported:
-            pass
-        else:
-            rel = [t.release for t in tasks]
-            proc = [t.proc for t in tasks]
-            machines, starts, _ = eft_decide(instance.m, rel, proc, elig, prefer_max)
-            # Decisions come in instance order, so the rows need no tids.
-            return VecSchedule(
-                instance,
-                machines,
-                starts,
-                releases=np.asarray(rel, dtype=np.float64),
-                procs=np.asarray(proc, dtype=np.float64),
-            )
+        elig = lower_eligibility(instance.m, tasks)
+        rel = [t.release for t in tasks]
+        proc = [t.proc for t in tasks]
+        machines, starts, _ = eft_decide(instance.m, rel, proc, elig, prefer_max)
+        return VecSchedule(
+            instance,
+            machines,
+            starts,
+            releases=np.asarray(rel, dtype=np.float64),
+            procs=np.asarray(proc, dtype=np.float64),
+        )
     return EFT(instance.m, tiebreak=tb).run(instance)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Task", "Instance"]
+__all__ = ["Task", "Instance", "check_tasks"]
 
 
 def _in_order(tasks: Sequence["Task"]) -> bool:
@@ -103,6 +103,26 @@ class Task:
         return self.proc == 1
 
 
+def check_tasks(m: int, tasks: Sequence[Task], unique: bool = True) -> None:
+    """Reject the first task, in ``tasks`` order, whose tid repeats an
+    earlier one (with ``unique``) or whose processing set names a
+    machine beyond ``m``.  A valid list is told apart by its distinct
+    sets and tids alone (generated instances share one set per home);
+    only an invalid one is walked task by task for its first offender."""
+    sets = {t.machines for t in tasks} - {None}
+    if all(max(ms) <= m for ms in sets) and (
+        not unique or len({t.tid for t in tasks}) == len(tasks)
+    ):
+        return
+    seen: set[int] = set()
+    for t in tasks:
+        if unique and t.tid in seen:
+            raise ValueError(f"duplicate task id {t.tid}")
+        seen.add(t.tid)
+        if t.machines is not None and max(t.machines) > m:
+            raise ValueError(f"task {t.tid}: processing set {sorted(t.machines)} exceeds m={m}")
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """An instance of ``P | online-r_i, M_i | Fmax``.
@@ -127,19 +147,7 @@ class Instance:
         if not _in_order(tasks):
             tasks = tuple(sorted(tasks, key=lambda t: (t.release, t.tid)))
         object.__setattr__(self, "tasks", tasks)
-        seen: set[int] = set()
-        # ids of the set objects already range-checked; generated
-        # instances share one set per home, so most tasks skip ``max``
-        checked: set[int] = set()
-        for t in tasks:
-            if t.tid in seen:
-                raise ValueError(f"duplicate task id {t.tid}")
-            seen.add(t.tid)
-            ms = t.machines
-            if ms is not None and id(ms) not in checked:
-                if max(ms) > self.m:
-                    raise ValueError(f"task {t.tid}: processing set {sorted(ms)} exceeds m={self.m}")
-                checked.add(id(ms))
+        check_tasks(self.m, tasks)
 
     # -- basic container protocol ------------------------------------
     def __len__(self) -> int:

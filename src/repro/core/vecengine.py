@@ -10,7 +10,7 @@ This module re-implements the *identical* EFT semantics (Equation (2)
 with the deterministic Min/Max tie-breaks) on flat arrays:
 
 * processing sets are lowered to sorted eligibility tuples once per
-  distinct set, cached process-wide in an LRU
+  distinct set in a call, through a process-wide LRU
   (:func:`lower_processing_set`) so campaign loops re-solving the same
   replica sets never re-lower them;
 * the inherently sequential decision recurrence runs as one tight pass
@@ -43,18 +43,12 @@ from .task import Instance, Task
 from .tiebreak import MaxIndex, MinIndex
 
 __all__ = [
-    "VecUnsupported",
     "VecSchedule",
     "array_prefer_max",
     "eft_decide",
     "lower_eligibility",
     "lower_processing_set",
 ]
-
-class VecUnsupported(Exception):
-    """The configuration cannot be expressed on the array fast path
-    (the caller must fall back to the reference implementation)."""
-
 
 def array_prefer_max(tiebreak: object) -> bool | None:
     """Whether the array engine scans from the highest index
@@ -76,21 +70,24 @@ def lower_processing_set(m: int, key: frozenset[int] | None) -> tuple[int, ...]:
     Cached process-wide per distinct ``(m, set)`` pair — key-value
     workloads have at most ``m`` distinct replica sets, so campaign
     loops that re-solve the same replica families hit the cache on
-    every call after the first.  Raises :class:`VecUnsupported` for
-    sets referencing machines beyond ``m`` (the reference path owns
-    the error behaviour for those).
+    every call after the first.  Raises ``ValueError`` for a set
+    referencing machines beyond ``m`` (an :class:`Instance` or a
+    ``Simulator`` feed never holds one).
     """
     if key is None:
         return tuple(range(1, m + 1))
     if max(key) > m:
-        raise VecUnsupported(f"processing set {sorted(key)} exceeds m={m}")
+        raise ValueError(f"processing set {sorted(key)} exceeds m={m}")
     return tuple(sorted(key))
 
 
 def lower_eligibility(m: int, tasks: Sequence[Task]) -> list[tuple[int, ...]]:
-    """Pre-lowered sorted eligibility tuple per task (cache-shared)."""
-    lower = lower_processing_set
-    return [lower(m, t.machines) for t in tasks]
+    """Pre-lowered sorted eligibility tuple per task: each distinct
+    processing set is lowered once per call (through the shared cache),
+    then the tasks map through that small table."""
+    sets = [t.machines for t in tasks]
+    lowered = {key: lower_processing_set(m, key) for key in set(sets)}
+    return list(map(lowered.__getitem__, sets))
 
 
 def eft_decide(
@@ -168,11 +165,9 @@ class VecSchedule(Schedule):
     placement comparison and per-task lookups all work — but the
     per-task :class:`Assignment` objects only exist once something
     asks for them; the objective and the bulk accessors come straight
-    off the arrays.  ``machines``/``starts`` are in *decision order*
-    with ``tids`` carrying the task ids of each row; ``tids=None``
-    says the rows already are in instance order.  ``releases`` and
-    ``procs`` (instance order) spare re-reading them from the tasks
-    when the caller holds them as arrays.
+    off the arrays.  Every array is in instance order; ``releases``
+    and ``procs`` spare re-reading them from the tasks when the caller
+    holds them as arrays.
     """
 
     def __init__(
@@ -180,39 +175,21 @@ class VecSchedule(Schedule):
         instance: Instance,
         machines: np.ndarray,
         starts: np.ndarray,
-        tids: np.ndarray | None = None,
         releases: np.ndarray | None = None,
         procs: np.ndarray | None = None,
     ) -> None:
         self.instance = instance
         n = len(instance.tasks)
-        if not (len(machines) == len(starts) == n and (tids is None or len(tids) == n)):
+        if not len(machines) == len(starts) == n:
             raise ValueError("placement arrays must cover the instance exactly")
         self._mach = np.asarray(machines, dtype=np.int64)
         self._start = np.asarray(starts, dtype=np.float64)
-        self._tids = None if tids is None else np.asarray(tids, dtype=np.int64)
         if releases is not None:
             self._releases = releases
         if procs is not None:
             self._procs = procs
 
     # -- lazy materialisation ---------------------------------------------
-    @cached_property
-    def _rows(self) -> np.ndarray | slice:
-        """Row index of each instance task (instance order); the full
-        slice when the rows already are in instance order."""
-        if self._tids is None:
-            return slice(None)
-        inst_tids = np.fromiter(
-            (t.tid for t in self.instance.tasks), dtype=np.int64, count=len(self._tids)
-        )
-        if np.array_equal(inst_tids, self._tids):
-            return slice(None)
-        row_of = {int(tid): i for i, tid in enumerate(self._tids)}
-        return np.fromiter(
-            (row_of[int(tid)] for tid in inst_tids), dtype=np.int64, count=len(inst_tids)
-        )
-
     @cached_property
     def _releases(self) -> np.ndarray:
         return np.fromiter(
@@ -237,17 +214,11 @@ class VecSchedule(Schedule):
     # -- array accessors ----------------------------------------------------
     def machines_array(self) -> np.ndarray:
         """Machine of every task, in instance order (read-only)."""
-        return self._in_order(self._mach)
+        return _read_only(self._mach)
 
     def starts_array(self) -> np.ndarray:
         """Start time of every task, in instance order (read-only)."""
-        return self._in_order(self._start)
-
-    def _in_order(self, rows: np.ndarray) -> np.ndarray:
-        # Identity rows give a view of the placement arrays themselves.
-        out = rows[self._rows]
-        out.flags.writeable = False
-        return out
+        return _read_only(self._start)
 
     def _flow_array(self) -> np.ndarray:
         # ((start + proc) - release) elementwise: the exact association
@@ -282,3 +253,10 @@ class VecSchedule(Schedule):
     def machine_loads(self) -> np.ndarray:
         loads = np.bincount(self.machines_array() - 1, weights=self._procs, minlength=self.m)
         return loads[: self.m]
+
+
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    """A read-only view of ``rows``."""
+    out = rows[:]
+    out.flags.writeable = False
+    return out

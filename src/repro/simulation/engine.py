@@ -60,10 +60,9 @@ from ..core.dispatch import ImmediateDispatchScheduler, realised
 from ..core.eft import EFT
 from ..core.failover import earliest_finish, split_parked
 from ..core.schedule import Schedule
-from ..core.task import Instance, Task
+from ..core.task import Instance, Task, check_tasks
 from ..core.vecengine import (
     VecSchedule,
-    VecUnsupported,
     array_prefer_max,
     eft_decide,
     lower_eligibility,
@@ -304,8 +303,11 @@ class Simulator:
     # the (surprisingly expensive) dict builds until first read.
 
     def _materialize_books(self) -> None:
-        tids, mach_l, start_l, comp_a = self._lazy_books
+        tasks, mach_l, start_l, comp_a = self._lazy_books
         self._lazy_books = None
+        # the zips stop at the array run's rows, whatever joined the
+        # task list since
+        tids = [t.tid for t in tasks]
         self._starts = dict(zip(tids, start_l))
         self._completions = dict(zip(tids, comp_a.tolist()))
         self._assigned_machine = dict(zip(tids, mach_l))
@@ -337,7 +339,15 @@ class Simulator:
         released at the same instant fire in feed order).  Called from
         inside a run (an :meth:`at` callback), the RELEASE events are
         pushed at once; otherwise the tasks wait in the release feed
-        until the next :meth:`run`."""
+        until the next :meth:`run`.  A task whose processing set names
+        a machine beyond ``m`` is rejected (``ValueError``) before any
+        of ``tasks`` is fed."""
+        tasks = list(tasks)
+        check_tasks(self.m, tasks, unique=False)
+        self._feed_tasks(tasks)
+
+    def _feed_tasks(self, tasks: Sequence[Task]) -> None:
+        """Feed range-checked ``tasks`` (see :meth:`add_tasks`)."""
         self._fed_instance = None
         if self._running:
             for t in tasks:
@@ -357,7 +367,8 @@ class Simulator:
         still_sorted = self._feed_sorted and (
             not feed or not instance.tasks or feed[-1].release <= instance.tasks[0].release
         )
-        self.add_tasks(instance.tasks)
+        # an Instance's sets are range-checked already
+        self._feed_tasks(instance.tasks)
         self._feed_sorted = still_sorted
         if virgin:
             self._fed_instance = instance
@@ -744,22 +755,20 @@ class Simulator:
         # exact order the reference loop submits it, out-of-order
         # add_tasks feeds included.
         released = self._release_feed()
-        try:
-            elig = lower_eligibility(self.m, released)
-        except VecUnsupported as exc:
-            self.fallback_reason = str(exc)
-            return None
+        elig = lower_eligibility(self.m, released)
         n = len(released)
         m = self.m
         rel = [t.release for t in released]
         proc = [t.proc for t in released]
         prefer_max = array_prefer_max(self.scheduler.tiebreak)
         mach_l, start_l, comp_after = eft_decide(m, rel, proc, elig, prefer_max)
-        proc_a = np.asarray(proc)
-        mach_a = np.asarray(mach_l, dtype=np.int64)
-        start_a = np.asarray(start_l)
+        # Each column is built once and shared by the books, the
+        # machine states, the flows and the schedule.
+        rel_a = np.fromiter(rel, np.float64, n)
+        proc_a = np.fromiter(proc, np.float64, n)
+        mach_a = np.fromiter(mach_l, np.int64, n)
+        start_a = np.fromiter(start_l, np.float64, n)
         comp_a = start_a + proc_a
-        tids = [t.tid for t in released]
         # A drain ends at the last COMPLETE.
         makespan = float(comp_a.max())
         self.now = makespan
@@ -767,8 +776,9 @@ class Simulator:
         # -- dispatch books (simulator + scheduler) -----------------------
         # Columnar sync: the dict views are deferred (see
         # :meth:`_materialize_books`) — a result-only run never builds
-        # them, which is most of the per-task Python cost at scale.
-        self._lazy_books = (tids, mach_l, start_l, comp_a)
+        # them, which is most of the per-task Python cost at scale; the
+        # tids too are read off the tasks only then.
+        self._lazy_books = (released, mach_l, start_l, comp_a)
         self._tasks = released
         self._feed = []
         s = self.scheduler
@@ -776,7 +786,7 @@ class Simulator:
         counts = np.bincount(mach_a, minlength=m + 1)
         s.task_counts = {j: int(counts[j]) for j in range(1, m + 1)}
         s._placements_dict = {}
-        s._placements_lazy = (tids, mach_l, start_l)
+        s._placements_lazy = (released, mach_l, start_l)
         s._tasks = list(released)
         s._last_release = rel[-1]
 
@@ -794,13 +804,19 @@ class Simulator:
             ms.tasks_done = int(counts[j])
 
         # -- result, derived in batch (reference summation order) ---------
-        flows = (comp_a - np.asarray(rel)).tolist()
-        if self._fed_instance is not None and n == self._fed_instance.n:
-            inst = self._fed_instance
-        else:
-            inst = Instance(m=m, tasks=tuple(released))
-        sched = VecSchedule(inst, mach_a, start_a, np.asarray(tids, dtype=np.int64))
-        return self._summarise(sched, flows, makespan, n, n, n)
+        flows = comp_a - rel_a
+        # Python's sum in feed order, as result() sums: np.sum would
+        # pair the terms differently and move the last bits
+        mean_flow = sum(flows.tolist()) / n
+        inst = self._fed_instance
+        if inst is None or n != inst.n:
+            # rows in the rebuilt Instance's (release, tid) order; the
+            # fed Instance is the feed itself
+            order = np.lexsort((np.fromiter((t.tid for t in released), np.int64, n), rel_a))
+            inst = Instance(m=m, tasks=tuple(released[i] for i in order.tolist()))
+            mach_a, start_a, rel_a, proc_a = (a[order] for a in (mach_a, start_a, rel_a, proc_a))
+        sched = VecSchedule(inst, mach_a, start_a, releases=rel_a, procs=proc_a)
+        return self._summarise(sched, float(flows.max()), mean_flow, makespan, n, n, n)
 
     def result(self) -> SimulationResult:
         """Summarise the run so far (exact on a drained queue, honest
@@ -835,16 +851,19 @@ class Simulator:
             pending_ages = [self.now - t.release for t in self._tasks if t.tid not in self.starts]
             all_flows = flows + pending_ages
         makespan = max(self.completions.values(), default=0.0)
+        mean_flow = (sum(all_flows) / len(all_flows)) if all_flows else 0.0
         return self._summarise(
-            sched, all_flows, makespan, len(self.completions), len(self._tasks), len(self.starts)
+            sched, max(all_flows, default=0.0), mean_flow, makespan,
+            len(self.completions), len(self._tasks), len(self.starts),
         )
 
     def _summarise(
-        self, sched: Schedule, flows: list[float], makespan: float, n_done: int, n: int, n_run: int
+        self, sched: Schedule, max_flow: float, mean_flow: float, makespan: float,
+        n_done: int, n: int, n_run: int,
     ) -> SimulationResult:
-        """The :class:`SimulationResult` over ``sched`` and ``flows``, with
-        ``n_done`` of ``n`` released tasks completed and ``n_run`` started:
-        flow statistics, utilisation and the fault counters."""
+        """The :class:`SimulationResult` over ``sched`` and its flow
+        statistics, with ``n_done`` of ``n`` released tasks completed and
+        ``n_run`` started: utilisation and the fault counters."""
         completed_busy = sum(m.busy_time for m in self.machines.values())
         in_flight_busy = sum(
             self.now - m.stint_start
@@ -867,8 +886,8 @@ class Simulator:
         util = total_busy / capacity if capacity > 0 else 0.0
         return SimulationResult(
             schedule=sched,
-            max_flow=max(flows, default=0.0),
-            mean_flow=(sum(flows) / len(flows)) if flows else 0.0,
+            max_flow=max_flow,
+            mean_flow=mean_flow,
             makespan=makespan,
             n_completed=n_done,
             utilization=util,

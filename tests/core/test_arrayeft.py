@@ -4,8 +4,10 @@ reference ``EFT(m, tiebreak).run``."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EFT, MinIndex, VecSchedule, eft_schedule
-from repro.core.vecengine import lower_processing_set
+import pytest
+
+from repro.core import EFT, MinIndex, Task, VecSchedule, eft_schedule
+from repro.core.vecengine import lower_eligibility, lower_processing_set
 from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
 
@@ -105,6 +107,40 @@ def test_processing_set_cache_is_reused_across_calls():
     second = lower_processing_set.cache_info()
     assert second.misses == first.misses  # ...and never again
     assert second.hits > first.hits
+
+
+@st.composite
+def _tasks_with_sets(draw):
+    """``(m, tasks)`` whose sets mix ``None``, shared set objects, equal
+    but distinct copies of them and fresh sets."""
+    m = draw(st.integers(1, 6))
+    values = st.frozensets(st.integers(1, m), min_size=1, max_size=3)
+    shared = draw(st.lists(values, min_size=1, max_size=3))
+    sets = draw(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.sampled_from(shared),
+                st.sampled_from(shared).map(lambda s: frozenset(list(s))),
+                values,
+            ),
+            max_size=30,
+        )
+    )
+    return m, [Task(tid=i, release=0.0, proc=1.0, machines=s) for i, s in enumerate(sets)]
+
+
+@given(_tasks_with_sets())
+@settings(max_examples=200, deadline=None)
+def test_lower_eligibility_lowers_each_task_as_its_set(case):
+    """Lowering each distinct set once per call changes no task's tuple."""
+    m, tasks = case
+    assert lower_eligibility(m, tasks) == [lower_processing_set(m, t.machines) for t in tasks]
+
+
+def test_lower_processing_set_rejects_out_of_range():
+    with pytest.raises(ValueError, match=r"^processing set \[2, 5\] exceeds m=4$"):
+        lower_processing_set(4, frozenset({2, 5}))
 
 
 @given(

@@ -1,10 +1,10 @@
 """``Instance`` keeps the contract of sort-then-validate.
 
 ``Instance.__post_init__`` skips the sort when the tasks already come
-in ``(release, tid)`` order and range-checks each distinct set object
-once.  Neither shortcut may show: for any task list it must give the
-same ``tasks`` tuple, or raise the same ``ValueError`` message, as the
-plain code kept below.
+in ``(release, tid)`` order and tells a valid list by its distinct
+sets and tids alone.  Neither shortcut may show: for any task list it
+must give the same ``tasks`` tuple, or raise the same ``ValueError``
+message, as the plain code kept below.
 """
 
 from __future__ import annotations

@@ -99,6 +99,69 @@ class TestFullDrainParity:
         assert first.schedule.same_placements(again.schedule, tol=0.0)
 
 
+def _feed(sim, inst, shape):
+    """Feed ``inst`` to ``sim`` as one of three shapes: the Instance
+    itself, its tasks out of release order, or an Instance of the first
+    half followed by the rest as tasks."""
+    tasks = list(inst.tasks)
+    if shape == "instance":
+        sim.add_instance(inst)
+    elif shape == "shuffled":
+        sim.add_tasks(tasks[1::2] + tasks[::2][::-1])
+    else:
+        half = len(tasks) // 2
+        sim.add_instance(Instance(m=inst.m, tasks=tuple(tasks[:half])))
+        sim.add_tasks(tasks[half:][::-1])
+
+
+class TestDeferredBooks:
+    """The array run keeps the books and their tids as columns until
+    the first read, which must then see exactly the reference books."""
+
+    @pytest.mark.parametrize("shape", ["instance", "shuffled", "instance+tasks"])
+    @pytest.mark.parametrize("first", ["starts", "completions", "assigned_machine"])
+    def test_first_read_equals_reference(self, shape, first):
+        inst = _workload(rng=11, n=200)
+        runs = []
+        for backend in ("auto", "reference"):
+            sim = Simulator(EFT(inst.m), backend=backend)
+            _feed(sim, inst, shape)
+            runs.append((sim, sim.run()))
+        (sa, ra), (sr, rr) = runs
+        assert sa.backend_used == "array", sa.fallback_reason
+        assert sa._lazy_books is not None
+        assert sa.scheduler._placements_lazy is not None
+        # only a feed of one whole Instance is that Instance's rows
+        assert (ra.schedule.instance is inst) == (shape == "instance")
+        assert getattr(sa, first) == getattr(sr, first)
+        assert sa._lazy_books is None
+        assert sa.starts == sr.starts
+        assert sa.completions == sr.completions
+        assert sa.assigned_machine == sr.assigned_machine
+        assert sa.scheduler.schedule().same_placements(sr.scheduler.schedule(), tol=0.0)
+        assert sa.scheduler._placements_lazy is None
+        order = [t.tid for t in ra.schedule.instance]
+        assert order == [t.tid for t in rr.schedule.instance]
+        assert ra.schedule.machines_array().tolist() == [rr.schedule.machine_of(t) for t in order]
+        assert ra.schedule.starts_array().tolist() == [rr.schedule.start_of(t) for t in order]
+        assert np.array_equal(ra.schedule.flows(), rr.schedule.flows())
+        _assert_identical(ra, rr)
+
+    def test_result_only_run_builds_no_books(self):
+        """A run whose caller reads only the result never builds the
+        per-task dicts or the tid lists."""
+        inst = _workload(rng=2)
+        sim = Simulator(EFT(inst.m), backend="auto")
+        sim.add_instance(inst)
+        res = sim.run()
+        assert res.n_completed == inst.n and res.max_flow > 0
+        # the deferred books hold the tasks, not a tid list
+        assert isinstance(sim._lazy_books[0][0], Task)
+        assert isinstance(sim.scheduler._placements_lazy[0][0], Task)
+        assert not sim._starts and not sim._completions and not sim._assigned_machine
+        assert not sim.scheduler._placements_dict
+
+
 class TestTruncationParity:
     @pytest.mark.parametrize("until_frac", [0.0, 0.2, 0.5, 0.9, 1.5])
     def test_truncated_and_resumed_runs(self, until_frac):
