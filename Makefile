@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full figures campaign-quick obs-smoke faults-smoke serve-smoke shard-smoke chaos-smoke rebalance-smoke vec-smoke zoo-smoke runner-resilience lint-clean all
+.PHONY: install test bench bench-full figures campaign-quick obs-smoke faults-smoke serve-smoke shard-smoke chaos-smoke rebalance-smoke vec-smoke zoo-smoke runner-resilience loc all
 
 install:
 	$(PYTHON) setup.py develop
@@ -239,5 +239,9 @@ zoo-smoke:
 runner-resilience:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/campaigns/test_resilience.py tests/campaigns/test_resume.py
+
+# Net source lines, the size figure each change reports.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 all: install test bench

@@ -10,17 +10,20 @@ need.
 per-machine completion times :math:`C_{j,i}` and the running schedule,
 and subclasses implement :meth:`choose` (which machine gets the task).
 The :meth:`place` method is the decision step: it enforces
-release-order submission, asks :meth:`choose` and books the charge,
-retaining nothing per decision (EFT decides from the completion times
-alone, Equation (2)).  :meth:`submit` is :meth:`place` plus the
-placement books :meth:`schedule` reads, making the class usable both
-for offline replay (:meth:`run`) and by adaptive adversaries that
-interleave observation and submission (Theorems 3–5).
+release-order submission, asks :meth:`choose` and books the charge
+into the one per-machine book every layer shares — horizons (EFT
+decides from them alone, Equation (2)), task counts and the live
+entries behind :meth:`outstanding`; :meth:`retract` alone undoes a
+booking.  :meth:`submit` is :meth:`place` plus the placement records
+:meth:`schedule` reads, making the class usable both for offline
+replay (:meth:`run`) and by adaptive adversaries that interleave
+observation and submission (Theorems 3–5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import Any, Iterable, Mapping, Sequence
 
 from .schedule import Schedule
@@ -82,8 +85,18 @@ class ImmediateDispatchScheduler:
         self.m = m
         #: completion time :math:`C_{j,i}` of each machine's assigned work
         self.completions: dict[int, float] = {j: 0.0 for j in range(1, m + 1)}
-        #: per-machine count of assigned tasks (used by adversaries)
+        #: per-machine count of assigned tasks, less retractions (adversaries read it)
         self.task_counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
+        #: the book: ``tid -> (machine, start, end)`` of each committed
+        #: placement unfinished at the latest query, a min-heap of their
+        #: ``(end, tid)`` (retracted ones are skipped when popped) and
+        #: the live entries per machine
+        self._live: dict[int, tuple[int, float, float]] = {}
+        self._ends: list[tuple[float, int]] = []
+        self._counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
+        #: the array backend's ``(tasks, machines, starts, ends)``,
+        #: entered into the book on its first read
+        self._book_lazy: tuple | None = None
         self._placements_dict: dict[int, tuple[int, float]] = {}
         #: columnar placements (tasks, machines, starts) awaiting
         #: materialisation — set by the array backend, which syncs books
@@ -128,38 +141,92 @@ class ImmediateDispatchScheduler:
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         """Restore :meth:`state_dict` output onto a fresh policy."""
 
+    def on_retract(self, tid: int) -> None:
+        """Policy hook: :meth:`retract` undid ``tid``'s placement."""
+
     def service_of(self, tid: int, default: float) -> float:
         """The recorded service time of a dispatched task (``default``
         when the task ran at its nominal ``proc``)."""
         return self._service.get(tid, default)
 
     # -- driver ------------------------------------------------------------
-    def _book(self, task: Task, machine: int, start: float, horizon: bool = True) -> float:
-        """Charge ``task`` on ``machine`` from ``start`` into the books:
-        the realised service and, with ``horizon``, the machine's
-        horizon and task count.  Returns the charge."""
+    def _book(self, task: Task, machine: int, start: float) -> float:
+        """Charge ``task`` on ``machine`` from ``start`` into the book
+        (service, horizon, task count, live entry; re-placements
+        :meth:`retract` first) and return the charge."""
         dur = self.charge(task, machine, start)
         if dur != task.proc:
             self._service[task.tid] = dur
         elif self._service:
             self._service.pop(task.tid, None)
-        if horizon:
-            self.completions[machine] = start + dur
-            self.task_counts[machine] += 1
+        end = start + dur
+        self.completions[machine] = end
+        self.task_counts[machine] += 1
+        self._live[task.tid] = (machine, start, end)
+        heappush(self._ends, (end, task.tid))
+        self._counts[machine] += 1
         return dur
+
+    def outstanding(self, now: float) -> dict[int, int]:
+        """Retire the entries finished by ``now`` (``end <= now``, for
+        good: query in time order) and return the book's own dict of
+        live entries per machine (read it, do not keep it)."""
+        if self._book_lazy is not None:
+            # the array run's placements a reference run still holds
+            # after its last release
+            tasks, machines, starts, finishes = self._book_lazy
+            self._load_book(
+                (tasks[i].tid, machines[i], starts[i], starts[i] + tasks[i].proc)
+                for i in (finishes > self._last_release).nonzero()[0].tolist()
+            )
+        ends, live, counts = self._ends, self._live, self._counts
+        while ends and ends[0][0] <= now:
+            end, tid = heappop(ends)
+            entry = live.get(tid)
+            if entry is not None and entry[2] == end:
+                del live[tid]
+                counts[entry[0]] -= 1
+        return counts
+
+    def _load_book(self, entries: Iterable[Sequence]) -> None:
+        """Replace the book by ``[tid, machine, start, end]`` entries."""
+        self._book_lazy = None
+        self._live = {int(tid): (int(j), float(s), float(e)) for tid, j, s, e in entries}
+        self._ends = sorted((end, tid) for tid, (_, _, end) in self._live.items())
+        self._counts = {j: 0 for j in range(1, self.m + 1)}
+        for j, _, _ in self._live.values():
+            self._counts[j] += 1
+
+    def retract(self, tid: int, now: float) -> None:
+        """Undo ``tid``'s placement if still live at ``now``: drop its
+        entry and one task count, shrink the horizon to its start only
+        if it is the tail (a mid-queue hole stays, so later bookings
+        never overlap), then call :meth:`on_retract`."""
+        self.outstanding(now)
+        entry = self._live.pop(tid, None)
+        if entry is None:
+            return
+        machine, start, end = entry
+        self._counts[machine] -= 1
+        self.task_counts[machine] -= 1
+        if self.completions[machine] == end:
+            self.completions[machine] = start
+        self.on_retract(tid)
 
     def place(self, task: Task) -> DispatchRecord:
         """Decide and book one released task (tasks must arrive in
-        release order) without recording the placement: horizons, task
-        counts and service times move, the placement books do not.
-        Callers that keep their own books (the serve ``Dispatcher``)
-        use this; :meth:`submit` adds the books."""
+        release order) without recording the placement: the book
+        (retired at the release), horizons, task counts and service
+        times move, the placement records do not.  Callers that keep
+        their own records (the serve ``Dispatcher``) use this;
+        :meth:`submit` adds the records."""
         if task.release < self._last_release:
             raise ValueError(
                 f"task {task.tid} released at {task.release} submitted after a task "
                 f"released at {self._last_release}; online submission must follow release order"
             )
         self._last_release = task.release
+        self.outstanding(task.release)
         eligible = task.eligible(self.m)
         if not eligible:
             raise ValueError(f"task {task.tid} has an empty processing set")

@@ -23,13 +23,14 @@ upper baseline:
 
 Both are immediate-dispatch schedulers over the same driver as EFT, so
 every metric, test harness and experiment applies unchanged.  They
-observe completions *as of the current release time* — exactly the
-information a coordinator has when the request arrives.
+count outstanding requests in the base class's one book, retired at each
+release: completions *as of the current release time*, exactly what a
+coordinator knows when the request arrives.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Mapping
 
 from .dispatch import ImmediateDispatchScheduler
@@ -38,57 +39,10 @@ from .task import Task
 __all__ = ["LeastOutstanding", "C3Like"]
 
 
-class _OutstandingTracker(ImmediateDispatchScheduler):
-    """Shared machinery: per-machine outstanding counts derived from
-    dispatch history and the current time (a dispatched task is
-    outstanding while ``now < its completion``), kept incrementally: a
-    query at ``now`` retires the in-flight heap's finished prefix —
-    for any query sequence, the entries a full rescan would drop."""
+class LeastOutstanding(ImmediateDispatchScheduler):
+    """Least-outstanding-requests replica selection."""
 
     clairvoyant = False
-
-    def __init__(self, m: int) -> None:
-        super().__init__(m)
-        #: min-heap of (completion_time, machine) of in-flight dispatches
-        self._inflight: list[tuple[float, int]] = []
-        #: live outstanding count per machine (its entries in ``_inflight``)
-        self._counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
-
-    def _retire(self, now: float) -> dict[int, int]:
-        """Drop dispatches finished by ``now``; returns the live counts."""
-        heap, counts = self._inflight, self._counts
-        while heap and heap[0][0] <= now:
-            counts[heappop(heap)[1]] -= 1
-        return counts
-
-    def outstanding(self, now: float) -> dict[int, int]:
-        """Outstanding request count per machine at time ``now``."""
-        return dict(self._retire(now))
-
-    def _record_dispatch(self, machine: int, completion: float) -> None:
-        heappush(self._inflight, (completion, machine))
-        self._counts[machine] += 1
-
-    def charge(self, task: Task, machine: int, start: float) -> float:
-        """Record the placement as in flight for its :meth:`service`
-        time.  The books move here, not in ``choose``, so a re-placement
-        counts where the task actually runs."""
-        dur = self.service(task, machine)
-        self._record_dispatch(machine, start + dur)
-        return dur
-
-    def state_dict(self) -> dict[str, Any]:
-        return {"inflight": sorted(self._inflight)}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        self._inflight = sorted(map(tuple, state["inflight"]))  # sorted is a heap
-        self._counts = {j: 0 for j in range(1, self.m + 1)}
-        for _, j in self._inflight:
-            self._counts[j] += 1
-
-
-class LeastOutstanding(_OutstandingTracker):
-    """Least-outstanding-requests replica selection."""
 
     def __init__(self, m: int) -> None:
         super().__init__(m)
@@ -96,12 +50,12 @@ class LeastOutstanding(_OutstandingTracker):
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         eligible = sorted(task.eligible(self.m))
-        counts = self._retire(task.release)
+        counts = self._counts  # retired at the release by ``place``
         machine = min(eligible, key=lambda j: (counts[j], j))
         return machine, frozenset(eligible)
 
 
-class C3Like(_OutstandingTracker):
+class C3Like(ImmediateDispatchScheduler):
     """Simplified C3 replica ranking.
 
     Score of machine :math:`M_j` for an arriving request:
@@ -110,6 +64,8 @@ class C3Like(_OutstandingTracker):
     on :math:`M_j` by the arrival instant, initialised to 1.
     """
 
+    clairvoyant = False
+
     def __init__(self, m: int, alpha: float = 0.3) -> None:
         super().__init__(m)
         if not (0 < alpha <= 1):
@@ -117,39 +73,46 @@ class C3Like(_OutstandingTracker):
         self.alpha = alpha
         self.ewma: dict[int, float] = {j: 1.0 for j in range(1, m + 1)}
         self.name = "C3"
-        #: min-heap of (completion_time, machine, service_time) pending feedback
-        self._pending_feedback: list[tuple[float, int, float]] = []
+        #: min-heap of (completion_time, machine, service_time, tid)
+        #: pending feedback (the tid only names a retracted placement's)
+        self._pending_feedback: list[tuple[float, int, float, int]] = []
 
     def _absorb_feedback(self, now: float) -> None:
         # Feedback must be absorbed in completion order for the EWMA to
         # be deterministic: the heap pops in sorted-tuple order.
         pending, ewma, alpha = self._pending_feedback, self.ewma, self.alpha
         while pending and pending[0][0] <= now:
-            _, machine, service = heappop(pending)
+            _, machine, service, _ = heappop(pending)
             ewma[machine] = (1 - alpha) * ewma[machine] + alpha * service
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         now = task.release
         self._absorb_feedback(now)
         eligible = sorted(task.eligible(self.m))
-        counts = self._retire(now)
+        counts = self._counts  # retired at the release by ``place``
         machine = min(
             eligible, key=lambda j: ((1 + counts[j]) ** 3 * self.ewma[j], j)
         )
         return machine, frozenset(eligible)
 
     def charge(self, task: Task, machine: int, start: float) -> float:
-        """The base record, plus the service observation fed back to
-        the EWMA once the task completes."""
-        dur = super().charge(task, machine, start)
-        heappush(self._pending_feedback, (start + dur, machine, dur))
+        """The service observation, fed back to the EWMA once the task
+        completes."""
+        dur = task.proc
+        heappush(self._pending_feedback, (start + dur, machine, dur, task.tid))
         return dur
+
+    def on_retract(self, tid: int) -> None:
+        """An undone placement is never observed: drop its pending
+        feedback, so the EWMA absorbs only service that happened."""
+        pending = [f for f in self._pending_feedback if f[3] != tid]
+        heapify(pending)
+        self._pending_feedback = pending
 
     def state_dict(self) -> dict[str, Any]:
         feedback = sorted(self._pending_feedback)
-        return {**super().state_dict(), "ewma": list(self.ewma.values()), "feedback": feedback}
+        return {"ewma": list(self.ewma.values()), "feedback": feedback}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        super().load_state_dict(state)
         self.ewma = dict(enumerate(state["ewma"], 1))
         self._pending_feedback = sorted(map(tuple, state["feedback"]))

@@ -103,20 +103,18 @@ class Task:
         return self.proc == 1
 
 
-def check_tasks(m: int, tasks: Sequence[Task], unique: bool = True) -> None:
+def check_tasks(m: int, tasks: Sequence[Task]) -> None:
     """Reject the first task, in ``tasks`` order, whose tid repeats an
-    earlier one (with ``unique``) or whose processing set names a
-    machine beyond ``m``.  A valid list is told apart by its distinct
-    sets and tids alone (generated instances share one set per home);
-    only an invalid one is walked task by task for its first offender."""
+    earlier one or whose processing set names a machine beyond ``m``.
+    A valid list is told apart by its distinct sets and tids alone
+    (generated instances share one set per home); only an invalid one
+    is walked task by task for its first offender."""
     sets = {t.machines for t in tasks} - {None}
-    if all(max(ms) <= m for ms in sets) and (
-        not unique or len({t.tid for t in tasks}) == len(tasks)
-    ):
+    if all(max(ms) <= m for ms in sets) and len({t.tid for t in tasks}) == len(tasks):
         return
     seen: set[int] = set()
     for t in tasks:
-        if unique and t.tid in seen:
+        if t.tid in seen:
             raise ValueError(f"duplicate task id {t.tid}")
         seen.add(t.tid)
         if t.machines is not None and max(t.machines) > m:

@@ -115,10 +115,6 @@ class RebalanceDecision:
     changes: tuple[tuple[int, tuple[int, int], tuple[int, int]], ...]
     added: tuple[int, ...]  #: machines owing warmup
 
-    @property
-    def n_changed(self) -> int:
-        return len(self.changes)
-
 
 class RebalanceController:
     """Cadenced estimate → solve → propose loop over a live placement.

@@ -103,7 +103,3 @@ class PopularityEstimator:
             return 0.0
         total = sum(self._window_work(self._series[j], now) for j in range(1, self.m + 1))
         return total / horizon
-
-    def _first_time(self) -> float | None:  # pragma: no cover - debug aid
-        times = [s.times[0] for s in self._series.values() if s.times]
-        return min(times) if times else None

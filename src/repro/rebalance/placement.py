@@ -135,13 +135,6 @@ class IntervalPlacement(ReplicationStrategy):
         """Replica set of every home, ``{u: frozenset}``."""
         return {u: self.replicas(u) for u in range(1, self.m + 1)}
 
-    def machines_used(self) -> frozenset[int]:
-        """Union of all replica sets (machines holding any data)."""
-        out: set[int] = set()
-        for u in range(1, self.m + 1):
-            out |= self.replicas(u)
-        return frozenset(out)
-
     def validate(self) -> None:
         """Re-assert the paper's structure on every set (defence for
         placements deserialised or edited externally)."""

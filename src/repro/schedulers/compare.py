@@ -93,7 +93,7 @@ def _faults_for(config: CompareConfig, load: float, horizon: float):
     machines = list(range(1, min(config.fault_machines, config.m) + 1))
     return chaos_schedule(
         config.m,
-        horizon=horizon,
+        horizon,
         mtbf=config.mtbf,
         mttr=config.mttr,
         seed=seed,

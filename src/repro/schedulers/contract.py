@@ -58,10 +58,14 @@ Optional surface
     policies invalidate their warm state here so newly-widened replicas
     pay the warmup penalty again.
 
+``on_retract(tid)``
+    Called when ``retract`` undid ``tid``'s placement (a failure, a
+    withdrawal, a re-placement); C3 drops its pending feedback.
+
 ``state_dict()`` / ``load_state_dict(state)``
-    JSON-ready policy state beyond ``completions``/``task_counts``
-    (in-flight counts, warm sets, EWMAs), empty by default; serve
-    snapshots store it.
+    JSON-ready policy state beyond the base class's book (horizons,
+    task counts, live entries): warm sets, EWMAs; empty by default;
+    serve snapshots store it.
 
 ``name`` (instance or class attribute)
     Human-readable policy name, recorded in trace headers.

@@ -26,20 +26,22 @@ key ``None`` (the machine warms once).  A rebalance that widens replica
 sets invalidates the warm state of the added machines via
 :meth:`NCSetup.on_replicas_added` — the
 :meth:`repro.serve.shard.router.ShardRouter.apply_placement` integration —
-so migration is not free.
+so migration is not free.  A retracted placement (a failure, a
+withdrawal) leaves the warm set as it is: the machine stays warm for
+the key, even if the request never ran there.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.nonclairvoyant import _OutstandingTracker
+from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.task import Task
 
 __all__ = ["NCSetup"]
 
 
-class NCSetup(_OutstandingTracker):
+class NCSetup(ImmediateDispatchScheduler):
     """Non-clairvoyant least-outstanding dispatch with setup times."""
 
     clairvoyant = False
@@ -61,7 +63,7 @@ class NCSetup(_OutstandingTracker):
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         eligible = sorted(task.eligible(self.m))
-        counts = self._retire(task.release)
+        counts = self._counts  # retired at the release by ``place``
         key, warm, setup = task.key, self.warm, self.setup
         machine = min(
             eligible, key=lambda j: (counts[j] + (0.0 if key in warm[j] else setup), j)
@@ -73,9 +75,9 @@ class NCSetup(_OutstandingTracker):
         return task.proc if self.is_warm(machine, task) else task.proc + self.setup
 
     def charge(self, task: Task, machine: int, start: float) -> float:
-        """The base record of :meth:`service` (warmup included), then
-        mark the machine warm."""
-        dur = super().charge(task, machine, start)
+        """:meth:`service` (warmup included), then mark the machine
+        warm."""
+        dur = self.service(task, machine)
         if not self.is_warm(machine, task):
             self.setup_paid += self.setup
             self.warm[machine].add(task.key)
@@ -83,10 +85,9 @@ class NCSetup(_OutstandingTracker):
 
     def state_dict(self) -> dict[str, Any]:
         warm = [sorted(self.warm[j], key=str) for j in range(1, self.m + 1)]
-        return {**super().state_dict(), "warm": warm, "setup_paid": self.setup_paid}
+        return {"warm": warm, "setup_paid": self.setup_paid}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        super().load_state_dict(state)
         self.warm = {j: set(keys) for j, keys in enumerate(state["warm"], 1)}
         self.setup_paid = state["setup_paid"]
 

@@ -26,7 +26,7 @@ policies.  :func:`register` checks the policy class against the
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..core.baselines import LeastWorkAssign, RandomAssign, RoundRobinAssign
 from ..core.dispatch import ImmediateDispatchScheduler
@@ -112,11 +112,6 @@ def list_schedulers() -> list[dict[str, object]]:
             }
         )
     return out
-
-
-def iter_names() -> Iterator[str]:
-    """The canonical registry keys, sorted."""
-    return iter(sorted(_REGISTRY))
 
 
 # -- built-ins ---------------------------------------------------------------

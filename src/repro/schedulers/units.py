@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..campaigns.spec import CampaignSpec, Unit, stable_seed
+from ..campaigns.spec import CampaignSpec, Unit
 from .compare import CompareConfig, compare_cell
 
 __all__ = ["compare_unit", "build_compare_campaign"]
@@ -78,8 +78,3 @@ def build_compare_campaign(config: CompareConfig, name: str = "compare-scheduler
         policies=list(config.policies),
         seed=config.seed,
     )
-
-
-def campaign_seed(config: CompareConfig) -> int:
-    """A stable seed namespace for ad-hoc grid extensions."""
-    return stable_seed("compare-campaign", config.seed, config.m, config.n)

@@ -18,14 +18,13 @@ what makes the service deterministic and shadow-checkable:
   the simulator's ``submit`` wraps; :mod:`repro.serve.shadow` turns this
   into a byte-identity check against the golden traces).
 
-A dispatcher keeps one shard's books and nothing else: committed
-placements, in-flight depths, its machines' alive bits and its
-admission review.  These are the serve tier's only per-request books:
-the scheduler is driven through its non-recording ``place``, so it
-holds horizons, task counts and service times but no copy of the
-request.  The failure rule — parking, unparking in park order,
-earliest-finish placement, shedding unavailable work, rebalance —
-belongs to the fleet surface, :class:`~repro.serve.shard.router.
+A dispatcher keeps one shard's records and nothing else: committed
+placements, its machines' alive bits and its admission review.  The
+committed work per machine (horizons, queue depths) is the scheduler's
+one book, written through its non-recording ``place`` and undone only
+by its ``retract``.  The failure rule — parking, unparking in park
+order, earliest-finish placement, shedding unavailable work, rebalance
+— belongs to the fleet surface, :class:`~repro.serve.shard.router.
 ShardRouter`, which picks the machine and hands it to :meth:`commit`.
 A partially-dead processing set restricts the scheduler's view to the
 alive machines (the engine's degraded dispatch).
@@ -34,7 +33,6 @@ alive machines (the engine's degraded dispatch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..core.dispatch import ImmediateDispatchScheduler
@@ -112,13 +110,10 @@ class Dispatcher:
         self.metrics = metrics
         self.alive: set[int] = set(range(1, self.m + 1))
         #: committed placements ``tid -> (machine, start)`` of every
-        #: dispatched/requeued task — the dispatcher's own books, so
+        #: dispatched/requeued task — the dispatcher's own records, so
         #: :meth:`schedule` never reaches into scheduler internals.
         self.placements: dict[int, tuple[int, float]] = {}
         self._tasks: dict[int, Task] = {}
-        #: per-machine min-heap of analytic completion times — the
-        #: uncompleted-request depth used by bounded-queue admission.
-        self._inflight: dict[int, list[float]] = {j: [] for j in range(1, self.m + 1)}
         self.n_dispatched = 0
         self.n_shed = 0
         self.n_requeued = 0
@@ -127,11 +122,9 @@ class Dispatcher:
     def depth(self, machine: int, now: float) -> int:
         """Number of requests committed to ``machine`` and analytically
         uncompleted at ``now`` (completions at exactly ``now`` have
-        left the queue — the half-open convention of the engine)."""
-        heap = self._inflight[machine]
-        while heap and heap[0] <= now:
-            heappop(heap)
-        return len(heap)
+        left the queue — the half-open convention of the engine): the
+        scheduler's live book entries there."""
+        return self.scheduler.outstanding(now)[machine]
 
     def waiting_work(self, machine: int, now: float) -> float:
         """Committed-but-unfinished work on ``machine`` at ``now`` —
@@ -163,8 +156,7 @@ class Dispatcher:
                     self.metrics.on_shed(reason)
                 return DispatchDecision(task=task, status=SHED, reason=reason)
         record = self.scheduler.place(sub)
-        service = self.scheduler.service_of(task.tid, task.proc)
-        return self._commit(task, record.machine, record.start, service, DISPATCHED)
+        return self._commit(task, record.machine, record.start, DISPATCHED)
 
     def commit(self, task: Task, machine: int, now: float, reason: str) -> DispatchDecision:
         """Book a displaced ``task`` (failure, unpark, migration) onto
@@ -172,30 +164,25 @@ class Dispatcher:
         starting no earlier than ``now``.  The scheduler's release-order
         ``place`` contract does not cover re-placement, so the task
         goes through its booking step directly, charged on ``machine``:
-        horizon, ``est_flow``, depth and the live worker read that."""
+        horizon, ``est_flow``, depth and the live worker read that.  A
+        placement ``task`` still holds here is retracted first."""
+        self.scheduler.retract(task.tid, now)
         start = max(now, self.scheduler.completions[machine])
-        service = self.scheduler._book(task, machine, start)
+        self.scheduler._book(task, machine, start)
         self.n_requeued += 1
         if self.metrics is not None:
             self.metrics.on_requeue()
-        return self._commit(task, machine, start, service, REQUEUED, reason=reason)
+        return self._commit(task, machine, start, REQUEUED, reason=reason)
 
     def _commit(
-        self,
-        task: Task,
-        machine: int,
-        start: float,
-        service: float,
-        status: str,
-        reason: str | None = None,
+        self, task: Task, machine: int, start: float, status: str, reason: str | None = None
     ) -> DispatchDecision:
-        """Book ``task`` on ``machine`` for ``service`` time units from
-        ``start``: its ``est_flow`` and its in-flight depth entry."""
-        end = start + service
-        heappush(self._inflight[machine], end)
+        """Record ``task``, which the scheduler just booked on
+        ``machine`` from ``start``, and its ``est_flow`` (the booked end
+        less the release)."""
         self.placements[task.tid] = (machine, start)
         self._tasks[task.tid] = task
-        est_flow = end - task.release
+        est_flow = self.scheduler._live[task.tid][2] - task.release
         self.n_dispatched += 1
         if self.metrics is not None:
             self.metrics.on_dispatch(machine, est_flow, self.depth(machine, task.release))
@@ -206,41 +193,18 @@ class Dispatcher:
 
     # -- rebalance surface ---------------------------------------------------
     def withdraw(self, tid: int, now: float) -> Task | None:
-        """Remove a committed-but-unstarted request from the books so it
-        can be re-placed (the migration half of a rebalance, or the
-        drain of a dead machine).
-
-        Only requests whose analytic ``start`` is strictly after ``now``
-        can be withdrawn — a request already running stays where its
-        data is.  Returns the task, or ``None`` if it is unknown or
-        already started.
-
-        Completion unwinding is deliberately conservative: if the
-        withdrawn request was the machine's committed tail
-        (``completions == start + service``, the booked service time)
-        the tail shrinks to ``start`` (remaining work finishes no later
-        than that); a mid-queue withdrawal leaves ``completions``
-        untouched, keeping a deterministic idle hole rather than
-        inventing an earlier finish that later commits might overlap.
-        """
+        """Remove a committed-but-unstarted request (analytic ``start``
+        after ``now``; a running one stays where its data is) from the
+        books so it can be re-placed — the migration half of a
+        rebalance, or the drain of a dead machine — and return it
+        (``None`` if unknown or started).  The scheduler's ``retract``
+        unwinds its booking: a tail shrinks the horizon, a mid-queue
+        withdrawal leaves a deterministic idle hole."""
         placed = self.placements.get(tid)
-        if placed is None:
+        if placed is None or placed[1] <= now:
             return None
-        machine, start = placed
-        if start <= now:
-            return None
-        task = self._tasks.pop(tid)
-        del self.placements[tid]
-        end = start + self.scheduler.service_of(tid, task.proc)
-        if self.scheduler.completions[machine] == end:
-            self.scheduler.completions[machine] = start
-        self.scheduler.task_counts[machine] -= 1
-        heap = self._inflight[machine]
-        try:
-            heap.remove(end)
-            heapify(heap)
-        except ValueError:  # pragma: no cover - popped by a depth() probe
-            pass
+        task = self._tasks[tid]
+        self.unbook(tid, now)
         return task
 
     def add_replicas(self, machines: Sequence[int], now: float, warmup: float = 0.0) -> None:
@@ -291,11 +255,13 @@ class Dispatcher:
         """The booked task ``tid`` (``None`` if unknown)."""
         return self._tasks.get(tid)
 
-    def unbook(self, tid: int) -> None:
-        """Drop ``tid`` from the books only (scheduler state untouched):
-        a displaced request another dispatcher has re-placed."""
-        self.placements.pop(tid, None)
-        self._tasks.pop(tid, None)
+    def unbook(self, tid: int, now: float) -> None:
+        """Drop ``tid`` from the records and retract its placement (a
+        no-op for a tid booked elsewhere): a withdrawn request, or a
+        displaced one another dispatcher has re-placed."""
+        if self.placements.pop(tid, None) is not None:
+            del self._tasks[tid]
+            self.scheduler.retract(tid, now)
 
     def schedule(self) -> Schedule:
         """The committed schedule of every dispatched request (shed and
@@ -308,7 +274,8 @@ class Dispatcher:
         """Everything a journal snapshot needs to rebuild this
         dispatcher mid-stream: the books, the alive set, and the
         scheduler's decision-relevant state (completion horizons, task
-        counts, release watermark, realised service times, the policy's
+        counts, the book's live entries ``[tid, machine, start, end]``,
+        release watermark, realised service times, the policy's
         own ``state_dict()`` under ``policy``, and — for randomised
         tie-breaks — the RNG state, so post-restore draws continue the
         crashed process's sequence exactly)."""
@@ -317,6 +284,7 @@ class Dispatcher:
         scheduler_state: dict[str, Any] = {
             "completions": {str(j): c for j, c in self.scheduler.completions.items()},
             "task_counts": {str(j): c for j, c in self.scheduler.task_counts.items()},
+            "book": [[tid, *entry] for tid, entry in sorted(self.scheduler._live.items())],
             "last_release": self.scheduler._last_release,
         }
         if self.scheduler._service:
@@ -339,7 +307,6 @@ class Dispatcher:
             "placements": {
                 str(tid): [machine, start] for tid, (machine, start) in self.placements.items()
             },
-            "inflight": {str(j): sorted(h) for j, h in self._inflight.items()},
             "counters": {
                 "n_dispatched": self.n_dispatched,
                 "n_shed": self.n_shed,
@@ -362,9 +329,6 @@ class Dispatcher:
             int(tid): (int(machine), float(start))
             for tid, (machine, start) in state["placements"].items()
         }
-        self._inflight = {int(j): list(h) for j, h in state["inflight"].items()}
-        for heap in self._inflight.values():
-            heapify(heap)
         counters = state["counters"]
         self.n_dispatched = int(counters["n_dispatched"])
         self.n_shed = int(counters["n_shed"])
@@ -372,6 +336,7 @@ class Dispatcher:
         sched = state["scheduler"]
         self.scheduler.completions = {int(j): float(c) for j, c in sched["completions"].items()}
         self.scheduler.task_counts = {int(j): int(c) for j, c in sched["task_counts"].items()}
+        self.scheduler._load_book(sched["book"])
         self.scheduler._last_release = float(sched["last_release"])
         self.scheduler._service = {int(t): float(d) for t, d in sched.get("service", {}).items()}
         if "policy" in sched:

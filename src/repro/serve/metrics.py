@@ -90,6 +90,3 @@ class ServeMetrics:
     def on_complete(self, wall_flow: float) -> None:
         self.completed.inc()
         self.wall_flow.observe(wall_flow)
-
-    def on_error(self) -> None:
-        self.errors.inc()

@@ -243,7 +243,7 @@ class ShardRouter:
         elif route.is_local:
             routed = RoutedDecision(decision, owner)
         else:
-            routed = self._book(task, decision, owner)
+            routed = self._book(task, decision, owner, task.release)
         self._requests.inc()
         self._routed_by_shard[owner].inc()
         return routed
@@ -277,7 +277,7 @@ class ShardRouter:
         if handoff:
             self.n_handoffs += 1
             self._handoffs.inc()
-        return self._book(task, decision, sid, handoff=handoff)
+        return self._book(task, decision, sid, now, handoff=handoff)
 
     def _park(self, task: Task) -> RoutedDecision:
         """No alive machine anywhere in the set: hold ``task`` in the
@@ -296,18 +296,20 @@ class ShardRouter:
         return RoutedDecision(DispatchDecision(task=task, status=PARKED), None)
 
     def _book(
-        self, task: Task, decision: DispatchDecision, shard: int, handoff: bool = False
+        self, task: Task, decision: DispatchDecision, shard: int, now: float,
+        handoff: bool = False,
     ) -> RoutedDecision:
         """Remember the *original* task of a placement a shard booked
-        under a restricted copy, and drop the stale booking another
-        shard holds for it (a displaced straddler re-placed elsewhere)."""
+        under a restricted copy, and unbook at ``now`` the stale booking
+        another shard holds for it (a displaced straddler re-placed
+        elsewhere)."""
         if decision.status in (DISPATCHED, REQUEUED):
             if decision.task is not task:
                 self._restricted[task.tid] = task
                 decision = replace(decision, task=task)
             for sid, d in enumerate(self.dispatchers):
                 if sid != shard:
-                    d.unbook(task.tid)
+                    d.unbook(task.tid, now)
         return RoutedDecision(decision, shard, handoff)
 
     def _unpark(self, now: float) -> list[RoutedDecision]:

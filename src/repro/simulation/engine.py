@@ -40,7 +40,9 @@ re-dispatched (the partial work is credited to the failed machine as
 busy time and surfaced as ``wasted_work``), ``"resume"`` stays bound
 to the machine and continues with its residual at recovery.  Queued
 tasks are re-dispatched under either policy by :mod:`repro.core.failover`
-and run for the policy's ``charge`` there.  Utilisation divides by
+and run for the policy's ``charge`` there, each retracted from the
+scheduler's book and booked anew, so later fresh decisions read where
+the work really went.  Utilisation divides by
 *alive* machine-seconds (downtime is removed from the denominator), so
 ``utilization <= 1`` still holds on degraded runs.  An empty fault
 schedule reproduces the fault-free run bit-for-bit (the zero-fault
@@ -125,7 +127,8 @@ class MachineState:
     def waiting_work(self, now: float, work: Callable[[Task], float]) -> float:
         """Remaining work at ``now``: residual of the running task plus
         ``work(task)`` of everything queued (the :math:`w_t(j)` of
-        Theorem 8); a paused task's residual counts here too."""
+        Theorem 8; the engine's ``work`` counts a preempted task's
+        residual); a paused task's residual counts here too."""
         residual = max(0.0, self.busy_until - now) if self.current is not None else 0.0
         if self.paused is not None:
             residual += self.paused_residual
@@ -261,6 +264,10 @@ class Simulator:
         #: whole workload — lets the array backend reuse it for the
         #: result schedule instead of re-sorting a rebuilt copy.
         self._fed_instance: Instance | None = None
+        #: tids fed so far, bar those of a first whole Instance (claimed
+        #: once another feed comes)
+        self._tids: set[int] = set()
+        self._unclaimed: Instance | None = None
         #: parked tasks in park order (released or requeued while their
         #: whole processing set was down).
         self.parked: list[Task] = []
@@ -340,11 +347,23 @@ class Simulator:
         inside a run (an :meth:`at` callback), the RELEASE events are
         pushed at once; otherwise the tasks wait in the release feed
         until the next :meth:`run`.  A task whose processing set names
-        a machine beyond ``m`` is rejected (``ValueError``) before any
-        of ``tasks`` is fed."""
+        a machine beyond ``m``, or whose tid was fed before (or twice in
+        ``tasks``), is rejected (``ValueError``) before any of ``tasks``
+        is fed."""
         tasks = list(tasks)
-        check_tasks(self.m, tasks, unique=False)
+        check_tasks(self.m, tasks)
+        self._claim(tasks)
         self._feed_tasks(tasks)
+
+    def _claim(self, tasks: Sequence[Task]) -> None:
+        """Record the tids of ``tasks`` as fed, rejecting one fed before."""
+        if self._unclaimed is not None:
+            self._tids.update(t.tid for t in self._unclaimed.tasks)
+            self._unclaimed = None
+        dup = next((t.tid for t in tasks if t.tid in self._tids), None)
+        if dup is not None:
+            raise ValueError(f"duplicate task id {dup}")
+        self._tids.update(t.tid for t in tasks)
 
     def _feed_tasks(self, tasks: Sequence[Task]) -> None:
         """Feed range-checked ``tasks`` (see :meth:`add_tasks`)."""
@@ -357,7 +376,8 @@ class Simulator:
         self._feed_sorted = False
 
     def add_instance(self, instance: Instance) -> None:
-        """Feed a whole instance."""
+        """Feed a whole instance (``ValueError`` if it repeats a tid
+        fed before)."""
         if instance.m != self.m:
             raise ValueError(f"instance has m={instance.m}, simulator has m={self.m}")
         feed = self._feed
@@ -367,7 +387,12 @@ class Simulator:
         still_sorted = self._feed_sorted and (
             not feed or not instance.tasks or feed[-1].release <= instance.tasks[0].release
         )
-        # an Instance's sets are range-checked already
+        # an Instance's sets and tids are checked already; a first
+        # feed's tids are claimed only once another feed needs them
+        if not self._tids and self._unclaimed is None:
+            self._unclaimed = instance
+        else:
+            self._claim(instance.tasks)
         self._feed_tasks(instance.tasks)
         self._feed_sorted = still_sorted
         if virgin:
@@ -448,6 +473,12 @@ class Simulator:
             return svc.get(task.tid, task.proc)
         return task.proc
 
+    def _work_left(self, task: Task) -> float:
+        """Service ``task`` still needs: a preempted task's residual,
+        else its service time."""
+        left = self._remaining.get(task.tid)
+        return self._service_time(task) if left is None else left
+
     def _pick_queued(self, mach: MachineState) -> Task:
         """Remove and return the queued task the policy runs next:
         FIFO head for non-preemptive policies, the minimum
@@ -455,16 +486,10 @@ class Simulator:
         embeds the tid)."""
         if not self._preemptive:
             return mach.queue.popleft()
-        key = self.scheduler.preempt_key
+        key, left = self.scheduler.preempt_key, self._work_left
         best = min(
             range(len(mach.queue)),
-            key=lambda i: key(
-                mach.queue[i],
-                self._remaining.get(
-                    mach.queue[i].tid, self._service_time(mach.queue[i])
-                ),
-                self.now,
-            ),
+            key=lambda i: key(mach.queue[i], left(mach.queue[i]), self.now),
         )
         task = mach.queue[best]
         del mach.queue[best]
@@ -528,10 +553,7 @@ class Simulator:
         cur = mach.current
         cur_rem = mach.busy_until - self.now
         key = self.scheduler.preempt_key
-        best_key = min(
-            key(t, self._remaining.get(t.tid, self._service_time(t)), self.now)
-            for t in mach.queue
-        )
+        best_key = min(key(t, self._work_left(t), self.now) for t in mach.queue)
         if best_key >= key(cur, cur_rem, self.now):
             return
         work_done = self.now - mach.stint_start
@@ -554,27 +576,31 @@ class Simulator:
         self.parked.append(task)
         self._obs_hook("on_park", task)
 
-    def _redispatch(self, task: Task, hook: str = "on_requeue") -> None:
-        """Place ``task`` after a failure or at an unpark by the failure
-        rule over the engine's state, charged on its new machine, or
-        park it when its whole set is down.  The scheduler's horizons
-        are not written: ``submit`` covers fresh releases only."""
-        candidates = task.eligible(self.m) & self._alive
-        if not candidates:
-            self.assigned_machine.pop(task.tid, None)
-            self._park(task)
-            return
+    def _redispatch(self, tasks: Sequence[Task], hook: str = "on_requeue") -> None:
+        """Re-place ``tasks`` after a failure or at an unpark: retract
+        their placements, tail first, then place each by the failure
+        rule over the engine's waiting work ``w_j``, booked from ``now +
+        w_j`` through the ``_book`` the serve ``Dispatcher.commit``
+        uses, or park it when its whole set is down."""
         sched, now = self.scheduler, self.now
-        waiting = {j: self.machines[j].waiting_work(now, self._service_time) for j in candidates}
-        machine = earliest_finish(waiting, waiting.get, lambda j: sched.service(task, j))
-        mach = self.machines[machine]
-        sched._book(task, machine, now + waiting[machine], horizon=False)
-        self.assigned_machine[task.tid] = machine
-        if hook == "on_requeue":
-            self.n_requeued += 1
-        mach.queue.append(task)
-        self._obs_hook(hook, task, machine)
-        self._try_start(mach)
+        for task in reversed(tasks):
+            sched.retract(task.tid, now)
+        for task in tasks:
+            candidates = task.eligible(self.m) & self._alive
+            if not candidates:
+                self.assigned_machine.pop(task.tid, None)
+                self._park(task)
+                continue
+            waiting = {j: self.machines[j].waiting_work(now, self._work_left) for j in candidates}
+            machine = earliest_finish(waiting, waiting.get, lambda j: sched.service(task, j))
+            mach = self.machines[machine]
+            sched._book(task, machine, now + waiting[machine])
+            self.assigned_machine[task.tid] = machine
+            if hook == "on_requeue":
+                self.n_requeued += 1
+            mach.queue.append(task)
+            self._obs_hook(hook, task, machine)
+            self._try_start(mach)
 
     def _handle_machine_down(self, machine: int) -> None:
         mach = self.machines[machine]
@@ -613,7 +639,7 @@ class Simulator:
                 del self._remaining[task.tid]
                 self.wasted_work += self._credited.pop(task.tid, 0.0)
                 self.starts.pop(task.tid, None)
-            self._redispatch(task)
+        self._redispatch(displaced)
 
     def _handle_machine_up(self, machine: int) -> None:
         mach = self.machines[machine]
@@ -638,8 +664,7 @@ class Simulator:
         # Recovery may revive parked tasks (their alive set was empty);
         # re-dispatch in park order at this very instant.
         ready, self.parked = split_parked(self.parked, self._alive, self.m)
-        for task in ready:
-            self._redispatch(task, "on_unpark")
+        self._redispatch(ready, "on_unpark")
         self._try_start(mach)
 
     # -- run ------------------------------------------------------------------
@@ -787,6 +812,7 @@ class Simulator:
         s.task_counts = {j: int(counts[j]) for j in range(1, m + 1)}
         s._placements_dict = {}
         s._placements_lazy = (released, mach_l, start_l)
+        s._book_lazy = (released, mach_l, start_l, comp_a)
         s._tasks = list(released)
         s._last_release = rel[-1]
 
@@ -904,7 +930,7 @@ class Simulator:
     def waiting_profile(self) -> list[float]:
         """Current :math:`w_t(j)` for every machine, 1-based order."""
         return [
-            self.machines[j].waiting_work(self.now, self._service_time)
+            self.machines[j].waiting_work(self.now, self._work_left)
             for j in range(1, self.m + 1)
         ]
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import Instance, Task, eft_schedule
 from repro.core.nonclairvoyant import C3Like, LeastOutstanding
-from repro.schedulers import NCSetup
+from repro.schedulers import NCSetup, get_scheduler
+from repro.serve.dispatcher import Dispatcher
 from tests.conftest import restricted_unit_instances
 
 
@@ -76,6 +77,16 @@ class TestC3Like:
         # ewma M1 = 10, M2 = 1
         rec = c3.submit(Task(tid=2, release=20, proc=1))
         assert rec.machine == 2
+
+    def test_retracted_placement_is_never_observed(self):
+        """A retracted placement's service never reaches the EWMA."""
+        c3 = C3Like(2, alpha=1.0)
+        c3.submit(Task(tid=0, release=0, proc=10, machines=frozenset({1})))
+        c3.submit(Task(tid=1, release=0, proc=3, machines=frozenset({1})))
+        c3.retract(1, 5.0)
+        assert c3.outstanding(5.0) == {1: 1, 2: 0}
+        c3.submit(Task(tid=2, release=20, proc=1))
+        assert c3.ewma == {1: 10.0, 2: 1.0}
 
     @given(restricted_unit_instances())
     @settings(max_examples=40, deadline=None)
@@ -152,3 +163,112 @@ class TestIncrementalOutstanding:
             if cls is C3Like:
                 assert sched.ewma == ewma
         assert sched.outstanding(0.0) == _scan(inflight, m, 0.0)
+
+
+_BOOK_OPS = st.lists(
+    st.one_of(
+        # a fresh release through Dispatcher.submit: gap, proc, set, key
+        st.tuples(
+            st.just("submit"),
+            st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+            st.sampled_from([0.5, 1.0, 2.0]),
+            st.frozensets(st.integers(1, 3), min_size=1),
+            st.sampled_from([None, 1, 2]),
+        ),
+        # re-place a booked tid (Dispatcher.commit): which tid, which
+        # machine of its set, how far past the last release
+        st.tuples(
+            st.just("commit"), st.integers(0, 99), st.integers(0, 2),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        # undo a placement (Dispatcher.withdraw, or retract directly)
+        st.tuples(
+            st.sampled_from(["withdraw", "retract"]), st.integers(0, 99),
+            st.sampled_from([0.0, 0.5, 1.0]),
+        ),
+        # outstanding/depth queries at any (non-monotone) time
+        st.tuples(st.just("query"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 6.0])),
+    ),
+    max_size=40,
+)
+
+
+class TestOneBook:
+    """The scheduler's one book against a full rescan of the live
+    placements, over every way the serve tier writes and unwrites it:
+    fresh placements, re-placements, withdrawals and retractions."""
+
+    @pytest.mark.parametrize("policy", ["eft-min", "lor", "c3", "nc-setup"])
+    @given(ops=_BOOK_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_book_equals_rescan(self, policy, ops):
+        m = 3
+        d = Dispatcher(get_scheduler(policy, m))
+        sched = d.scheduler
+        #: the rescan's books: live ``(end, machine)`` per tid, each
+        #: placement's start, and the horizon rule of ``retract``
+        live: dict[int, tuple[float, int]] = {}
+        starts: dict[int, float] = {}
+        horizon = {j: 0.0 for j in range(1, m + 1)}
+        release, watermark, tasks = 0.0, 0.0, []
+
+        def rescan(now):
+            nonlocal watermark
+            watermark = max(watermark, now)
+            pairs = [(end, j) for end, j in live.values()]
+            counts = _scan(pairs, m, watermark)
+            for tid in [tid for tid, (end, _) in live.items() if end <= watermark]:
+                del live[tid]
+            return counts
+
+        def unbook(tid, now):
+            rescan(now)
+            if tid in live:
+                end, j = live.pop(tid)
+                if horizon[j] == end:
+                    horizon[j] = starts[tid]
+
+        def book(tid, machine, start):
+            end = start + sched.service_of(tid, tasks[tid].proc)
+            live[tid], starts[tid], horizon[machine] = (end, machine), start, end
+
+        for op in ops:
+            if op[0] == "submit":
+                _, gap, proc, machines, key = op
+                release += gap
+                task = Task(tid=len(tasks), release=release, proc=proc,
+                            machines=machines, key=key)
+                tasks.append(task)
+                rescan(release)  # place retires at the release
+                rec = d.submit(task)
+                assert rec.start == max(release, horizon[rec.machine])
+                book(task.tid, rec.machine, rec.start)
+            elif op[0] == "commit" and tasks:
+                _, pick, choice, dt = op
+                task = tasks[pick % len(tasks)]
+                machine = sorted(task.machines)[choice % len(task.machines)]
+                now = release + dt
+                unbook(task.tid, now)
+                rec = d.commit(task, machine, now, "failure")
+                assert rec.start == max(now, horizon[machine])
+                book(task.tid, machine, rec.start)
+            elif op[0] in ("withdraw", "retract") and tasks:
+                _, pick, dt = op
+                tid, now = pick % len(tasks), release + dt
+                if op[0] == "retract":
+                    sched.retract(tid, now)
+                    unbook(tid, now)
+                else:
+                    placed = d.placements.get(tid)
+                    pulled = d.withdraw(tid, now)
+                    assert (pulled is not None) == (placed is not None and placed[1] > now)
+                    if pulled is not None:
+                        unbook(tid, now)
+            elif op[0] == "query":
+                counts = rescan(op[1])
+                assert sched.outstanding(op[1]) == counts
+                assert [d.depth(j, op[1]) for j in range(1, m + 1)] == list(counts.values())
+            counts = rescan(watermark)
+            assert sched.outstanding(watermark) == counts
+            assert [d.depth(j, watermark) for j in counts] == list(counts.values())
+            assert sched.completions == horizon

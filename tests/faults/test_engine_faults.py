@@ -59,15 +59,11 @@ class TestRestartPolicy:
             if done > 0.5:
                 assert sim.assigned_machine[tid] == 2
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: the killed placement stays in LOR's in-flight books",
-    )
     def test_killed_placement_leaves_outstanding_books(self):
         # LOR, m=3: task 0 starts on machine 1, is killed by the outage
         # [1, 2) and restarts on machine 3.  At t=3 machine 1 is idle
-        # again, so task 1 (set {1, 2}) must go there; the entry booked
-        # for task 0's first placement still counts machine 1 as busy.
+        # again, so task 1 (set {1, 2}) must go there: the kill retracts
+        # the entry booked for task 0's first placement.
         from repro.schedulers import get_scheduler
 
         lor = get_scheduler("lor", 3)
@@ -80,6 +76,28 @@ class TestRestartPolicy:
         assert sim.assigned_machine[0] == 3
         assert sim.assigned_machine[1] == 1
         assert lor.outstanding(3.0) == {1: 1, 2: 0, 3: 1}
+
+    def test_replacement_writes_the_horizon(self):
+        # EFT-Min, m=3, machine 1 down over [0.5, 100): task 0 is killed
+        # and re-placed onto machine 2 (runs 4 -> 8).  Task 3 must read
+        # that horizon and go to machine 3 (finishing at 5), not to
+        # machine 2 behind task 0 (finishing at 9).
+        sim = Simulator(
+            EFT(3, tiebreak="min"), faults=FaultSchedule.build([(1, 0.5, 100.0)]),
+            backend="reference",
+        )
+        sim.add_tasks([
+            Task(tid=0, release=0.0, proc=4.0, machines=frozenset({1, 2})),
+            Task(tid=1, release=0.0, proc=4.0, machines=frozenset({2, 3})),
+            Task(tid=2, release=0.0, proc=4.0, machines=frozenset({3})),
+            Task(tid=3, release=1.0, proc=1.0, machines=frozenset({2, 3})),
+        ])
+        sim.run()
+        assert sim.assigned_machine[0] == 2 and sim.completions[0] == 8.0
+        assert sim.assigned_machine[3] == 3 and sim.completions[3] == 5.0
+        # the killed placement was retracted: machine 1 holds no work
+        assert sim.scheduler.completions == {1: 0.0, 2: 8.0, 3: 5.0}
+        assert sim.scheduler.task_counts == {1: 0, 2: 2, 3: 2}
 
 
 class TestResumePolicy:

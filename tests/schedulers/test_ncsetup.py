@@ -60,8 +60,8 @@ class TestSetupModel:
     def test_outstanding_count_beats_warmth(self):
         s = NCSetup(2, setup=0.5)
         # two in-flight requests warm machine 1 but load it up
-        s.charge(_task(0, 0, 4.0, key=7), 1, 0.0)
-        s.charge(_task(1, 0, 4.0, key=7), 1, 0.0)
+        s._book(_task(0, 0, 4.0, key=7), 1, 0.0)
+        s._book(_task(1, 0, 4.0, key=7), 1, 0.0)
         machine, _ = s.choose(_task(2, 1, 1.0, key=7))
         # machine 1: q=2 + 0; machine 2: q=0 + 0.5 -> machine 2 wins
         assert machine == 2

@@ -21,17 +21,17 @@ M = 12
 
 #: SHA-256 over ``tid:machine:start:completion;`` of every task
 PINNED = {
-    "c3": "265e206df442451e9bb4175a829017ea4ae18ac68cfe6f9617a2060ad439255a",
-    "eft-max": "36b8210e06feb3c8a24c304cc8fa5851dcba4deeb1af954e057ce6c53da5b31f",
-    "eft-min": "1e23d4c3536a7759fe3aac0a78aa3f94e865174d0dd2b89f6fcb1ddfe755be8a",
-    "eft-rand": "ccb8ea910b88d31ac8241537d6403fc683d054107b582959d36fc42bcd344a9a",
+    "c3": "edf287255f5198439f78cf7bcee9682576999c4cc02251e512578fa73ea16ac2",
+    "eft-max": "97e15497f6df35ff780259de6bc33f10474bb9b3ac259085fbc68094a59ff9e2",
+    "eft-min": "286d580838e7e40976671a195d9be153b70dbe829f1397d1a3d2b4fa74efe67f",
+    "eft-rand": "5d3303d90a4a02182e32e2609a1c19a022f7bb90a88399f342fecd7f41dab7be",
     "least-work": "d2072d4d7ca95159b563bcf5d5ea5b02e7b9d1deac0c41fcc0c3c2c80c28b935",
-    "lor": "8ab091c82048f80b9dd6d61914d1eb53bf81cf184e1e1a6cf54ed4ce03b664b6",
-    "nc-setup": "ef6c472110e3e16d7063f492e2cac363e82b68df216d9621d50cbcc7d715784b",
+    "lor": "6a17f45254466b3272091132b60270d6452afcfa304ffb00ede923f519c5f702",
+    "nc-setup": "3e249ea0fe800b7b97c5c6ed54e33ee5fcac15e6324abe0129fbb3a4b3cb0d28",
     "random": "d45082642de59f30ee87426742640bc3d97bd3b48781797d44c5b6006999d99a",
     "round-robin": "2dad7f6b2c2e59e97a8f4dc7cc24cdbe270507cc1e4efad283655853529ddfb2",
-    "speed-eft": "34a4d79d772bdc3310374b6266d745d7eb986b0c68551f50690e8c52fa5aab8b",
-    "srpt-ps": "d2d824511c055e399938fe6bdec958e498f98bbf671325298c7a0079a368cd38",
+    "speed-eft": "72436c1765f643dc7ac8ecdb0f7ad23cf0ea08f12356ccec0ad4ff99689b2e95",
+    "srpt-ps": "7153d46cd94960ffb7436bfef790995887b3856fe800af962e5e628f43a32927",
 }
 
 

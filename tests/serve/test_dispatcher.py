@@ -286,7 +286,15 @@ class TestPolicySnapshot:
         live = Dispatcher(get_scheduler(policy, m, seed=3))
         for task in tasks[:45]:
             live.submit(task)
+        # a withdrawal before the snapshot: the book carries the retraction
+        now = tasks[44].release
+        queued = sorted(tid for tid, (_, start) in live.placements.items() if start > now)
+        for tid in queued[-1:]:  # Speed-EFT's fast machines leave no queue here
+            assert live.withdraw(tid, now) is not None
         restored = _restored(live, policy, m, seed=3)
+        assert [restored.depth(j, now) for j in range(1, m + 1)] == [
+            live.depth(j, now) for j in range(1, m + 1)
+        ]
         for task in tasks[45:]:
             a, b = live.submit(task), restored.submit(task)
             assert (a.status, a.machine, a.start) == (b.status, b.machine, b.start)

@@ -19,14 +19,8 @@ every registry policy:
   tier does not preempt, so under SRPT-PS a task the engine preempted
   back into the dead machine's queue is one the serve books count as
   started; there the serve side re-places what the engine displaced,
-  in the engine's queue order.
-
-SRPT-PS still diverges on displacement, and the test says so
-(``xfail``, strict): the engine's waiting work counts a preempted task
-in a queue at its full service, while the serve books hold only its
-residual, so the layers can rank candidates differently.  Counting the
-residual moves SRPT-PS's faulted decisions, so it is left open with
-the other known divergences of a full Simulator oracle.
+  in the engine's queue order.  The engine's waiting work counts such
+  a task at its residual, as the serve books do.
 
 Releases and sizes are multiples of 1/8 (and Speed-EFT's speeds and
 NC-Setup's setup are powers of two), so both layers' arithmetic is
@@ -35,10 +29,12 @@ so NC-Setup pays its setup on re-placement.
 
 Two scenarios: one machine down mid-stream (displacement), and two
 machines down from the start so that sets inside them park, then revive
-one after the other (the unpark path).  Fresh releases after the first
-re-placement are not compared: the engine does not write re-placements
-into the scheduler's horizons, so its later fresh decisions read stale
-ones.
+one after the other (the unpark path).  Both layers book every
+re-placement into the scheduler's one book (horizon and live entries)
+and retract the placement it replaces, so every fresh release — the
+ones after a re-placement included, up to the downed machine's
+revival — is decided identically too: ``(machine, start)`` of each
+dispatched release is compared.
 """
 
 import random
@@ -51,7 +47,7 @@ from repro.faults import RESUME, FaultSchedule
 from repro.schedulers import get_scheduler
 from repro.schedulers.registry import list_schedulers
 from repro.serve import ShardPlan, ShardRouter
-from repro.serve.dispatcher import PARKED, REQUEUED
+from repro.serve.dispatcher import DISPATCHED, PARKED, REQUEUED
 from repro.simulation import Simulator
 
 M = 4
@@ -63,13 +59,6 @@ SETS = [
     )
 ]
 POLICIES = [p["name"] for p in list_schedulers()]
-#: the engine counts a queued preempted task at its full service (see above)
-DISPLACEMENT_POLICIES = [
-    pytest.param(p, marks=pytest.mark.xfail(strict=True, reason="preempted residuals"))
-    if p == "srpt-ps"
-    else p
-    for p in POLICIES
-]
 SEEDS = range(8)
 N = 48
 
@@ -149,7 +138,7 @@ def _serve(policy, seed, tasks, outages, engine_queues):
         + [(t.release, 2, "release", t) for t in tasks],
         key=lambda ev: (ev[0], ev[1]),
     )
-    placed, parked = [], []
+    placed, parked, fresh = [], [], []
 
     def note(decisions):
         for d in decisions:
@@ -182,7 +171,18 @@ def _serve(policy, seed, tasks, outages, engine_queues):
             d = router.submit(what)
             if d.status == PARKED:
                 parked.append(what.tid)
-    return placed, parked
+            else:
+                assert d.status == DISPATCHED
+                fresh.append((what.tid, d.machine, d.start))
+    return placed, parked, fresh
+
+
+def _check_fresh(sim, fresh):
+    """Every fresh release the engine's scheduler dispatched, at the
+    serve tier's ``(machine, start)``."""
+    booked = sim.scheduler.schedule()
+    assert sim.scheduler.n_dispatched == len(fresh)
+    assert [(tid, booked.machine_of(tid), booked.start_of(tid)) for tid, _, _ in fresh] == fresh
 
 
 def _check_runs_as_placed(policy, sim, placed):
@@ -196,10 +196,11 @@ def _check_runs_as_placed(policy, sim, placed):
         assert sim.completions.get(tid, end) == end
 
 
-@pytest.mark.parametrize("policy", DISPLACEMENT_POLICIES)
+@pytest.mark.parametrize("policy", POLICIES)
 def test_displacement_matches_across_layers(policy):
     """One machine down mid-stream, never back: the displaced queue
-    lands identically in both layers."""
+    lands identically in both layers, and so does every fresh release
+    after it."""
     displaced = 0
     for seed in SEEDS:
         tasks = _stream(seed)
@@ -210,9 +211,10 @@ def test_displacement_matches_across_layers(policy):
         outages = [(down, t_down, 1e6)]
         sim, rec = _simulate(policy, seed, tasks, outages)
         cut = sum(1 for t in rec.times if t < 1e6)
-        placed, parked = _serve(policy, seed, tasks, [(down, t_down, None)], rec.queues)
+        placed, parked, fresh = _serve(policy, seed, tasks, [(down, t_down, None)], rec.queues)
         assert rec.placed[:cut] == placed, f"seed {seed}"
         assert rec.parked == parked, f"seed {seed}"
+        _check_fresh(sim, fresh)
         _check_runs_as_placed(policy, sim, placed)
         displaced += len(placed)
     assert displaced > 0
@@ -229,9 +231,10 @@ def test_park_and_unpark_match_across_layers(policy):
         t1, t2 = tasks[N // 3].release, tasks[2 * N // 3].release + 0.125
         outages = [(1, 0.0, t1), (2, 0.0, t2)]
         sim, rec = _simulate(policy, seed, tasks, outages)
-        placed, parked = _serve(policy, seed, tasks, outages, rec.queues)
+        placed, parked, fresh = _serve(policy, seed, tasks, outages, rec.queues)
         assert rec.parked == parked, f"seed {seed}"
         assert rec.placed == placed, f"seed {seed}"
+        _check_fresh(sim, fresh)
         _check_runs_as_placed(policy, sim, placed)
         onto |= {machine for _, machine, _, _ in placed}
     assert onto == {1, 2}

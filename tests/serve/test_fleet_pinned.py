@@ -78,17 +78,17 @@ SETS = [
 ]
 
 STREAM_DIGESTS = {
-    "c3": "8c2d9f7c627f987123332823f88eb5446848b169637aedb79950ad5ca205347c",
-    "eft-max": "7a46cef4139c208a24bb16dd92c962a308d625b2f64d66e52b6df99ce8dffd5d",
-    "eft-min": "c50dd956bcfe16791b1003921ec0d90f309ea22a9a3f6dfbaa76d6ee67e63691",
-    "eft-rand": "86894d36b8900088a77e240a4b393fae25130005185355f0e02af9a0cf10ad81",
-    "least-work": "20b3ec1d0110dc5b7bcc6cc25f9f781b67f5d4a2722b31c99366484da4cc74c3",
-    "lor": "8c2d9f7c627f987123332823f88eb5446848b169637aedb79950ad5ca205347c",
-    "nc-setup": "52e995d26b9e0950f06cb65209d8be1733b37d9167619aae3d6e91ddd02d5a54",
-    "random": "753cd671178cddab47870ac7de9b9f3e7ff113ac1150ef2d6c318044ff7fdad1",
-    "round-robin": "278f7bff9807c2ec134062091796a18e7c472ec924eb041e0f7c19a39d9b9dbe",
-    "speed-eft": "bad20921a5033653f1f4e3ad4a84bb8cc7d42188ab8edc73e28e83372d3d5933",
-    "srpt-ps": "c50dd956bcfe16791b1003921ec0d90f309ea22a9a3f6dfbaa76d6ee67e63691",
+    "c3": "2a84ea533732b3df55906166d326ee522f94dbc6cd75a30620403cceddba5430",
+    "eft-max": "32f7adc81d227befece7b92e52b80ac7d339be0c719ddd4e3063a3e4bb279d8a",
+    "eft-min": "11ff0131c910a4a24024b61a0d2e02e303934af58688d5135bbd3bf7e7d18e72",
+    "eft-rand": "a77b6e5b9f46546d574177574bb7bb4d7c932a1c4c03356a9757bc3fd9ebb8d4",
+    "least-work": "781e01d2577e6b1d11bf6a05102bbf34dd5e66507c675d4b11f6bf7e87262774",
+    "lor": "7e6a0d679226304ade3a6539dc736c5ccf703cd2566abbc93a389232d8c7c1bf",
+    "nc-setup": "b3e23375652cace0ab8cd9d1542fef40d0ff632c04667899567ee4816480dfdf",
+    "random": "94b5451bf14e81beea6cb8080dac4cbcb76d49a88efe67522b05fa5a5ca5abe1",
+    "round-robin": "f53c2f331433de551d66d0b87138f3ed12448021dbc1f988cb4a3f4334d8063d",
+    "speed-eft": "7e0a4c59f2ee60e1357fe40cc92851fa5dfe65911de9f0e2c1be2d0391dd000a",
+    "srpt-ps": "11ff0131c910a4a24024b61a0d2e02e303934af58688d5135bbd3bf7e7d18e72",
 }
 
 

@@ -53,6 +53,19 @@ class TestWithdraw:
         assert d.scheduler.completions[1] == 3.0            # untouched
         assert d.scheduler.task_counts[1] == 2
 
+    def test_withdrawal_leaves_outstanding_counts(self):
+        """LOR's outstanding counts and the queue depth read one book,
+        so a withdrawal leaves both at once."""
+        from repro.schedulers import get_scheduler
+
+        d = Dispatcher(get_scheduler("lor", 2))
+        d.submit(_task(0, release=0.0, proc=5.0, machines={1, 2}))
+        d.submit(_task(1, release=0.0, proc=5.0, machines={1}))
+        assert d.depth(1, 0.5) == 2 and d.scheduler.completions[1] == 10.0
+        assert d.withdraw(1, now=0.5) is not None
+        assert d.depth(1, 0.5) == 1 and d.scheduler.completions[1] == 5.0
+        assert d.scheduler.outstanding(0.5) == {1: 1, 2: 0}
+
     def test_withdraw_then_redispatch_lands_elsewhere(self):
         d = _fleet(m=2)
         d.submit(_task(0, release=0.0, machines={1}))

@@ -252,12 +252,12 @@ class TestOneParkingLot:
             return {
                 "alive": alive,
                 "counters": {"n_dispatched": 0, "n_requeued": 0, "n_shed": 0},
-                "inflight": {str(j): [] for j in range(1, 5)},
                 "m": 4,
                 "on_unavailable": "park",
                 "parked": parked,
                 "placements": {},
                 "scheduler": {
+                    "book": [],
                     "completions": zeros,
                     "last_release": 0.0,
                     "task_counts": {str(j): 0 for j in range(1, 5)},

@@ -1,10 +1,12 @@
 """The Simulator rejects a processing set that names a machine beyond
-``m`` when the task is fed, on both backends.
+``m``, and a tid fed before, when the task is fed, on both backends.
 
 Accepting it would treat the missing machines as dead: a set wholly
 out of range parks its task forever, and a partly out-of-range one is
 dispatched over the in-range part until ``result()`` finally refuses
-to build the schedule.  The message is ``Instance``'s.
+to build the schedule.  A repeated tid would overwrite the first
+task's books (the scheduler's book is keyed by tid) through a whole
+drain before ``result()`` refuses it.  The messages are ``Instance``'s.
 """
 
 import pytest
@@ -57,3 +59,52 @@ def test_in_range_sets_still_run(backend):
     sim = Simulator(EFT(M), backend=backend)
     sim.add_instance(inst)
     assert sim.run().n_completed == inst.n
+
+
+def _dup(tid):
+    return rf"^duplicate task id {tid}$"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestDuplicateTids:
+    def test_add_tasks_rejects_a_repeat_within_the_batch(self, backend):
+        sim = Simulator(EFT(2), backend=backend)
+        with pytest.raises(ValueError, match=_dup(0)):
+            sim.add_tasks([Task(0, 0.0, 1.0), Task(0, 0.5, 1.0)])
+        assert sim.run().n_completed == 0
+
+    @pytest.mark.parametrize("first", ["add_tasks", "add_instance"])
+    @pytest.mark.parametrize("second", ["add_tasks", "add_instance"])
+    def test_a_later_feed_rejects_a_fed_tid(self, backend, first, second):
+        """Each feed order, the first feed's tids claimed or not; the
+        rejected batch feeds nothing, not even its fresh tids."""
+        sim = Simulator(EFT(2), backend=backend)
+
+        def feed(how, tasks):
+            if how == "add_tasks":
+                sim.add_tasks(tasks)
+            else:
+                sim.add_instance(Instance(m=2, tasks=tuple(tasks)))
+
+        feed(first, [Task(0, 0.0, 1.0), Task(1, 0.0, 1.0)])
+        with pytest.raises(ValueError, match=_dup(1)):
+            feed(second, [Task(2, 0.5, 1.0), Task(1, 0.5, 1.0)])
+        feed(second, [Task(2, 0.5, 1.0)])
+        result = sim.run()
+        assert result.n_completed == 3
+        assert sorted(sim.completions) == [0, 1, 2]
+
+    def test_a_tid_run_before_is_rejected(self, backend):
+        sim = Simulator(EFT(2), backend=backend)
+        sim.add_instance(Instance(m=2, tasks=(Task(0, 0.0, 1.0),)))
+        sim.run()
+        with pytest.raises(ValueError, match=_dup(0)):
+            sim.add_tasks([Task(0, 5.0, 1.0)])
+
+    def test_in_run_injection_is_rejected(self, backend):
+        sim = Simulator(EFT(2), backend=backend)
+        sim.add_tasks([Task(0, 0.0, 4.0), Task(1, 2.0, 1.0)])
+        sim.at(1.0, lambda s: s.add_tasks([Task(1, 1.0, 1.0)]))
+        with pytest.raises(ValueError, match=_dup(1)):
+            sim.run()
+        assert 1 not in sim.assigned_machine

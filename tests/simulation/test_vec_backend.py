@@ -160,6 +160,37 @@ class TestDeferredBooks:
         assert isinstance(sim.scheduler._placements_lazy[0][0], Task)
         assert not sim._starts and not sim._completions and not sim._assigned_machine
         assert not sim.scheduler._placements_dict
+        assert sim.scheduler._book_lazy is not None and not sim.scheduler._live
+
+    @pytest.mark.parametrize("shape", ["instance", "shuffled", "instance+tasks"])
+    def test_book_equals_reference(self, shape):
+        """The scheduler's book, entered on its first read, holds what
+        the reference run's holds: equal outstanding counts at any
+        query time, and equal horizons after a retraction."""
+        inst = _workload(rng=13, n=200, load=0.95)
+        sims = []
+        for backend in ("auto", "reference"):
+            sim = Simulator(EFT(inst.m), backend=backend)
+            _feed(sim, inst, shape)
+            sim.run()
+            sims.append(sim)
+        sa, sr = sims
+        assert sa.backend_used == "array", sa.fallback_reason
+        last = inst.tasks[-1].release
+        live = sr.scheduler.outstanding(last)
+        assert sum(live.values()) > 1  # a backlog outlives the last release
+        for t in (0.0, last / 2, last):
+            assert sa.scheduler.outstanding(t) == sr.scheduler.outstanding(t)
+        assert sa.scheduler._book_lazy is None
+        # retract the entry that finishes last (its machine's tail), in both
+        tail = max(sa.scheduler._live, key=lambda tid: sa.scheduler._live[tid][2])
+        machine, start, _ = sa.scheduler._live[tail]
+        for sim in sims:
+            sim.scheduler.retract(tail, last)
+        assert sa.scheduler.completions[machine] == start
+        assert sa.scheduler.completions == sr.scheduler.completions
+        for t in (last, last + 0.5, last + 1.0, sa.now):
+            assert sa.scheduler.outstanding(t) == sr.scheduler.outstanding(t)
 
 
 class TestTruncationParity:
