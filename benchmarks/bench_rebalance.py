@@ -74,7 +74,7 @@ def test_rebalance_survives_outage(scale):
     n = 6000 if scale == "full" else 2400
     spec = default_spec({"m": 12, "n": n, "k": 2, "s": 1.5})
     # One machine rides out a maintenance window across the shift.
-    horizon = n / spec.rate.rate(0.0)
+    horizon = n / spec.lam
     faults = FaultSchedule.build([(3, 0.3 * horizon, 0.5 * horizon)])
     by_name = _run_arms(spec, faults)
     print()

@@ -7,8 +7,8 @@ subsystems:
 1. variable request sizes (exponential and heavy-tailed Pareto);
 2. observable replica-selection policies (least-outstanding, C3-like)
    against the clairvoyant EFT baseline;
-3. a machine outage injected mid-run, comparing how the two
-   replication schemes absorb it;
+3. a machine outage mid-run (machine 5 down over ``[10, 70)``),
+   comparing how the two replication schemes absorb it;
 4. the Erlang-C analytic prediction of the disjoint strategy's
    capacity wall.
 """
@@ -16,12 +16,13 @@ subsystems:
 import numpy as np
 
 from repro.analysis import predict_disjoint_curve, stability_limit
-from repro.core import eft_schedule
+from repro.core import EFT, eft_schedule
 from repro.core.nonclairvoyant import C3Like, LeastOutstanding
+from repro.faults import FaultSchedule
 from repro.simulation import (
+    Simulator,
     WorkloadSpec,
     generate_workload,
-    inject_outage,
     shuffled_case,
     worst_case,
 )
@@ -49,10 +50,9 @@ def outage_comparison() -> None:
         spec = WorkloadSpec(m=m, n=3000, lam=0.6 * m, k=k, strategy=strategy)
         inst = generate_workload(spec, rng=1)
         base = eft_schedule(inst, tiebreak="min").max_flow
-        hurt = inject_outage(inst, machine=5, start=10.0, duration=60.0)
-        outage_tid = max(t.tid for t in hurt)
-        sched = eft_schedule(hurt, tiebreak="min")
-        fmax = max(a.flow for a in sched if a.task.tid != outage_tid)
+        sim = Simulator(EFT(m, tiebreak="min"), faults=FaultSchedule.build([(5, 10.0, 70.0)]))
+        sim.add_instance(inst)
+        fmax = sim.run().max_flow
         print(f"  {strategy:12s}: baseline Fmax {base:5.2f} -> with outage {fmax:5.2f}")
 
 

@@ -739,10 +739,10 @@ def _run_rebalance(args) -> str:
     )
     faults = _load_faults(args.faults)
 
-    shift_at = spec.popularity.shifts[0][0] if getattr(spec.popularity, "shifts", None) else None
+    shift_at = spec.popularity_profile.shifts[0][0] if spec.popularity_profile.shifts else None
     lines = [
         f"hotspot-shift workload: m={spec.m} n={spec.n} k={spec.k} "
-        f"s={args.s:g} lam={spec.rate.rate(0.0):g}"
+        f"s={args.s:g} lam={spec.lam:g}"
         + (f" shift@{shift_at:g}" if shift_at is not None else ""),
     ]
     if args.policy == "compare":

@@ -2,10 +2,11 @@
 
 One virtual-clocked run wires everything together:
 
-* a :class:`~repro.simulation.dynamics.DynamicWorkloadSpec` streams
-  ``(release, home, size)`` arrivals — replica sets are resolved at
-  dispatch time against the **live** placement, which is what makes
-  re-replication visible to the workload at all;
+* a :class:`~repro.simulation.workload.WorkloadSpec` streams raw
+  ``(release, home, size)`` arrivals
+  (:meth:`~repro.simulation.workload.WorkloadSpec.stream`) — replica
+  sets are resolved at dispatch time against the **live** placement,
+  which is what makes re-replication visible to the workload at all;
 * the serve tier's one-shard fleet, a
   :class:`~repro.serve.shard.router.ShardRouter` over
   :meth:`ShardPlan.single <repro.serve.shard.plan.ShardPlan.single>`
@@ -43,7 +44,7 @@ from ..faults.schedule import FaultSchedule
 from ..serve.driver import percentile
 from ..serve.shard.plan import ShardPlan
 from ..serve.shard.router import ShardRouter
-from ..simulation.dynamics import DynamicWorkloadSpec
+from ..simulation.workload import WorkloadSpec
 from .controller import RebalanceConfig, RebalanceController
 from .events import RebalanceTrace, dumps as dump_trace
 from .placement import IntervalPlacement
@@ -96,7 +97,7 @@ def _drain_dead(router: ShardRouter, machine: int, now: float) -> None:
 
 
 def run_rebalance(
-    spec: DynamicWorkloadSpec,
+    spec: WorkloadSpec,
     policy: str = "adaptive",
     config: RebalanceConfig | None = None,
     scheduler: str = "eft-min",
@@ -107,6 +108,7 @@ def run_rebalance(
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
     config = config if config is not None else RebalanceConfig()
+    header = spec.to_dict()  # fails before the run on a spec with no dict form
     stream = spec.stream(np.random.default_rng(seed))
     placement = IntervalPlacement.from_strategy(spec.replication())
     router = ShardRouter(ShardPlan.single(spec.m), make_scheduler(scheduler, spec.m, seed=seed))
@@ -161,10 +163,8 @@ def run_rebalance(
                 continue
             break
 
-    for i in range(stream.n):
-        release = float(stream.releases[i])
-        home = int(stream.homes[i])
-        proc = float(stream.sizes[i])
+    arrivals = zip(stream.releases.tolist(), stream.homes.tolist(), stream.sizes.tolist())
+    for i, (release, home, proc) in enumerate(arrivals):
         advance(release)
         task = Task(
             tid=i,
@@ -202,7 +202,7 @@ def run_rebalance(
         seed=seed,
         decisions=decisions,
         meta={
-            "spec": spec.to_dict(),
+            "spec": header,
             "config": config.to_dict(),
             "faults": None if faults is None else faults.to_json().strip(),
             "digest": digest,
@@ -212,7 +212,7 @@ def run_rebalance(
         policy=policy,
         scheduler=scheduler,
         seed=seed,
-        n=stream.n,
+        n=spec.n,
         flow=flow,
         digest=digest,
         n_rebalances=sum(1 for d in decisions if d.triggered),
@@ -232,7 +232,7 @@ def replay_rebalance(trace: RebalanceTrace) -> tuple[RebalanceResult, bool]:
     ``repro replay`` on rebalance traces.
     """
     meta = trace.meta
-    spec = DynamicWorkloadSpec.from_dict(meta["spec"])
+    spec = WorkloadSpec.from_dict(meta["spec"])
     config = RebalanceConfig.from_dict(meta.get("config") or {})
     faults_doc = meta.get("faults")
     faults = FaultSchedule.from_json(faults_doc) if faults_doc else None

@@ -10,7 +10,8 @@ popularity whose hot region rotates half-way around the ring at
 ``shift_at`` — the moment a static placement tuned for the first
 regime starts drowning.  ``params["spec"]`` overrides the whole
 workload with a serialised
-:class:`~repro.simulation.dynamics.DynamicWorkloadSpec`.
+:class:`~repro.simulation.workload.WorkloadSpec` (its
+:meth:`~repro.simulation.workload.WorkloadSpec.to_dict` form).
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..faults.schedule import FaultSchedule
-from ..simulation.dynamics import ConstantRate, DynamicWorkloadSpec, HotspotShift
+from ..simulation.dynamics import HotspotShift
+from ..simulation.workload import WorkloadSpec
 from .controller import RebalanceConfig
 from .harness import run_rebalance
 
 __all__ = ["compare", "default_spec", "run"]
 
 
-def default_spec(params: Mapping[str, Any]) -> DynamicWorkloadSpec:
+def default_spec(params: Mapping[str, Any]) -> WorkloadSpec:
     """The hotspot-shift scenario (or ``params["spec"]`` verbatim)."""
     if "spec" in params:
-        return DynamicWorkloadSpec.from_dict(params["spec"])
+        return WorkloadSpec.from_dict(params["spec"])
     m = int(params.get("m", 12))
     n = int(params.get("n", 4000))
     k = int(params.get("k", 2))
@@ -36,11 +38,11 @@ def default_spec(params: Mapping[str, Any]) -> DynamicWorkloadSpec:
     lam = float(params.get("lam", 0.55 * m))
     shift_at = float(params.get("shift_at", n / (2.0 * lam)))
     rotation = int(params.get("rotation", m // 2))
-    return DynamicWorkloadSpec(
+    return WorkloadSpec(
         m=m,
         n=n,
-        rate=ConstantRate(lam),
-        popularity=HotspotShift(m=m, s=s, shifts=((shift_at, rotation),)),
+        lam=lam,
+        popularity_profile=HotspotShift(m=m, s=s, shifts=((shift_at, rotation),)),
         k=k,
         strategy=str(params.get("strategy", "overlapping")),
         proc=float(params.get("proc", 1.0)),

@@ -5,8 +5,6 @@ from .collector import ProfileSampler, QueueSampler, steady_state_reached, trim_
 from .dynamics import (
     ConstantRate,
     DiurnalRate,
-    DynamicStream,
-    DynamicWorkloadSpec,
     FlashCrowd,
     HotspotShift,
     PopularityProfile,
@@ -14,7 +12,6 @@ from .dynamics import (
     StaticPopularity,
     ZipfDrift,
     arrival_times,
-    generate_dynamic_workload,
     profile_from_dict,
     profile_to_dict,
 )
@@ -46,7 +43,6 @@ from .popularity import (
 from .workload import (
     WorkloadSpec,
     generate_workload,
-    inject_outage,
     popularity_for_case,
     sample_sizes,
 )
@@ -56,8 +52,6 @@ __all__ = [
     "BlockPlacement",
     "ConstantRate",
     "DiurnalRate",
-    "DynamicStream",
-    "DynamicWorkloadSpec",
     "Event",
     "EventKind",
     "EventQueue",
@@ -86,10 +80,8 @@ __all__ = [
     "batch_release_times",
     "fifo_priority",
     "generalized_harmonic",
-    "generate_dynamic_workload",
     "generate_workload",
     "get_suite",
-    "inject_outage",
     "load_to_rate",
     "preemptive_fifo_fmax",
     "sample_sizes",

@@ -4,10 +4,9 @@ The paper's Section 7 experiments fix a Zipf popularity and a constant
 Poisson rate.  Real stores see neither: arrival rates breathe with the
 day, flash crowds spike them, and the *location* of the hot keys moves
 (a product launch shifts traffic from one shard's keys to another's).
-This module adds those axes while keeping every output on the existing
-arrival-stream contract — a :class:`~repro.core.task.Instance` of
-release-ordered tasks — so the Simulator, campaign units and the serve
-driver consume dynamic workloads unchanged.
+This module adds those axes; the workloads they drive are still baked
+into release-ordered :class:`~repro.core.task.Instance` streams, so the
+Simulator, campaign units and the serve driver consume them unchanged.
 
 Two orthogonal dials:
 
@@ -29,32 +28,27 @@ is zero (``DiurnalRate(amplitude=0)``, ``ZipfDrift(s1 == s0)``,
 static sampling calls, so the reduction is *bit-for-bit*, not just in
 distribution — property-tested in ``tests/simulation/test_dynamics.py``.
 
-:class:`DynamicWorkloadSpec` bundles both dials with the replication
-strategy and size distribution of :class:`~.workload.WorkloadSpec`.
-Its :meth:`~DynamicWorkloadSpec.stream` additionally exposes the raw
-``(releases, homes, sizes)`` arrays — the form the rebalance harness
-needs, because under a *live* placement the replica set of a home is
-decided at dispatch time, not at generation time.
+:class:`~.workload.WorkloadSpec` takes one profile of each kind
+(``rate_profile``, ``popularity_profile``) beside its static
+``lam``/``case``.  This module holds only the profiles, the arrival
+sampler and their dict form, which rebalance trace headers embed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..core.task import Instance, Task
-from ..psets.replication import ReplicationStrategy, get_strategy
 from .arrivals import poisson_release_times
 from .popularity import MachinePopularity, zipf_weights
 
 __all__ = [
     "ConstantRate",
     "DiurnalRate",
-    "DynamicStream",
-    "DynamicWorkloadSpec",
     "FlashCrowd",
     "HotspotShift",
     "PopularityProfile",
@@ -62,8 +56,6 @@ __all__ = [
     "StaticPopularity",
     "ZipfDrift",
     "arrival_times",
-    "bake_instance",
-    "generate_dynamic_workload",
     "profile_from_dict",
     "profile_to_dict",
 ]
@@ -402,227 +394,101 @@ class HotspotShift(PopularityProfile):
 
 
 # ---------------------------------------------------------------------------
-# The dynamic workload spec
-# ---------------------------------------------------------------------------
-
-
-def bake_instance(
-    m: int,
-    strategy: ReplicationStrategy,
-    releases: np.ndarray,
-    sizes: np.ndarray,
-    homes: np.ndarray,
-    keys: np.ndarray | None = None,
-) -> Instance:
-    """Bake parallel arrays into an :class:`Instance`: task ``i`` is
-    released at ``releases[i]``, runs for ``sizes[i]`` on the replica
-    set ``strategy.replicas(homes[i])`` and carries ``keys[i]`` (or no
-    key).  Tasks with the same home share that home's one immutable
-    frozenset; nothing may rely on the identity of a task's set."""
-    replicas = strategy.replicas
-    home_col = np.asarray(homes, dtype=np.int64).tolist()
-    key_col = [None] * len(home_col) if keys is None else np.asarray(keys, dtype=np.int64).tolist()
-    columns = zip(
-        np.asarray(releases, dtype=float).tolist(),
-        np.asarray(sizes, dtype=float).tolist(),
-        home_col,
-        key_col,
-        strict=True,
-    )
-    tasks = tuple(Task(i, r, p, replicas(h), key) for i, (r, p, h, key) in enumerate(columns))
-    return Instance(m=m, tasks=tasks)
-
-
-@dataclass(frozen=True)
-class DynamicStream:
-    """The raw arrival stream: parallel arrays of release times, home
-    machines (1-based) and service times.  This is the contract the
-    rebalance harness consumes — replica sets are *not* baked in, so a
-    live placement can decide them at dispatch time."""
-
-    releases: np.ndarray
-    homes: np.ndarray
-    sizes: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.releases.size)
-
-    def instance(self, m: int, strategy: ReplicationStrategy) -> Instance:
-        """Bake the stream into an :class:`Instance` under a *fixed*
-        replication strategy (the static-placement view).  Each task
-        carries its home machine in ``key``, so placements that change
-        later can still resolve the task's data location.  Tasks with
-        the same home share one immutable set (see
-        :func:`bake_instance`)."""
-        return bake_instance(m, strategy, self.releases, self.sizes, self.homes, keys=self.homes)
-
-
-@dataclass(frozen=True)
-class DynamicWorkloadSpec:
-    """A time-varying Figure-11-style workload.
-
-    Same dials as :class:`~.workload.WorkloadSpec` (machines, tasks,
-    replication, size distribution) with the constant ``lam`` replaced
-    by a :class:`RateProfile` and the fixed popularity case by a
-    :class:`PopularityProfile`.
-    """
-
-    m: int
-    n: int
-    rate: RateProfile
-    popularity: PopularityProfile
-    k: int = 3
-    strategy: str = "overlapping"
-    proc: float = 1.0
-    size_dist: str = "unit"
-
-    def __post_init__(self) -> None:
-        if self.popularity.m != self.m:
-            raise ValueError(
-                f"popularity profile has m={self.popularity.m}, spec has m={self.m}"
-            )
-
-    @property
-    def average_load(self) -> float:
-        """Time-averaged cluster load over the expected ``n``-arrival
-        window: :math:`\\bar\\lambda \\, \\bar p / m`."""
-        return self.rate.mean_rate(self.n) * self.proc / self.m
-
-    def stream(self, rng: np.random.Generator | int | None = None) -> DynamicStream:
-        """Draw the arrival stream (releases, then homes, then sizes —
-        the draw order of :func:`~.workload.generate_workload`, so the
-        fully-degenerate spec reproduces its stream exactly)."""
-        from .workload import sample_sizes
-
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        releases = arrival_times(self.rate, self.n, gen)
-        homes = self.popularity.sample_homes(releases, gen)
-        sizes = sample_sizes(self.size_dist, self.n, self.proc, gen)
-        return DynamicStream(releases=releases, homes=homes, sizes=sizes)
-
-    def replication(self) -> ReplicationStrategy:
-        return get_strategy(self.strategy, self.m, self.k)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-able description (inverse of :meth:`from_dict`) —
-        embedded in rebalance trace headers so a trace replays from its
-        own bytes."""
-        return {
-            "m": self.m,
-            "n": self.n,
-            "rate": profile_to_dict(self.rate),
-            "popularity": profile_to_dict(self.popularity),
-            "k": self.k,
-            "strategy": self.strategy,
-            "proc": self.proc,
-            "size_dist": self.size_dist,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "DynamicWorkloadSpec":
-        rate = profile_from_dict(data["rate"])
-        pop = profile_from_dict(data["popularity"])
-        if not isinstance(rate, RateProfile) or not isinstance(pop, PopularityProfile):
-            raise ValueError("rate/popularity entries have swapped or invalid kinds")
-        return DynamicWorkloadSpec(
-            m=int(data["m"]),
-            n=int(data["n"]),
-            rate=rate,
-            popularity=pop,
-            k=int(data.get("k", 3)),
-            strategy=str(data.get("strategy", "overlapping")),
-            proc=float(data.get("proc", 1.0)),
-            size_dist=str(data.get("size_dist", "unit")),
-        )
-
-
-def generate_dynamic_workload(
-    spec: DynamicWorkloadSpec, rng: np.random.Generator | int | None = None
-) -> Instance:
-    """Generate an :class:`Instance` from a dynamic spec — the same
-    arrival-stream contract as :func:`~.workload.generate_workload`,
-    directly consumable by the Simulator, campaigns and serve driver."""
-    return spec.stream(rng).instance(spec.m, spec.replication())
-
-
-# ---------------------------------------------------------------------------
 # Serialisation (rebalance traces embed their workload for replay)
 # ---------------------------------------------------------------------------
 
-_RATE_KINDS = {"constant": ConstantRate, "diurnal": DiurnalRate, "flash": FlashCrowd}
-_POP_KINDS = {"zipf-drift": ZipfDrift, "hotspot-shift": HotspotShift}
+def parse_fields(
+    data: Any, what: str, parsers: Mapping[str, Callable[[Any], Any]], required: tuple[str, ...]
+) -> dict[str, Any]:
+    """Parse one serialised record: ``data`` must be a mapping whose
+    keys all have a parser in ``parsers``, with every ``required`` key
+    present; each value goes through its field's parser.  Any fault
+    raises :class:`ValueError` naming ``what`` and the field."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what}: expected an object, got {data!r}")
+    unknown = sorted(set(data) - set(parsers))
+    if unknown:
+        raise ValueError(f"{what}: unknown field {unknown[0]!r}")
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ValueError(f"{what}: missing field {missing[0]!r}")
+    out = {}
+    for name, value in data.items():
+        try:
+            out[name] = parsers[name](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}: malformed field {name!r}: {exc}") from None
+    return out
+
+
+def _typed(kind: type, what: str, convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def parse(v: Any) -> Any:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise TypeError(f"expected {what}, got {v!r}")
+        return convert(v)
+
+    return parse
+
+
+parse_integer = _typed(numbers.Integral, "an integer", int)
+parse_number = _typed(numbers.Real, "a number", float)
+parse_text = _typed(str, "a string", str)
+
+
+def _static(weights: list[float], m: int | None = None, case: str = "custom", s: float = 0.0):
+    if m is not None and m != len(weights):
+        raise ValueError(f"static profile: m={m} but {len(weights)} weights")
+    return StaticPopularity(MachinePopularity(weights=np.asarray(weights), case=case, s=s))
+
+
+#: kind -> (constructor, required fields, optional fields)
+_PROFILE_SCHEMAS: dict[str, tuple[Callable[..., Any], tuple[str, ...], tuple[str, ...]]] = {
+    "constant": (ConstantRate, ("lam",), ()),
+    "diurnal": (DiurnalRate, ("base", "amplitude", "period"), ("phase",)),
+    "flash": (FlashCrowd, ("base", "peak", "start", "duration"), ()),
+    "static": (_static, ("weights",), ("m", "case", "s")),
+    "zipf-drift": (ZipfDrift, ("m", "s0", "s1", "t0", "t1"), ("order",)),
+    "hotspot-shift": (HotspotShift, ("m", "s"), ("shifts", "order")),
+}
+#: parsers of the profile fields that are not plain numbers
+_PROFILE_PARSERS: dict[str, Callable[[Any], Any]] = {
+    "m": parse_integer,
+    "case": parse_text,
+    "weights": lambda v: [parse_number(w) for w in v],
+    "order": lambda v: None if v is None else tuple(parse_integer(j) for j in v),
+    "shifts": lambda v: tuple((parse_number(t), parse_integer(r)) for t, r in v),
+}
+
+
+def _plain(v: Any) -> Any:
+    return [_plain(x) for x in v] if isinstance(v, tuple) else v
 
 
 def profile_to_dict(profile: RateProfile | PopularityProfile) -> dict[str, Any]:
     """A JSON-able description of a profile (inverse of
     :func:`profile_from_dict`)."""
-    if isinstance(profile, ConstantRate):
-        return {"kind": "constant", "lam": profile.lam}
-    if isinstance(profile, DiurnalRate):
-        return {
-            "kind": "diurnal",
-            "base": profile.base,
-            "amplitude": profile.amplitude,
-            "period": profile.period,
-            "phase": profile.phase,
-        }
-    if isinstance(profile, FlashCrowd):
-        return {
-            "kind": "flash",
-            "base": profile.base,
-            "peak": profile.peak,
-            "start": profile.start,
-            "duration": profile.duration,
-        }
     if isinstance(profile, StaticPopularity):
-        return {
-            "kind": "static",
-            "m": profile.m,
-            "weights": [float(w) for w in profile.popularity.weights],
-            "case": profile.popularity.case,
-            "s": profile.popularity.s,
-        }
-    if isinstance(profile, ZipfDrift):
-        return {
-            "kind": "zipf-drift",
-            "m": profile.m,
-            "s0": profile.s0,
-            "s1": profile.s1,
-            "t0": profile.t0,
-            "t1": profile.t1,
-            "order": None if profile.order is None else list(profile.order),
-        }
-    if isinstance(profile, HotspotShift):
-        return {
-            "kind": "hotspot-shift",
-            "m": profile.m,
-            "s": profile.s,
-            "shifts": [[t, r] for t, r in profile.shifts],
-            "order": None if profile.order is None else list(profile.order),
-        }
+        pop = profile.popularity
+        weights = [float(w) for w in pop.weights]
+        return {"kind": "static", "m": pop.m, "weights": weights, "case": pop.case, "s": pop.s}
+    for kind, (make, required, optional) in _PROFILE_SCHEMAS.items():
+        if type(profile) is make:
+            fields = (*required, *optional)
+            return {"kind": kind, **{name: _plain(getattr(profile, name)) for name in fields}}
     raise TypeError(f"cannot serialise profile of type {type(profile).__name__}")
 
 
 def profile_from_dict(data: Mapping[str, Any]) -> RateProfile | PopularityProfile:
-    """Rebuild a profile serialised by :func:`profile_to_dict`."""
+    """Rebuild a profile serialised by :func:`profile_to_dict`.  An
+    unknown kind or an unknown, missing or malformed field raises
+    :class:`ValueError` naming it."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"profile: expected an object, got {data!r}")
     kind = data.get("kind")
-    if kind in _RATE_KINDS:
-        params = {k: v for k, v in data.items() if k != "kind"}
-        return _RATE_KINDS[kind](**params)
-    if kind == "static":
-        pop = MachinePopularity(
-            weights=np.asarray(data["weights"], dtype=float),
-            case=str(data.get("case", "custom")),
-            s=float(data.get("s", 0.0)),
-        )
-        return StaticPopularity(pop)
-    if kind in _POP_KINDS:
-        params = dict(data)
-        params.pop("kind")
-        if params.get("order") is not None:
-            params["order"] = tuple(int(j) for j in params["order"])
-        if kind == "hotspot-shift":
-            params["shifts"] = tuple((float(t), int(r)) for t, r in params.get("shifts", ()))
-        return _POP_KINDS[kind](**params)
-    raise ValueError(f"unknown profile kind {kind!r}")
+    schema = _PROFILE_SCHEMAS.get(kind) if isinstance(kind, str) else None
+    if schema is None:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    make, required, optional = schema
+    parsers = {name: _PROFILE_PARSERS.get(name, parse_number) for name in (*required, *optional)}
+    fields = {k: v for k, v in data.items() if k != "kind"}
+    return make(**parse_fields(fields, f"profile {kind!r}", parsers, required))

@@ -9,28 +9,53 @@ replication strategy into scheduling instances:
    strategy — the task's processing set.
 
 This is exactly the generator behind Figure 11 (unit tasks, ``m = 15``,
-``k = 3``, 10 000 tasks).
+``k = 3``, 10 000 tasks).  Optional :mod:`~.dynamics` profiles make
+steps 1 and 2 time-varying, and :meth:`WorkloadSpec.stream` hands out
+the raw arrays for callers that resolve replica sets themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
 from ..core.task import Instance, Task
 from ..psets.replication import ReplicationStrategy, get_strategy
 from .arrivals import poisson_release_times
-from .dynamics import RateProfile, arrival_times, bake_instance
+from .dynamics import (
+    ConstantRate,
+    PopularityProfile,
+    RateProfile,
+    StaticPopularity,
+    arrival_times,
+    parse_fields,
+    parse_integer,
+    parse_number,
+    parse_text,
+    profile_from_dict,
+    profile_to_dict,
+)
 from .popularity import MachinePopularity, shuffled_case, uniform_case, worst_case
 
 __all__ = [
     "WorkloadSpec",
+    "WorkloadStream",
+    "bake_instance",
     "generate_workload",
-    "inject_outage",
     "popularity_for_case",
     "sample_sizes",
 ]
+
+
+class WorkloadStream(NamedTuple):
+    """The raw arrival stream: parallel arrays of release times, home
+    machines (1-based) and service times, in draw order."""
+
+    releases: np.ndarray
+    homes: np.ndarray
+    sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,7 +72,10 @@ class WorkloadSpec:
     a time-varying :class:`~.dynamics.RateProfile` (diurnal swing,
     flash crowd); arrivals then follow the non-homogeneous Poisson
     process of that intensity.  ``lam`` is ignored when a profile is
-    set.
+    set.  Likewise ``popularity_profile`` replaces the popularity
+    ``case``/``s`` with a :class:`~.dynamics.PopularityProfile`
+    (drifting Zipf, moving hotspot), and each home is drawn from the
+    weights at its release instant.
     """
 
     m: int
@@ -60,6 +88,13 @@ class WorkloadSpec:
     proc: float = 1.0
     size_dist: str = "unit"
     rate_profile: RateProfile | None = None
+    popularity_profile: PopularityProfile | None = None
+
+    def __post_init__(self) -> None:
+        if self.popularity_profile is not None and self.popularity_profile.m != self.m:
+            raise ValueError(
+                f"popularity has m={self.popularity_profile.m}, spec has m={self.m}"
+            )
 
     @property
     def average_load(self) -> float:
@@ -71,9 +106,83 @@ class WorkloadSpec:
         :math:`\\bar\\lambda = n / \\Lambda^{-1}(n)`, which integrates
         the profile rather than sampling it at any single instant.
         """
+        rate = self.lam if self.rate_profile is None else self.rate_profile.mean_rate(self.n)
+        return rate * self.proc / self.m
+
+    def replication(self) -> ReplicationStrategy:
+        return get_strategy(self.strategy, self.m, self.k)
+
+    def stream(self, rng: np.random.Generator | int | None = None) -> WorkloadStream:
+        """Draw the arrival stream: the popularity case's permutation
+        (``shuffled`` only), then releases, homes and sizes — the draw
+        order every pinned instance was generated in."""
+        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        pop = self.popularity_profile
+        if pop is None:
+            pop = StaticPopularity(popularity_for_case(self.m, self.case, self.s, gen))
         if self.rate_profile is not None:
-            return self.rate_profile.mean_rate(self.n) * self.proc / self.m
-        return self.lam * self.proc / self.m
+            releases = arrival_times(self.rate_profile, self.n, gen)
+        else:
+            releases = poisson_release_times(self.lam, self.n, gen)
+        homes = pop.sample_homes(releases, gen)
+        sizes = sample_sizes(self.size_dist, self.n, self.proc, gen)
+        return WorkloadStream(releases, homes, sizes)
+
+    def to_dict(self) -> dict[str, Any]:
+        """A JSON-able description (inverse of :meth:`from_dict`) —
+        embedded in rebalance trace headers so a trace replays from its
+        own bytes.  A constant rate is written as a ``constant``
+        profile.  Only a spec with a ``popularity_profile`` has a dict
+        form (a ``shuffled`` case draws its permutation from the
+        stream's rng)."""
+        if self.popularity_profile is None:
+            raise ValueError("only a spec with a popularity_profile has a dict form")
+        return {
+            "m": self.m,
+            "n": self.n,
+            "rate": profile_to_dict(self.rate_profile or ConstantRate(self.lam)),
+            "popularity": profile_to_dict(self.popularity_profile),
+            "k": self.k,
+            "strategy": self.strategy,
+            "proc": self.proc,
+            "size_dist": self.size_dist,
+        }
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "WorkloadSpec":
+        """Rebuild a spec from :meth:`to_dict` output.  A dict read
+        from a trace header is outside input: an unknown, missing or
+        malformed field raises :class:`ValueError` naming it.  A
+        ``constant`` rate comes back as ``lam``; under any other rate
+        profile ``lam`` is the profile's time-averaged rate."""
+        f = parse_fields(data, "workload spec", _SPEC_PARSERS, ("m", "n", "rate", "popularity"))
+        rate = f.pop("rate")
+        f["popularity_profile"] = f.pop("popularity")
+        if isinstance(rate, ConstantRate):
+            return WorkloadSpec(lam=rate.lam, **f)
+        return WorkloadSpec(lam=rate.mean_rate(f["n"]), rate_profile=rate, **f)
+
+
+def _profile_of(kind: type):
+    def parse(v: Any):
+        profile = profile_from_dict(v)
+        if isinstance(profile, kind):
+            return profile
+        raise ValueError(f"profile kind {v['kind']!r} is not a {kind.__name__}")
+
+    return parse
+
+
+_SPEC_PARSERS = {
+    "m": parse_integer,
+    "n": parse_integer,
+    "rate": _profile_of(RateProfile),
+    "popularity": _profile_of(PopularityProfile),
+    "k": parse_integer,
+    "strategy": parse_text,
+    "proc": parse_number,
+    "size_dist": parse_text,
+}
 
 
 _PARETO_SHAPE = 2.1
@@ -113,6 +222,33 @@ def popularity_for_case(
     raise ValueError(f"unknown popularity case {case!r}")
 
 
+def bake_instance(
+    m: int,
+    strategy: ReplicationStrategy,
+    releases: np.ndarray,
+    homes: np.ndarray,
+    sizes: np.ndarray,
+    keys: np.ndarray | None = None,
+) -> Instance:
+    """Bake parallel arrays into an :class:`Instance`: task ``i`` is
+    released at ``releases[i]``, runs for ``sizes[i]`` on the replica
+    set ``strategy.replicas(homes[i])`` and carries ``keys[i]`` (or no
+    key).  Tasks with the same home share that home's one immutable
+    frozenset; nothing may rely on the identity of a task's set."""
+    replicas = strategy.replicas
+    home_col = np.asarray(homes, dtype=np.int64).tolist()
+    key_col = [None] * len(home_col) if keys is None else np.asarray(keys, dtype=np.int64).tolist()
+    columns = zip(
+        np.asarray(releases, dtype=float).tolist(),
+        np.asarray(sizes, dtype=float).tolist(),
+        home_col,
+        key_col,
+        strict=True,
+    )
+    tasks = tuple(Task(i, r, p, replicas(h), key) for i, (r, p, h, key) in enumerate(columns))
+    return Instance(m=m, tasks=tasks)
+
+
 def generate_workload(
     spec: WorkloadSpec,
     rng: np.random.Generator | int | None = None,
@@ -122,43 +258,14 @@ def generate_workload(
 
     A pre-built ``popularity`` overrides the spec's case (useful to
     share one shuffled permutation across several load points, as the
-    paper's Figure 11 facets do).
+    paper's Figure 11 facets do); it cannot be combined with a
+    ``popularity_profile``.
 
     Tasks with the same home machine share that home's one immutable
     replica set; nothing may rely on the identity of a task's set.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    pop = popularity if popularity is not None else popularity_for_case(spec.m, spec.case, spec.s, gen)
-    if pop.m != spec.m:
-        raise ValueError(f"popularity has m={pop.m}, spec has m={spec.m}")
-    strat: ReplicationStrategy = get_strategy(spec.strategy, spec.m, spec.k)
-    if spec.rate_profile is not None:
-        releases = arrival_times(spec.rate_profile, spec.n, gen)
-    else:
-        releases = poisson_release_times(spec.lam, spec.n, gen)
-    homes = pop.sample_homes(spec.n, gen)
-    sizes = sample_sizes(spec.size_dist, spec.n, spec.proc, gen)
-    return bake_instance(spec.m, strat, releases, sizes, homes)
-
-
-def inject_outage(
-    instance: Instance, machine: int, start: float, duration: float
-) -> Instance:
-    """Failure injection: model a machine outage as a maintenance task.
-
-    A task of length ``duration`` pinned to ``machine`` and released at
-    ``start`` occupies it for the outage window (immediate-dispatch
-    schedulers place it at once, and if the machine is busy the outage
-    begins when the current work drains — the behaviour of a drain-
-    then-reboot maintenance operation).  Returns a new instance with
-    the outage task appended (its tid continues the existing range).
-    """
-    if not (1 <= machine <= instance.m):
-        raise ValueError(f"machine {machine} outside 1..{instance.m}")
-    if duration <= 0 or start < 0:
-        raise ValueError("need start >= 0 and duration > 0")
-    next_tid = max((t.tid for t in instance), default=-1) + 1
-    outage = Task(
-        tid=next_tid, release=float(start), proc=float(duration), machines=frozenset({machine})
-    )
-    return Instance(m=instance.m, tasks=instance.tasks + (outage,))
+    if popularity is not None:
+        if spec.popularity_profile is not None:
+            raise ValueError("pass either popularity= or a spec popularity_profile, not both")
+        spec = replace(spec, popularity_profile=StaticPopularity(popularity))
+    return bake_instance(spec.m, spec.replication(), *spec.stream(rng))

@@ -151,21 +151,19 @@ def test_lower_processing_set_rejects_out_of_range():
 def test_identical_on_dynamic_workloads(seed, tiebreak):
     """Parity holds on the rebalance-era generators too: hotspot-shift
     popularity over a flash-crowd rate, randomized by seed."""
-    from repro.simulation import (
-        DynamicWorkloadSpec,
-        FlashCrowd,
-        HotspotShift,
-        generate_dynamic_workload,
-    )
+    from repro.simulation import FlashCrowd, HotspotShift, WorkloadSpec
+    from repro.simulation.workload import bake_instance
 
-    spec = DynamicWorkloadSpec(
+    spec = WorkloadSpec(
         m=8,
         n=120,
-        rate=FlashCrowd(base=3.0, peak=15.0, start=5.0, duration=4.0),
-        popularity=HotspotShift(m=8, s=1.5, shifts=((10.0, 4),)),
+        lam=3.0,
+        rate_profile=FlashCrowd(base=3.0, peak=15.0, start=5.0, duration=4.0),
+        popularity_profile=HotspotShift(m=8, s=1.5, shifts=((10.0, 4),)),
         k=2,
     )
-    inst = generate_dynamic_workload(spec, rng=seed)
+    releases, homes, sizes = spec.stream(seed)
+    inst = bake_instance(spec.m, spec.replication(), releases, homes, sizes, keys=homes)
     assert eft_schedule(inst, tiebreak).same_placements(
         _reference(inst, tiebreak), tol=0.0
     )

@@ -11,11 +11,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultSchedule
 from repro.rebalance import RebalanceConfig, replay_rebalance, run_rebalance
 from repro.rebalance.units import compare, default_spec, run as run_unit
+from repro.simulation.workload import WorkloadSpec
 
 CONFIG = RebalanceConfig(cadence=25.0, window=50.0, headroom=0.75, warmup=2.0, max_k=5)
 
@@ -112,7 +114,7 @@ class TestFaults:
 
     def test_drain_moves_unstarted_work(self):
         spec = _spec(n=600)
-        horizon = 600 / spec.rate.rate(0.0)
+        horizon = 600 / spec.lam
         # Kill the pre-shift hot machine: its queue holds unstarted
         # backlog, which must drain through the engine's failure rule.
         faults = FaultSchedule.build([(1, 0.2 * horizon, 0.6 * horizon)])
@@ -120,6 +122,38 @@ class TestFaults:
         without = run_rebalance(spec, policy="static", config=CONFIG, seed=0)
         assert with_faults.n_requeued > 0
         assert with_faults.digest != without.digest
+
+
+class TestHeaderFormat:
+    #: the ``spec`` header of ``repro rebalance --m 12 --n 1500``, as every
+    #: recorded trace carries it; old traces must keep loading
+    SPEC = {
+        "k": 2,
+        "m": 12,
+        "n": 1500,
+        "popularity": {
+            "kind": "hotspot-shift",
+            "m": 12,
+            "order": None,
+            "s": 1.5,
+            "shifts": [[113.63636363636363, 6]],
+        },
+        "proc": 1.0,
+        "rate": {"kind": "constant", "lam": 6.6000000000000005},
+        "size_dist": "unit",
+        "strategy": "overlapping",
+    }
+
+    def test_header_spec_round_trips(self):
+        assert WorkloadSpec.from_dict(self.SPEC).to_dict() == self.SPEC
+
+    def test_header_spec_is_what_the_cli_writes(self):
+        spec = default_spec(
+            {"m": 12, "n": 1500, "k": 2, "s": 1.5, "strategy": "overlapping", "proc": 1.0}
+        )
+        assert spec.to_dict() == self.SPEC
+        for a, b in zip(WorkloadSpec.from_dict(self.SPEC).stream(0), spec.stream(0)):
+            assert np.array_equal(a, b)
 
 
 class TestValidation:

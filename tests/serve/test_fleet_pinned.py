@@ -62,7 +62,7 @@ def test_rebalance_digests_pinned(section, arm):
     spec = default_spec({"m": 12, "n": n, "k": 2, "s": 1.5})
     faults = None
     if section == "hotspot_shift_with_outage":
-        horizon = n / spec.rate.rate(0.0)
+        horizon = n / spec.lam
         faults = FaultSchedule.build([(3, 0.3 * horizon, 0.5 * horizon)])
     strategy, policy = ARMS[arm]
     result = run_rebalance(

@@ -11,6 +11,7 @@ The contract of :mod:`repro.simulation.dynamics`:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,20 +21,19 @@ from hypothesis import strategies as st
 from repro.simulation import (
     ConstantRate,
     DiurnalRate,
-    DynamicWorkloadSpec,
     FlashCrowd,
     HotspotShift,
     StaticPopularity,
     WorkloadSpec,
     ZipfDrift,
     arrival_times,
-    generate_dynamic_workload,
     generate_workload,
     poisson_release_times,
     profile_from_dict,
     profile_to_dict,
     worst_case,
 )
+from repro.simulation.workload import bake_instance
 
 rates = st.floats(min_value=0.1, max_value=50.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -236,74 +236,97 @@ class TestPopularityProfiles:
             HotspotShift(m=4, s=1.0, order=(0, 0, 1, 2))
 
 
-class TestDynamicWorkloadSpec:
+class TestWorkloadSpecProfiles:
     def _spec(self, **kw):
         defaults = dict(
             m=6,
             n=200,
-            rate=ConstantRate(3.0),
-            popularity=HotspotShift(m=6, s=1.5, shifts=((20.0, 3),)),
+            lam=3.0,
+            popularity_profile=HotspotShift(m=6, s=1.5, shifts=((20.0, 3),)),
             k=2,
         )
         defaults.update(kw)
-        return DynamicWorkloadSpec(**defaults)
+        return WorkloadSpec(**defaults)
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
     def test_stream_properties(self, seed):
         stream = self._spec().stream(seed)
-        assert stream.n == 200
+        assert stream.releases.size == stream.homes.size == stream.sizes.size == 200
         assert np.all(np.diff(stream.releases) >= 0)
         assert np.all(stream.sizes > 0)
         assert np.all(np.isfinite(stream.sizes))
         assert np.all((stream.homes >= 1) & (stream.homes <= 6))
 
-    def test_fully_degenerate_spec_matches_static_generator(self):
-        """Constant rate + static popularity reproduces the classic
-        generate_workload stream task-for-task."""
+    @given(
+        seed=seeds,
+        strategy=st.sampled_from(["none", "overlapping", "disjoint"]),
+        size_dist=st.sampled_from(["unit", "exp", "pareto", "uniform"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fully_degenerate_spec_matches_static_generator(self, seed, strategy, size_dist):
+        """A static popularity profile reproduces the ``popularity=``
+        override of generate_workload task-for-task."""
         m, n, s = 6, 150, 1.3
         pop = worst_case(m, s)
-        dyn = DynamicWorkloadSpec(
-            m=m, n=n, rate=ConstantRate(2.5), popularity=StaticPopularity(pop), k=2
+        spec = WorkloadSpec(m=m, n=n, lam=2.5, k=2, strategy=strategy, size_dist=size_dist)
+        classic = generate_workload(spec, rng=seed, popularity=pop)
+        profiled = generate_workload(
+            replace(spec, rate_profile=ConstantRate(2.5), popularity_profile=StaticPopularity(pop)),
+            rng=seed,
         )
-        classic = generate_workload(
-            WorkloadSpec(m=m, n=n, lam=2.5, k=2), rng=7, popularity=pop
-        )
-        dynamic = generate_dynamic_workload(dyn, rng=7)
-        assert dynamic.n == classic.n
-        for a, b in zip(dynamic.tasks, classic.tasks):
+        assert profiled.n == classic.n
+        for a, b in zip(profiled.tasks, classic.tasks):
             assert a.release == b.release
             assert a.proc == b.proc
             assert a.machines == b.machines
 
-    def test_instance_carries_home_key(self):
-        inst = generate_dynamic_workload(self._spec(), rng=0)
-        strat = self._spec().replication()
+    def test_popularity_override_and_profile_rejected(self):
+        with pytest.raises(ValueError, match="popularity"):
+            generate_workload(self._spec(), rng=0, popularity=worst_case(6, 1.0))
+
+    def test_stream_homes_key_the_baked_sets(self):
+        spec = self._spec()
+        releases, homes, sizes = spec.stream(0)
+        inst = bake_instance(spec.m, spec.replication(), releases, homes, sizes, keys=homes)
+        strat = spec.replication()
         for task in inst.tasks:
             assert task.key is not None
             assert task.machines == strat.replicas(int(task.key))
 
     def test_average_load_time_averaged(self):
         # Constant-rate pin: the old closed form survives.
-        spec = self._spec(rate=ConstantRate(3.0), proc=1.0)
+        spec = self._spec(lam=3.0, proc=1.0)
         assert spec.average_load == pytest.approx(3.0 / 6.0)
         # A flash crowd raises the average rate over the window.
         crowded = self._spec(
-            rate=FlashCrowd(base=3.0, peak=30.0, start=0.0, duration=10.0)
+            rate_profile=FlashCrowd(base=3.0, peak=30.0, start=0.0, duration=10.0)
         )
         assert crowded.average_load > spec.average_load
 
     def test_round_trip(self):
         spec = self._spec(
-            rate=DiurnalRate(base=4.0, amplitude=0.5, period=60.0, phase=3.0)
+            rate_profile=DiurnalRate(base=4.0, amplitude=0.5, period=60.0, phase=3.0)
         )
-        again = DynamicWorkloadSpec.from_dict(spec.to_dict())
-        assert again == spec
+        again = WorkloadSpec.from_dict(spec.to_dict())
+        # lam is unused under a rate profile; from_dict sets it to the
+        # profile's time-averaged rate
+        assert again == replace(spec, lam=spec.rate_profile.mean_rate(spec.n))
+        assert again.to_dict() == spec.to_dict()
         a = spec.stream(3)
         b = again.stream(3)
         assert np.array_equal(a.releases, b.releases)
         assert np.array_equal(a.homes, b.homes)
         assert np.array_equal(a.sizes, b.sizes)
+
+    def test_constant_rate_round_trips_as_lam(self):
+        spec = self._spec(lam=2.75)
+        assert spec.to_dict()["rate"] == {"kind": "constant", "lam": 2.75}
+        assert WorkloadSpec.from_dict(spec.to_dict()) == spec
+
+    def test_case_spec_has_no_dict_form(self):
+        with pytest.raises(ValueError, match="popularity_profile"):
+            WorkloadSpec(m=6, n=10, lam=1.0, case="worst").to_dict()
 
     def test_mismatched_m_rejected(self):
         with pytest.raises(ValueError, match="m="):
@@ -313,7 +336,57 @@ class TestDynamicWorkloadSpec:
         doc = self._spec().to_dict()
         doc["rate"], doc["popularity"] = doc["popularity"], doc["rate"]
         with pytest.raises(ValueError):
-            DynamicWorkloadSpec.from_dict(doc)
+            WorkloadSpec.from_dict(doc)
+
+
+def _spec_doc(**changes):
+    doc = {
+        "k": 2,
+        "m": 6,
+        "n": 100,
+        "popularity": {"kind": "hotspot-shift", "m": 6, "order": None, "s": 1.5, "shifts": [[10.0, 3]]},
+        "proc": 1.0,
+        "rate": {"kind": "constant", "lam": 3.0},
+        "size_dist": "unit",
+        "strategy": "overlapping",
+    }
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+#: (spec dict, the field name the error must carry)
+MALFORMED = {
+    "rate-extra-key": (_spec_doc(rate={"kind": "constant", "lam": 3.0, "bogus": 1}), "bogus"),
+    "rate-missing-lam": (_spec_doc(rate={"kind": "constant"}), "lam"),
+    "rate-lam-string": (_spec_doc(rate={"kind": "constant", "lam": "fast"}), "lam"),
+    "static-without-weights": (_spec_doc(popularity={"kind": "static", "m": 6}), "weights"),
+    "static-weights-scalar": (_spec_doc(popularity={"kind": "static", "weights": 1.0}), "weights"),
+    "shift-not-a-pair": (
+        _spec_doc(popularity={"kind": "hotspot-shift", "m": 6, "s": 1.5, "shifts": [[1.0]]}),
+        "shifts",
+    ),
+    "order-not-integers": (
+        _spec_doc(popularity={"kind": "zipf-drift", "m": 6, "s0": 1.0, "s1": 2.0, "t0": 0.0, "t1": 1.0, "order": ["a"]}),
+        "order",
+    ),
+    "rate-not-an-object": (_spec_doc(rate=[3.0]), "rate"),
+    "spec-unknown-field": (_spec_doc(lam=3.0), "lam"),
+    "spec-missing-m": (_spec_doc(m=None), "'m'"),
+    "spec-m-float": (_spec_doc(m=6.5), "'m'"),
+    "spec-strategy-number": (_spec_doc(strategy=3), "strategy"),
+    "spec-not-an-object": ([1, 2], "workload spec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_spec_dict_names_the_field(name):
+    doc, field = MALFORMED[name]
+    with pytest.raises(ValueError, match=field):
+        WorkloadSpec.from_dict(doc)
 
 
 class TestProfileSerialisation:

@@ -1,10 +1,11 @@
-"""Tests for variable service sizes and outage injection."""
+"""Tests for variable service sizes and a machine outage."""
 
 import numpy as np
 import pytest
 
-from repro.core import eft_schedule
-from repro.simulation import WorkloadSpec, generate_workload, inject_outage, sample_sizes
+from repro.core import EFT, eft_schedule
+from repro.faults import FaultSchedule
+from repro.simulation import Simulator, WorkloadSpec, generate_workload, sample_sizes
 
 
 class TestSampleSizes:
@@ -54,42 +55,12 @@ class TestWorkloadSizes:
 
 
 class TestOutageInjection:
-    def test_outage_occupies_machine(self):
-        spec = WorkloadSpec(m=3, n=30, lam=1.0)
-        inst = generate_workload(spec, rng=0)
-        out = inject_outage(inst, machine=2, start=0.0, duration=50.0)
-        sched = eft_schedule(out, tiebreak="min")
-        sched.validate()
-        outage_tid = max(t.tid for t in out)
-        assert sched.machine_of(outage_tid) == 2
-        # while machine 2 is down, no other task runs on it
-        window = [
-            a
-            for a in sched.on_machine(2)
-            if a.task.tid != outage_tid and a.start < sched.completion_of(outage_tid)
-        ]
-        assert all(a.completion <= sched.start_of(outage_tid) + 1e-9 for a in window)
-
     def test_outage_degrades_fmax(self):
         spec = WorkloadSpec(m=3, n=600, lam=0.8 * 3, k=2, strategy="overlapping")
         inst = generate_workload(spec, rng=5)
         base = eft_schedule(inst, tiebreak="min").max_flow
-        degraded = eft_schedule(
-            inject_outage(inst, machine=1, start=5.0, duration=100.0), tiebreak="min"
-        ).max_flow
-        assert degraded >= base
-
-    def test_validation(self):
-        spec = WorkloadSpec(m=2, n=5, lam=1.0, k=2)
-        inst = generate_workload(spec, rng=0)
-        with pytest.raises(ValueError):
-            inject_outage(inst, machine=5, start=0, duration=1)
-        with pytest.raises(ValueError):
-            inject_outage(inst, machine=1, start=0, duration=0)
-
-    def test_tid_continuation(self):
-        spec = WorkloadSpec(m=2, n=5, lam=1.0, k=2)
-        inst = generate_workload(spec, rng=0)
-        out = inject_outage(inst, machine=1, start=0, duration=1)
-        assert max(t.tid for t in out) == 5
-        assert out.n == 6
+        sim = Simulator(EFT(3, tiebreak="min"), faults=FaultSchedule.build([(1, 5.0, 105.0)]))
+        sim.add_instance(inst)
+        degraded = sim.run()
+        assert degraded.n_completed == inst.n
+        assert degraded.max_flow >= base

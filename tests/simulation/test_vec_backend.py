@@ -515,21 +515,19 @@ class TestDynamicWorkloads:
     @given(seed=st.integers(0, 2**31 - 1), tiebreak=st.sampled_from(["min", "max"]))
     @settings(max_examples=15, deadline=None)
     def test_parity_on_rebalance_era_generators(self, seed, tiebreak):
-        from repro.simulation import (
-            DynamicWorkloadSpec,
-            FlashCrowd,
-            HotspotShift,
-            generate_dynamic_workload,
-        )
+        from repro.simulation import FlashCrowd, HotspotShift, WorkloadSpec
+        from repro.simulation.workload import bake_instance
 
-        spec = DynamicWorkloadSpec(
+        spec = WorkloadSpec(
             m=6,
             n=80,
-            rate=FlashCrowd(base=3.0, peak=12.0, start=4.0, duration=3.0),
-            popularity=HotspotShift(m=6, s=1.5, shifts=((8.0, 3),)),
+            lam=3.0,
+            rate_profile=FlashCrowd(base=3.0, peak=12.0, start=4.0, duration=3.0),
+            popularity_profile=HotspotShift(m=6, s=1.5, shifts=((8.0, 3),)),
             k=2,
         )
-        inst = generate_dynamic_workload(spec, rng=seed)
+        releases, homes, sizes = spec.stream(seed)
+        inst = bake_instance(spec.m, spec.replication(), releases, homes, sizes, keys=homes)
         (sa, ra), (sr, rr) = _pair(inst, tiebreak=tiebreak)
         assert sa.backend_used == "array", sa.fallback_reason
         _assert_identical(ra, rr)

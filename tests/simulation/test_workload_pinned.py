@@ -2,9 +2,9 @@
 
 Every instance the Section 7 generators produce is pinned by the
 SHA-256 of its ``Instance.to_json()``: ``generate_workload`` over every
-replication strategy, size distribution and rate shape,
-``generate_dynamic_workload`` under drifting and shifting popularity,
-and ``replicate_instance``.  A change to how instances are built must
+replication strategy, size distribution and rate shape, the spec's
+stream under drifting and shifting popularity profiles (baked with each
+task's home as its key), and ``replicate_instance``.  A change to how instances are built must
 leave every digest unchanged.
 
 The sharing tests pin how they are built: tasks with the same home
@@ -23,14 +23,8 @@ import pytest
 
 from repro.core.task import Instance
 from repro.psets.replication import OverlappingIntervals, replicate_instance
-from repro.simulation.dynamics import (
-    DiurnalRate,
-    DynamicWorkloadSpec,
-    HotspotShift,
-    ZipfDrift,
-    generate_dynamic_workload,
-)
-from repro.simulation.workload import WorkloadSpec, generate_workload
+from repro.simulation.dynamics import DiurnalRate, HotspotShift, ZipfDrift
+from repro.simulation.workload import WorkloadSpec, bake_instance, generate_workload
 
 M, N, K, SEED = 12, 240, 3, 7
 STRATEGIES = ("none", "overlapping", "disjoint")
@@ -51,11 +45,12 @@ def _dynamic(name: str) -> Instance:
         "zipf-drift": ZipfDrift(m=M, s0=0.2, s1=1.6, t0=2.0, t1=20.0),
         "hotspot-shift": HotspotShift(m=M, s=1.2, shifts=((6.0, 4), (14.0, 5))),
     }[name]
-    spec = DynamicWorkloadSpec(
-        m=M, n=N, rate=DiurnalRate(base=0.8 * M, amplitude=0.5, period=10.0),
-        popularity=popularity, k=K, strategy="overlapping", size_dist="exp",
+    spec = WorkloadSpec(
+        m=M, n=N, lam=0.8 * M, rate_profile=DiurnalRate(base=0.8 * M, amplitude=0.5, period=10.0),
+        popularity_profile=popularity, k=K, strategy="overlapping", size_dist="exp",
     )
-    return generate_dynamic_workload(spec, rng=SEED)
+    releases, homes, sizes = spec.stream(SEED)
+    return bake_instance(spec.m, spec.replication(), releases, homes, sizes, keys=homes)
 
 
 def _replicated(name: str) -> Instance:
@@ -127,7 +122,7 @@ def test_generate_grid_is_complete():
 
 
 @pytest.mark.parametrize("name", sorted(DYNAMIC_DIGESTS))
-def test_generate_dynamic_workload_pinned(name):
+def test_dynamic_stream_pinned(name):
     assert _digest(_dynamic(name)) == DYNAMIC_DIGESTS[name]
 
 
@@ -151,12 +146,13 @@ def test_generated_instance_holds_at_most_m_sets(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_same_home_shares_one_set(strategy):
-    spec = DynamicWorkloadSpec(
-        m=M, n=N, rate=DiurnalRate(base=0.8 * M, amplitude=0.5, period=10.0),
-        popularity=HotspotShift(m=M, s=1.2, shifts=((6.0, 4),)), k=K, strategy=strategy,
+    spec = WorkloadSpec(
+        m=M, n=N, lam=0.8 * M, rate_profile=DiurnalRate(base=0.8 * M, amplitude=0.5, period=10.0),
+        popularity_profile=HotspotShift(m=M, s=1.2, shifts=((6.0, 4),)), k=K, strategy=strategy,
     )
-    inst = generate_dynamic_workload(spec, rng=SEED)  # key = home machine
-    by_home = _set_ids_by_home(inst, [t.key for t in inst])
+    releases, homes, sizes = spec.stream(SEED)
+    inst = bake_instance(spec.m, spec.replication(), releases, homes, sizes)
+    by_home = _set_ids_by_home(inst, homes.tolist())
     assert len(by_home) > 1
     assert all(len(ids) == 1 for ids in by_home.values())
 
