@@ -81,3 +81,10 @@ class RoundRobinAssign(ImmediateDispatchScheduler):
         machine = after[0] if after else eligible[0]
         self._cursor = machine
         return machine, frozenset(eligible)
+
+    def book_state(self) -> dict[str, Any]:
+        return {**super().book_state(), "cursor": self._cursor}
+
+    def load_book_state(self, state: Mapping[str, Any]) -> None:
+        super().load_book_state(state)
+        self._cursor = int(state.get("cursor", self._cursor))

@@ -197,6 +197,56 @@ class ImmediateDispatchScheduler:
         for j, _, _ in self._live.values():
             self._counts[j] += 1
 
+    def _rng(self) -> Any:
+        """The generator a randomised policy draws from — its own
+        ``rng`` or its tie-break's — else ``None``."""
+        rng = getattr(self, "rng", None)
+        if rng is None:
+            rng = getattr(getattr(self, "tiebreak", None), "rng", None)
+        return rng
+
+    def book_state(self) -> dict[str, Any]:
+        """Everything a serve snapshot needs to resume this scheduler
+        mid-stream: horizons, task counts, the book's live entries
+        ``[tid, machine, start, end]``, the release watermark, realised
+        service times, the policy's :meth:`state_dict` under ``policy``
+        and — for randomised policies — the RNG state, so post-restore
+        draws continue the crashed process's sequence exactly."""
+        state: dict[str, Any] = {
+            "completions": {str(j): c for j, c in self.completions.items()},
+            "task_counts": {str(j): c for j, c in self.task_counts.items()},
+            "book": [[tid, *entry] for tid, entry in sorted(self._live.items())],
+            "last_release": self._last_release,
+        }
+        if self._service:
+            state["service"] = {str(t): d for t, d in self._service.items()}
+        rng = self._rng()
+        if rng is not None:
+            state["rng_state"] = rng.bit_generator.state
+        policy = self.state_dict()
+        if policy:
+            state["policy"] = policy
+        return state
+
+    def load_book_state(self, state: Mapping[str, Any]) -> None:
+        """Restore :meth:`book_state` output onto a fresh scheduler of
+        the same kind."""
+        self.completions = {int(j): float(c) for j, c in state["completions"].items()}
+        self.task_counts = {int(j): int(c) for j, c in state["task_counts"].items()}
+        self._load_book(state["book"])
+        self._last_release = float(state["last_release"])
+        self._service = {int(t): float(d) for t, d in state.get("service", {}).items()}
+        if "policy" in state:
+            self.load_state_dict(state["policy"])
+        if "rng_state" in state:
+            rng = self._rng()
+            if rng is None:
+                raise ValueError(
+                    "snapshot carries RNG state but the scheduler has no rng — "
+                    "recovery must be wired with the same scheduler kind"
+                )
+            rng.bit_generator.state = state["rng_state"]
+
     def retract(self, tid: int, now: float) -> None:
         """Undo ``tid``'s placement if still live at ``now``: drop its
         entry and one task count, shrink the horizon to its start only

@@ -90,7 +90,6 @@ from .shadow import (
 )
 from .shard import (
     Route,
-    RoutedDecision,
     ShardPlan,
     ShardRouter,
     partition_instance,
@@ -120,7 +119,6 @@ __all__ = [
     "Recovery",
     "ResilienceExhausted",
     "Route",
-    "RoutedDecision",
     "SHED",
     "SHED_QUEUE_FULL",
     "SHED_SLO",

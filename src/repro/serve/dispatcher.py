@@ -26,8 +26,12 @@ by its ``retract``.  The failure rule — parking, unparking in park
 order, earliest-finish placement, shedding unavailable work, rebalance
 — belongs to the fleet surface, :class:`~repro.serve.shard.router.
 ShardRouter`, which picks the machine and hands it to :meth:`commit`.
-A partially-dead processing set restricts the scheduler's view to the
-alive machines (the engine's degraded dispatch).
+The dispatcher records every request under its original task; the
+scheduler decides on a restricted copy where its view is narrower than
+the set — a straddler's owner fragment (the router passes it) and, when
+some of those machines are dead, their alive subset (the engine's
+degraded dispatch).  Each :class:`DispatchDecision` it returns carries
+the dispatcher's shard id, stamped once at construction.
 """
 
 from __future__ import annotations
@@ -68,7 +72,11 @@ class DispatchDecision:
     analytic ``start`` and ``est_flow``), :data:`SHED` (rejected;
     ``reason`` says why), :data:`PARKED` (whole processing set down,
     held for a revival) or :data:`REQUEUED` (placed by the failure /
-    unpark path rather than the scheduler).
+    unpark path rather than the scheduler).  ``task`` is always the
+    original request; ``shard`` is the shard that decided it (``None``
+    for the router's own park/shed decisions and for a dispatcher
+    outside a fleet) and ``handoff`` marks a failure-path placement on
+    a shard other than the set's owner.
     """
 
     task: Task
@@ -77,6 +85,8 @@ class DispatchDecision:
     start: float | None = None
     est_flow: float | None = None
     reason: str | None = None
+    shard: int | None = None
+    handoff: bool = False
 
 
 class Dispatcher:
@@ -96,6 +106,9 @@ class Dispatcher:
         requests perturb nothing (not even a random tie-break draw).
     metrics:
         Optional :class:`~repro.serve.metrics.ServeMetrics`.
+    shard:
+        The shard id a fleet router gives this dispatcher; stamped on
+        every decision it returns.
     """
 
     def __init__(
@@ -103,8 +116,10 @@ class Dispatcher:
         scheduler: ImmediateDispatchScheduler,
         admission: AdmissionController | None = None,
         metrics: ServeMetrics | None = None,
+        shard: int | None = None,
     ) -> None:
         self.scheduler = scheduler
+        self.shard = shard
         self.m = scheduler.m
         self.admission = admission if (admission is None or admission.enabled) else None
         self.metrics = metrics
@@ -132,36 +147,43 @@ class Dispatcher:
         return max(0.0, self.scheduler.completions[machine] - now)
 
     # -- the decision path ---------------------------------------------------
-    def submit(self, task: Task) -> DispatchDecision | None:
-        """Decide one fresh release over the alive view (requests must
-        arrive in release order, the online contract of the underlying
-        scheduler).  Returns ``None``, touching nothing, when no machine
-        of the set is alive — the router's failure path takes it."""
-        candidates = task.eligible(self.m)
-        sub = task
+    def submit(
+        self, task: Task, fragment: frozenset[int] | None = None
+    ) -> DispatchDecision | None:
+        """Decide one fresh release over the alive machines of
+        ``fragment`` — this shard's part of a straddling set; default
+        the whole set (requests must arrive in release order, the
+        online contract of the underlying scheduler).  Returns ``None``,
+        touching nothing, when none of them is alive — the router's
+        failure path takes it."""
+        eligible = task.eligible(self.m)
+        candidates = eligible if fragment is None else fragment
         if len(self.alive) < self.m:
             alive = candidates & self.alive
             if not alive:
                 return None
             if alive != candidates:
-                # Degraded dispatch over the alive subset, as in the
-                # engine: the scheduler decides on the restricted view
-                # while the original task stays authoritative here.
-                candidates, sub = alive, task.restricted_to(alive)
+                candidates = alive
         if self.admission is not None:
             reason = self.admission.review(task, candidates, self)
             if reason is not None:
                 self.n_shed += 1
                 if self.metrics is not None:
                     self.metrics.on_shed(reason)
-                return DispatchDecision(task=task, status=SHED, reason=reason)
+                return DispatchDecision(task=task, status=SHED, reason=reason, shard=self.shard)
+        # The scheduler decides on the restricted view while the
+        # original task stays authoritative here.
+        sub = task if candidates is eligible else task.restricted_to(candidates)
         record = self.scheduler.place(sub)
         return self._commit(task, record.machine, record.start, DISPATCHED)
 
-    def commit(self, task: Task, machine: int, now: float, reason: str) -> DispatchDecision:
+    def commit(
+        self, task: Task, machine: int, now: float, reason: str, handoff: bool = False
+    ) -> DispatchDecision:
         """Book a displaced ``task`` (failure, unpark, migration) onto
         ``machine``, which the router chose by its failure rule,
-        starting no earlier than ``now``.  The scheduler's release-order
+        starting no earlier than ``now`` (``handoff``: the machine is
+        not on the set's owner shard).  The scheduler's release-order
         ``place`` contract does not cover re-placement, so the task
         goes through its booking step directly, charged on ``machine``:
         horizon, ``est_flow``, depth and the live worker read that.  A
@@ -172,23 +194,24 @@ class Dispatcher:
         self.n_requeued += 1
         if self.metrics is not None:
             self.metrics.on_requeue()
-        return self._commit(task, machine, start, REQUEUED, reason=reason)
+        return self._commit(task, machine, start, REQUEUED, reason, handoff)
 
     def _commit(
-        self, task: Task, machine: int, start: float, status: str, reason: str | None = None
+        self, task: Task, machine: int, start: float, status: str,
+        reason: str | None = None, handoff: bool = False,
     ) -> DispatchDecision:
         """Record ``task``, which the scheduler just booked on
-        ``machine`` from ``start``, and its ``est_flow`` (the booked end
-        less the release)."""
+        ``machine`` from ``start``, and its ``est_flow`` (the booked
+        end — the machine's new horizon — less the release)."""
         self.placements[task.tid] = (machine, start)
         self._tasks[task.tid] = task
-        est_flow = self.scheduler._live[task.tid][2] - task.release
+        est_flow = self.scheduler.completions[machine] - task.release
         self.n_dispatched += 1
         if self.metrics is not None:
             self.metrics.on_dispatch(machine, est_flow, self.depth(machine, task.release))
         return DispatchDecision(
             task=task, status=status, machine=machine, start=start,
-            est_flow=est_flow, reason=reason,
+            est_flow=est_flow, reason=reason, shard=self.shard, handoff=handoff,
         )
 
     # -- rebalance surface ---------------------------------------------------
@@ -272,34 +295,11 @@ class Dispatcher:
     # -- crash recovery ------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """Everything a journal snapshot needs to rebuild this
-        dispatcher mid-stream: the books, the alive set, and the
-        scheduler's decision-relevant state (completion horizons, task
-        counts, the book's live entries ``[tid, machine, start, end]``,
-        release watermark, realised service times, the policy's
-        own ``state_dict()`` under ``policy``, and — for randomised
-        tie-breaks — the RNG state, so post-restore draws continue the
-        crashed process's sequence exactly)."""
+        dispatcher mid-stream: the books, the alive set, the counters
+        and the scheduler's own block
+        (:meth:`~repro.core.dispatch.ImmediateDispatchScheduler.book_state`)."""
         from .protocol import task_to_wire
 
-        scheduler_state: dict[str, Any] = {
-            "completions": {str(j): c for j, c in self.scheduler.completions.items()},
-            "task_counts": {str(j): c for j, c in self.scheduler.task_counts.items()},
-            "book": [[tid, *entry] for tid, entry in sorted(self.scheduler._live.items())],
-            "last_release": self.scheduler._last_release,
-        }
-        if self.scheduler._service:
-            scheduler_state["service"] = {str(t): d for t, d in self.scheduler._service.items()}
-        cursor = getattr(self.scheduler, "_cursor", None)
-        if cursor is not None:
-            scheduler_state["cursor"] = cursor
-        rng = getattr(self.scheduler, "rng", None)
-        if rng is None:
-            rng = getattr(getattr(self.scheduler, "tiebreak", None), "rng", None)
-        if rng is not None:
-            scheduler_state["rng_state"] = rng.bit_generator.state
-        policy_state = self.scheduler.state_dict()
-        if policy_state:
-            scheduler_state["policy"] = policy_state
         return {
             "m": self.m,
             "alive": sorted(self.alive),
@@ -312,7 +312,7 @@ class Dispatcher:
                 "n_shed": self.n_shed,
                 "n_requeued": self.n_requeued,
             },
-            "scheduler": scheduler_state,
+            "scheduler": self.scheduler.book_state(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -333,26 +333,7 @@ class Dispatcher:
         self.n_dispatched = int(counters["n_dispatched"])
         self.n_shed = int(counters["n_shed"])
         self.n_requeued = int(counters["n_requeued"])
-        sched = state["scheduler"]
-        self.scheduler.completions = {int(j): float(c) for j, c in sched["completions"].items()}
-        self.scheduler.task_counts = {int(j): int(c) for j, c in sched["task_counts"].items()}
-        self.scheduler._load_book(sched["book"])
-        self.scheduler._last_release = float(sched["last_release"])
-        self.scheduler._service = {int(t): float(d) for t, d in sched.get("service", {}).items()}
-        if "policy" in sched:
-            self.scheduler.load_state_dict(sched["policy"])
-        if "cursor" in sched and hasattr(self.scheduler, "_cursor"):
-            self.scheduler._cursor = int(sched["cursor"])
-        if "rng_state" in sched:
-            rng = getattr(self.scheduler, "rng", None)
-            if rng is None:
-                rng = getattr(getattr(self.scheduler, "tiebreak", None), "rng", None)
-            if rng is None:
-                raise ValueError(
-                    "snapshot carries RNG state but the scheduler has no rng — "
-                    "recovery must be wired with the same scheduler kind"
-                )
-            rng.bit_generator.state = sched["rng_state"]
+        self.scheduler.load_book_state(state["scheduler"])
 
     @classmethod
     def recover(cls, journal: "Journal", into: "ShardRouter") -> "Recovery":

@@ -65,7 +65,7 @@ from typing import Any
 from ..faults.schedule import FaultSchedule
 from ..obs.recorders import MetricsRegistry
 from ..obs.snapshot import write_metrics
-from .dispatcher import DISPATCHED, REQUEUED, Dispatcher
+from .dispatcher import DISPATCHED, REQUEUED, DispatchDecision, Dispatcher
 from .journal import Journal, Recovery
 from .protocol import (
     ProtocolError,
@@ -77,7 +77,7 @@ from .protocol import (
     write_frame,
 )
 from .shard.plan import ShardPlan
-from .shard.router import RoutedDecision, ShardRouter
+from .shard.router import ShardRouter
 
 __all__ = [
     "AddressInUseError",
@@ -280,7 +280,7 @@ class ServeService:
         self._completed_tids: set[int] = set()
         #: dedupe key -> original decision (idempotent retries are
         #: answered from here without touching the router).
-        self._dedupe: dict[str, RoutedDecision] = {}
+        self._dedupe: dict[str, DispatchDecision] = {}
         if recovery is not None:
             self.n_completed = recovery.n_completed
             self._completed_tids = set(recovery.completed)
@@ -350,14 +350,13 @@ class ServeService:
         return (asyncio.get_running_loop().time() - self._t0) / self.time_scale
 
     # -- request path --------------------------------------------------------
-    def submit(self, task) -> RoutedDecision:
+    def submit(self, task) -> DispatchDecision:
         """Route, decide and, if placed, enqueue for real-time service
         on the placed machine's worker."""
-        routed = self.router.submit(task)
-        decision = routed.decision
+        decision = self.router.submit(task)
         if decision.status in (DISPATCHED, REQUEUED):
             self._enqueue(decision.task, decision.machine)
-        return routed
+        return decision
 
     def _enqueue(self, task, machine: int, arrival: float | None = None) -> None:
         self._outstanding += 1
@@ -398,9 +397,9 @@ class ServeService:
     def _route_displaced(self, task, arrival: float) -> None:
         now = self.now()
         self._journal_append("redispatch", {"tid": task.tid, "now": now}, commit=True)
-        routed = self.router.redispatch(task, now)
-        if routed.status == REQUEUED:
-            self._enqueue(task, routed.machine, arrival)
+        decision = self.router.redispatch(task, now)
+        if decision.status == REQUEUED:
+            self._enqueue(task, decision.machine, arrival)
         # parked: it re-enters the queues at the next revive
 
     async def drain(self) -> int:
@@ -415,10 +414,10 @@ class ServeService:
         if not 1 <= machine <= self.m:
             raise ValueError(f"machine {machine} outside 1..{self.m}")
 
-    def _enqueue_replaced(self, replaced: list[RoutedDecision]) -> int:
+    def _enqueue_replaced(self, replaced: list[DispatchDecision]) -> int:
         arrival = asyncio.get_running_loop().time()
-        for routed in replaced:
-            self._enqueue(routed.task, routed.machine, arrival)
+        for decision in replaced:
+            self._enqueue(decision.task, decision.machine, arrival)
         return len(replaced)
 
     def kill(self, machine: int) -> int:
@@ -564,8 +563,7 @@ class ServeService:
                 pass
 
     @staticmethod
-    def _submit_response(routed: RoutedDecision) -> dict[str, Any]:
-        d = routed.decision
+    def _submit_response(d: DispatchDecision) -> dict[str, Any]:
         return {
             "ok": True,
             "op": "submit",
@@ -575,8 +573,8 @@ class ServeService:
             "start": d.start,
             "est_flow": d.est_flow,
             "reason": d.reason,
-            "shard": routed.shard,
-            "handoff": routed.handoff,
+            "shard": d.shard,
+            "handoff": d.handoff,
         }
 
     def _submit(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -603,14 +601,14 @@ class ServeService:
         # dedupe cache instead of re-dispatching.
         self._journal_append("submit", {"task": task_to_wire(task), "dedupe": key}, commit=True)
         try:
-            routed = self.submit(task)
+            decision = self.submit(task)
         except ValueError as exc:
             self._errors.inc()
             return {"ok": False, "op": "submit", "tid": message.get("tid"), "error": str(exc)}
         if key is not None:
-            self._dedupe[key] = routed
+            self._dedupe[key] = decision
         self._maybe_snapshot()
-        return self._submit_response(routed)
+        return self._submit_response(decision)
 
     def _control(self, op: str, message: dict[str, Any]) -> dict[str, Any]:
         """The four fault/supervision ops; raises on a bad argument."""

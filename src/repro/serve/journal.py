@@ -471,19 +471,17 @@ def recover(journal: Journal, make_dispatcher: Callable[[], Any]) -> Recovery:
         recovery.n_completed = int(service.get("n_completed", len(recovery.completed)))
         from .dispatcher import DispatchDecision
         from .protocol import task_from_wire  # local: journal stays protocol-light
-        from .shard.router import RoutedDecision
 
         for key, wire in service.get("dedupe", {}).items():
-            decision = DispatchDecision(
+            recovery.dedupe[key] = DispatchDecision(
                 task=task_from_wire(wire["task"]),
                 status=wire["status"],
                 machine=wire.get("machine"),
                 start=wire.get("start"),
                 est_flow=wire.get("est_flow"),
                 reason=wire.get("reason"),
-            )
-            recovery.dedupe[key] = RoutedDecision(
-                decision, wire.get("shard"), wire.get("handoff", False)
+                shard=wire.get("shard"),
+                handoff=wire.get("handoff", False),
             )
         recovery.seq = journal.snapshot_seq
     replay_records(journal.records(), dispatcher, recovery)

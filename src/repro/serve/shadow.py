@@ -43,7 +43,8 @@ from ..campaigns.trace import Trace, _record_line, dumps, record
 from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.task import Instance
 from .shard.plan import ShardPlan
-from .shard.router import RoutedDecision, ShardRouter
+from .dispatcher import DispatchDecision
+from .shard.router import ShardRouter
 
 __all__ = [
     "check_shadow_golden",
@@ -60,7 +61,7 @@ def shadow_replay(
     scheduler: str | ImmediateDispatchScheduler,
     plan: ShardPlan | None = None,
     seed: int = 0,
-) -> tuple[ShardRouter, list[RoutedDecision]]:
+) -> tuple[ShardRouter, list[DispatchDecision]]:
     """Feed ``instance`` through a fresh :class:`ShardRouter` over
     ``plan`` (default: the one-shard plan) in virtual time — no
     admission, no faults — and return it with its decisions.

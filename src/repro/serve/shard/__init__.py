@@ -25,11 +25,10 @@ the golden byte-identity checks (merged and per shard) live in
 """
 
 from .plan import Route, ShardPlan, partition_instance, plan_for_instance
-from .router import RoutedDecision, ShardRouter
+from .router import ShardRouter
 
 __all__ = [
     "Route",
-    "RoutedDecision",
     "ShardPlan",
     "ShardRouter",
     "partition_instance",

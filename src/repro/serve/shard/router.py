@@ -17,12 +17,12 @@ run against the single-dispatcher golden traces
 Routing invariants:
 
 * **fresh releases** whose owner shard is attached and has an alive
-  machine in the owner fragment go to that shard's dispatcher — the
-  whole set when it is shard-local (always the case on a Theorem-6
-  disjoint plan), else restricted to the owner fragment — so per-shard
-  decisions are *identical* to the fleet-wide dispatcher's (EFT only
-  reads the eligible machines' completion times, and only this shard's
-  tasks write them);
+  machine in the owner fragment go to that shard's dispatcher, which
+  decides over the whole set when it is shard-local (always the case on
+  a Theorem-6 disjoint plan), else over the owner fragment — so
+  per-shard decisions are *identical* to the fleet-wide dispatcher's
+  (EFT only reads the eligible machines' completion times, and only
+  this shard's tasks write them);
 * **everything else** — a fresh release whose owner is detached or
   whose owner fragment is fully dead, a failure redispatch, an unpark,
   a migration — takes the engine's failure rule (:meth:`_place_failed`,
@@ -36,15 +36,17 @@ Routing invariants:
 
 Every dispatcher addresses machines by their *global* 1-based index
 (each is built over the full ``m``), so placements merge without
-renumbering; a shard only ever receives tasks restricted to its own
-interval, so its scheduler state never references foreign machines.
-The shards' books are the fleet's books: the router only remembers the
-original task of each request a shard booked under a restricted copy.
+renumbering; a shard's scheduler only ever decides over its own
+interval, so its state never references foreign machines.  The shards'
+books are the fleet's books, each request recorded once under its
+original task; the router adds routing and nothing else.  Decisions
+are plain :class:`~repro.serve.dispatcher.DispatchDecision` records:
+each dispatcher stamps its own shard id, the failure path marks
+handoffs, and the router's park/shed decisions carry ``shard=None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ...campaigns.trace import make_scheduler
@@ -55,54 +57,11 @@ from ...core.task import Instance, Task
 from ...obs.recorders import MetricsRegistry
 from ...obs.rollup import rollup_registries
 from ..admission import AdmissionController
-from ..dispatcher import (
-    DISPATCHED,
-    PARKED,
-    REQUEUED,
-    SHED,
-    DispatchDecision,
-    Dispatcher,
-)
+from ..dispatcher import DISPATCHED, PARKED, SHED, DispatchDecision, Dispatcher
 from ..metrics import ServeMetrics
 from .plan import Route, ShardPlan
 
-__all__ = ["RoutedDecision", "ShardRouter"]
-
-
-@dataclass(slots=True)
-class RoutedDecision:
-    """A dispatch decision plus its routing: which shard took it and
-    whether it travelled the cross-shard handoff path.  Reads like the
-    :class:`DispatchDecision` it wraps (``task`` is always the original,
-    unrestricted request)."""
-
-    decision: DispatchDecision
-    shard: int | None
-    handoff: bool = False
-
-    @property
-    def task(self) -> Task:
-        return self.decision.task
-
-    @property
-    def status(self) -> str:
-        return self.decision.status
-
-    @property
-    def machine(self) -> int | None:
-        return self.decision.machine
-
-    @property
-    def start(self) -> float | None:
-        return self.decision.start
-
-    @property
-    def est_flow(self) -> float | None:
-        return self.decision.est_flow
-
-    @property
-    def reason(self) -> str | None:
-        return self.decision.reason
+__all__ = ["ShardRouter"]
 
 
 #: reason attached to requests rejected because their whole processing
@@ -161,6 +120,7 @@ class ShardRouter:
                     else make_scheduler(scheduler, plan.m, seed=seed + sid),
                     admission=admission,
                     metrics=metrics,
+                    shard=sid,
                 )
             )
             self.shard_metrics.append(metrics)
@@ -176,8 +136,6 @@ class ShardRouter:
         self.down_shards: set[int] = set()
         #: the fleet's one parking lot, in park order
         self.parked: list[Task] = []
-        #: original task of every request a shard booked restricted
-        self._restricted: dict[int, Task] = {}
         self.n_handoffs = 0
         self.n_shed = 0
 
@@ -210,14 +168,12 @@ class ShardRouter:
         return merged
 
     def task(self, tid: int) -> Task | None:
-        """The original task of a booked request (``None`` if unknown)."""
-        task = self._restricted.get(tid)
-        if task is None:
-            for d in self.dispatchers:
-                task = d.task(tid)
-                if task is not None:
-                    break
-        return task
+        """The task of a booked request (``None`` if unknown)."""
+        for d in self.dispatchers:
+            task = d.task(tid)
+            if task is not None:
+                return task
+        return None
 
     # -- the decision path ---------------------------------------------------
     def _route(self, task: Task) -> Route:
@@ -226,7 +182,7 @@ class ShardRouter:
             route = self._routes[task.machines] = self.plan.route(task.eligible(self.m))
         return route
 
-    def submit(self, task: Task) -> RoutedDecision:
+    def submit(self, task: Task) -> DispatchDecision:
         """Route and decide one fresh release (release order, as the
         dispatcher contract requires — per-shard substreams of a
         release-ordered stream are release-ordered)."""
@@ -234,26 +190,28 @@ class ShardRouter:
         owner = route.owner
         decision = None
         if owner not in self.down_shards:
-            # The owner decides over its alive view; ``None`` means its
-            # fragment is fully dead.
-            sub = task if route.is_local else task.restricted_to(route.owner_fragment)
-            decision = self.dispatchers[owner].submit(sub)
+            # The owner decides over its alive view of its fragment;
+            # ``None`` means that is fully dead.
+            if route.is_local:
+                decision = self.dispatchers[owner].submit(task)
+            else:
+                decision = self.dispatchers[owner].submit(task, route.owner_fragment)
+                if decision is not None and decision.status == DISPATCHED:
+                    self._unbook_elsewhere(task.tid, owner, task.release)
         if decision is None:
-            routed = self._place_failed(task, route, task.release, "handoff")
-        elif route.is_local:
-            routed = RoutedDecision(decision, owner)
-        else:
-            routed = self._book(task, decision, owner, task.release)
+            decision = self._place_failed(task, route, task.release, "handoff")
         self._requests.inc()
         self._routed_by_shard[owner].inc()
-        return routed
+        return decision
 
-    def redispatch(self, task: Task, now: float, reason: str = "failure") -> RoutedDecision:
+    def redispatch(self, task: Task, now: float, reason: str = "failure") -> DispatchDecision:
         """Re-place a displaced task (machine failure, unpark,
         migration) by the failure rule over every alive candidate."""
         return self._place_failed(task, self._route(task), now, reason)
 
-    def _place_failed(self, task: Task, route: Route, now: float, reason: str) -> RoutedDecision:
+    def _place_failed(
+        self, task: Task, route: Route, now: float, reason: str
+    ) -> DispatchDecision:
         """The failure path: the engine's failure rule over every alive
         candidate fleet-wide, or park/shed when there is none."""
         shard_of = {
@@ -270,16 +228,23 @@ class ShardRouter:
             lambda j: self.dispatchers[shard_of[j]].scheduler.service(task, j),
         )
         sid = shard_of[machine]
-        frag = route.fragment(sid)
-        sub = task if frag == task.eligible(self.m) else task.restricted_to(frag)
-        decision = self.dispatchers[sid].commit(sub, machine, now, reason)
         handoff = sid != route.owner
+        decision = self.dispatchers[sid].commit(task, machine, now, reason, handoff)
         if handoff:
             self.n_handoffs += 1
             self._handoffs.inc()
-        return self._book(task, decision, sid, now, handoff=handoff)
+        self._unbook_elsewhere(task.tid, sid, now)
+        return decision
 
-    def _park(self, task: Task) -> RoutedDecision:
+    def _unbook_elsewhere(self, tid: int, shard: int, now: float) -> None:
+        """Unbook at ``now`` the stale booking a shard other than
+        ``shard`` holds for ``tid`` (a displaced straddler re-placed
+        elsewhere)."""
+        for sid, d in enumerate(self.dispatchers):
+            if sid != shard:
+                d.unbook(tid, now)
+
+    def _park(self, task: Task) -> DispatchDecision:
         """No alive machine anywhere in the set: hold ``task`` in the
         fleet's one parking lot until a revival or reattach can serve
         it — or, with ``on_unavailable="shed"``, reject it."""
@@ -288,31 +253,13 @@ class ShardRouter:
             self.n_shed += 1
             registry.counter("shed_total").inc()
             registry.counter(f"shed_{SHED_UNAVAILABLE}_total").inc()
-            decision = DispatchDecision(task=task, status=SHED, reason=SHED_UNAVAILABLE)
-            return RoutedDecision(decision, None)
+            return DispatchDecision(task=task, status=SHED, reason=SHED_UNAVAILABLE)
         self.parked.append(task)
         registry.counter("parked_total").inc()
         registry.gauge("parked_now").set(len(self.parked))
-        return RoutedDecision(DispatchDecision(task=task, status=PARKED), None)
+        return DispatchDecision(task=task, status=PARKED)
 
-    def _book(
-        self, task: Task, decision: DispatchDecision, shard: int, now: float,
-        handoff: bool = False,
-    ) -> RoutedDecision:
-        """Remember the *original* task of a placement a shard booked
-        under a restricted copy, and unbook at ``now`` the stale booking
-        another shard holds for it (a displaced straddler re-placed
-        elsewhere)."""
-        if decision.status in (DISPATCHED, REQUEUED):
-            if decision.task is not task:
-                self._restricted[task.tid] = task
-                decision = replace(decision, task=task)
-            for sid, d in enumerate(self.dispatchers):
-                if sid != shard:
-                    d.unbook(task.tid, now)
-        return RoutedDecision(decision, shard, handoff)
-
-    def _unpark(self, now: float) -> list[RoutedDecision]:
+    def _unpark(self, now: float) -> list[DispatchDecision]:
         """Re-place every parked task whose set now intersects the
         fleet's alive machines, in park order (the engine's recovery
         rule)."""
@@ -328,12 +275,11 @@ class ShardRouter:
     # -- rebalance surface ---------------------------------------------------
     def withdraw(self, tid: int, now: float) -> Task | None:
         """Pull a committed-but-unstarted request off the shard that
-        booked it (:meth:`Dispatcher.withdraw`); returns its original
-        task, or ``None`` if it is unknown or already started."""
+        booked it (:meth:`Dispatcher.withdraw`); returns its task, or
+        ``None`` if it is unknown or already started."""
         for d in self.dispatchers:
             if tid in d.placements:
-                booked = d.withdraw(tid, now)
-                return None if booked is None else self._restricted.pop(tid, booked)
+                return d.withdraw(tid, now)
         return None
 
     def apply_placement(
@@ -343,7 +289,7 @@ class ShardRouter:
         now: float,
         warmup: float = 0.0,
         version: int | None = None,
-    ) -> list[RoutedDecision]:
+    ) -> list[DispatchDecision]:
         """Enact a re-replication decision on the live queues.
 
         ``old_sets``/``new_sets`` map each home machine to its replica
@@ -376,7 +322,7 @@ class ShardRouter:
         for (lo, hi), d in zip(self.plan.intervals, self.dispatchers):
             d.add_replicas([j for j in added if lo <= j <= hi], now, warmup)
         placements = self.placements
-        migrated: list[RoutedDecision] = []
+        migrated: list[DispatchDecision] = []
         for tid in sorted(placements):
             machine, start = placements[tid]
             if start <= now:
@@ -388,7 +334,7 @@ class ShardRouter:
             if machine in new_set:
                 continue
             self.withdraw(tid, now)
-            moved = replace(task, machines=frozenset(new_set))
+            moved = task.restricted_to(new_set)
             migrated.append(self.redispatch(moved, now, reason="rebalance"))
         registry = self.router_registry
         registry.counter("rebalance_applied_total").inc()
@@ -406,7 +352,7 @@ class ShardRouter:
         self.dispatchers[sid].kill(machine)
         return sid
 
-    def revive(self, machine: int, now: float = 0.0) -> list[RoutedDecision]:
+    def revive(self, machine: int, now: float = 0.0) -> list[DispatchDecision]:
         """Revive ``machine`` on its owning shard, then re-place every
         parked task the fleet can now serve, in park order.  Returns
         those re-placements."""
@@ -436,28 +382,14 @@ class ShardRouter:
         self.router_registry.counter("router_detached_total").inc()
         self.router_registry.gauge("router_shards_down").set(len(self.down_shards))
 
-    def reattach_shard(
-        self, sid: int, dispatcher: Dispatcher | None = None, now: float = 0.0
-    ) -> list[RoutedDecision]:
-        """Rejoin shard ``sid`` after a restart.
-
-        ``dispatcher`` (when given) replaces the shard's dispatcher
-        with the journal-recovered instance — its books, scheduler
-        state and metrics registry carry over from before the crash.
+    def reattach_shard(self, sid: int, now: float = 0.0) -> list[DispatchDecision]:
+        """Rejoin shard ``sid`` after a restart, with the books it kept.
         Router-parked tasks whose sets the rejoined shard can now
         serve are re-placed in park order, exactly like a machine
         revival.  Returns those re-placements."""
         self.check_shard(sid)
         if sid not in self.down_shards:
             return []
-        if dispatcher is not None:
-            if dispatcher.m != self.m:
-                raise ValueError(
-                    f"recovered dispatcher has m={dispatcher.m}, router has m={self.m}"
-                )
-            self.dispatchers[sid] = dispatcher
-            if dispatcher.metrics is not None:
-                self.shard_metrics[sid] = dispatcher.metrics
         self.down_shards.discard(sid)
         self.router_registry.counter("router_reattached_total").inc()
         self.router_registry.gauge("router_shards_down").set(len(self.down_shards))
@@ -465,18 +397,13 @@ class ShardRouter:
 
     # -- results -------------------------------------------------------------
     def schedule(self) -> Schedule:
-        """The merged committed schedule across every shard, under the
-        original (unfragmented) tasks."""
-        tasks = tuple(
-            self._restricted.get(tid) or d.task(tid)
-            for d in self.dispatchers
-            for tid in d.placements
-        )
+        """The merged committed schedule across every shard."""
+        tasks = tuple(d.task(tid) for d in self.dispatchers for tid in d.placements)
         return Schedule(Instance(m=self.m, tasks=tasks), self.placements)
 
     def shard_schedule(self, sid: int) -> Schedule:
         """Shard ``sid``'s own committed schedule (its dispatcher's
-        books — fragment-restricted tasks appear restricted)."""
+        books, straddlers under their original sets)."""
         return self.dispatchers[sid].schedule()
 
     def fleet_registry(self, members: bool = True) -> MetricsRegistry:
@@ -520,8 +447,7 @@ class ShardRouter:
     def state_dict(self) -> dict[str, Any]:
         """Everything a journal snapshot needs to rebuild the fleet:
         each shard's :meth:`Dispatcher.state_dict` plus the router's
-        own books (detached shards, the parking lot, original tasks of
-        restricted bookings, counters)."""
+        own books (detached shards, the parking lot, counters)."""
         from ..protocol import task_to_wire
 
         return {
@@ -529,7 +455,6 @@ class ShardRouter:
             "shards": [d.state_dict() for d in self.dispatchers],
             "down_shards": sorted(self.down_shards),
             "parked": [task_to_wire(t) for t in self.parked],
-            "restricted": [task_to_wire(t) for t in self._restricted.values()],
             "counters": {
                 "routed": self._requests.value,
                 "n_handoffs": self.n_handoffs,
@@ -542,18 +467,24 @@ class ShardRouter:
         router; the plan and scheduler wiring must match.  A snapshot
         from before the router owned the only parking lot may carry
         per-shard lots: they fold into the router's lot, in shard
-        order, ahead of its own."""
+        order, ahead of its own.  One from before the shards recorded
+        original tasks carries the originals of straddlers booked under
+        a restricted copy in ``restricted``: they replace those copies
+        in the shard records."""
         from ..protocol import task_from_wire
 
         intervals = tuple(tuple(iv) for iv in state["intervals"])
         if intervals != self.plan.intervals:
             raise ValueError(f"snapshot has shards {intervals}, router has {self.plan.intervals}")
+        originals = {w["tid"]: w for w in state.get("restricted", ())}
         for d, shard_state in zip(self.dispatchers, state["shards"]):
+            if originals:
+                tasks = [originals.get(w["tid"], w) for w in shard_state["tasks"]]
+                shard_state = {**shard_state, "tasks": tasks}
             d.load_state_dict(shard_state)
         self.down_shards = set(int(s) for s in state["down_shards"])
         lots = [s.get("parked", ()) for s in state["shards"]] + [state["parked"]]
         self.parked = [task_from_wire(w) for lot in lots for w in lot]
-        self._restricted = {t.tid: t for t in map(task_from_wire, state["restricted"])}
         counters = state["counters"]
         self._requests.value = int(counters["routed"])
         self.n_handoffs = int(counters["n_handoffs"])

@@ -75,6 +75,20 @@ class MachinePopularity:
             raise ValueError("weights must be non-negative and sum to 1")
         object.__setattr__(self, "weights", w)
 
+    def _key(self) -> tuple[bytes, str, float]:
+        return self.weights.tobytes(), self.case, self.s
+
+    # Value semantics over the weights' bytes: the generated ``__eq__``
+    # would compare the arrays elementwise and the generated hash
+    # would hash an ndarray.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MachinePopularity):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def m(self) -> int:
         return int(self.weights.size)

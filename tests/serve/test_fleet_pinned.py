@@ -12,10 +12,17 @@ dispatcher/router split must reproduce exactly:
   ``ShardRouter(ShardPlan.single(4))`` for every registry policy, each
   fingerprinted by a sha256 over the ``(tid, status, machine, start,
   reason)`` of every returned decision, the final placements and the
-  canonical trace of the committed schedule.
+  canonical trace of the committed schedule;
+* seeded two-shard operation streams on ``ShardPlan.even(4, 2)``, whose
+  straddling sets ({2, 3}, {4, 1}) cross the shard cut — the same ops
+  plus ``detach_shard``/``reattach_shard`` — for every registry policy,
+  fingerprinted over each decision's ``(tid, status, machine, start,
+  est_flow, reason, shard, handoff)``, the merged placements and the
+  merged schedule trace.
 
-Estimated flows are deliberately left out of the stream digest: they
-are reporting, not placement.
+Estimated flows are left out of the one-shard stream digest (they are
+reporting, not placement); the two-shard digest carries them with the
+routing fields, so the whole decision record is pinned there.
 """
 
 import hashlib
@@ -99,15 +106,18 @@ def _line(decision) -> str:
     )
 
 
-def _drive(policy: str, seed: int, n_ops: int, h) -> None:
-    """One seeded op stream on a fresh one-shard fleet, hashed into ``h``."""
+KINDS = ["submit", "kill", "revive", "redispatch", "rebalance", "detach", "reattach"]
+
+
+def _drive(policy: str, seed: int, n_ops: int, h, plan: ShardPlan, weights, line) -> None:
+    """One seeded op stream on a fresh fleet over ``plan``, each op's
+    kind drawn from the first ``len(weights)`` :data:`KINDS`; every
+    returned decision is hashed into ``h`` as ``line`` formats it."""
     rng = random.Random(seed)
-    router = ShardRouter(ShardPlan.single(M), scheduler=policy, seed=seed)
+    router = ShardRouter(plan, scheduler=policy, seed=seed)
     clock, tid = 0.0, 0
     for _ in range(n_ops):
-        kind = rng.choices(
-            ["submit", "kill", "revive", "redispatch", "rebalance"], weights=[8, 2, 2, 2, 1]
-        )[0]
+        kind = rng.choices(KINDS[: len(weights)], weights=weights)[0]
         if kind == "submit":
             clock += rng.choice([0.0, 0.0, 0.1, 0.5])
             machines = rng.choice(SETS)
@@ -128,26 +138,34 @@ def _drive(policy: str, seed: int, n_ops: int, h) -> None:
             decisions = (
                 [] if victim is None else [router.redispatch(router.task(victim), clock)]
             )
-        else:
+        elif kind == "rebalance":
             home = rng.randint(1, M)
             new_set = frozenset(rng.sample(range(1, M + 1), rng.randint(1, M)))
             decisions = router.apply_placement(
                 {home: SETS[home - 1]}, {home: new_set}, clock,
                 warmup=rng.choice([0.0, 0.5]),
             )
+        elif kind == "detach":
+            router.detach_shard(rng.randrange(plan.n_shards))
+            decisions = []
+        else:
+            decisions = router.reattach_shard(rng.randrange(plan.n_shards), now=clock)
         h.update(f"{kind};".encode())
         for decision in decisions:
-            h.update(_line(decision).encode())
+            h.update(line(decision).encode())
     for t in sorted(router.placements):
         machine, start = router.placements[t]
         h.update(f"{t}={machine}@{start!r}\n".encode())
     h.update(dumps(record(router.schedule())).encode())
 
 
-def _stream_digest(policy: str) -> str:
+def _stream_digest(
+    policy: str, plan: ShardPlan = ShardPlan.single(M), n_ops: int = 80,
+    weights=(8, 2, 2, 2, 1), line=_line,
+) -> str:
     h = hashlib.sha256()
     for seed in (0, 1, 2):
-        _drive(policy, seed, 80, h)
+        _drive(policy, seed, n_ops, h, plan, weights, line)
     return h.hexdigest()
 
 
@@ -158,3 +176,38 @@ def test_every_registry_policy_is_pinned():
 @pytest.mark.parametrize("policy", sorted(STREAM_DIGESTS))
 def test_op_stream_pinned(policy):
     assert _stream_digest(policy) == STREAM_DIGESTS[policy]
+
+
+PLAN2 = ShardPlan.even(M, 2)
+
+SHARDED_STREAM_DIGESTS = {
+    "c3": "8d45642a9783971ce336ef3179b71ed28e46e60f786b833d7a69768faeb0e556",
+    "eft-max": "0aea183c637e50d5aa8d9c076627a08232eccadaa663efdde1e943a62eebfd06",
+    "eft-min": "622983f15d849cd8cc720daaaf398dc554e069c97e5f002446c2b9d241210579",
+    "eft-rand": "b83922dfbf4664cd375c5db7ab74be94fd1adc9f6ce235968f6eca0405bd1b8b",
+    "least-work": "65d19015832b93274667836f518956e4d6a34ae491a65ebd785fb0508ac26f80",
+    "lor": "8d45642a9783971ce336ef3179b71ed28e46e60f786b833d7a69768faeb0e556",
+    "nc-setup": "f12e260d9accea8dcd6a0aafd847fca9337e6f20b32ba6f693a16bb8432a49ea",
+    "random": "a1ba6caa0b5abf8a6d640866a78aac3e9cf961258ef9b15ee94f279064114dd7",
+    "round-robin": "98a6f15eee60cd5cb6892696846fce41327149a482304e0c00034b31ac8a7efd",
+    "speed-eft": "bd6731cab6a883bac80e8f3fbad4ac6e92e4b4be0eaaf97625cc6d8524d59422",
+    "srpt-ps": "622983f15d849cd8cc720daaaf398dc554e069c97e5f002446c2b9d241210579",
+}
+
+
+def _sharded_line(decision) -> str:
+    return (
+        f"{decision.task.tid}:{decision.status}:{decision.machine}:"
+        f"{decision.start!r}:{decision.est_flow!r}:{decision.reason}:"
+        f"{decision.shard}:{decision.handoff}\n"
+    )
+
+
+def test_every_registry_policy_is_pinned_on_two_shards():
+    assert sorted(SHARDED_STREAM_DIGESTS) == sorted(p["name"] for p in list_schedulers())
+
+
+@pytest.mark.parametrize("policy", sorted(SHARDED_STREAM_DIGESTS))
+def test_sharded_op_stream_pinned(policy):
+    digest = _stream_digest(policy, PLAN2, 100, (10, 2, 2, 2, 1, 1, 1), _sharded_line)
+    assert digest == SHARDED_STREAM_DIGESTS[policy]

@@ -189,7 +189,7 @@ class TestShardRouterApplyPlacement:
             {3: frozenset({3})}, {3: frozenset({4})}, now=0.5, version=1
         )
         assert len(moved) == 1
-        assert moved[0].decision.machine == 4
+        assert moved[0].machine == 4
         assert r.placements[1][0] == 4
         # Booked on the other shard now; books stay consistent.
         assert r.placements[0][0] == 3

@@ -36,7 +36,7 @@ class TestLocalDispatch:
         for t in tasks:
             r = router.submit(t)
             d = single.submit(t)
-            assert (r.machine, r.decision.start) == (d.machine, d.start)
+            assert (r.machine, r.start) == (d.machine, d.start)
         assert router.placements == single.placements
 
     def test_original_task_kept_in_merged_books(self, plan):
@@ -148,7 +148,7 @@ class TestSupervision:
         routed = router.submit(_task(0, 0.0, {1, 2}))
         assert routed.status == PARKED
         replaced = router.reattach_shard(0, now=1.0)
-        assert [r.decision.task.tid for r in replaced] == [0]
+        assert [r.task.tid for r in replaced] == [0]
         assert replaced[0].status == REQUEUED
         assert replaced[0].machine in {1, 2}
 
@@ -161,24 +161,18 @@ class TestSupervision:
         assert snap["counters"]["router_detached_total"] == 1
         assert snap["gauges"]["router_shards_down"] == 1
 
-    def test_reattach_with_recovered_dispatcher_replaces_books(self, plan):
+    def test_reattach_keeps_the_shard_books(self, plan):
         router = ShardRouter(plan)
         router.submit(_task(0, 0.0, {1, 2}))
+        books = router.dispatchers[0]
         router.detach_shard(0)
-        recovered = Dispatcher(make_scheduler(router.scheduler_name, 6))
-        recovered.submit(_task(0, 0.0, frozenset({1, 2})))
-        router.reattach_shard(0, dispatcher=recovered)
-        assert router.dispatchers[0] is recovered
+        assert router.reattach_shard(0, now=0.5) == []
+        assert router.dispatchers[0] is books
+        assert router.placements == {0: (1, 0.0)}
         assert router.stats()["down_shards"] == []
         # Routing to the rejoined shard works again.
         routed = router.submit(_task(1, 0.5, {1, 2}))
         assert routed.shard == 0 and not routed.handoff
-
-    def test_reattach_rejects_mismatched_dispatcher(self, plan):
-        router = ShardRouter(plan)
-        router.detach_shard(0)
-        with pytest.raises(ValueError, match="m="):
-            router.reattach_shard(0, dispatcher=Dispatcher(make_scheduler("eft-min", 4)))
 
     def test_out_of_range_shard_rejected(self, plan):
         router = ShardRouter(plan)
@@ -284,3 +278,89 @@ class TestOneParkingLot:
         replaced = router.revive(3, now=2.0)
         assert [(r.task.tid, r.machine, r.start) for r in replaced] == [(2, 3, 2.0), (0, 3, 3.0)]
         assert router.parked == []
+
+
+class TestOneTaskRecord:
+    """Each request is recorded once, under its original task, on the
+    shard that booked it — the scheduler alone sees the fragment."""
+
+    def test_live_straddler_shard_schedule_carries_the_original_set(self):
+        router = ShardRouter(ShardPlan.even(4, 2))
+        decision = router.submit(_task(0, 0.0, {2, 3}))
+        assert (decision.shard, decision.machine, decision.handoff) == (0, 2, False)
+        assert decision.task.machines == frozenset({2, 3})
+        sched = router.shard_schedule(0)
+        assert sched.instance[0].machines == frozenset({2, 3})
+        sched.validate()
+        assert router.task(0).machines == frozenset({2, 3})
+        assert "restricted" not in router.state_dict()
+
+    def test_admission_shed_straddler_keeps_the_original_task(self):
+        router = ShardRouter(ShardPlan.even(4, 2), max_queue_depth=1)
+        assert router.submit(_task(0, 0.0, {2}, proc=5.0)).status == DISPATCHED
+        decision = router.submit(_task(1, 0.0, {2, 3}, proc=5.0))
+        assert (decision.status, decision.shard) == (SHED, 0)
+        assert decision.task.machines == frozenset({2, 3})
+
+    def test_snapshot_with_restricted_originals_recovers_them(self, tmp_path):
+        """A snapshot written while the shards booked straddlers under
+        fragment-restricted copies (the originals in the router's
+        ``restricted`` list) recovers with one record per request,
+        under the original set."""
+        from repro.serve import Journal
+
+        def wire(tid, machines, release=0.0, proc=1.0):
+            return {
+                "key": None, "machine_set": machines, "proc": proc,
+                "release": release, "tid": tid,
+            }
+
+        def shard(tasks, placements, book):
+            completions = {str(j): 0.0 for j in range(1, 5)}
+            counts = {str(j): 0 for j in range(1, 5)}
+            for _, machine, _, end in book:
+                completions[str(machine)] = end
+                counts[str(machine)] += 1
+            return {
+                "alive": [1, 2, 3, 4],
+                "counters": {"n_dispatched": len(tasks), "n_requeued": 0, "n_shed": 0},
+                "m": 4,
+                "placements": placements,
+                "scheduler": {
+                    "book": book,
+                    "completions": completions,
+                    "last_release": 0.0,
+                    "task_counts": counts,
+                },
+                "tasks": tasks,
+            }
+
+        state = {
+            "counters": {"n_handoffs": 0, "n_shed": 0, "routed": 3},
+            "down_shards": [],
+            "intervals": [[1, 2], [3, 4]],
+            "parked": [],
+            "restricted": [wire(0, [2, 3]), wire(1, [1, 4])],
+            "shards": [
+                shard(
+                    [wire(5, [2], proc=2.0), wire(0, [2])],
+                    {"5": [2, 0.0], "0": [2, 2.0]},
+                    [[5, 2, 0.0, 2.0], [0, 2, 2.0, 3.0]],
+                ),
+                shard([wire(1, [4])], {"1": [4, 0.0]}, [[1, 4, 0.0, 1.0]]),
+            ],
+        }
+        with Journal(tmp_path, fsync="never") as journal:
+            journal.write_snapshot({"dispatcher": state, "service": {}})
+        with Journal(tmp_path, fsync="never") as journal:
+            router = Dispatcher.recover(journal, into=ShardRouter(ShardPlan.even(4, 2))).dispatcher
+        assert router.task(0).machines == frozenset({2, 3})
+        assert router.task(1).machines == frozenset({1, 4})
+        assert router.task(5).machines == frozenset({2})
+        sets = {t.tid: t.machines for t in router.schedule().instance}
+        assert sets == {0: frozenset({2, 3}), 1: frozenset({1, 4}), 5: frozenset({2})}
+        assert router.shard_schedule(1).instance[0].machines == frozenset({1, 4})
+        assert "restricted" not in router.state_dict()
+        withdrawn = router.withdraw(0, now=1.0)
+        assert withdrawn.machines == frozenset({2, 3})
+        assert router.task(0) is None and 0 not in router.placements

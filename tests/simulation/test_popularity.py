@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.simulation import (
     MachinePopularity,
+    StaticPopularity,
+    WorkloadSpec,
     generalized_harmonic,
     shuffled_case,
     uniform_case,
@@ -96,3 +98,27 @@ class TestMachinePopularity:
         pop = uniform_case(3)
         homes = pop.sample_homes(100, np.random.default_rng(1))
         assert set(np.unique(homes)) <= {1, 2, 3}
+
+    def test_value_equality_and_hash(self):
+        """Profiles compare and hash by value (weights bytes, case, s),
+        and so do the static profiles and workload specs carrying them."""
+        assert worst_case(6, 1.0) == worst_case(6, 1.0)
+        assert hash(worst_case(6, 1.0)) == hash(worst_case(6, 1.0))
+        a, b = StaticPopularity(worst_case(6, 1.0)), StaticPopularity(worst_case(6, 1.0))
+        assert a == b and hash(a) == hash(b)
+        spec_a = WorkloadSpec(m=6, n=10, lam=3.0, popularity_profile=a)
+        spec_b = WorkloadSpec(m=6, n=10, lam=3.0, popularity_profile=b)
+        assert spec_a == spec_b and hash(spec_a) == hash(spec_b)
+        assert len({spec_a, spec_b}) == 1
+
+    def test_different_weights_compare_unequal(self):
+        assert worst_case(6, 1.0) != worst_case(6, 1.5)
+        assert worst_case(6, 1.0) != shuffled_case(6, 1.0, rng=0)
+        assert worst_case(6, 0.0) != uniform_case(6)  # same weights, other case
+        same_case = MachinePopularity(weights=worst_case(6, 1.0).weights[::-1], case="worst", s=1.0)
+        assert worst_case(6, 1.0) != same_case
+        a, b = StaticPopularity(worst_case(6, 1.0)), StaticPopularity(worst_case(6, 2.0))
+        assert a != b
+        spec = WorkloadSpec(m=6, n=10, lam=3.0, popularity_profile=a)
+        assert spec != WorkloadSpec(m=6, n=10, lam=3.0, popularity_profile=b)
+        assert worst_case(6, 1.0) != "worst"
