@@ -2,6 +2,10 @@
 set — shared by the :class:`~repro.simulation.engine.Simulator` and the
 serve tier's :class:`~repro.serve.shard.router.ShardRouter`; each
 passes its own waiting work ``w_j`` (real queue vs committed horizon).
+
+Both re-place a displaced batch alike (``Simulator._redispatch``,
+``ShardRouter.redispatch``): retract every placement, tail first, then
+place each task in order by :func:`earliest_finish`, or park it unbooked.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ One virtual-clocked run wires everything together:
   :class:`~repro.serve.shard.router.ShardRouter` over
   :meth:`ShardPlan.single <repro.serve.shard.plan.ShardPlan.single>`
   (any named scheduler), places each request; machine faults
-  kill/revive machines mid-run and queued work drains off dead
-  machines with the engine's failure rule;
+  kill/revive machines mid-run and each dead machine's queued work
+  drains off it as one batch (:meth:`~repro.serve.shard.router.
+  ShardRouter.redispatch`, the engine's failure rule);
 * under ``policy="adaptive"``, a
   :class:`~repro.rebalance.controller.RebalanceController` runs its
   cadence checks at the exact cadence instants (interleaved with fault
@@ -81,21 +82,6 @@ def _assignments_digest(placements: Mapping[int, tuple[int, float]]) -> str:
     return h.hexdigest()
 
 
-def _drain_dead(router: ShardRouter, machine: int, now: float) -> None:
-    """Move queued-but-unstarted work off a freshly killed machine with
-    the engine's failure rule (started work finishes in place — the
-    drain-then-die semantics of the serve tier)."""
-    doomed = [
-        tid
-        for tid, (j, start) in sorted(router.placements.items())
-        if j == machine and start > now
-    ]
-    for tid in doomed:
-        task = router.withdraw(tid, now)
-        if task is not None:
-            router.redispatch(task, now, reason="failure")
-
-
 def run_rebalance(
     spec: WorkloadSpec,
     policy: str = "adaptive",
@@ -143,8 +129,14 @@ def run_rebalance(
                 if not (1 <= j <= spec.m):
                     continue
                 if kind == "down":
+                    # started work finishes in place (drain-on-failure)
                     router.kill(j)
-                    _drain_dead(router, j, t)
+                    queue = sorted(
+                        (start, tid)
+                        for tid, (machine, start) in router.placements.items()
+                        if machine == j and start > t
+                    )
+                    router.redispatch([router.task(tid) for _, tid in queue], t)
                 else:
                     router.revive(j, t)
                 continue

@@ -186,9 +186,9 @@ class Dispatcher:
         not on the set's owner shard).  The scheduler's release-order
         ``place`` contract does not cover re-placement, so the task
         goes through its booking step directly, charged on ``machine``:
-        horizon, ``est_flow``, depth and the live worker read that.  A
-        placement ``task`` still holds here is retracted first."""
-        self.scheduler.retract(task.tid, now)
+        horizon, ``est_flow``, depth and the live worker read that.
+        ``task`` holds no booking: the router's ``redispatch`` unbooks
+        the whole displaced batch first."""
         start = max(now, self.scheduler.completions[machine])
         self.scheduler._book(task, machine, start)
         self.n_requeued += 1
@@ -280,8 +280,8 @@ class Dispatcher:
 
     def unbook(self, tid: int, now: float) -> None:
         """Drop ``tid`` from the records and retract its placement (a
-        no-op for a tid booked elsewhere): a withdrawn request, or a
-        displaced one another dispatcher has re-placed."""
+        no-op for a tid booked elsewhere): a withdrawn request, or one
+        of a displaced batch the router is about to re-place."""
         if self.placements.pop(tid, None) is not None:
             del self._tasks[tid]
             self.scheduler.retract(tid, now)

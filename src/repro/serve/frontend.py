@@ -374,9 +374,7 @@ class ServeService:
             if machine not in router.dispatchers[sid].alive:
                 # Killed with work still queued (race with kill's own
                 # drain): route it like any displaced task.
-                self._outstanding -= 1
-                self._route_displaced(task, arrival)
-                self._settle()
+                self._route_displaced([(task, arrival)])
                 continue
             service = router.dispatchers[sid].scheduler.service_of(task.tid, task.proc)
             await asyncio.sleep(service * self.time_scale)
@@ -394,13 +392,18 @@ class ServeService:
         if self._outstanding == 0:
             self._idle.set()
 
-    def _route_displaced(self, task, arrival: float) -> None:
+    def _route_displaced(self, displaced: list[tuple[Any, float]]) -> None:
+        """Re-place ``(task, arrival)`` pairs off a dead machine's worker
+        as one batch; a parked one re-enters the queues at a revive."""
+        self._outstanding -= len(displaced)
         now = self.now()
-        self._journal_append("redispatch", {"tid": task.tid, "now": now}, commit=True)
-        decision = self.router.redispatch(task, now)
-        if decision.status == REQUEUED:
-            self._enqueue(task, decision.machine, arrival)
-        # parked: it re-enters the queues at the next revive
+        tasks = [task for task, _ in displaced]
+        tids = [task.tid for task in tasks]
+        self._journal_append("redispatch", {"tids": tids, "now": now}, commit=True)
+        for decision, (_, arrival) in zip(self.router.redispatch(tasks, now), displaced):
+            if decision.status == REQUEUED:
+                self._enqueue(decision.task, decision.machine, arrival)
+        self._settle()
 
     async def drain(self) -> int:
         """Wait until every dispatched request finished service (parked
@@ -421,10 +424,10 @@ class ServeService:
         return len(replaced)
 
     def kill(self, machine: int) -> int:
-        """Stop ``machine``: no further dispatches, queued requests are
-        re-placed over the alive machines, fleet-wide (the in-flight
-        request finishes — drain-on-failure).  Returns how many were
-        displaced."""
+        """Stop ``machine``: no further dispatches, and its queued
+        requests are re-placed fleet-wide as one batch in queue order
+        (journaled as one ``redispatch`` record after the ``kill``; the
+        in-flight request finishes).  Returns how many were displaced."""
         self._check_machine(machine)
         self._journal_append("kill", {"machine": machine, "now": self.now()}, commit=True)
         self.router.kill(machine)
@@ -433,10 +436,8 @@ class ServeService:
         if queue is not None:
             while not queue.empty():
                 displaced.append(queue.get_nowait())
-        for task, arrival in displaced:
-            self._outstanding -= 1
-            self._route_displaced(task, arrival)
-        self._settle()
+        if displaced:
+            self._route_displaced(displaced)
         return len(displaced)
 
     def revive(self, machine: int) -> int:

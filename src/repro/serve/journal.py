@@ -17,6 +17,10 @@ uninterrupted run's.  Wall-clocked inputs that do leak into decisions
 (the ``now`` of a kill-path redispatch or a revive) are captured in the
 record, so replay sees the same values the live path used.
 
+A ``redispatch`` record ``{"tids": [...], "now": t}`` is one batch (a
+kill's whole drained queue) that replay re-places in one router call;
+an older per-task ``{"tid": n, "now": t}`` record is a one-task batch.
+
 Format — one JSONL record per line::
 
     {"v": 1, "seq": n, "kind": "...", "data": {...}, "crc": c}
@@ -416,13 +420,13 @@ def replay_records(
             elif kind == "revive":
                 dispatcher.revive(int(data["machine"]), float(data["now"]))
             elif kind == "redispatch":
-                tid = int(data["tid"])
-                task = dispatcher.task(tid)
-                if task is None:
+                tids = data["tids"] if "tids" in data else [data["tid"]]
+                tasks = [dispatcher.task(int(tid)) for tid in tids]
+                if None in tasks:
                     raise JournalCorruptError(
-                        f"redispatch of unknown tid {tid} (journal suffix without its submit)"
+                        f"redispatch of unknown tid in {tids} (journal suffix without its submit)"
                     )
-                dispatcher.redispatch(task, float(data["now"]), reason=data.get("reason", "failure"))
+                dispatcher.redispatch(tasks, float(data["now"]), reason=data.get("reason", "failure"))
             elif kind == "rebalance":
                 dispatcher.apply_placement(
                     {int(u): frozenset(s) for u, s in data["old"].items()},

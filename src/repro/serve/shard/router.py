@@ -47,7 +47,7 @@ handoffs, and the router's park/shed decisions carry ``shard=None``.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ...campaigns.trace import make_scheduler
 from ...core.dispatch import ImmediateDispatchScheduler
@@ -57,7 +57,7 @@ from ...core.task import Instance, Task
 from ...obs.recorders import MetricsRegistry
 from ...obs.rollup import rollup_registries
 from ..admission import AdmissionController
-from ..dispatcher import DISPATCHED, PARKED, SHED, DispatchDecision, Dispatcher
+from ..dispatcher import PARKED, SHED, DispatchDecision, Dispatcher
 from ..metrics import ServeMetrics
 from .plan import Route, ShardPlan
 
@@ -185,7 +185,15 @@ class ShardRouter:
     def submit(self, task: Task) -> DispatchDecision:
         """Route and decide one fresh release (release order, as the
         dispatcher contract requires — per-shard substreams of a
-        release-ordered stream are release-ordered)."""
+        release-ordered stream are release-ordered).  A tid some shard
+        has booked or the lot holds raises :class:`ValueError`; a shed
+        one may be retried."""
+        tid = task.tid
+        for d in self.dispatchers:
+            if tid in d.placements:
+                raise ValueError(f"duplicate task id {tid}")
+        if self.parked and any(t.tid == tid for t in self.parked):
+            raise ValueError(f"duplicate task id {tid}")
         route = self._routes.get(task.machines) or self._route(task)
         owner = route.owner
         decision = None
@@ -196,18 +204,24 @@ class ShardRouter:
                 decision = self.dispatchers[owner].submit(task)
             else:
                 decision = self.dispatchers[owner].submit(task, route.owner_fragment)
-                if decision is not None and decision.status == DISPATCHED:
-                    self._unbook_elsewhere(task.tid, owner, task.release)
         if decision is None:
             decision = self._place_failed(task, route, task.release, "handoff")
         self._requests.inc()
         self._routed_by_shard[owner].inc()
         return decision
 
-    def redispatch(self, task: Task, now: float, reason: str = "failure") -> DispatchDecision:
-        """Re-place a displaced task (machine failure, unpark,
-        migration) by the failure rule over every alive candidate."""
-        return self._place_failed(task, self._route(task), now, reason)
+    def redispatch(
+        self, tasks: Sequence[Task], now: float, reason: str = "failure"
+    ) -> list[DispatchDecision]:
+        """Re-place a displaced batch (a dead machine's queue, the
+        unparked lot, a migration) at ``now``, as the engine's
+        ``Simulator._redispatch`` does: unbook every task from the
+        shard holding it, tail first, then place each in order by the
+        failure rule over every alive candidate, or park it unbooked."""
+        for task in reversed(tasks):
+            for d in self.dispatchers:
+                d.unbook(task.tid, now)
+        return [self._place_failed(task, self._route(task), now, reason) for task in tasks]
 
     def _place_failed(
         self, task: Task, route: Route, now: float, reason: str
@@ -233,16 +247,7 @@ class ShardRouter:
         if handoff:
             self.n_handoffs += 1
             self._handoffs.inc()
-        self._unbook_elsewhere(task.tid, sid, now)
         return decision
-
-    def _unbook_elsewhere(self, tid: int, shard: int, now: float) -> None:
-        """Unbook at ``now`` the stale booking a shard other than
-        ``shard`` holds for ``tid`` (a displaced straddler re-placed
-        elsewhere)."""
-        for sid, d in enumerate(self.dispatchers):
-            if sid != shard:
-                d.unbook(tid, now)
 
     def _park(self, task: Task) -> DispatchDecision:
         """No alive machine anywhere in the set: hold ``task`` in the
@@ -266,22 +271,13 @@ class ShardRouter:
         if not self.parked:
             return []
         ready, self.parked = split_parked(self.parked, self.alive(), self.m)
-        replaced = [self.redispatch(task, now, reason="unpark") for task in ready]
+        replaced = self.redispatch(ready, now, reason="unpark")
         if replaced:
             self.router_registry.counter("unparked_total").inc(len(replaced))
         self.router_registry.gauge("parked_now").set(len(self.parked))
         return replaced
 
     # -- rebalance surface ---------------------------------------------------
-    def withdraw(self, tid: int, now: float) -> Task | None:
-        """Pull a committed-but-unstarted request off the shard that
-        booked it (:meth:`Dispatcher.withdraw`); returns its task, or
-        ``None`` if it is unknown or already started."""
-        for d in self.dispatchers:
-            if tid in d.placements:
-                return d.withdraw(tid, now)
-        return None
-
     def apply_placement(
         self,
         old_sets: Mapping[int, frozenset[int]],
@@ -300,10 +296,10 @@ class ShardRouter:
            deterministic ``warmup`` on its horizon, then the policy's
            ``on_replicas_added`` hook);
         2. every queued-but-unstarted request whose machine is no
-           longer in its home's new set is withdrawn (:meth:`withdraw`)
-           and re-placed by the failure rule (:meth:`redispatch`,
-           ``reason="rebalance"``), in tid order — a migration onto a
-           straddling set may therefore *hand off* to another shard;
+           longer in its home's new set is re-placed, restricted to it,
+           by a one-task :meth:`redispatch` (``reason="rebalance"``), in
+           tid order — a migration onto a straddling set may therefore
+           *hand off* to another shard;
         3. the rebalance counters and ``placement_version`` gauge land
            in the router registry (created lazily, so a fleet that
            never rebalances snapshots without any rebalance keys).
@@ -333,9 +329,7 @@ class ShardRouter:
             new_set = new_sets[task.key]
             if machine in new_set:
                 continue
-            self.withdraw(tid, now)
-            moved = task.restricted_to(new_set)
-            migrated.append(self.redispatch(moved, now, reason="rebalance"))
+            migrated += self.redispatch([task.restricted_to(new_set)], now, reason="rebalance")
         registry = self.router_registry
         registry.counter("rebalance_applied_total").inc()
         registry.counter("rebalance_migrated_total").inc(len(migrated))

@@ -249,6 +249,7 @@ class TestOneBook:
                 machine = sorted(task.machines)[choice % len(task.machines)]
                 now = release + dt
                 unbook(task.tid, now)
+                d.unbook(task.tid, now)  # the router unbooks a batch before committing
                 rec = d.commit(task, machine, now, "failure")
                 assert rec.start == max(now, horizon[machine])
                 book(task.tid, machine, rec.start)

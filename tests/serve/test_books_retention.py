@@ -79,7 +79,7 @@ def test_recovered_books_equal_live(tmp_path, n_shards):
             for tid, (machine, start) in sorted(live.placements.items()):
                 if machine in (1, 2) and start > now:
                     journal.append("redispatch", {"tid": tid, "now": now}, commit=True)
-                    live.redispatch(live.task(tid), now)
+                    live.redispatch([live.task(tid)], now)
         if i == 400:
             for machine in (1, 2):
                 journal.append("revive", {"machine": machine, "now": now}, commit=True)

@@ -135,13 +135,13 @@ class TestServiceTime:
         first = fleet.submit(task)
         assert shard.scheduler.service_of(0, task.proc) > task.proc  # cold setup
         fleet.kill(first.machine)
-        moved = fleet.redispatch(task, now=0.5)
+        [moved] = fleet.redispatch([task], now=0.5)
         # machine 2 is cold for the key as well: proc 1.0 + setup 1.0
         assert (moved.machine, moved.start, moved.est_flow) == (2, 0.5, 2.5)
         assert shard.scheduler.completions[2] == 2.5
         assert shard.scheduler.service_of(0, task.proc) == 2.0
         assert shard.depth(2, 2.4) == 1
-        assert fleet.withdraw(0, now=0.4) == task
+        assert shard.withdraw(0, now=0.4) == task
         assert shard.depth(2, 0.4) == 0
         assert shard.scheduler.completions[2] == 0.5
 
@@ -153,7 +153,7 @@ class TestServiceTime:
         first = fleet.submit(task)
         assert first.machine == 1 and shard.scheduler.service_of(1, 1.0) == 2.0
         fleet.kill(1)
-        moved = fleet.redispatch(task, now=0.5)
+        [moved] = fleet.redispatch([task], now=0.5)
         assert (moved.machine, moved.start, moved.est_flow) == (2, 2.0, 3.0)
         assert shard.scheduler.service_of(1, task.proc) == task.proc
 
@@ -217,7 +217,7 @@ class TestFaults:
         fleet.submit(Task(tid=1, release=0.0, proc=1.0, machines=frozenset({2})))
         fleet.submit(Task(tid=2, release=0.0, proc=1.0, machines=frozenset({3})))
         moved = Task(tid=3, release=0.0, proc=1.0)
-        decision = fleet.redispatch(moved, now=0.0)
+        [decision] = fleet.redispatch([moved], now=0.0)
         # Machines 2 and 3 tie on waiting work 1.0: smallest index wins.
         assert decision.status == REQUEUED
         assert decision.machine == 2

@@ -46,7 +46,7 @@ from repro.core.task import Task
 from repro.faults import RESUME, FaultSchedule
 from repro.schedulers import get_scheduler
 from repro.schedulers.registry import list_schedulers
-from repro.serve import ShardPlan, ShardRouter
+from repro.serve import Dispatcher, Journal, ShardPlan, ShardRouter, task_to_wire
 from repro.serve.dispatcher import DISPATCHED, PARKED, REQUEUED
 from repro.simulation import Simulator
 
@@ -59,6 +59,7 @@ SETS = [
     )
 ]
 POLICIES = [p["name"] for p in list_schedulers()]
+NON_PREEMPTIVE = [p for p in POLICIES if not get_scheduler(p, M).preemptive]
 SEEDS = range(8)
 N = 48
 
@@ -166,7 +167,7 @@ def _serve(policy, seed, tasks, outages, engine_queues):
                 queue = engine_queues[now, what]
             else:
                 assert queue == engine_queues[now, what]
-            note([router.redispatch(router.task(tid), now) for tid in queue])
+            note(router.redispatch([router.task(tid) for tid in queue], now))
         else:
             d = router.submit(what)
             if d.status == PARKED:
@@ -174,7 +175,7 @@ def _serve(policy, seed, tasks, outages, engine_queues):
             else:
                 assert d.status == DISPATCHED
                 fresh.append((what.tid, d.machine, d.start))
-    return placed, parked, fresh
+    return placed, parked, fresh, router
 
 
 def _check_fresh(sim, fresh):
@@ -211,7 +212,7 @@ def test_displacement_matches_across_layers(policy):
         outages = [(down, t_down, 1e6)]
         sim, rec = _simulate(policy, seed, tasks, outages)
         cut = sum(1 for t in rec.times if t < 1e6)
-        placed, parked, fresh = _serve(policy, seed, tasks, [(down, t_down, None)], rec.queues)
+        placed, parked, fresh, _ = _serve(policy, seed, tasks, [(down, t_down, None)], rec.queues)
         assert rec.placed[:cut] == placed, f"seed {seed}"
         assert rec.parked == parked, f"seed {seed}"
         _check_fresh(sim, fresh)
@@ -231,13 +232,64 @@ def test_park_and_unpark_match_across_layers(policy):
         t1, t2 = tasks[N // 3].release, tasks[2 * N // 3].release + 0.125
         outages = [(1, 0.0, t1), (2, 0.0, t2)]
         sim, rec = _simulate(policy, seed, tasks, outages)
-        placed, parked, fresh = _serve(policy, seed, tasks, outages, rec.queues)
+        placed, parked, fresh, _ = _serve(policy, seed, tasks, outages, rec.queues)
         assert rec.parked == parked, f"seed {seed}"
         assert rec.placed == placed, f"seed {seed}"
         _check_fresh(sim, fresh)
         _check_runs_as_placed(policy, sim, placed)
         onto |= {machine for _, machine, _, _ in placed}
     assert onto == {1, 2}
+
+
+@pytest.mark.parametrize("policy", NON_PREEMPTIVE)
+def test_dead_machine_horizon_matches_after_the_drain(policy):
+    """Both layers retract a displaced queue tail first, so right after
+    the drain the dead machine's horizon is the same: the end of its
+    in-flight task (or the failure instant), with no hole left by a
+    task retracted mid-queue."""
+    for seed in SEEDS:
+        tasks = _stream(seed)
+        down = M - seed % M
+        t_down = tasks[N // 2].release
+        rec = _Replacements()
+        sim = Simulator(
+            get_scheduler(policy, M, seed=seed), obs=rec,
+            faults=FaultSchedule.build([(down, t_down, 1e6)]), fault_policy=RESUME,
+        )
+        sim.add_tasks(tasks)
+        sim.run(until=t_down)
+        head = [t for t in tasks if t.release <= t_down]
+        *_, router = _serve(policy, seed, head, [(down, t_down, None)], rec.queues)
+        served = router.dispatchers[0].scheduler.completions[down]
+        assert served == sim.scheduler.completions[down], f"seed {seed}"
+
+
+def test_parked_redispatch_leaves_nothing_booked(tmp_path):
+    """A re-placement that parks unbooks the task: it is in the lot
+    only — not in the placements, the schedule, the depth or the
+    horizon — and a recovered service owes it no service."""
+    router = ShardRouter(ShardPlan.single(2), "eft-min")
+    journal = Journal(tmp_path, fsync="never")
+    tasks = [Task(tid=tid, release=0.0, proc=1.0, machines=frozenset({1})) for tid in range(3)]
+    for task in tasks:
+        journal.append("submit", {"task": task_to_wire(task)})
+        router.submit(task)
+    journal.append("kill", {"machine": 1, "now": 0.5})
+    router.kill(1)
+    journal.append("redispatch", {"tids": [2], "now": 0.5})
+    [decision] = router.redispatch([router.task(2)], 0.5)
+    journal.close()
+    assert decision.status == PARKED and router.parked == [tasks[2]]
+    assert 2 not in router.placements and router.task(2) is None
+    assert [a.task.tid for a in router.schedule()] == [0, 1]
+    shard = router.dispatchers[0]
+    assert shard.depth(1, 0.5) == 2
+    assert shard.scheduler.completions[1] == 2.0
+    recovery = Dispatcher.recover(
+        Journal(tmp_path, fsync="never"), into=ShardRouter(ShardPlan.single(2), "eft-min")
+    )
+    assert recovery.dispatcher.state_dict() == router.state_dict()
+    assert recovery.pending() == [(0, 1), (1, 1)]
 
 
 def test_setup_bites_on_replacement():

@@ -85,17 +85,17 @@ SETS = [
 ]
 
 STREAM_DIGESTS = {
-    "c3": "2a84ea533732b3df55906166d326ee522f94dbc6cd75a30620403cceddba5430",
-    "eft-max": "32f7adc81d227befece7b92e52b80ac7d339be0c719ddd4e3063a3e4bb279d8a",
-    "eft-min": "11ff0131c910a4a24024b61a0d2e02e303934af58688d5135bbd3bf7e7d18e72",
-    "eft-rand": "a77b6e5b9f46546d574177574bb7bb4d7c932a1c4c03356a9757bc3fd9ebb8d4",
-    "least-work": "781e01d2577e6b1d11bf6a05102bbf34dd5e66507c675d4b11f6bf7e87262774",
-    "lor": "7e6a0d679226304ade3a6539dc736c5ccf703cd2566abbc93a389232d8c7c1bf",
-    "nc-setup": "b3e23375652cace0ab8cd9d1542fef40d0ff632c04667899567ee4816480dfdf",
-    "random": "94b5451bf14e81beea6cb8080dac4cbcb76d49a88efe67522b05fa5a5ca5abe1",
-    "round-robin": "f53c2f331433de551d66d0b87138f3ed12448021dbc1f988cb4a3f4334d8063d",
-    "speed-eft": "7e0a4c59f2ee60e1357fe40cc92851fa5dfe65911de9f0e2c1be2d0391dd000a",
-    "srpt-ps": "11ff0131c910a4a24024b61a0d2e02e303934af58688d5135bbd3bf7e7d18e72",
+    "c3": "8fc776a9bc48e527b4d2d528a02a9d0c5aa364e4b57bdebab19a3cdf239e7e75",
+    "eft-max": "1e63c30bf8b63cb6ea1161d1d62bdd5c1ec5f8784e310eef139fa7a2b5b40d46",
+    "eft-min": "c1c0e93879524f483486de980628cc0008125945dc0558b630aefdca93f0883c",
+    "eft-rand": "30b7d650eed08c5ff72f1704a89c6e6ea0d65f0d62938321a90527dce5390fb9",
+    "least-work": "edd7aa8af3950e759ac19b122f58c31fcc991edf63fb1d40fc526ad595e81f00",
+    "lor": "4bf4c6b6b5ffd5dcf0a8b845652b6d5af1a289be746e5c6d5022115ad6bcfbf3",
+    "nc-setup": "7fd9ad158fc80250d62a13faa09d63e07a6d0207ff58afa79736bcc17679bcdc",
+    "random": "d91135d593600c67e2882d1f36564dcd99794e5085d372a7dc8a60483ead4fbc",
+    "round-robin": "579a60eefc2f02b936b8e80022e46f86d19449931edc8a21e74701f96e56e76c",
+    "speed-eft": "a6e835bad451c3b1d5c3dce785403fefe4c6581495d226bafce2cd9d1b58e11f",
+    "srpt-ps": "c1c0e93879524f483486de980628cc0008125945dc0558b630aefdca93f0883c",
 }
 
 
@@ -136,7 +136,7 @@ def _drive(policy: str, seed: int, n_ops: int, h, plan: ShardPlan, weights, line
             placed = sorted(router.placements)
             victim = rng.choice(placed) if placed else None
             decisions = (
-                [] if victim is None else [router.redispatch(router.task(victim), clock)]
+                [] if victim is None else router.redispatch([router.task(victim)], clock)
             )
         elif kind == "rebalance":
             home = rng.randint(1, M)
@@ -181,17 +181,17 @@ def test_op_stream_pinned(policy):
 PLAN2 = ShardPlan.even(M, 2)
 
 SHARDED_STREAM_DIGESTS = {
-    "c3": "8d45642a9783971ce336ef3179b71ed28e46e60f786b833d7a69768faeb0e556",
-    "eft-max": "0aea183c637e50d5aa8d9c076627a08232eccadaa663efdde1e943a62eebfd06",
-    "eft-min": "622983f15d849cd8cc720daaaf398dc554e069c97e5f002446c2b9d241210579",
-    "eft-rand": "b83922dfbf4664cd375c5db7ab74be94fd1adc9f6ce235968f6eca0405bd1b8b",
-    "least-work": "65d19015832b93274667836f518956e4d6a34ae491a65ebd785fb0508ac26f80",
-    "lor": "8d45642a9783971ce336ef3179b71ed28e46e60f786b833d7a69768faeb0e556",
-    "nc-setup": "f12e260d9accea8dcd6a0aafd847fca9337e6f20b32ba6f693a16bb8432a49ea",
-    "random": "a1ba6caa0b5abf8a6d640866a78aac3e9cf961258ef9b15ee94f279064114dd7",
-    "round-robin": "98a6f15eee60cd5cb6892696846fce41327149a482304e0c00034b31ac8a7efd",
-    "speed-eft": "bd6731cab6a883bac80e8f3fbad4ac6e92e4b4be0eaaf97625cc6d8524d59422",
-    "srpt-ps": "622983f15d849cd8cc720daaaf398dc554e069c97e5f002446c2b9d241210579",
+    "c3": "208d62395c197f47f579eddd556dbdcd3aef3d8c40f8d63c60fbcd5da353cd23",
+    "eft-max": "727fe48c97154d07554f84db6d3683ad80e51255f11e16986a4c194efc729b42",
+    "eft-min": "1f44a213f97692e9bf9341b9f81d2c881cb52ec90a7697ffe285e9a370043feb",
+    "eft-rand": "2745593d73d7329bac0b8b5527be8c3ab9432c4bab8385a10823a3f8fb8bebf0",
+    "least-work": "f8a9ac238ec5841358a2c0a73116740f6a905c3c051ed9c56ff2b7b8c74cfe80",
+    "lor": "208d62395c197f47f579eddd556dbdcd3aef3d8c40f8d63c60fbcd5da353cd23",
+    "nc-setup": "e64966fcd1cd12d35c44be856e698b64f6f583116da254754f9409a208e58779",
+    "random": "8d9a2c97181070daa84050a3e0ccf3527762e8c82eacf944881a03c5144d66d9",
+    "round-robin": "5a925cd27cd03461536db5c096e41c080112732e76d49e65002a5b293dcb5f13",
+    "speed-eft": "2300f98566b19b2fd6980b394837950d2058d5ebd0926e656844f7de0893ec97",
+    "srpt-ps": "1f44a213f97692e9bf9341b9f81d2c881cb52ec90a7697ffe285e9a370043feb",
 }
 
 

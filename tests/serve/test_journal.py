@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import EFT
+from repro.core.task import Task
 from repro.serve import (
     Dispatcher,
     Journal,
@@ -378,6 +379,44 @@ class TestRecovery:
         journal.close()
         with pytest.raises(JournalCorruptError, match="unknown"):
             recover(Journal(tmp_path, fsync="never"), lambda: Dispatcher(EFT(2, tiebreak="min")))
+
+    def test_replayed_repeat_tid_is_an_error_and_changes_nothing(self, tmp_path):
+        inst = _instance(seed=5, n=6)
+        live, journal = _journal_a_drive(tmp_path, inst)
+        state = live.state_dict()
+        last = list(inst)[-1]
+        journal.append("submit", {"task": task_to_wire(last)}, commit=True)
+        journal.close()
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
+        assert recovery.n_replay_errors == 1
+        assert recovery.dispatcher.state_dict() == state
+
+    def test_per_task_redispatch_records_replay_as_one_task_batches(self, tmp_path):
+        """A journal written before batched ``redispatch`` records — one
+        ``{"tid": n}`` record per displaced task — rebuilds the state
+        the same ops reach through one-task batches."""
+        tasks = [
+            Task(tid=tid, release=float(tid // 6), proc=1.0, machines=frozenset({1, 2}))
+            for tid in range(9)
+        ]
+        live = _fleet(2)
+        journal = Journal(tmp_path, fsync="never")
+        for task in tasks[:6]:  # machine 1 runs 0, then queues 2 and 4
+            journal.append("submit", {"task": task_to_wire(task)})
+            live.submit(task)
+        journal.append("kill", {"machine": 1, "now": 0.5})
+        live.kill(1)
+        for tid in (2, 4):
+            journal.append("redispatch", {"tid": tid, "now": 0.5})
+            live.redispatch([live.task(tid)], 0.5)
+        for task in tasks[6:]:
+            journal.append("submit", {"task": task_to_wire(task)})
+            live.submit(task)
+        journal.close()
+        recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(2))
+        assert recovery.dispatcher.placements[4] == (2, 4.0)
+        assert recovery.n_replay_errors == 0
+        assert recovery.dispatcher.state_dict() == live.state_dict()
 
     def test_replay_counts_rejected_operations(self, tmp_path):
         inst = _instance(seed=5, n=6)

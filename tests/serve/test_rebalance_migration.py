@@ -70,10 +70,10 @@ class TestWithdraw:
         d = _fleet(m=2)
         d.submit(_task(0, release=0.0, machines={1}))
         d.submit(_task(1, release=0.0, machines={1}))
-        moved = d.withdraw(1, now=0.0)
+        moved = d.dispatchers[0].withdraw(1, now=0.0)
         assert 1 not in d.placements
-        decision = d.redispatch(
-            _task(1, release=moved.release, machines={2}), now=0.0, reason="rebalance"
+        [decision] = d.redispatch(
+            [_task(1, release=moved.release, machines={2})], now=0.0, reason="rebalance"
         )
         assert decision.machine == 2
         assert decision.reason == "rebalance"

@@ -106,8 +106,8 @@ def _apply(target, op, clock, tid):
             return None, None, clock, tid
         victim = placed[op[1] % len(placed)]
         task = target.task(victim)
-        record = ("redispatch", {"tid": victim, "now": clock})
-        return _outcome(lambda: target.redispatch(task, clock)), record, clock, tid
+        record = ("redispatch", {"tids": [victim], "now": clock})
+        return _outcome(lambda: target.redispatch([task], clock)), record, clock, tid
     _, home, new_set, warmup = op
     old = {home: SETS[home - 1]}
     new = {home: new_set}

@@ -95,8 +95,40 @@ class TestHandoff:
         t = _task(0, 0.0, {3, 4})
         router.submit(t)
         router.kill(3)
-        routed = router.redispatch(t, now=0.2)
+        [routed] = router.redispatch([t], now=0.2)
         assert routed.machine == 4 and routed.shard == 1
+
+
+class TestDuplicateTids:
+    def test_repeated_tid_rejected_without_booking(self):
+        router = ShardRouter(ShardPlan.single(2))
+        task = _task(0, 0.0, {1})
+        router.submit(task)
+        with pytest.raises(ValueError, match="duplicate task id 0"):
+            router.submit(task)
+        scheduler = router.dispatchers[0].scheduler
+        assert scheduler.task_counts[1] == 1
+        assert scheduler.completions[1] == 1.0
+        assert router.dispatchers[0].depth(1, 0.0) == 1
+        assert router.stats()["requests"] == 1
+
+    def test_booked_on_another_shard_or_parked_rejected(self, plan):
+        router = ShardRouter(plan)
+        router.submit(_task(0, 0.0, {4}))
+        with pytest.raises(ValueError, match="duplicate task id 0"):
+            router.submit(_task(0, 0.0, {1}))
+        router.kill(2)
+        assert router.submit(_task(1, 0.0, {2})).status == PARKED
+        with pytest.raises(ValueError, match="duplicate task id 1"):
+            router.submit(_task(1, 0.0, {1}))
+        assert router.parked == [_task(1, 0.0, {2})]
+
+    def test_shed_tid_may_be_retried(self):
+        router = ShardRouter(ShardPlan.single(2), on_unavailable="shed")
+        router.kill(1)
+        assert router.submit(_task(0, 0.0, {1})).status == SHED
+        router.revive(1)
+        assert router.submit(_task(0, 0.0, {1})).status == DISPATCHED
 
 
 class TestMetrics:
@@ -361,6 +393,6 @@ class TestOneTaskRecord:
         assert sets == {0: frozenset({2, 3}), 1: frozenset({1, 4}), 5: frozenset({2})}
         assert router.shard_schedule(1).instance[0].machines == frozenset({1, 4})
         assert "restricted" not in router.state_dict()
-        withdrawn = router.withdraw(0, now=1.0)
+        withdrawn = router.dispatchers[0].withdraw(0, now=1.0)
         assert withdrawn.machines == frozenset({2, 3})
         assert router.task(0) is None and 0 not in router.placements

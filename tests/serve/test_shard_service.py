@@ -8,6 +8,7 @@ plugin, matching the rest of the serve suite).
 """
 
 import asyncio
+import json
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 from repro.core.task import Task
 from repro.serve import (
     PROTOCOL_VERSION,
+    Dispatcher,
+    Journal,
     ServeConfig,
     ServeService,
     ShardPlan,
@@ -214,6 +217,49 @@ class TestJournaledFleet:
         assert stats["down_shards"] == []
         assert retry == first_retry
         assert retry["shard"] == 0 and retry["status"] == "dispatched"
+
+    def test_kill_journals_one_batch(self, tmp_path):
+        """A kill journals one ``kill`` record and one ``redispatch``
+        record carrying the drained queue's tids in queue order; a
+        restart on the journal rebuilds the live router exactly."""
+        config = ServeConfig(
+            m=2, journal_dir=str(tmp_path / "j"), journal_fsync="never", time_scale=10.0
+        )
+        # Machine 1 holds 0 (in flight), then 1, 2 and 4 queued; 3 loads
+        # machine 2, so 4 re-places there and 1, 2 park.
+        stream = [({1}, 1.0), ({1}, 1.0), ({1}, 1.0), ({2}, 5.0), ({1, 2}, 1.0)]
+
+        async def go(service, rpc, socket_path):
+            for tid, (machines, proc) in enumerate(stream):
+                wire = task_to_wire(_task(tid, machines, proc=proc))
+                assert (await rpc({"op": "submit", **wire}))["ok"]
+            seq = service.journal.seq
+            assert (await rpc({"op": "kill", "machine": 1}))["displaced"] == 3
+            assert service.journal.seq == seq + 2
+            return seq, service.router.state_dict()
+
+        seq, live_state = asyncio.run(_with_service(config, go))
+        with Journal(tmp_path / "j", fsync="never") as journal:
+            records = [r for r in journal.records() if r.seq > seq]
+            recovery = Dispatcher.recover(journal, into=ShardRouter(ShardPlan.single(2)))
+        assert [r.kind for r in records] == ["kill", "redispatch"]
+        assert records[1].data["tids"] == [1, 2, 4]
+        assert [t.tid for t in recovery.dispatcher.parked] == [1, 2]
+        assert recovery.dispatcher.placements[4][0] == 2
+        recovered = json.dumps(recovery.dispatcher.state_dict(), sort_keys=True)
+        assert recovered == json.dumps(live_state, sort_keys=True)
+
+    def test_repeated_tid_answered_with_an_error(self):
+        async def go(service, rpc, socket_path):
+            wire = task_to_wire(_task(0, {1, 2}))
+            first = await rpc({"op": "submit", **wire})
+            again = await rpc({"op": "submit", **wire})
+            return first, again, service.registry().snapshot()
+
+        first, again, snap = asyncio.run(_with_service(ServeConfig(**THREE), go))
+        assert first["ok"] and first["status"] == "dispatched"
+        assert again["ok"] is False and "duplicate task id 0" in again["error"]
+        assert snap["counters"]["errors_total"] == 1
 
     @pytest.mark.parametrize(
         "message",
