@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full figures campaign-quick obs-smoke faults-smoke serve-smoke shard-smoke chaos-smoke rebalance-smoke vec-smoke zoo-smoke runner-resilience loc all
+.PHONY: install test bench bench-full figures campaign-quick obs-smoke faults-smoke serve-smoke shard-smoke chaos-smoke rebalance-smoke vec-smoke zoo-smoke runner-resilience examples loc all
 
 install:
 	$(PYTHON) setup.py develop
@@ -239,6 +239,13 @@ zoo-smoke:
 runner-resilience:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/campaigns/test_resilience.py tests/campaigns/test_resume.py
+
+# Every example script must run to completion (a non-zero exit fails).
+examples:
+	@for f in examples/*.py; do \
+		echo "== $$f"; \
+		PYTHONPATH=src $(PYTHON) "$$f" > /dev/null || exit 1; \
+	done
 
 # Net source lines, the size figure each change reports.
 loc:

@@ -11,8 +11,13 @@ import pytest
 
 from repro.core import Instance
 from repro.experiments.common import TextTable
-from repro.offline import optimal_fmax, optimal_preemptive_fmax
-from repro.simulation import PreemptiveEngine, fifo_priority, srpt_priority
+from repro.offline import (
+    PreemptiveEngine,
+    fifo_priority,
+    optimal_fmax,
+    optimal_preemptive_fmax,
+    srpt_priority,
+)
 
 
 @pytest.mark.ablation

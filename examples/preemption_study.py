@@ -15,8 +15,13 @@ quantifies the gap on concrete workloads with the extension solvers:
 import numpy as np
 
 from repro.core import Instance
-from repro.offline import optimal_fmax, optimal_preemptive_fmax
-from repro.simulation import PreemptiveEngine, fifo_priority, srpt_priority
+from repro.offline import (
+    PreemptiveEngine,
+    fifo_priority,
+    optimal_fmax,
+    optimal_preemptive_fmax,
+    srpt_priority,
+)
 
 def offline_gap() -> None:
     rng = np.random.default_rng(4)

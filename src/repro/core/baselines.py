@@ -14,8 +14,8 @@ used by the ablation benchmarks:
   eligible one (stateless per-task cost, no clairvoyance needed).
 
 All of these are non-clairvoyant except :class:`LeastWorkAssign`
-(which needs :math:`p_i` only to update its own counters after the
-decision, i.e. it never uses :math:`p_i` to decide).
+(which needs :math:`p_i` only to update its own counters when the
+placement is booked, i.e. it never uses :math:`p_i` to decide).
 """
 
 from __future__ import annotations
@@ -56,8 +56,17 @@ class LeastWorkAssign(ImmediateDispatchScheduler):
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
         eligible = sorted(task.eligible(self.m))
         machine = min(eligible, key=lambda j: (self.assigned_work[j], j))
-        self.assigned_work[machine] += task.proc
         return machine, frozenset(eligible)
+
+    def charge(self, task: Task, machine: int, start: float) -> float:
+        """Count the work where it is booked (fresh, re-placed or
+        unparked alike)."""
+        self.assigned_work[machine] += task.proc
+        return task.proc
+
+    def on_retract(self, tid: int, machine: int, start: float, end: float) -> None:
+        """An undone placement no longer counts on its machine."""
+        self.assigned_work[machine] -= end - start
 
     def state_dict(self) -> dict[str, Any]:
         return {"assigned_work": list(self.assigned_work.values())}

@@ -141,8 +141,9 @@ class ImmediateDispatchScheduler:
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         """Restore :meth:`state_dict` output onto a fresh policy."""
 
-    def on_retract(self, tid: int) -> None:
-        """Policy hook: :meth:`retract` undid ``tid``'s placement."""
+    def on_retract(self, tid: int, machine: int, start: float, end: float) -> None:
+        """Policy hook: :meth:`retract` undid ``tid``'s placement, the
+        book's entry ``machine, start, end``."""
 
     def service_of(self, tid: int, default: float) -> float:
         """The recorded service time of a dispatched task (``default``
@@ -261,7 +262,7 @@ class ImmediateDispatchScheduler:
         self.task_counts[machine] -= 1
         if self.completions[machine] == end:
             self.completions[machine] = start
-        self.on_retract(tid)
+        self.on_retract(tid, machine, start, end)
 
     def place(self, task: Task) -> DispatchRecord:
         """Decide and book one released task (tasks must arrive in

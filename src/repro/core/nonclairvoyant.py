@@ -102,7 +102,7 @@ class C3Like(ImmediateDispatchScheduler):
         heappush(self._pending_feedback, (start + dur, machine, dur, task.tid))
         return dur
 
-    def on_retract(self, tid: int) -> None:
+    def on_retract(self, tid: int, machine: int, start: float, end: float) -> None:
         """An undone placement is never observed: drop its pending
         feedback, so the EWMA absorbs only service that happened."""
         pending = [f for f in self._pending_feedback if f[3] != tid]

@@ -72,10 +72,6 @@ class MaxLoadSolution:
         (:math:`100\\,\\lambda^*/m`)."""
         return 100.0 * self.lam / self.m
 
-    def machine_rates(self) -> np.ndarray:
-        """Per-machine served work rate :math:`\\sum_j a_{ij}`."""
-        return self.transfer.sum(axis=1)
-
 
 def _weights(popularity) -> np.ndarray:
     if isinstance(popularity, MachinePopularity):

@@ -7,8 +7,12 @@ from .matching import hopcroft_karp, maximum_matching_size
 from .preemptive import optimal_preemptive_fmax, preemptive_feasible
 from .preemptive_schedule import (
     Piece,
+    PreemptiveEngine,
+    PreemptiveResult,
+    fifo_priority,
     optimal_preemptive_pieces,
     preemptive_schedule_pieces,
+    srpt_priority,
     validate_pieces,
 )
 from .unit_mincost import optimal_unit_sum_flow, optimal_unit_weighted_flow
@@ -19,8 +23,12 @@ __all__ = [
     "optimal_preemptive_fmax",
     "preemptive_feasible",
     "Piece",
+    "PreemptiveEngine",
+    "PreemptiveResult",
+    "fifo_priority",
     "optimal_preemptive_pieces",
     "preemptive_schedule_pieces",
+    "srpt_priority",
     "validate_pieces",
     "fptas_fmax",
     "hopcroft_karp",

@@ -58,9 +58,10 @@ Optional surface
     policies invalidate their warm state here so newly-widened replicas
     pay the warmup penalty again.
 
-``on_retract(tid)``
-    Called when ``retract`` undid ``tid``'s placement (a failure, a
-    withdrawal, a re-placement); C3 drops its pending feedback.
+``on_retract(tid, machine, start, end)``
+    Called when ``retract`` undid ``tid``'s placement, the book's live
+    entry (a failure, a withdrawal, a re-placement); C3 drops its
+    pending feedback, LeastWork takes the work off its machine.
 
 ``state_dict()`` / ``load_state_dict(state)``
     JSON-ready policy state beyond the base class's book (horizons,

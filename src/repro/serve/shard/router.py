@@ -459,12 +459,10 @@ class ShardRouter:
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         """Restore :meth:`state_dict` output onto this (freshly built)
         router; the plan and scheduler wiring must match.  A snapshot
-        from before the router owned the only parking lot may carry
-        per-shard lots: they fold into the router's lot, in shard
-        order, ahead of its own.  One from before the shards recorded
-        original tasks carries the originals of straddlers booked under
-        a restricted copy in ``restricted``: they replace those copies
-        in the shard records."""
+        from before the shards recorded original tasks carries the
+        originals of straddlers booked under a restricted copy in
+        ``restricted``: they replace those copies in the shard
+        records."""
         from ..protocol import task_from_wire
 
         intervals = tuple(tuple(iv) for iv in state["intervals"])
@@ -477,8 +475,7 @@ class ShardRouter:
                 shard_state = {**shard_state, "tasks": tasks}
             d.load_state_dict(shard_state)
         self.down_shards = set(int(s) for s in state["down_shards"])
-        lots = [s.get("parked", ()) for s in state["shards"]] + [state["parked"]]
-        self.parked = [task_from_wire(w) for lot in lots for w in lot]
+        self.parked = [task_from_wire(w) for w in state["parked"]]
         counters = state["counters"]
         self._requests.value = int(counters["routed"])
         self.n_handoffs = int(counters["n_handoffs"])

@@ -1,7 +1,6 @@
 """Discrete-event simulation substrate and workload models."""
 
 from .arrivals import batch_release_times, load_to_rate, poisson_release_times, rate_to_load
-from .collector import ProfileSampler, QueueSampler, steady_state_reached, trim_warmup
 from .dynamics import (
     ConstantRate,
     DiurnalRate,
@@ -25,13 +24,6 @@ from .engine import (
 from .events import Event, EventKind, EventQueue
 from .suites import SUITES, WorkloadSuite, get_suite, suite_names
 from .kvstore import BlockPlacement, HashRingPlacement, KeyPlacement, KeyValueStore
-from .preemptive import (
-    PreemptiveEngine,
-    PreemptiveResult,
-    fifo_priority,
-    preemptive_fifo_fmax,
-    srpt_priority,
-)
 from .popularity import (
     MachinePopularity,
     generalized_harmonic,
@@ -63,10 +55,6 @@ __all__ = [
     "MachinePopularity",
     "MachineState",
     "PopularityProfile",
-    "PreemptiveEngine",
-    "PreemptiveResult",
-    "ProfileSampler",
-    "QueueSampler",
     "RateProfile",
     "SUITES",
     "SimulationResult",
@@ -78,14 +66,11 @@ __all__ = [
     "ZipfDrift",
     "arrival_times",
     "batch_release_times",
-    "fifo_priority",
     "generalized_harmonic",
     "generate_workload",
     "get_suite",
     "load_to_rate",
-    "preemptive_fifo_fmax",
     "sample_sizes",
-    "srpt_priority",
     "suite_names",
     "poisson_release_times",
     "popularity_for_case",
@@ -93,8 +78,6 @@ __all__ = [
     "profile_to_dict",
     "rate_to_load",
     "shuffled_case",
-    "steady_state_reached",
-    "trim_warmup",
     "uniform_case",
     "worst_case",
     "zipf_weights",

@@ -59,6 +59,16 @@ class TestStructure:
         assert trace.n == len(sched)
         assert trace.instance().n == len(sched)
 
+    def test_schedule_validates(self):
+        """A loaded trace whose placement starts before its release is
+        rejected when the schedule is rebuilt."""
+        inst = Instance.build(2, releases=[0, 0], procs=1.0)
+        text = dumps_trace(record(eft_schedule(inst)))
+        assert '"start": 0.0' in text
+        tampered = loads_trace(text.replace('"start": 0.0', '"start": -5.0', 1))
+        with pytest.raises(ValueError):
+            tampered.schedule()
+
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="not a repro-trace"):
             loads_trace('{"format": "other"}\n')

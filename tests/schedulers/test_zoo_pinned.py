@@ -25,7 +25,7 @@ PINNED = {
     "eft-max": "97e15497f6df35ff780259de6bc33f10474bb9b3ac259085fbc68094a59ff9e2",
     "eft-min": "286d580838e7e40976671a195d9be153b70dbe829f1397d1a3d2b4fa74efe67f",
     "eft-rand": "5d3303d90a4a02182e32e2609a1c19a022f7bb90a88399f342fecd7f41dab7be",
-    "least-work": "d2072d4d7ca95159b563bcf5d5ea5b02e7b9d1deac0c41fcc0c3c2c80c28b935",
+    "least-work": "78af4a678b366c03ea6d111d5a5e9df2dfc7657bbc52159b7c02f06dc4ba9731",
     "lor": "6a17f45254466b3272091132b60270d6452afcfa304ffb00ede923f519c5f702",
     "nc-setup": "3e249ea0fe800b7b97c5c6ed54e33ee5fcac15e6324abe0129fbb3a4b3cb0d28",
     "random": "d45082642de59f30ee87426742640bc3d97bd3b48781797d44c5b6006999d99a",

@@ -89,7 +89,7 @@ STREAM_DIGESTS = {
     "eft-max": "1e63c30bf8b63cb6ea1161d1d62bdd5c1ec5f8784e310eef139fa7a2b5b40d46",
     "eft-min": "c1c0e93879524f483486de980628cc0008125945dc0558b630aefdca93f0883c",
     "eft-rand": "30b7d650eed08c5ff72f1704a89c6e6ea0d65f0d62938321a90527dce5390fb9",
-    "least-work": "edd7aa8af3950e759ac19b122f58c31fcc991edf63fb1d40fc526ad595e81f00",
+    "least-work": "f786cee41bb3b9e651b0cf97c00e558399d7a03c7b68c90b4e0a151999f0ebff",
     "lor": "4bf4c6b6b5ffd5dcf0a8b845652b6d5af1a289be746e5c6d5022115ad6bcfbf3",
     "nc-setup": "7fd9ad158fc80250d62a13faa09d63e07a6d0207ff58afa79736bcc17679bcdc",
     "random": "d91135d593600c67e2882d1f36564dcd99794e5085d372a7dc8a60483ead4fbc",
@@ -185,7 +185,7 @@ SHARDED_STREAM_DIGESTS = {
     "eft-max": "727fe48c97154d07554f84db6d3683ad80e51255f11e16986a4c194efc729b42",
     "eft-min": "1f44a213f97692e9bf9341b9f81d2c881cb52ec90a7697ffe285e9a370043feb",
     "eft-rand": "2745593d73d7329bac0b8b5527be8c3ab9432c4bab8385a10823a3f8fb8bebf0",
-    "least-work": "f8a9ac238ec5841358a2c0a73116740f6a905c3c051ed9c56ff2b7b8c74cfe80",
+    "least-work": "5150d02b34fc01a6de55620cb9db39ab08376fc7d9a7174d83cb443755f001a5",
     "lor": "208d62395c197f47f579eddd556dbdcd3aef3d8c40f8d63c60fbcd5da353cd23",
     "nc-setup": "e64966fcd1cd12d35c44be856e698b64f6f583116da254754f9409a208e58779",
     "random": "8d9a2c97181070daa84050a3e0ccf3527762e8c82eacf944881a03c5144d66d9",

@@ -264,53 +264,6 @@ class TestOneParkingLot:
         replaced = router.revive(3, now=1.0)
         assert [(r.task.tid, r.machine, r.start) for r in replaced] == [(0, 3, 1.0), (1, 3, 2.0)]
 
-    def test_snapshot_with_shard_lots_still_recovers(self, tmp_path):
-        """A snapshot written while each shard kept its own parking lot
-        recovers with those lots folded into the router's, in shard
-        order, ahead of the router's own."""
-        from repro.serve import Journal
-
-        def wire(tid, machines):
-            return {"key": None, "machine_set": machines, "proc": 1.0, "release": 0.0, "tid": tid}
-
-        def shard(alive, parked):
-            zeros = {str(j): 0.0 for j in range(1, 5)}
-            return {
-                "alive": alive,
-                "counters": {"n_dispatched": 0, "n_requeued": 0, "n_shed": 0},
-                "m": 4,
-                "on_unavailable": "park",
-                "parked": parked,
-                "placements": {},
-                "scheduler": {
-                    "book": [],
-                    "completions": zeros,
-                    "last_release": 0.0,
-                    "task_counts": {str(j): 0 for j in range(1, 5)},
-                },
-                "tasks": [],
-            }
-
-        state = {
-            "counters": {"n_handoffs": 0, "n_shed": 0, "routed": 3},
-            "down_shards": [],
-            "intervals": [[1, 2], [3, 4]],
-            "parked": [wire(0, [2, 3])],
-            "restricted": [],
-            "shards": [shard([3, 4], [wire(1, [1])]), shard([1, 2, 4], [wire(2, [3])])],
-        }
-        with Journal(tmp_path, fsync="never") as journal:
-            journal.write_snapshot({"dispatcher": state, "service": {}})
-        plan = ShardPlan.even(4, 2)
-        with Journal(tmp_path, fsync="never") as journal:
-            router = Dispatcher.recover(journal, into=ShardRouter(plan)).dispatcher
-        assert [t.tid for t in router.parked] == [1, 2, 0]
-        assert router.stats()["requests"] == 3
-        assert [r.task.tid for r in router.revive(1, now=1.0)] == [1]
-        replaced = router.revive(3, now=2.0)
-        assert [(r.task.tid, r.machine, r.start) for r in replaced] == [(2, 3, 2.0), (0, 3, 3.0)]
-        assert router.parked == []
-
 
 class TestOneTaskRecord:
     """Each request is recorded once, under its original task, on the

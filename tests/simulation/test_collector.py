@@ -1,74 +1,41 @@
-"""Unit tests for simulation collectors."""
+"""Sampled series of :meth:`repro.obs.SimRecorder.install`."""
 
-import numpy as np
 import pytest
 
 from repro.core import EFT, Instance
-from repro.simulation import (
-    ProfileSampler,
-    QueueSampler,
-    Simulator,
-    steady_state_reached,
-    trim_warmup,
-)
+from repro.obs import SimRecorder
+from repro.simulation import Simulator
 
 
-class TestProfileSampler:
+def sampled(sim, horizon, period):
+    recorder = SimRecorder()
+    recorder.install(sim, horizon, period)
+    sim.run()
+    return recorder.registry
+
+
+class TestWaitingWorkSeries:
     def test_samples_profiles(self):
         inst = Instance.build(2, releases=[0, 0, 0], procs=[3, 3, 3])
         sim = Simulator(EFT(2, tiebreak="min"))
         sim.add_instance(inst)
-        sampler = ProfileSampler(period=1.0)
-        sampler.install(sim, horizon=5.0)
-        sim.run()
-        arr = sampler.as_array()
-        assert arr.shape == (5, 2)
+        registry = sampled(sim, horizon=5.0, period=1.0)
         # at t=1: machine 1 has 2 left of first task + 3 queued
-        assert arr[0, 0] == pytest.approx(5.0)
+        assert registry.series("waiting_work[1]").values == pytest.approx([5, 4, 3, 2, 1])
+        assert registry.series("waiting_work[2]").values == pytest.approx([2, 1, 0, 0, 0])
 
     def test_times_recorded(self):
         sim = Simulator(EFT(1))
         sim.add_tasks([])
-        sampler = ProfileSampler(period=2.0)
-        sampler.install(sim, horizon=6.0)
-        sim.run()
-        assert sampler.times == [2.0, 4.0, 6.0]
+        registry = sampled(sim, horizon=6.0, period=2.0)
+        assert registry.series("waiting_work[1]").times == [2.0, 4.0, 6.0]
 
 
-class TestQueueSampler:
+class TestQueueLenSeries:
     def test_counts_queued(self):
         inst = Instance.build(1, releases=[0, 0, 0], procs=[2, 2, 2])
         sim = Simulator(EFT(1))
         sim.add_instance(inst)
-        sampler = QueueSampler(period=1.0)
-        sampler.install(sim, horizon=5.0)
-        sim.run()
+        registry = sampled(sim, horizon=5.0, period=1.0)
         # at t=1: one running, two queued
-        assert sampler.queued[0] == 2
-
-
-class TestTrimWarmup:
-    def test_drops_prefix(self):
-        out = trim_warmup(np.arange(10), 0.3)
-        assert out.tolist() == [3, 4, 5, 6, 7, 8, 9]
-
-    def test_zero_fraction(self):
-        assert trim_warmup(np.arange(5), 0.0).size == 5
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            trim_warmup(np.arange(5), 1.0)
-
-
-class TestSteadyState:
-    def test_flat_series(self):
-        assert steady_state_reached(np.ones(300), window=100)
-
-    def test_trending_series(self):
-        assert not steady_state_reached(np.arange(300.0), window=100)
-
-    def test_too_short(self):
-        assert not steady_state_reached(np.ones(50), window=100)
-
-    def test_zero_series(self):
-        assert steady_state_reached(np.zeros(300), window=100)
+        assert registry.series("queue_len_total").values[0] == 2
