@@ -36,9 +36,7 @@ def machine_level_experiment() -> None:
 
 def key_level_experiment() -> None:
     print("\n--- key-granularity model (consistent-hashing ring) ---")
-    store = KeyValueStore.build(
-        m=15, n_keys=5000, k=3, strategy="overlapping", placement="ring", key_zipf_s=1.0
-    )
+    store = KeyValueStore.build(m=15, n_keys=5000, k=3, strategy="overlapping", key_zipf_s=1.0)
     pop = store.machine_popularity()
     print(f"induced machine popularity: min={pop.min():.4f} max={pop.max():.4f}")
     inst = store.request_stream(lam=0.35 * 15, n=5000, rng=11)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Mapping, Sequence
 
-__all__ = ["hopcroft_karp", "maximum_matching_size"]
+__all__ = ["hopcroft_karp"]
 
 _INF = float("inf")
 
@@ -72,8 +72,3 @@ def hopcroft_karp(
             if u not in match_l:
                 dfs(u)
     return match_l
-
-
-def maximum_matching_size(adjacency: Mapping[Hashable, Sequence[Hashable]]) -> int:
-    """Cardinality of a maximum matching of the bipartite graph."""
-    return len(hopcroft_karp(adjacency))

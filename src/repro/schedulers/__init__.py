@@ -23,7 +23,7 @@ units.
 """
 
 from .compare import CompareConfig, compare_cell, render_table, run_compare
-from .contract import PolicyInfo, check_policy, policy_info
+from .contract import check_policy
 from .ncsetup import NCSetup
 from .registry import canonical_name, get_scheduler, list_schedulers, register
 from .srpt import SRPTPS
@@ -31,14 +31,12 @@ from .srpt import SRPTPS
 __all__ = [
     "CompareConfig",
     "NCSetup",
-    "PolicyInfo",
     "SRPTPS",
     "canonical_name",
     "check_policy",
     "compare_cell",
     "get_scheduler",
     "list_schedulers",
-    "policy_info",
     "register",
     "render_table",
     "run_compare",

@@ -74,24 +74,9 @@ Optional surface
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.dispatch import ImmediateDispatchScheduler
 
-__all__ = ["PolicyInfo", "check_policy", "policy_info"]
-
-
-@dataclass(frozen=True, slots=True)
-class PolicyInfo:
-    """Static description of a registered policy (for ``list`` output
-    and the comparison table header)."""
-
-    key: str
-    #: display name of a freshly built instance (``scheduler.name``)
-    display: str
-    preemptive: bool
-    clairvoyant: bool
-    summary: str
+__all__ = ["check_policy"]
 
 
 def check_policy(cls: type) -> None:
@@ -116,14 +101,3 @@ def check_policy(cls: type) -> None:
     base = ImmediateDispatchScheduler
     if cls.service is not base.service and cls.charge is base.charge:
         raise TypeError(f"{cls.__name__} overrides service() but not charge()")
-
-
-def policy_info(key: str, scheduler: ImmediateDispatchScheduler, summary: str = "") -> PolicyInfo:
-    """Describe a built scheduler instance."""
-    return PolicyInfo(
-        key=key,
-        display=getattr(scheduler, "name", type(scheduler).__name__),
-        preemptive=bool(getattr(scheduler, "preemptive", False)),
-        clairvoyant=bool(getattr(scheduler, "clairvoyant", True)),
-        summary=summary,
-    )

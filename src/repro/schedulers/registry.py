@@ -97,8 +97,8 @@ def get_scheduler(name: str, m: int, seed: int | None = 0) -> ImmediateDispatchS
 
 
 def list_schedulers() -> list[dict[str, object]]:
-    """Describe every registered policy (sorted by key): name,
-    display spelling, preemptive/clairvoyant flags, summary."""
+    """Describe every registered policy (sorted by key): name, class
+    name, preemptive/clairvoyant flags, summary."""
     out = []
     for key in sorted(_REGISTRY):
         _, cls, summary = _REGISTRY[key]

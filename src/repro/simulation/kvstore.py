@@ -25,18 +25,12 @@ from ..psets.replication import ReplicationStrategy, get_strategy
 from .arrivals import poisson_release_times
 from .dynamics import RateProfile, arrival_times
 
-__all__ = ["KeyPlacement", "HashRingPlacement", "BlockPlacement", "KeyValueStore"]
+__all__ = ["HashRingPlacement", "KeyValueStore"]
 
 
-class KeyPlacement:
-    """Maps a key id to its home machine (1-based)."""
-
-    def home(self, key: int) -> int:
-        raise NotImplementedError
-
-
-class HashRingPlacement(KeyPlacement):
-    """Consistent-hashing ring with virtual nodes.
+class HashRingPlacement:
+    """Consistent-hashing ring with virtual nodes, mapping a key id to
+    its home machine (1-based).
 
     Each machine owns ``virtual_nodes`` points on a 64-bit ring; a key
     is homed on the machine owning the first point at or after the
@@ -53,7 +47,6 @@ class HashRingPlacement(KeyPlacement):
                 h = self._hash(f"{salt}:{j}:{v}")
                 points.append((h, j))
         points.sort()
-        self._points = points
         self._hashes = np.array([p[0] for p in points], dtype=np.uint64)
         self._owners = np.array([p[1] for p in points], dtype=np.int64)
 
@@ -69,19 +62,6 @@ class HashRingPlacement(KeyPlacement):
         return int(self._owners[idx])
 
 
-class BlockPlacement(KeyPlacement):
-    """Range partitioning: key ``x`` lives on machine
-    ``(x mod m) + 1`` — the simplest deterministic partitioner."""
-
-    def __init__(self, m: int) -> None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        self.m = m
-
-    def home(self, key: int) -> int:
-        return key % self.m + 1
-
-
 @dataclass(frozen=True)
 class KeyValueStore:
     """A cluster of ``m`` machines serving ``n_keys`` replicated keys.
@@ -91,7 +71,7 @@ class KeyValueStore:
     m, n_keys:
         Cluster and keyspace sizes.
     placement:
-        Key-to-home mapping.
+        Key-to-home mapping (the hash ring).
     strategy:
         Replication strategy (``overlapping`` / ``disjoint`` / ``none``)
         already bound to ``(m, k)``.
@@ -103,7 +83,7 @@ class KeyValueStore:
 
     m: int
     n_keys: int
-    placement: KeyPlacement
+    placement: HashRingPlacement
     strategy: ReplicationStrategy
     key_weights: np.ndarray
 
@@ -113,23 +93,17 @@ class KeyValueStore:
         n_keys: int,
         k: int = 3,
         strategy: str | ReplicationStrategy = "overlapping",
-        placement: KeyPlacement | str = "ring",
         key_zipf_s: float = 0.0,
     ) -> "KeyValueStore":
         """Construct a store with Zipf key popularity of shape
         ``key_zipf_s`` (0 = uniform keys)."""
-        if isinstance(placement, str):
-            if placement == "ring":
-                placement = HashRingPlacement(m)
-            elif placement == "block":
-                placement = BlockPlacement(m)
-            else:
-                raise ValueError(f"unknown placement {placement!r}")
         strat = get_strategy(strategy, m, k)
         ranks = np.arange(1, n_keys + 1, dtype=float)
         w = ranks ** (-key_zipf_s)
         w /= w.sum()
-        return KeyValueStore(m=m, n_keys=n_keys, placement=placement, strategy=strat, key_weights=w)
+        return KeyValueStore(
+            m=m, n_keys=n_keys, placement=HashRingPlacement(m), strategy=strat, key_weights=w
+        )
 
     def __post_init__(self) -> None:
         w = np.asarray(self.key_weights, dtype=float)
