@@ -2,9 +2,11 @@
 
 Each golden case pairs a deterministic workload generator with a
 deterministic scheduler; the recorded trace is checked into
-``src/repro/campaigns/goldens/`` and the test suite asserts that
-re-running the scheduler today reproduces the checked-in file
-**byte-identically** — any change to EFT's decision logic, tie-break
+``src/repro/campaigns/goldens/`` and the test suite's oracles
+(``tests/oracles.py``) assert that re-running the scheduler today —
+directly, through either ``Simulator`` backend, or through the serve
+tier, one shard or several — reproduces the checked-in file
+**byte-identically**: any change to EFT's decision logic, tie-break
 order, or the trace serialisation shows up as a golden diff.
 
 Regenerate after an intentional behaviour change with::
@@ -24,14 +26,12 @@ from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.eft import EFT
 from ..core.task import Instance
 from ..simulation.workload import WorkloadSpec, generate_workload
-from .trace import Trace, dump, dumps, load, record, replay_into
+from .trace import Trace, dump, load, record
 
 __all__ = [
     "GOLDEN_DIR",
     "GOLDEN_CASES",
     "GoldenCase",
-    "GoldenMismatch",
-    "check_golden",
     "generate",
     "golden_path",
     "load_golden",
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
-
-
-class GoldenMismatch(AssertionError):
-    """Raised when a regenerated trace differs from the checked-in one."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ GOLDEN_CASES: dict[str, GoldenCase] = {
     ),
     # Disjoint replication admits an exact multi-shard cut (Theorem 6),
     # so this case doubles as the sharded-tier byte-identity oracle
-    # (repro.serve.shard.shadow checks it on a 3-shard plan).
+    # (tests/oracles.py checks it on 2- and 3-shard plans).
     "eft-min-m6-disjoint": GoldenCase(
         name="eft-min-m6-disjoint",
         description="EFT-Min on 36 disjoint-replicated tasks, m=6, k=2 (seed 17)",
@@ -102,60 +98,20 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.trace.jsonl"
 
 
-def generate(name: str, backend: str = "analytic") -> Trace:
-    """Regenerate the golden trace ``name`` from scratch.
-
-    ``backend="analytic"`` (the default, and what the checked-in files
-    were recorded with) replays through the scheduler's own driver;
-    any :data:`repro.simulation.BACKENDS` name replays through
-    ``Simulator(backend=...)`` instead.  Every route must serialise
-    byte-identically — the array-engine regression oracle
-    (``tests/campaigns/test_goldens.py``, ``make vec-smoke``).
-    """
+def generate(name: str) -> Trace:
+    """Regenerate the golden trace ``name`` from scratch through the
+    scheduler's own driver (what the checked-in files were recorded
+    with)."""
     case = GOLDEN_CASES[name]
     instance = case.make_instance()
     scheduler = case.make_scheduler()
-    if backend == "analytic":
-        schedule = scheduler.run(instance)
-    else:
-        from ..simulation.engine import Simulator
-
-        sim = Simulator(scheduler, backend=backend)
-        sim.add_instance(instance)
-        schedule = sim.run().schedule
+    schedule = scheduler.run(instance)
     return record(schedule, scheduler=scheduler.name, meta={"golden": name, "description": case.description})
 
 
 def load_golden(name: str) -> Trace:
     """Load the checked-in golden trace ``name``."""
     return load(golden_path(name))
-
-
-def check_golden(name: str, backend: str = "analytic") -> Trace:
-    """Assert the checked-in golden still reproduces byte-identically.
-
-    Regenerates the trace (optionally through a ``Simulator`` backend
-    — see :func:`generate`), compares its serialisation to the
-    checked-in file, and additionally replays the stored workload
-    through a fresh scheduler, asserting identical placements.
-    Returns the checked-in trace on success; raises
-    :class:`GoldenMismatch` otherwise.
-    """
-    path = golden_path(name)
-    if not path.is_file():
-        raise GoldenMismatch(f"golden {name!r} missing on disk: {path}")
-    stored_text = path.read_text()
-    fresh_text = dumps(generate(name, backend=backend))
-    if fresh_text != stored_text:
-        raise GoldenMismatch(
-            f"golden {name!r} drifted: {backend} regeneration is not "
-            f"byte-identical to {path}"
-        )
-    stored = load(path)
-    replayed = replay_into(GOLDEN_CASES[name].make_scheduler(), stored)
-    if not stored.schedule().same_placements(replayed):
-        raise GoldenMismatch(f"golden {name!r}: replay does not reproduce recorded placements")
-    return stored
 
 
 def write_goldens(names: list[str] | None = None) -> list[Path]:

@@ -10,7 +10,6 @@ from .preemptive_schedule import (
     PreemptiveEngine,
     PreemptiveResult,
     fifo_priority,
-    optimal_preemptive_pieces,
     preemptive_schedule_pieces,
     srpt_priority,
     validate_pieces,
@@ -26,7 +25,6 @@ __all__ = [
     "PreemptiveEngine",
     "PreemptiveResult",
     "fifo_priority",
-    "optimal_preemptive_pieces",
     "preemptive_schedule_pieces",
     "srpt_priority",
     "validate_pieces",

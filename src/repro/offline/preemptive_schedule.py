@@ -53,14 +53,13 @@ import numpy as np
 
 from ..core.task import Instance, Task
 from .matching import hopcroft_karp
-from .preemptive import _solve_network, optimal_preemptive_fmax
+from .preemptive import _solve_network
 
 __all__ = [
     "Piece",
     "PreemptiveEngine",
     "PreemptiveResult",
     "fifo_priority",
-    "optimal_preemptive_pieces",
     "preemptive_schedule_pieces",
     "srpt_priority",
     "validate_pieces",
@@ -205,16 +204,6 @@ def preemptive_schedule_pieces(
         else:
             merged.append(Piece(tid, j, s, e))
     return merged
-
-
-def optimal_preemptive_pieces(
-    instance: Instance, tol: float = 1e-6
-) -> tuple[float, list[Piece]]:
-    """The optimal preemptive value plus a witnessing timetable."""
-    value = optimal_preemptive_fmax(instance, tol=tol)
-    pieces = preemptive_schedule_pieces(instance, value + tol)
-    assert pieces is not None
-    return value, pieces
 
 
 def validate_pieces(

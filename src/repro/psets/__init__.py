@@ -17,7 +17,6 @@ from .replication import (
 from .sets import (
     degraded_family,
     interval,
-    interval_bounds,
     is_circular_interval,
     is_contiguous,
     ring_interval,
@@ -45,7 +44,6 @@ __all__ = [
     "degraded_family",
     "get_strategy",
     "interval",
-    "interval_bounds",
     "is_circular_interval",
     "is_contiguous",
     "is_disjoint_family",

@@ -21,7 +21,6 @@ __all__ = [
     "ring_interval",
     "is_contiguous",
     "is_circular_interval",
-    "interval_bounds",
 ]
 
 
@@ -65,13 +64,6 @@ def is_circular_interval(s: frozenset[int] | set[int], m: int) -> bool:
         return True
     complement = set(range(1, m + 1)) - set(s)
     return is_contiguous(complement)
-
-
-def interval_bounds(s: frozenset[int] | set[int]) -> tuple[int, int]:
-    """Bounds ``(a, b)`` of a linear interval; raises if not one."""
-    if not is_contiguous(s):
-        raise ValueError(f"{sorted(s)} is not a contiguous interval")
-    return min(s), max(s)
 
 
 def degraded_family(

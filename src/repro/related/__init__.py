@@ -1,6 +1,6 @@
 """Related machines substrate (Table 1's Q environment)."""
 
-from .model import SpeedCluster, related_schedule_stats
+from .model import SpeedCluster
 from .schedulers import GreedyRelated, SlowFitRelated
 
-__all__ = ["GreedyRelated", "SlowFitRelated", "SpeedCluster", "related_schedule_stats"]
+__all__ = ["GreedyRelated", "SlowFitRelated", "SpeedCluster"]

@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.schedule import Schedule
-from ..core.task import Instance
-
-__all__ = ["SpeedCluster", "related_schedule_stats"]
+__all__ = ["SpeedCluster"]
 
 
 @dataclass(frozen=True)
@@ -81,22 +78,3 @@ class SpeedCluster:
         s[:fast] = speedup
         return SpeedCluster(s)
 
-
-def related_schedule_stats(schedule: Schedule, cluster: SpeedCluster) -> dict[str, float]:
-    """Summary metrics of a related-machines schedule.
-
-    The schedule's tasks carry *execution times* already divided by
-    their machine's speed (the schedulers build them that way), so
-    standard metrics apply; this helper adds speed-weighted
-    utilisation.
-    """
-    loads = schedule.machine_loads()
-    makespan = schedule.makespan
-    capacity = cluster.speeds.sum() * makespan if makespan > 0 else 1.0
-    return {
-        "max_flow": schedule.max_flow,
-        "makespan": makespan,
-        "speed_weighted_utilization": float(
-            (loads * 1.0).sum() / capacity if capacity else 0.0
-        ),
-    }

@@ -18,9 +18,6 @@ live asyncio service rather than inside the discrete-event simulator:
   protocol frontend (``repro serve``, one shard or ``--shards N``);
 * :mod:`~repro.serve.driver` — the one open-loop driver (``repro
   drive``): plain, or resilient under a :class:`ClientResilience`;
-* :mod:`~repro.serve.shadow` — virtual-time replay proving the service
-  takes exactly the engine's decisions (golden-trace byte identity,
-  single server and sharded, merged and per shard);
 * :mod:`~repro.serve.loopback` — the one run harness
   (``repro bench-serve``): the in-process service, or one server
   process per shard, optionally journalled, under chaos and with a
@@ -41,6 +38,11 @@ live asyncio service rather than inside the discrete-event simulator:
 * :mod:`~repro.serve.resilient` — the driver's chaos envelope:
   retry with backoff, dedupe-keyed idempotent submits, circuit
   breaker.
+
+Shadow mode — the virtual-time replay proving the service takes
+exactly the engine's decisions (golden-trace byte identity, single
+server and sharded, merged and per shard) — is a tier-1 test oracle,
+``tests/oracles.py``, not a module of this package.
 """
 
 from .admission import SHED_QUEUE_FULL, SHED_SLO, AdmissionController, estimated_flow
@@ -80,14 +82,6 @@ from .protocol import (
 )
 from .resilient import CircuitBreaker, ClientResilience, ResilienceExhausted
 from .supervisor import ShardSupervisor
-from .shadow import (
-    check_shadow_golden,
-    check_shard_shadow_golden,
-    shadow_golden_trace,
-    shadow_replay,
-    shadow_trace,
-    shard_shadow_traces,
-)
 from .shard import (
     Route,
     ShardPlan,
@@ -130,8 +124,6 @@ __all__ = [
     "ShardSupervisor",
     "build_drive_instance",
     "build_service",
-    "check_shadow_golden",
-    "check_shard_shadow_golden",
     "check_version",
     "decode_frame",
     "drive",
@@ -143,10 +135,6 @@ __all__ = [
     "read_frame",
     "run_loopback",
     "serve",
-    "shadow_golden_trace",
-    "shadow_replay",
-    "shadow_trace",
-    "shard_shadow_traces",
     "task_from_wire",
     "task_to_wire",
     "version_error",

@@ -15,8 +15,9 @@ what makes the service deterministic and shadow-checkable:
   :class:`~repro.simulation.engine.Simulator` exactly, decision for
   decision, since both drive the *same* scheduler decision step
   (:meth:`~repro.core.dispatch.ImmediateDispatchScheduler.place`, which
-  the simulator's ``submit`` wraps; :mod:`repro.serve.shadow` turns this
-  into a byte-identity check against the golden traces).
+  the simulator's ``submit`` wraps; the test suite's shadow oracle,
+  ``tests/oracles.py``, turns this into a byte-identity check against
+  the golden traces).
 
 A dispatcher keeps one shard's records and nothing else: committed
 placements, its machines' alive bits and its admission review.  The

@@ -19,9 +19,9 @@ paper's own structure:
 multi-process harness, :func:`repro.serve.loopback.run_loopback` with
 ``shards=N``.
 
-The asyncio frontend is :class:`repro.serve.frontend.ServeService` and
-the golden byte-identity checks (merged and per shard) live in
-:mod:`repro.serve.shadow`.
+The asyncio frontend is :class:`repro.serve.frontend.ServeService`; the
+golden byte-identity checks (merged and per shard) are a test oracle,
+``tests/oracles.py``, not part of the package.
 """
 
 from .plan import Route, ShardPlan, partition_instance, plan_for_instance

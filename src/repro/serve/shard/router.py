@@ -9,9 +9,9 @@ books, and the router owns everything that needs the fleet view: the
 one parking lot, the failure rule, shedding of unavailable work and
 rebalance.  Like its dispatchers, the router is *synchronous and
 virtual-clocked* — every placement is a pure function of the admitted
-request stream — which is what lets shadow mode byte-compare a sharded
-run against the single-dispatcher golden traces
-(:mod:`repro.serve.shadow`).  A single server is the one-shard plan
+request stream — which is what lets the test suite's shadow oracle
+(``tests/oracles.py``) byte-compare a sharded run against the
+single-dispatcher golden traces.  A single server is the one-shard plan
 (:meth:`ShardPlan.single`).
 
 Routing invariants:

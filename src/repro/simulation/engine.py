@@ -104,7 +104,6 @@ class MachineState:
     #: work performed on *completed* tasks; the running task is
     #: pro-rated separately so truncated runs never over-credit.
     busy_time: float = 0.0
-    tasks_done: int = 0
     #: fault state: down machines start nothing and accumulate downtime.
     alive: bool = True
     down_since: float = 0.0
@@ -180,7 +179,8 @@ class Simulator:
         The dispatch policy (e.g. :class:`repro.core.eft.EFT`).  The
         simulator calls ``scheduler.submit`` at each release so the
         scheduler's own bookkeeping stays authoritative; the engine
-        then enacts the decision with explicit START/COMPLETE events.
+        then enacts the decision: it starts tasks as machines free up
+        and schedules their COMPLETE events.
     obs:
         Optional :class:`repro.obs.SimObserver` (duck-typed) whose
         ``on_release`` / ``on_start`` / ``on_complete`` hooks fire at
@@ -526,7 +526,6 @@ class Simulator:
         if epoch != mach.epoch:
             return  # stale: the machine failed (or preempted) after this was scheduled
         mach.current = None
-        mach.tasks_done += 1
         # Busy time is credited at completion (not at start), so a
         # truncated run only counts work actually performed.  Work
         # already credited at an interruption (resume policy or a
@@ -543,9 +542,8 @@ class Simulator:
         """Deterministic preemption check: if some queued task beats
         the running one under the policy's ``preempt_key``, park the
         running task's residual back on the queue and re-fill the
-        machine (via a RESUME event at this instant, in the pinned
-        order).  Idempotent — a stale check on a machine whose state
-        already settled does nothing."""
+        machine at once.  Idempotent — a stale check on a machine whose
+        state already settled does nothing."""
         mach = self.machines[machine]
         mach.preempt_pending = False
         if not mach.alive or mach.current is None or not mach.queue:
@@ -566,10 +564,7 @@ class Simulator:
         mach.queue.append(cur)
         self.n_preempted += 1
         self._obs_hook("on_preempt", cur, machine)
-        self.events.push(self.now, EventKind.RESUME, machine)
-
-    def _handle_resume(self, machine: int) -> None:
-        self._try_start(self.machines[machine])
+        self._try_start(mach)
 
     # -- fault handlers ------------------------------------------------------
     def _park(self, task: Task) -> None:
@@ -716,12 +711,8 @@ class Simulator:
                     self._handle_machine_down(ev.payload)
                 elif ev.kind is EventKind.MACHINE_UP:
                     self._handle_machine_up(ev.payload)
-                elif ev.kind is EventKind.PREEMPT:
+                else:  # EventKind.PREEMPT
                     self._handle_preempt(ev.payload)
-                elif ev.kind is EventKind.RESUME:
-                    self._handle_resume(ev.payload)
-                else:  # pragma: no cover - START events are implicit
-                    raise RuntimeError(f"unexpected event kind {ev.kind}")
         finally:
             self._running = False
         if until is not None and self.now < until:
@@ -827,7 +818,6 @@ class Simulator:
             ms.busy_until = float(busy_until[j])
             ms.stint_start = float(stint[j])
             ms.busy_time = float(busy[j])
-            ms.tasks_done = int(counts[j])
 
         # -- result, derived in batch (reference summation order) ---------
         flows = comp_a - rel_a

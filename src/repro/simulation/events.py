@@ -6,8 +6,8 @@ then by a fixed per-kind priority, then by a monotone sequence number.
 
 The within-instant order is pinned: at equal times **MACHINE_UP fires
 before COMPLETE fires before MACHINE_DOWN fires before RELEASE fires
-before OBSERVE**, and events of the same kind fire in scheduling order
-(FIFO).  Completions-first (among work events) means a machine that
+before PREEMPT fires before OBSERVE**, and events of the same kind fire
+in scheduling order (FIFO).  Completions-first (among work events) means a machine that
 frees up at :math:`t` is already idle when a task released at
 :math:`t` is dispatched — matching the analytic driver, where starts
 satisfy :math:`\\sigma_i = \\max(r_i, \\text{avail}_j)` with no notion
@@ -47,33 +47,30 @@ class EventKind(Enum):
     """Kinds of simulator events."""
 
     RELEASE = auto()  #: a task enters the system
-    START = auto()  #: a machine begins processing a task
     COMPLETE = auto()  #: a machine finishes a task
     OBSERVE = auto()  #: a user/adversary callback fires
     MACHINE_DOWN = auto()  #: a machine fails (fault injection)
     MACHINE_UP = auto()  #: a failed machine recovers
     PREEMPT = auto()  #: re-evaluate a machine's running task (preemptive policies)
-    RESUME = auto()  #: restart a machine freed by a preemption
 
 
 #: Same-instant firing order (lower fires first): recoveries make
 #: machines usable, completions free machines (a completion at the
-#: exact failure instant still counts — the work was done), resumes
-#: behave like starts (a machine freed by a preemption at :math:`t` is
-#: re-filled before the instant's failures and releases), failures
+#: exact failure instant still counts — the work was done), failures
 #: take machines out *before* the instant's releases dispatch,
 #: preemption checks fire after the *whole* same-instant release batch
 #: has dispatched (one deterministic re-evaluation per machine, not
-#: one per arrival), then observers see the settled instant.
+#: one per arrival; a machine a check frees is re-filled inside the
+#: check), then observers see the settled instant.  Starts are not
+#: events: a machine starts its next task inside the handler that
+#: freed it or queued the task.
 _KIND_PRIORITY: dict[EventKind, int] = {
     EventKind.MACHINE_UP: 0,
     EventKind.COMPLETE: 1,
-    EventKind.RESUME: 2,
-    EventKind.START: 3,
-    EventKind.MACHINE_DOWN: 4,
-    EventKind.RELEASE: 5,
-    EventKind.PREEMPT: 6,
-    EventKind.OBSERVE: 7,
+    EventKind.MACHINE_DOWN: 2,
+    EventKind.RELEASE: 3,
+    EventKind.PREEMPT: 4,
+    EventKind.OBSERVE: 5,
 }
 
 

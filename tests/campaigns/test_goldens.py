@@ -3,7 +3,8 @@
 import pytest
 
 from repro.campaigns import goldens, replay_into
-from repro.campaigns.goldens import GOLDEN_CASES, GoldenMismatch, check_golden, golden_path
+from repro.campaigns.goldens import GOLDEN_CASES, golden_path
+from tests.oracles import GoldenMismatch, check_golden
 
 
 class TestGoldens:

@@ -10,7 +10,7 @@ from repro.core import Instance, eft_schedule
 from repro.offline import optimal_unit_fmax
 from repro.psets import DisjointIntervals
 from repro.serve import ShardPlan
-from repro.serve.shadow import shadow_replay
+from tests.oracles import shadow_replay
 
 
 def disjoint_instance(m, k, n, seed):

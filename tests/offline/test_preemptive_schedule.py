@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from repro.core import Instance
 from repro.offline import optimal_preemptive_fmax
 from repro.offline.preemptive_schedule import (
-    optimal_preemptive_pieces,
     preemptive_schedule_pieces,
     validate_pieces,
 )
@@ -45,8 +44,10 @@ class TestPieces:
 
     def test_optimal_wrapper(self):
         inst = Instance.build(2, releases=[0, 0, 0], procs=2.0)
-        value, pieces = optimal_preemptive_pieces(inst)
+        value = optimal_preemptive_fmax(inst)
         assert value == pytest.approx(3.0, abs=1e-4)
+        pieces = preemptive_schedule_pieces(inst, value + 1e-6)
+        assert pieces is not None
         validate_pieces(inst, pieces, value + 1e-4)
 
     @given(unrestricted_instances(max_m=3, max_n=8))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.psets import (
     interval,
-    interval_bounds,
     is_circular_interval,
     is_contiguous,
     ring_interval,
@@ -65,6 +64,6 @@ class TestPredicates:
             is_circular_interval({7}, 6)
 
     def test_interval_bounds(self):
-        assert interval_bounds({2, 3, 4}) == (2, 4)
-        with pytest.raises(ValueError):
-            interval_bounds({1, 3})
+        s = {2, 3, 4}
+        assert is_contiguous(s) and (min(s), max(s)) == (2, 4)
+        assert not is_contiguous({1, 3})

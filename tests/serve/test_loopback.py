@@ -60,7 +60,7 @@ class TestLoopback:
     def test_matches_shadow_replay(self):
         """Live loopback placements == pure virtual-time replay."""
         from repro.campaigns.trace import make_scheduler
-        from repro.serve import shadow_replay
+        from tests.oracles import shadow_replay
 
         inst = _fast_instance()
         report = run_loopback(inst, ServeConfig(m=FAST["m"]), target_rate=FAST["rate"]).report

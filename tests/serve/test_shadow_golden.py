@@ -10,10 +10,10 @@ bytes, and any perturbation of the dispatcher state must be caught by
 
 import pytest
 
-from repro.campaigns.goldens import GOLDEN_CASES, GoldenMismatch, golden_path
+from repro.campaigns.goldens import GOLDEN_CASES, golden_path
 from repro.campaigns.trace import dumps, record
-from repro.serve import check_shadow_golden, shadow_golden_trace, shadow_replay
 from repro.simulation.engine import Simulator
+from tests.oracles import GoldenMismatch, check_shadow_golden, shadow_golden_trace, shadow_replay
 
 ALL_GOLDENS = sorted(GOLDEN_CASES)
 
@@ -50,7 +50,7 @@ def test_simulator_emits_the_same_bytes(name):
 @pytest.mark.parametrize("name", ALL_GOLDENS)
 def test_divergence_is_detected(name, monkeypatch):
     """A dispatcher that mis-places even one task must fail the check."""
-    import repro.serve.shadow as shadow_mod
+    import tests.oracles as shadow_mod
 
     original = shadow_mod.shadow_replay
 

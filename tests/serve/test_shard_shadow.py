@@ -9,9 +9,10 @@ must equal the golden's lines filtered to that shard's tasks.
 
 import pytest
 
-from repro.campaigns.goldens import GOLDEN_CASES, GoldenMismatch, golden_path
+from repro.campaigns.goldens import GOLDEN_CASES, golden_path
 from repro.campaigns.trace import dumps
-from repro.serve import ShardPlan, check_shard_shadow_golden, shard_shadow_traces
+from repro.serve import ShardPlan
+from tests.oracles import GoldenMismatch, check_shard_shadow_golden, shard_shadow_traces
 
 
 @pytest.mark.parametrize("n_shards", [2, 3])
@@ -50,7 +51,7 @@ def test_shard_traces_carry_shard_meta():
 
 
 def test_divergence_is_detected(monkeypatch):
-    import repro.serve.shadow as shadow_mod
+    import tests.oracles as shadow_mod
 
     original = shadow_mod.shadow_replay
 

@@ -1,6 +1,6 @@
 """Deterministic preemption support in the reference engine.
 
-The PREEMPT/RESUME machinery exists for the zoo's preemptive policies
+The PREEMPT machinery exists for the zoo's preemptive policies
 (SRPT-PS): one coalesced re-evaluation per machine per instant, strict
 inequality to preempt, machine-local residuals, exact busy-time
 accounting, and fault interplay (lost progress lands in
