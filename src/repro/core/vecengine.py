@@ -3,7 +3,7 @@
 :func:`~repro.core.eft.eft_schedule`.
 
 The reference :class:`~repro.simulation.engine.Simulator` is an
-object-per-event loop: three heap events per task, a ``DispatchRecord``
+object-per-event loop: a heap event per completion, a ``DispatchRecord``
 per decision and dict state everywhere.  Profiling the Figure 9–11
 campaigns shows the bookkeeping — not the decision rule — dominating.
 This module re-implements the *identical* EFT semantics (Equation (2)
@@ -20,7 +20,8 @@ with the deterministic Min/Max tie-breaks) on flat arrays:
 * schedules materialise lazily: :class:`VecSchedule` is a
   :class:`~repro.core.schedule.Schedule` backed by the flat arrays
   that only builds per-task :class:`Assignment` objects when a caller
-  actually asks for them.
+  actually asks for them (the reference loop's ``result()`` returns
+  one too).
 
 :func:`array_prefer_max` is the one rule for which tie-breaks the
 engine can express; the simulator and ``eft_schedule`` both ask it.

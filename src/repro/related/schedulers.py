@@ -58,7 +58,8 @@ class _RelatedBase(ImmediateDispatchScheduler):
 
 class GreedyRelated(_RelatedBase):
     """Greedy / EFT on related machines — the zoo's Speed-EFT: earliest
-    finish time wins (ties: faster machine, then lower index).
+    finish time wins (ties: faster machine, then earlier start, then
+    lower index).
 
     The ``speed-eft`` registry entry runs it on a two-tier fleet, a
     quarter of the machines (at least one) at 4x: the smallest
@@ -68,15 +69,19 @@ class GreedyRelated(_RelatedBase):
     name = "Speed-EFT"
 
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
-        speed, work = self.cluster.speed, self.cluster.exec_time
-        finish = {
-            j: max(task.release, self.completions[j]) + work(task.proc, j)
-            for j in task.eligible(self.m)
-        }
-        _, _, best = min((f, -speed(j), j) for j, f in finish.items())
+        speed, work, comp = self.cluster.speed, self.cluster.exec_time, self.completions
+        release, proc = task.release, task.proc
+        # (finish, -speed, start, j): the earlier start breaks a finish
+        # tie before the index does — two starts can round to one
+        # finish, and EFT-Min's U'_i holds only the earliest starts.
+        ranked = []
+        for j in task.eligible(self.m):
+            start = max(release, comp[j])
+            ranked.append((start + work(proc, j), -speed(j), start, j))
+        finish, _, _, best = min(ranked)
         # The tie set is the related-machine analogue of Eq. (2)'s
         # U'_i: every eligible machine achieving the minimal finish.
-        return best, frozenset(j for j, f in finish.items() if f == finish[best])
+        return best, frozenset(j for f, _, _, j in ranked if f == finish)
 
 
 class SlowFitRelated(_RelatedBase):

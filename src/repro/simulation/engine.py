@@ -240,11 +240,17 @@ class Simulator:
         self.m = scheduler.m
         self.machines = {j: MachineState(index=j) for j in range(1, self.m + 1)}
         self.events = EventQueue()
-        #: tasks fed before a run, in feed order: they become RELEASE
-        #: events only when the reference loop starts (the array path
-        #: consumes them directly and never builds the events).
+        #: tasks fed before a run, in feed order: the next reference run
+        #: streams them (the array path consumes them directly).
         self._feed: list[Task] = []
         self._feed_sorted = True
+        #: the release-sorted feed the reference loop streams instead of
+        #: queueing RELEASE events: tasks from ``_next`` on are unfired,
+        #: and task ``i`` fires as a RELEASE event of seq ``_seq0 + i``
+        #: would (see :mod:`repro.simulation.events`).
+        self._stream: list[Task] = []
+        self._next = 0
+        self._seq0 = 0
         #: inside the reference loop, where fed tasks are pushed at once
         self._running = False
         self.now = 0.0
@@ -345,8 +351,8 @@ class Simulator:
         """Release ``tasks`` at their release times (any order; tasks
         released at the same instant fire in feed order).  Called from
         inside a run (an :meth:`at` callback), the RELEASE events are
-        pushed at once; otherwise the tasks wait in the release feed
-        until the next :meth:`run`.  A task whose processing set names
+        pushed at once; otherwise the tasks wait in the release feed,
+        which the next :meth:`run` streams.  A task whose processing set names
         a machine beyond ``m``, or whose tid was fed before (or twice in
         ``tasks``), is rejected (``ValueError``) before any of ``tasks``
         is fed."""
@@ -381,7 +387,7 @@ class Simulator:
         if instance.m != self.m:
             raise ValueError(f"instance has m={instance.m}, simulator has m={self.m}")
         feed = self._feed
-        virgin = not self._tasks and not self.events and not feed
+        virgin = not self._tasks and not self.events and not feed and not self._unfired()
         # an Instance is release-sorted, so it keeps a sorted feed sorted
         # unless it starts before the feed's last release
         still_sorted = self._feed_sorted and (
@@ -405,6 +411,25 @@ class Simulator:
             self._feed.sort(key=attrgetter("release"))
             self._feed_sorted = True
         return self._feed
+
+    def _unfired(self) -> bool:
+        """Whether streamed releases are still unfired (after a cutoff)."""
+        return self._next < len(self._stream)
+
+    def _start_stream(self) -> None:
+        """Hand the feed to the reference loop: it becomes the release
+        stream, numbered after every event queued so far.  Releases a
+        cutoff left unfired keep their seqs; a feed that comes after
+        them is queued as RELEASE events instead, numbered as its
+        stream would have been."""
+        feed = self._release_feed()
+        self._feed = []
+        if self._unfired():
+            for t in feed:
+                self.events.push(t.release, EventKind.RELEASE, t)
+        else:
+            self._stream, self._next = feed, 0
+            self._seq0 = self.events.reserve(len(feed))
 
     def at(self, time: float, callback: Callable[["Simulator"], None]) -> None:
         """Run ``callback(sim)`` when the clock reaches ``time``.
@@ -689,32 +714,49 @@ class Simulator:
         return self._run_reference(until)
 
     def _run_reference(self, until: float | None) -> SimulationResult:
-        """The event loop (see :meth:`run` for semantics)."""
+        """The event loop (see :meth:`run` for semantics): the release
+        stream merged with the event heap by ``(time, priority, seq)``."""
         if self._feed:
-            self.events.extend(EventKind.RELEASE, ((t.release, t) for t in self._feed))
-            self._feed = []
+            self._start_stream()
+        heap, pop = self.events.heap, self.events.pop
+        stream, i, seq0 = self._stream, self._next, self._seq0
+        prio = EventKind.RELEASE.priority
+        # the stream head's sort key (None once the stream is spent)
+        head = (stream[i].release, prio, seq0 + i) if i < len(stream) else None
         self._running = True
         try:
-            while self.events:
-                nxt = self.events.peek_time()
-                if until is not None and nxt > until:
+            while True:
+                if head is not None and (not heap or head < heap[0]):
+                    if until is not None and head[0] > until:
+                        break
+                    task = stream[i]
+                    i += 1
+                    self._next = i
+                    head = (stream[i].release, prio, seq0 + i) if i < len(stream) else None
+                    self.now = task.release
+                    self._handle_release(task)
+                    continue
+                if not heap or (until is not None and heap[0][0] > until):
                     break
-                ev = self.events.pop()
+                ev = pop()
                 self.now = ev.time
-                if ev.kind is EventKind.RELEASE:
-                    self._handle_release(ev.payload)
-                elif ev.kind is EventKind.COMPLETE:
+                kind = ev.kind
+                if kind is EventKind.COMPLETE:
                     self._handle_complete(*ev.payload)
-                elif ev.kind is EventKind.OBSERVE:
+                elif kind is EventKind.RELEASE:
+                    self._handle_release(ev.payload)
+                elif kind is EventKind.OBSERVE:
                     ev.payload(self)
-                elif ev.kind is EventKind.MACHINE_DOWN:
+                elif kind is EventKind.MACHINE_DOWN:
                     self._handle_machine_down(ev.payload)
-                elif ev.kind is EventKind.MACHINE_UP:
+                elif kind is EventKind.MACHINE_UP:
                     self._handle_machine_up(ev.payload)
                 else:  # EventKind.PREEMPT
                     self._handle_preempt(ev.payload)
         finally:
             self._running = False
+        if not self._unfired():
+            self._stream, self._next = [], 0
         if until is not None and self.now < until:
             self.now = until
         return self.result()
@@ -742,9 +784,9 @@ class Simulator:
             return "simulation already started"
         if not s.fresh:
             return "scheduler already has dispatches"
-        if not self.events and not self._feed:
+        if not self.events and not self._feed and not self._unfired():
             return "no pending work"
-        if self.events:
+        if self.events or self._unfired():
             extra = sorted({ev.kind.name for ev in self.events} - {EventKind.RELEASE.name})
             if not extra:  # releases pushed by the callbacks of an earlier run
                 return "simulation already started"
@@ -837,15 +879,17 @@ class Simulator:
     def result(self) -> SimulationResult:
         """Summarise the run so far (exact on a drained queue, honest
         lower bounds at a truncation instant — see the module notes)."""
-        placements = {
-            tid: (self.assigned_machine[tid], self.starts[tid])
-            for tid in self.starts
-        }
+        starts, machine = self.starts, self.assigned_machine
+        started = [t for t in self._tasks if t.tid in starts]
+        n = len(started)
+        tids = [t.tid for t in started]
         # Service-aware policies: the schedule carries realised times,
         # as the analytic driver's derived instance does.
-        started_tasks = realised((t for t in self._tasks if t.tid in self.starts), self._svc)
-        inst = Instance(m=self.m, tasks=started_tasks)
-        sched = Schedule(inst, placements)
+        tasks = realised(started, self._svc)
+        rel_a = np.fromiter((t.release for t in tasks), np.float64, n)
+        proc_a = np.fromiter((t.proc for t in tasks), np.float64, n)
+        mach_a = np.fromiter(map(machine.__getitem__, tids), np.int64, n)
+        start_a = np.fromiter(map(starts.__getitem__, tids), np.float64, n)
         fault_active = self.faults is not None and bool(self.faults)
         if fault_active or self._preemptive:
             # Under faults (or preemption) a start no longer determines
@@ -863,14 +907,24 @@ class Simulator:
         else:
             # Started tasks have determined completions (no preemption);
             # pending tasks contribute their age as a flow lower bound.
-            flows = [sched.flow_of(t.tid) for t in started_tasks]
-            pending_ages = [self.now - t.release for t in self._tasks if t.tid not in self.starts]
+            # Summed in release order: VecSchedule's flow arithmetic,
+            # before the rows take the instance's (release, tid) order.
+            flows = ((start_a + proc_a) - rel_a).tolist()
+            pending_ages = [self.now - t.release for t in self._tasks if t.tid not in starts]
             all_flows = flows + pending_ages
+        # rows in the Instance's (release, tid) order, which the release
+        # order already is unless same-instant tasks came out of tid order
+        order = np.lexsort((np.fromiter(tids, np.int64, n), rel_a))
+        if (order != np.arange(n)).any():
+            tasks = tuple(tasks[i] for i in order.tolist())
+            mach_a, start_a, rel_a, proc_a = (a[order] for a in (mach_a, start_a, rel_a, proc_a))
+        inst = Instance(m=self.m, tasks=tasks)
+        sched = VecSchedule(inst, mach_a, start_a, releases=rel_a, procs=proc_a)
         makespan = max(self.completions.values(), default=0.0)
         mean_flow = (sum(all_flows) / len(all_flows)) if all_flows else 0.0
         return self._summarise(
             sched, max(all_flows, default=0.0), mean_flow, makespan,
-            len(self.completions), len(self._tasks), len(self.starts),
+            len(self.completions), len(self._tasks), len(starts),
         )
 
     def _summarise(
@@ -888,10 +942,12 @@ class Simulator:
         )
         total_busy = completed_busy + in_flight_busy
         # "Done" means no work remains anywhere: every released task
-        # completed *and* no release is still fed or queued and no
-        # COMPLETE is queued (a truncated run may leave future releases
-        # pending).
-        all_done = n_done == n and not self._feed and not self.events.has_work()
+        # completed *and* no release is still fed, streamed or queued
+        # and no COMPLETE is queued (a truncated run may leave future
+        # releases pending).
+        all_done = (
+            n_done == n and not self._feed and not self._unfired() and not self.events.has_work()
+        )
         # Over [0, horizon] each machine's credited segments are
         # disjoint and lie within its alive time, so utilisation is
         # <= 1 by construction once downtime leaves the denominator.

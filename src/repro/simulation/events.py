@@ -26,52 +26,56 @@ and a task released at the failure instant (MACHINE_DOWN before
 RELEASE) already sees the machine as dead.
 
 Releases fed to a :class:`~repro.simulation.engine.Simulator` before
-``run`` are not queued here at feed time: they wait in the simulator's
-release feed and take their ``seq`` when the reference loop
-materialises them (one :meth:`EventQueue.extend`, in feed order).
-``seq`` only breaks ties within one kind, so the firing order is the
-same as if each had been pushed when it was fed.
+``run`` never enter this queue: the reference loop walks its
+release-sorted feed with a cursor and merges it with the heap, taking
+the feed's head when ``(release, RELEASE priority, seq)`` sorts before
+the heap's earliest event.  That ``seq`` is virtual: the run that
+starts streaming the feed takes one block of seqs for it
+(:meth:`EventQueue.reserve`), the seqs one push per task would have
+taken then, in release order, and a ``run(until=)`` cutoff keeps them.
+So the fed releases fire exactly where pushed RELEASE events would, and
+the heap holds only COMPLETE, fault, PREEMPT and OBSERVE events plus
+the releases callbacks inject.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from enum import Enum, auto
-from typing import Any, Iterable, Iterator, NamedTuple
+from enum import Enum
+from typing import Any, Iterator, NamedTuple
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 
 
 class EventKind(Enum):
-    """Kinds of simulator events."""
+    """Kinds of simulator events, in same-instant firing order.  A
+    member's value is its :attr:`priority`, that rank (lower fires
+    first): recoveries make machines usable, completions free machines (a
+    completion at the exact failure instant still counts — the work was
+    done), failures take machines out *before* the instant's releases
+    dispatch, preemption checks fire after the *whole* same-instant
+    release batch has dispatched (one deterministic re-evaluation per
+    machine, not one per arrival; a machine a check frees is re-filled
+    inside the check), then observers see the settled instant.  Starts
+    are not events: a machine starts its next task inside the handler
+    that freed it or queued the task."""
 
-    RELEASE = auto()  #: a task enters the system
-    COMPLETE = auto()  #: a machine finishes a task
-    OBSERVE = auto()  #: a user/adversary callback fires
-    MACHINE_DOWN = auto()  #: a machine fails (fault injection)
-    MACHINE_UP = auto()  #: a failed machine recovers
-    PREEMPT = auto()  #: re-evaluate a machine's running task (preemptive policies)
+    MACHINE_UP = 0  #: a failed machine recovers
+    COMPLETE = 1  #: a machine finishes a task
+    MACHINE_DOWN = 2  #: a machine fails (fault injection)
+    RELEASE = 3  #: a task enters the system
+    PREEMPT = 4  #: re-evaluate a machine's running task (preemptive policies)
+    OBSERVE = 5  #: a user/adversary callback fires
+
+    def __init__(self, priority: int) -> None:
+        # a plain attribute: push reads it without hashing the member
+        # (Enum.__hash__ is a Python-level call)
+        self.priority = priority
 
 
-#: Same-instant firing order (lower fires first): recoveries make
-#: machines usable, completions free machines (a completion at the
-#: exact failure instant still counts — the work was done), failures
-#: take machines out *before* the instant's releases dispatch,
-#: preemption checks fire after the *whole* same-instant release batch
-#: has dispatched (one deterministic re-evaluation per machine, not
-#: one per arrival; a machine a check frees is re-filled inside the
-#: check), then observers see the settled instant.  Starts are not
-#: events: a machine starts its next task inside the handler that
-#: freed it or queued the task.
-_KIND_PRIORITY: dict[EventKind, int] = {
-    EventKind.MACHINE_UP: 0,
-    EventKind.COMPLETE: 1,
-    EventKind.MACHINE_DOWN: 2,
-    EventKind.RELEASE: 3,
-    EventKind.PREEMPT: 4,
-    EventKind.OBSERVE: 5,
-}
+#: Same-instant firing order, kind -> :attr:`EventKind.priority`.
+_KIND_PRIORITY: dict[EventKind, int] = {kind: kind.priority for kind in EventKind}
 
 
 class Event(NamedTuple):
@@ -91,55 +95,50 @@ _new_event = tuple.__new__  # skips NamedTuple's Python-level __new__ per push
 
 class EventQueue:
     """Binary-heap event queue with pinned within-time ordering
-    (COMPLETE < RELEASE < OBSERVE, FIFO within a kind)."""
+    (the :class:`EventKind` priorities, FIFO within a kind)."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: the binary heap itself; callers only read it (the simulator
+        #: merges its release stream against ``heap[0]``)
+        self.heap: list[Event] = []
         self._counter = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event; returns the event object."""
-        ev = _new_event(Event, (time, _KIND_PRIORITY[kind], next(self._counter), kind, payload))
-        heapq.heappush(self._heap, ev)
+        ev = _new_event(Event, (time, kind.priority, next(self._counter), kind, payload))
+        heapq.heappush(self.heap, ev)
         return ev
 
-    def extend(self, kind: EventKind, items: Iterable[tuple[float, Any]]) -> None:
-        """Schedule one event of ``kind`` per ``(time, payload)`` item.
-
-        Equivalent to one :meth:`push` per item in ``items`` order (the
-        seqs follow it, so same-instant items fire in the order given),
-        but builds the heap with a single ``heapify`` instead of one
-        sift per event.
-        """
-        priority = _KIND_PRIORITY[kind]
-        counter = self._counter
-        self._heap.extend(
-            _new_event(Event, (time, priority, next(counter), kind, payload))
-            for time, payload in items
-        )
-        heapq.heapify(self._heap)
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` seqs for events kept outside the heap;
+        returns the first.  Later pushes number after them, as if ``n``
+        events had been pushed now."""
+        first = next(self._counter)
+        self._counter = itertools.count(first + n)
+        return first
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self.heap)
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` if empty."""
-        return self._heap[0].time if self._heap else None
+        return self.heap[0].time if self.heap else None
 
     _NON_WORK = frozenset({EventKind.OBSERVE, EventKind.MACHINE_DOWN, EventKind.MACHINE_UP})
 
     def has_work(self) -> bool:
-        """Whether any *work* event (RELEASE/START/COMPLETE, as opposed
-        to OBSERVE callbacks or fault transitions) is still pending."""
-        return any(ev.kind not in self._NON_WORK for ev in self._heap)
+        """Whether any *work* event (RELEASE/COMPLETE/PREEMPT, as
+        opposed to OBSERVE callbacks or fault transitions) is still
+        queued (a simulator's unfired fed releases are not queued here)."""
+        return any(ev.kind not in self._NON_WORK for ev in self.heap)
 
     def __iter__(self) -> Iterator[Event]:
         """The pending events, in heap (not firing) order."""
-        return iter(self._heap)
+        return iter(self.heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core import Instance, Task
@@ -17,6 +20,23 @@ def rng() -> np.random.Generator:
 def make_instance(m, releases, procs=1.0, machine_sets=None) -> Instance:
     """Shorthand instance builder used across test modules."""
     return Instance.build(m, releases=releases, procs=procs, machine_sets=machine_sets)
+
+
+# -- hypothesis profiles ------------------------------------------------------
+# ``REPRO_HYPOTHESIS_PROFILE=long`` loads the long-run profile: it only
+# raises ``max_examples``, for the CI step that hunts float-edge and
+# same-instant cases in a few chosen tests.  Unset, the default profile
+# runs.
+settings.register_profile("long", max_examples=2_000)
+PROFILE = os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """``max_examples`` for a test that runs ``n`` by default: an
+    explicit count overrides any profile, so the long profile raises it
+    here (never lowers it)."""
+    return max(n, settings.default.max_examples) if PROFILE != "default" else n
 
 
 # -- hypothesis strategies ----------------------------------------------------

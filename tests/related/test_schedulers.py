@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core import EFT, Instance
+from repro.faults import FaultSchedule
 from repro.related import GreedyRelated, SlowFitRelated, SpeedCluster
-from tests.conftest import faulted_decisions, faulted_streams, unrestricted_instances
+from tests.conftest import examples, faulted_decisions, faulted_streams, unrestricted_instances
+
+# Machine 1 frees at 0.1 + 0.1 + 0.1 = 0.30000000000000004, machine 2 at
+# 0.25; task 5 (r=0.3, p=1) finishes at 1.3 on both after rounding, but
+# only machine 2 is in EFT-Min's U'_i (it can start at r).
+_ROUNDED_FINISH_TIE = (
+    Instance.build(2, releases=[0, 0, 0, 0, 0, 0.3], procs=[0.1, 0.125, 0.1, 0.125, 0.1, 1.0]),
+    FaultSchedule.build([(1, 50.0, 51.0)]),
+    "restart",
+)
 
 
 class TestGreedy:
@@ -39,11 +49,12 @@ class TestGreedy:
         sched.validate()
 
     @given(faulted_streams(max_m=4, max_n=20))
-    @settings(max_examples=40, deadline=None)
+    @example(_ROUNDED_FINISH_TIE)
+    @settings(max_examples=examples(40), deadline=None)
     def test_identical_speeds_reduce_to_eft(self, stream):
         """With unit speeds Greedy (the zoo's Speed-EFT) decides exactly
-        like EFT-Min (finish-time tie -> lower index, same as EFT-Min's
-        tie set choice): on the analytic driver and, decision for
+        like EFT-Min (finish-time tie -> earlier start, then lower
+        index, same as EFT-Min's tie set choice): on the analytic driver and, decision for
         decision, through machine outages under both fault policies
         (Bansal & Kulkarni's related-machines reduction)."""
         inst = stream[0]

@@ -77,54 +77,23 @@ class TestSameInstantOrdering:
         assert [q.pop().payload for _ in range(5)] == list(range(5))
 
 
-class TestExtend:
-    """``extend`` is a batch of ``push`` calls: same seqs, same order."""
+class TestReserve:
+    """``reserve`` takes a block of seqs for events kept outside the
+    heap: later pushes number after it, as if the block had been pushed."""
 
-    def test_interleaved_push_and_extend_fire_fifo(self):
+    def test_pushes_number_after_the_block(self):
         q = EventQueue()
         q.push(1.0, EventKind.RELEASE, "p0")
-        q.extend(EventKind.RELEASE, [(1.0, "e0"), (1.0, "e1")])
-        q.push(1.0, EventKind.RELEASE, "p1")
-        q.extend(EventKind.RELEASE, [(1.0, "e2")])
-        assert [q.pop().payload for _ in range(5)] == ["p0", "e0", "e1", "p1", "e2"]
+        assert q.reserve(3) == 1
+        ev = q.push(1.0, EventKind.RELEASE, "p1")
+        assert ev.seq == 4
+        assert [q.pop().payload for _ in range(2)] == ["p0", "p1"]
 
-    def test_kind_priority_holds_across_push_and_extend(self):
+    def test_reserve_zero_takes_no_seq(self):
         q = EventQueue()
-        q.extend(EventKind.OBSERVE, [(1.0, "o0")])
-        q.extend(EventKind.RELEASE, [(1.0, "r0"), (0.5, "early"), (1.0, "r1")])
-        q.push(1.0, EventKind.COMPLETE, "c")
-        q.push(1.0, EventKind.MACHINE_DOWN, "down")
-        q.extend(EventKind.MACHINE_UP, [(1.0, "up")])
-        assert [q.pop().payload for _ in range(7)] == [
-            "early", "up", "c", "down", "r0", "r1", "o0",
-        ]
-
-    def test_extend_onto_queued_faults_pops_like_pushes(self):
-        faults = [
-            (2.0, EventKind.MACHINE_DOWN, 1),
-            (2.0, EventKind.MACHINE_UP, 2),
-            (5.0, EventKind.MACHINE_UP, 1),
-        ]
-        releases = [(float(t), f"r{i}") for i, t in enumerate([0, 2, 2, 5, 1, 5, 7, 2])]
-        pushed, extended = EventQueue(), EventQueue()
-        for q in (pushed, extended):
-            for time_, kind, machine in faults:
-                q.push(time_, kind, machine)
-        for time_, payload in releases:
-            pushed.push(time_, EventKind.RELEASE, payload)
-        extended.extend(EventKind.RELEASE, releases)
-        n = len(faults) + len(releases)
-        assert len(extended) == n
-
-        def drain(q):
-            return [(ev.time, ev.kind, ev.seq, ev.payload) for ev in (q.pop() for _ in range(n))]
-
-        assert drain(pushed) == drain(extended)
-
-    def test_extend_empty_is_a_no_op(self):
-        q = EventQueue()
-        q.extend(EventKind.RELEASE, [])
-        assert not q and q.peek_time() is None
+        assert q.reserve(0) == 0
+        assert q.push(1.0, EventKind.OBSERVE).seq == 0
+        assert len(q) == 1
 
 
 _TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
@@ -132,7 +101,7 @@ _KINDS = st.sampled_from(list(EventKind))
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _KINDS, _TIMES),
-        st.tuples(st.just("extend"), _KINDS, st.lists(_TIMES, max_size=6)),
+        st.tuples(st.just("reserve"), st.integers(0, 6)),
         st.tuples(st.just("pop")),
     ),
     max_size=60,
@@ -140,7 +109,7 @@ _OPS = st.lists(
 
 
 class TestQueueOrderProperty:
-    """Any interleaving of push/extend/pop pops in the order of a sort
+    """Any interleaving of push/reserve/pop pops in the order of a sort
     by ``(time, kind priority, insertion index)`` — the pinned
     same-instant kind order, FIFO within a kind."""
 
@@ -159,9 +128,8 @@ class TestQueueOrderProperty:
             if op[0] == "push":
                 _, kind, time_ = op
                 q.push(time_, kind, add(time_, kind))
-            elif op[0] == "extend":
-                _, kind, times = op
-                q.extend(kind, [(time_, add(time_, kind)) for time_ in times])
+            elif op[0] == "reserve":
+                q.reserve(op[1])
             elif pending:
                 pending.sort()
                 time_, _, index, kind = pending.pop(0)
