@@ -230,7 +230,7 @@ def make_scheduler(name: str, m: int, seed: int | None = 0) -> ImmediateDispatch
     are accepted too.
     """
     # Function-level import: campaigns is a lower layer than the zoo
-    # package, which itself builds campaign units.
+    # package.
     from ..schedulers.registry import get_scheduler
 
     return get_scheduler(name, m, seed=seed)

@@ -675,7 +675,8 @@ def _run_replay(args) -> str | tuple[str, int]:
     Rebalance traces (sniffed from the header) re-run the whole
     recorded experiment and byte-compare instead."""
     from .campaigns import goldens as goldens_mod
-    from .campaigns import load_trace, make_scheduler, replay_into
+    from .campaigns import load_trace, replay_into
+    from .schedulers.registry import get_scheduler
 
     if (args.trace is None) == (args.golden is None):
         raise SystemExit("replay: provide exactly one of a trace path or --golden NAME")
@@ -692,7 +693,7 @@ def _run_replay(args) -> str | tuple[str, int]:
         source = args.trace
     recorded = trace.schedule()
     name = args.scheduler or (trace.scheduler or "eft-min")
-    scheduler = make_scheduler(name, trace.m, seed=args.seed)
+    scheduler = get_scheduler(name, trace.m, seed=args.seed)
     replayed = replay_into(scheduler, trace)
     match = recorded.same_placements(replayed)
     lines = [

@@ -9,7 +9,6 @@ from .metrics import ScheduleStats, flow_percentiles, summarize, waiting_profile
 from .nonclairvoyant import C3Like, LeastOutstanding
 from .schedule import Assignment, Schedule, ScheduleError
 from .task import Instance, Task
-from .vecengine import VecSchedule
 from .tiebreak import (
     FunctionTieBreak,
     LeastLoadedFirst,
@@ -43,7 +42,6 @@ __all__ = [
     "ScheduleStats",
     "Task",
     "TieBreak",
-    "VecSchedule",
     "eft_schedule",
     "fifo_schedule",
     "flow_percentiles",

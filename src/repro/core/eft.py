@@ -34,12 +34,7 @@ from .dispatch import ImmediateDispatchScheduler
 from .schedule import Schedule
 from .task import Instance, Task
 from .tiebreak import TieBreak, get_tiebreak
-from .vecengine import (
-    VecSchedule,
-    array_prefer_max,
-    eft_decide,
-    lower_eligibility,
-)
+from .vecengine import array_prefer_max, eft_decide, lower_eligibility
 
 __all__ = ["EFT", "eft_schedule"]
 
@@ -90,10 +85,10 @@ def eft_schedule(
     """Schedule ``instance`` with EFT and return the schedule.
 
     Plain Min/Max tie-breaks decide on the array engine (the same rule
-    ``Simulator(backend="auto")`` applies) and return a lazy
-    :class:`~repro.core.vecengine.VecSchedule`, decision-identical to
-    the reference; every other tie-break runs ``EFT(m, tiebreak,
-    rng).run(instance)``.
+    ``Simulator(backend="auto")`` applies) and return the schedule
+    built from its columns (:meth:`Schedule.from_arrays`),
+    decision-identical to the reference; every other tie-break runs
+    ``EFT(m, tiebreak, rng).run(instance)``.
     """
     tb = get_tiebreak(tiebreak, rng)
     prefer_max = array_prefer_max(tb)
@@ -103,7 +98,7 @@ def eft_schedule(
         rel = [t.release for t in tasks]
         proc = [t.proc for t in tasks]
         machines, starts, _ = eft_decide(instance.m, rel, proc, elig, prefer_max)
-        return VecSchedule(
+        return Schedule.from_arrays(
             instance,
             machines,
             starts,

@@ -57,15 +57,13 @@ class ScheduleStats:
 
 def summarize(schedule: Schedule) -> ScheduleStats:
     """Compute :class:`ScheduleStats` for ``schedule``."""
-    flows = np.array([a.flow for a in schedule], dtype=float)
-    stretches = np.array([a.stretch for a in schedule], dtype=float)
+    flows = schedule.flows()
     loads = schedule.machine_loads()
     makespan = schedule.makespan
     total_work = float(loads.sum())
     util = total_work / (schedule.m * makespan) if makespan > 0 else 0.0
     if flows.size == 0:
         flows = np.zeros(1)
-        stretches = np.zeros(1)
     return ScheduleStats(
         n=len(schedule),
         m=schedule.m,
@@ -74,7 +72,7 @@ def summarize(schedule: Schedule) -> ScheduleStats:
         p50_flow=float(np.percentile(flows, 50)),
         p95_flow=float(np.percentile(flows, 95)),
         p99_flow=float(np.percentile(flows, 99)),
-        max_stretch=float(stretches.max()),
+        max_stretch=schedule.max_stretch,
         makespan=float(makespan),
         total_work=total_work,
         avg_utilization=float(util),
@@ -85,7 +83,7 @@ def summarize(schedule: Schedule) -> ScheduleStats:
 
 def flow_percentiles(schedule: Schedule, qs: tuple[float, ...] = (50, 90, 95, 99, 100)) -> dict[float, float]:
     """Flow-time percentiles (``100`` is the max flow itself)."""
-    flows = np.array([a.flow for a in schedule], dtype=float)
+    flows = schedule.flows()
     if flows.size == 0:
         return {q: 0.0 for q in qs}
     return {q: float(np.percentile(flows, q)) for q in qs}

@@ -15,7 +15,8 @@ start times respect release times, machines respect processing sets).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,28 +60,89 @@ class Assignment:
 
 
 class Schedule:
-    """An assignment of every task of an :class:`Instance`.
+    """An assignment of every task of an :class:`Instance`, held as
+    columns in instance order.
 
-    The constructor accepts a mapping ``tid -> (machine, start)``; use
-    :meth:`add`-style construction via a plain dict and build once.
+    The constructor accepts a mapping ``tid -> (machine, start)``;
+    :meth:`from_arrays` takes the machine and start columns directly.
+    The objectives and the bulk accessors come straight off the
+    columns; the per-task :class:`Assignment` objects are only built
+    when something iterates or indexes the schedule.
     """
 
     def __init__(self, instance: Instance, placements: Mapping[int, tuple[int, float]]) -> None:
-        self.instance = instance
         missing = [t.tid for t in instance if t.tid not in placements]
         if missing:
             raise ScheduleError(f"tasks without placement: {missing[:10]}")
         extra = set(placements) - {t.tid for t in instance}
         if extra:
             raise ScheduleError(f"placements for unknown tasks: {sorted(extra)[:10]}")
-        self._assignments: dict[int, Assignment] = {}
-        for t in instance:
-            machine, start = placements[t.tid]
-            self._assignments[t.tid] = Assignment(task=t, machine=int(machine), start=float(start))
+        rows = [placements[t.tid] for t in instance]
+        self._set_columns(instance, [int(mu) for mu, _ in rows], [float(s) for _, s in rows])
+
+    @classmethod
+    def from_arrays(
+        cls,
+        instance: Instance,
+        machines: Sequence[int],
+        starts: Sequence[float],
+        releases: np.ndarray | None = None,
+        procs: np.ndarray | None = None,
+    ) -> "Schedule":
+        """The schedule placing task ``i`` of ``instance`` on
+        ``machines[i]`` from ``starts[i]``.  ``releases`` and ``procs``,
+        when the caller holds them as arrays already, spare re-reading
+        them from the tasks."""
+        if not len(machines) == len(starts) == len(instance.tasks):
+            raise ValueError("placement arrays must cover the instance exactly")
+        self = cls.__new__(cls)
+        self._set_columns(instance, machines, starts)
+        if releases is not None:
+            self._releases = releases
+        if procs is not None:
+            self._procs = procs
+        return self
+
+    def _set_columns(
+        self, instance: Instance, machines: Sequence[int], starts: Sequence[float]
+    ) -> None:
+        self.instance = instance
+        self._mach = np.asarray(machines, dtype=np.int64)
+        self._start = np.asarray(starts, dtype=np.float64)
+
+    # -- columns ----------------------------------------------------------
+    @cached_property
+    def _releases(self) -> np.ndarray:
+        return np.fromiter(
+            (t.release for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
+        )
+
+    @cached_property
+    def _procs(self) -> np.ndarray:
+        return np.fromiter(
+            (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
+        )
+
+    @cached_property
+    def _assignments(self) -> dict[int, Assignment]:
+        mach = self._mach.tolist()
+        start = self._start.tolist()
+        return {
+            t.tid: Assignment(task=t, machine=mach[i], start=start[i])
+            for i, t in enumerate(self.instance.tasks)
+        }
+
+    def machines_array(self) -> np.ndarray:
+        """Machine of every task, in instance order (read-only)."""
+        return _read_only(self._mach)
+
+    def starts_array(self) -> np.ndarray:
+        """Start time of every task, in instance order (read-only)."""
+        return _read_only(self._start)
 
     # -- access ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._assignments)
+        return len(self._mach)
 
     def __iter__(self) -> Iterator[Assignment]:
         return iter(self._assignments.values())
@@ -94,19 +156,19 @@ class Schedule:
 
     def machine_of(self, tid: int) -> int:
         """:math:`\\mu_i` — machine of task ``tid``."""
-        return self._assignments[tid].machine
+        return self[tid].machine
 
     def start_of(self, tid: int) -> float:
         """:math:`\\sigma_i` — start time of task ``tid``."""
-        return self._assignments[tid].start
+        return self[tid].start
 
     def completion_of(self, tid: int) -> float:
         """:math:`C_i` — completion time of task ``tid``."""
-        return self._assignments[tid].completion
+        return self[tid].completion
 
     def flow_of(self, tid: int) -> float:
         """:math:`F_i` — flow time of task ``tid``."""
-        return self._assignments[tid].flow
+        return self[tid].flow
 
     def on_machine(self, machine: int) -> list[Assignment]:
         """Assignments placed on ``machine``, sorted by start time."""
@@ -115,38 +177,37 @@ class Schedule:
         return out
 
     # -- objectives --------------------------------------------------------
+    def flows(self) -> np.ndarray:
+        """Flow times as an array, in instance order."""
+        # ((start + proc) - release) elementwise: Assignment.flow's
+        # association, so the bits match the per-task arithmetic.
+        return (self._start + self._procs) - self._releases
+
     @property
     def max_flow(self) -> float:
         """The objective :math:`F_{max} = \\max_i (C_i - r_i)`."""
-        return max((a.flow for a in self), default=0.0)
+        return float(self.flows().max()) if len(self) else 0.0
 
     @property
     def mean_flow(self) -> float:
         """Average flow time (secondary metric)."""
-        if not self._assignments:
-            return 0.0
-        return float(np.mean([a.flow for a in self]))
+        return float(np.mean(self.flows())) if len(self) else 0.0
 
     @property
     def max_stretch(self) -> float:
         """Maximum stretch :math:`\\max_i F_i / p_i`."""
-        return max((a.stretch for a in self), default=0.0)
+        return float((self.flows() / self._procs).max()) if len(self) else 0.0
 
     @property
     def makespan(self) -> float:
         """:math:`C_{max} = \\max_i C_i`."""
-        return max((a.completion for a in self), default=0.0)
-
-    def flows(self) -> np.ndarray:
-        """Flow times as an array, in task (tid-sorted) order."""
-        return np.array([self._assignments[t.tid].flow for t in self.instance])
+        return float((self._start + self._procs).max()) if len(self) else 0.0
 
     def machine_loads(self) -> np.ndarray:
         """Total work placed on each machine (index 0 = machine 1)."""
-        loads = np.zeros(self.m)
-        for a in self:
-            loads[a.machine - 1] += a.task.proc
-        return loads
+        loads = np.bincount(self._mach - 1, weights=self._procs, minlength=self.m)
+        # bincount answers an empty schedule with integer zeros
+        return loads[: self.m].astype(np.float64, copy=False)
 
     def machine_busy_fraction(self, horizon: float | None = None) -> np.ndarray:
         """Fraction of ``[0, horizon]`` each machine spends busy."""
@@ -213,3 +274,10 @@ class Schedule:
             f"Schedule(n={len(self)}, m={self.m}, Fmax={self.max_flow:.4g}, "
             f"Cmax={self.makespan:.4g})"
         )
+
+
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    """A read-only view of ``rows``."""
+    out = rows[:]
+    out.flags.writeable = False
+    return out

@@ -17,11 +17,11 @@ with the deterministic Min/Max tie-breaks) on flat arrays:
   over pre-lowered scalars (no per-task numpy dispatch, no record
   objects), bit-identical to the reference arithmetic — including the
   ``max()`` argument-order conventions, so even signed zeros match;
-* schedules materialise lazily: :class:`VecSchedule` is a
-  :class:`~repro.core.schedule.Schedule` backed by the flat arrays
-  that only builds per-task :class:`Assignment` objects when a caller
-  actually asks for them (the reference loop's ``result()`` returns
-  one too).
+* the placements come back as flat columns, which
+  :meth:`Schedule.from_arrays <repro.core.schedule.Schedule.from_arrays>`
+  takes as they are: the schedule's objectives read the columns, and
+  per-task :class:`~repro.core.schedule.Assignment` objects are only
+  built when a caller iterates or indexes it.
 
 :func:`array_prefer_max` is the one rule for which tie-breaks the
 engine can express; the simulator and ``eft_schedule`` both ask it.
@@ -34,17 +34,13 @@ at 10x, and ``benchmarks/perf`` measures it (``vecengine.decide_s``).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .schedule import Assignment, Schedule
-from .task import Instance, Task
+from .task import Task
 from .tiebreak import MaxIndex, MinIndex
 
 __all__ = [
-    "VecSchedule",
     "array_prefer_max",
     "eft_decide",
     "lower_eligibility",
@@ -157,107 +153,3 @@ def eft_decide(
                 starts[i] = best
                 comp[bj] = best + procs[i]
     return machines, starts, comp
-
-
-class VecSchedule(Schedule):
-    """A :class:`Schedule` backed by flat placement arrays.
-
-    Behaves exactly like the dict-based schedule — validation,
-    placement comparison and per-task lookups all work — but the
-    per-task :class:`Assignment` objects only exist once something
-    asks for them; the objective and the bulk accessors come straight
-    off the arrays.  Every array is in instance order; ``releases``
-    and ``procs`` spare re-reading them from the tasks when the caller
-    holds them as arrays.
-    """
-
-    def __init__(
-        self,
-        instance: Instance,
-        machines: np.ndarray,
-        starts: np.ndarray,
-        releases: np.ndarray | None = None,
-        procs: np.ndarray | None = None,
-    ) -> None:
-        self.instance = instance
-        n = len(instance.tasks)
-        if not len(machines) == len(starts) == n:
-            raise ValueError("placement arrays must cover the instance exactly")
-        self._mach = np.asarray(machines, dtype=np.int64)
-        self._start = np.asarray(starts, dtype=np.float64)
-        if releases is not None:
-            self._releases = releases
-        if procs is not None:
-            self._procs = procs
-
-    # -- lazy materialisation ---------------------------------------------
-    @cached_property
-    def _releases(self) -> np.ndarray:
-        return np.fromiter(
-            (t.release for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-        )
-
-    @cached_property
-    def _procs(self) -> np.ndarray:
-        return np.fromiter(
-            (t.proc for t in self.instance.tasks), dtype=np.float64, count=len(self._mach)
-        )
-
-    @cached_property
-    def _assignments(self) -> dict[int, Assignment]:
-        mach = self.machines_array().tolist()
-        start = self.starts_array().tolist()
-        return {
-            t.tid: Assignment(task=t, machine=mach[i], start=start[i])
-            for i, t in enumerate(self.instance.tasks)
-        }
-
-    # -- array accessors ----------------------------------------------------
-    def machines_array(self) -> np.ndarray:
-        """Machine of every task, in instance order (read-only)."""
-        return _read_only(self._mach)
-
-    def starts_array(self) -> np.ndarray:
-        """Start time of every task, in instance order (read-only)."""
-        return _read_only(self._start)
-
-    def _flow_array(self) -> np.ndarray:
-        # ((start + proc) - release) elementwise: the exact association
-        # of Assignment.flow, so the bits match the dict-based path.
-        return (self.starts_array() + self._procs) - self._releases
-
-    # -- vectorized overrides ----------------------------------------------
-    def __len__(self) -> int:
-        return len(self._mach)
-
-    @property
-    def max_flow(self) -> float:
-        if not len(self._mach):
-            return 0.0
-        return float(self._flow_array().max())
-
-    @property
-    def mean_flow(self) -> float:
-        if not len(self._mach):
-            return 0.0
-        return float(np.mean(self._flow_array()))
-
-    @property
-    def makespan(self) -> float:
-        if not len(self._mach):
-            return 0.0
-        return float((self.starts_array() + self._procs).max())
-
-    def flows(self) -> np.ndarray:
-        return self._flow_array()
-
-    def machine_loads(self) -> np.ndarray:
-        loads = np.bincount(self.machines_array() - 1, weights=self._procs, minlength=self.m)
-        return loads[: self.m]
-
-
-def _read_only(rows: np.ndarray) -> np.ndarray:
-    """A read-only view of ``rows``."""
-    out = rows[:]
-    out.flags.writeable = False
-    return out

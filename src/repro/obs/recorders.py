@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -214,6 +214,27 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._recorders)
+
+    def count(self, name: str) -> int:
+        """Value of counter ``name``, 0 if it was never created (the
+        read creates nothing, so lazily created counters stay absent
+        from snapshots)."""
+        counter = self._recorders.get(name)
+        return 0 if counter is None else counter.value
+
+    def counter_values(self) -> dict[str, int]:
+        """Every counter's value, by name."""
+        return {
+            name: recorder.value
+            for name, recorder in self._recorders.items()
+            if isinstance(recorder, Counter)
+        }
+
+    def load_counter_values(self, values: Mapping[str, int]) -> None:
+        """Set each named counter (created if missing) to its value in
+        ``values``: the inverse of :meth:`counter_values`."""
+        for name, value in values.items():
+            self.counter(name).value = int(value)
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """All recorders by section, names sorted — the ``metrics``

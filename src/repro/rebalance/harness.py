@@ -39,9 +39,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..campaigns.trace import make_scheduler
 from ..core.task import Task
 from ..faults.schedule import FaultSchedule
+from ..schedulers.registry import get_scheduler
 from ..serve.driver import percentile
 from ..serve.shard.plan import ShardPlan
 from ..serve.shard.router import ShardRouter
@@ -97,7 +97,7 @@ def run_rebalance(
     header = spec.to_dict()  # fails before the run on a spec with no dict form
     stream = spec.stream(np.random.default_rng(seed))
     placement = IntervalPlacement.from_strategy(spec.replication())
-    router = ShardRouter(ShardPlan.single(spec.m), make_scheduler(scheduler, spec.m, seed=seed))
+    router = ShardRouter(ShardPlan.single(spec.m), get_scheduler(scheduler, spec.m, seed=seed))
     controller = (
         RebalanceController(placement, config=config) if policy == "adaptive" else None
     )

@@ -17,9 +17,7 @@ three policies beyond the paper's EFT family:
   on related machines (Bansal & Cloostermans / Bansal & Kulkarni).
 
 ``repro compare-schedulers`` runs the zoo head-to-head on shared
-seeded workloads (:mod:`~repro.schedulers.compare`), and
-:mod:`~repro.schedulers.units` exposes the same grid as campaign
-units.
+seeded workloads (:mod:`~repro.schedulers.compare`).
 """
 
 from .compare import CompareConfig, compare_cell, render_table, run_compare

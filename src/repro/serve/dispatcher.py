@@ -44,7 +44,7 @@ from ..core.dispatch import ImmediateDispatchScheduler
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task
 from .admission import AdmissionController
-from .metrics import ServeMetrics
+from .metrics import ServeMetrics, decision_counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .journal import Journal, Recovery
@@ -106,7 +106,8 @@ class Dispatcher:
         reviewed *before* the scheduler sees the request, so shed
         requests perturb nothing (not even a random tie-break draw).
     metrics:
-        Optional :class:`~repro.serve.metrics.ServeMetrics`.
+        The :class:`~repro.serve.metrics.ServeMetrics` its counts live
+        in (a fresh one by default).
     shard:
         The shard id a fleet router gives this dispatcher; stamped on
         every decision it returns.
@@ -123,16 +124,13 @@ class Dispatcher:
         self.shard = shard
         self.m = scheduler.m
         self.admission = admission if (admission is None or admission.enabled) else None
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else ServeMetrics()
         self.alive: set[int] = set(range(1, self.m + 1))
         #: committed placements ``tid -> (machine, start)`` of every
         #: dispatched/requeued task — the dispatcher's own records, so
         #: :meth:`schedule` never reaches into scheduler internals.
         self.placements: dict[int, tuple[int, float]] = {}
         self._tasks: dict[int, Task] = {}
-        self.n_dispatched = 0
-        self.n_shed = 0
-        self.n_requeued = 0
 
     # -- analytic state -----------------------------------------------------
     def depth(self, machine: int, now: float) -> int:
@@ -168,9 +166,7 @@ class Dispatcher:
         if self.admission is not None:
             reason = self.admission.review(task, candidates, self)
             if reason is not None:
-                self.n_shed += 1
-                if self.metrics is not None:
-                    self.metrics.on_shed(reason)
+                self.metrics.on_shed(reason)
                 return DispatchDecision(task=task, status=SHED, reason=reason, shard=self.shard)
         # The scheduler decides on the restricted view while the
         # original task stays authoritative here.
@@ -192,9 +188,7 @@ class Dispatcher:
         the whole displaced batch first."""
         start = max(now, self.scheduler.completions[machine])
         self.scheduler._book(task, machine, start)
-        self.n_requeued += 1
-        if self.metrics is not None:
-            self.metrics.on_requeue()
+        self.metrics.on_requeue()
         return self._commit(task, machine, start, REQUEUED, reason, handoff)
 
     def _commit(
@@ -207,9 +201,7 @@ class Dispatcher:
         self.placements[task.tid] = (machine, start)
         self._tasks[task.tid] = task
         est_flow = self.scheduler.completions[machine] - task.release
-        self.n_dispatched += 1
-        if self.metrics is not None:
-            self.metrics.on_dispatch(machine, est_flow, self.depth(machine, task.release))
+        self.metrics.on_dispatch(machine, est_flow, self.depth(machine, task.release))
         return DispatchDecision(
             task=task, status=status, machine=machine, start=start,
             est_flow=est_flow, reason=reason, shard=self.shard, handoff=handoff,
@@ -261,8 +253,7 @@ class Dispatcher:
         if machine not in self.alive:
             return
         self.alive.discard(machine)
-        if self.metrics is not None:
-            self.metrics.on_kill(machine, len(self.alive))
+        self.metrics.on_kill(machine, len(self.alive))
 
     def revive(self, machine: int) -> None:
         """Mark ``machine`` alive again (idempotent).  Re-placing parked
@@ -271,8 +262,7 @@ class Dispatcher:
         if machine in self.alive:
             return
         self.alive.add(machine)
-        if self.metrics is not None:
-            self.metrics.on_revive(machine, len(self.alive))
+        self.metrics.on_revive(machine, len(self.alive))
 
     # -- results -------------------------------------------------------------
     def task(self, tid: int) -> Task | None:
@@ -296,8 +286,8 @@ class Dispatcher:
     # -- crash recovery ------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """Everything a journal snapshot needs to rebuild this
-        dispatcher mid-stream: the books, the alive set, the counters
-        and the scheduler's own block
+        dispatcher mid-stream: the books, the alive set, the
+        decision-path metrics counters and the scheduler's own block
         (:meth:`~repro.core.dispatch.ImmediateDispatchScheduler.book_state`)."""
         from .protocol import task_to_wire
 
@@ -308,11 +298,7 @@ class Dispatcher:
             "placements": {
                 str(tid): [machine, start] for tid, (machine, start) in self.placements.items()
             },
-            "counters": {
-                "n_dispatched": self.n_dispatched,
-                "n_shed": self.n_shed,
-                "n_requeued": self.n_requeued,
-            },
+            "metrics": decision_counters(self.metrics.registry),
             "scheduler": self.scheduler.book_state(),
         }
 
@@ -330,10 +316,20 @@ class Dispatcher:
             int(tid): (int(machine), float(start))
             for tid, (machine, start) in state["placements"].items()
         }
-        counters = state["counters"]
-        self.n_dispatched = int(counters["n_dispatched"])
-        self.n_shed = int(counters["n_shed"])
-        self.n_requeued = int(counters["n_requeued"])
+        if "metrics" in state:
+            counts = state["metrics"]
+        else:  # a snapshot that kept the three decision counts as ints
+            legacy = state["counters"]
+            counts = {
+                name: legacy[key]
+                for name, key in (
+                    ("dispatched_total", "n_dispatched"),
+                    ("shed_total", "n_shed"),
+                    ("requeued_total", "n_requeued"),
+                )
+                if legacy[key]
+            }
+        self.metrics.registry.load_counter_values(counts)
         self.scheduler.load_book_state(state["scheduler"])
 
     @classmethod

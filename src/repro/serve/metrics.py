@@ -31,7 +31,33 @@ from typing import Sequence
 from ..obs.recorders import MetricsRegistry
 from ..obs.sim import DEFAULT_FLOW_EDGES
 
-__all__ = ["ServeMetrics"]
+__all__ = ["SERVICE_COUNTERS", "ServeMetrics", "decision_counters"]
+
+#: Counters the asyncio service layer drives: completions, request
+#: errors, dedupe hits, journal snapshots and recovery bookkeeping.  A
+#: WAL replay re-derives every other counter from the decisions.
+SERVICE_COUNTERS = frozenset(
+    {
+        "completed_total",
+        "errors_total",
+        "dedupe_hits_total",
+        "journal_snapshots_total",
+        "recovery_runs_total",
+        "recovery_replayed_total",
+        "recovery_dropped_tail_total",
+    }
+)
+
+
+def decision_counters(registry: MetricsRegistry) -> dict[str, int]:
+    """The decision-path counters of ``registry`` by name (all but
+    :data:`SERVICE_COUNTERS`): what a journal snapshot carries, so a
+    snapshot plus the WAL suffix restores the live counts."""
+    return {
+        name: value
+        for name, value in registry.counter_values().items()
+        if name not in SERVICE_COUNTERS
+    }
 
 
 class ServeMetrics:

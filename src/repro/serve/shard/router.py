@@ -49,16 +49,16 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...campaigns.trace import make_scheduler
 from ...core.dispatch import ImmediateDispatchScheduler
 from ...core.failover import earliest_finish, split_parked
 from ...core.schedule import Schedule
 from ...core.task import Instance, Task
 from ...obs.recorders import MetricsRegistry
 from ...obs.rollup import rollup_registries
+from ...schedulers.registry import get_scheduler
 from ..admission import AdmissionController
 from ..dispatcher import PARKED, SHED, DispatchDecision, Dispatcher
-from ..metrics import ServeMetrics
+from ..metrics import ServeMetrics, decision_counters
 from .plan import Route, ShardPlan
 
 __all__ = ["ShardRouter"]
@@ -117,7 +117,7 @@ class ShardRouter:
                 Dispatcher(
                     scheduler
                     if not isinstance(scheduler, str)
-                    else make_scheduler(scheduler, plan.m, seed=seed + sid),
+                    else get_scheduler(scheduler, plan.m, seed=seed + sid),
                     admission=admission,
                     metrics=metrics,
                     shard=sid,
@@ -136,8 +136,6 @@ class ShardRouter:
         self.down_shards: set[int] = set()
         #: the fleet's one parking lot, in park order
         self.parked: list[Task] = []
-        self.n_handoffs = 0
-        self.n_shed = 0
 
     # -- state ---------------------------------------------------------------
     @property
@@ -245,7 +243,6 @@ class ShardRouter:
         handoff = sid != route.owner
         decision = self.dispatchers[sid].commit(task, machine, now, reason, handoff)
         if handoff:
-            self.n_handoffs += 1
             self._handoffs.inc()
         return decision
 
@@ -255,7 +252,6 @@ class ShardRouter:
         it — or, with ``on_unavailable="shed"``, reject it."""
         registry = self.router_registry
         if self.on_unavailable == "shed":
-            self.n_shed += 1
             registry.counter("shed_total").inc()
             registry.counter(f"shed_{SHED_UNAVAILABLE}_total").inc()
             return DispatchDecision(task=task, status=SHED, reason=SHED_UNAVAILABLE)
@@ -412,16 +408,16 @@ class ShardRouter:
         counters.  ``requests`` counts every answered submit once;
         ``dispatched`` also counts failure/unpark re-placements."""
         per_shard = []
-        for sid, d in enumerate(self.dispatchers):
+        for sid, metrics in enumerate(self.shard_metrics):
             lo, hi = self.plan.intervals[sid]
             per_shard.append(
                 {
                     "shard": sid,
                     "machines": [lo, hi],
                     "alive": sorted(self.shard_alive(sid)),
-                    "dispatched": d.n_dispatched,
-                    "shed": d.n_shed,
-                    "requeued": d.n_requeued,
+                    "dispatched": metrics.dispatched.value,
+                    "shed": metrics.shed_total.value,
+                    "requeued": metrics.registry.count("requeued_total"),
                 }
             )
         return {
@@ -429,19 +425,20 @@ class ShardRouter:
             "alive": sorted(self.alive()),
             "requests": self._requests.value,
             "dispatched": sum(s["dispatched"] for s in per_shard),
-            "shed": self.n_shed + sum(s["shed"] for s in per_shard),
+            "shed": self.router_registry.count("shed_total") + sum(s["shed"] for s in per_shard),
             "requeued": sum(s["requeued"] for s in per_shard),
             "parked": len(self.parked),
             "shards": per_shard,
             "down_shards": sorted(self.down_shards),
-            "handoffs": self.n_handoffs,
+            "handoffs": self._handoffs.value,
         }
 
     # -- crash recovery ------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
         """Everything a journal snapshot needs to rebuild the fleet:
         each shard's :meth:`Dispatcher.state_dict` plus the router's
-        own books (detached shards, the parking lot, counters)."""
+        own books (detached shards, the parking lot, its registry's
+        decision-path counters)."""
         from ..protocol import task_to_wire
 
         return {
@@ -449,11 +446,7 @@ class ShardRouter:
             "shards": [d.state_dict() for d in self.dispatchers],
             "down_shards": sorted(self.down_shards),
             "parked": [task_to_wire(t) for t in self.parked],
-            "counters": {
-                "routed": self._requests.value,
-                "n_handoffs": self.n_handoffs,
-                "n_shed": self.n_shed,
-            },
+            "metrics": decision_counters(self.router_registry),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -476,7 +469,18 @@ class ShardRouter:
             d.load_state_dict(shard_state)
         self.down_shards = set(int(s) for s in state["down_shards"])
         self.parked = [task_from_wire(w) for w in state["parked"]]
-        counters = state["counters"]
-        self._requests.value = int(counters["routed"])
-        self.n_handoffs = int(counters["n_handoffs"])
-        self.n_shed = int(counters["n_shed"])
+        if "metrics" in state:
+            counts = state["metrics"]
+        else:  # a snapshot that kept the router's counts as ints
+            legacy = state["counters"]
+            counts = {
+                name: legacy[key]
+                for name, key in (
+                    ("requests_total", "routed"),
+                    ("router_handoffs_total", "n_handoffs"),
+                    ("shed_total", "n_shed"),
+                    (f"shed_{SHED_UNAVAILABLE}_total", "n_shed"),
+                )
+                if legacy[key]
+            }
+        self.router_registry.load_counter_values(counts)

@@ -63,12 +63,7 @@ from ..core.eft import EFT
 from ..core.failover import earliest_finish, split_parked
 from ..core.schedule import Schedule
 from ..core.task import Instance, Task, check_tasks
-from ..core.vecengine import (
-    VecSchedule,
-    array_prefer_max,
-    eft_decide,
-    lower_eligibility,
-)
+from ..core.vecengine import array_prefer_max, eft_decide, lower_eligibility
 from ..faults.policies import RESTART, RESUME, validate_policy
 from .events import EventKind, EventQueue
 
@@ -353,13 +348,25 @@ class Simulator:
         inside a run (an :meth:`at` callback), the RELEASE events are
         pushed at once; otherwise the tasks wait in the release feed,
         which the next :meth:`run` streams.  A task whose processing set names
-        a machine beyond ``m``, or whose tid was fed before (or twice in
-        ``tasks``), is rejected (``ValueError``) before any of ``tasks``
-        is fed."""
+        a machine beyond ``m``, whose tid was fed before (or twice in
+        ``tasks``), or whose release lies before the clock, is rejected
+        (``ValueError``) before any of ``tasks`` is fed."""
         tasks = list(tasks)
         check_tasks(self.m, tasks)
+        if tasks:
+            self._check_not_past(min(tasks, key=attrgetter("release")))
         self._claim(tasks)
         self._feed_tasks(tasks)
+
+    def _check_not_past(self, first: Task) -> None:
+        """Reject a feed whose earliest task ``first`` is released
+        before the clock: it would fire at its release and move the
+        clock back."""
+        if first.release < self.now:
+            raise ValueError(
+                f"task {first.tid} released at {first.release} fed at time {self.now}; "
+                "a feed may not release into the past"
+            )
 
     def _claim(self, tasks: Sequence[Task]) -> None:
         """Record the tids of ``tasks`` as fed, rejecting one fed before."""
@@ -383,9 +390,12 @@ class Simulator:
 
     def add_instance(self, instance: Instance) -> None:
         """Feed a whole instance (``ValueError`` if it repeats a tid
-        fed before)."""
+        fed before or releases a task before the clock)."""
         if instance.m != self.m:
             raise ValueError(f"instance has m={instance.m}, simulator has m={self.m}")
+        if instance.tasks:
+            # release-sorted: the first task is the earliest
+            self._check_not_past(instance.tasks[0])
         feed = self._feed
         virgin = not self._tasks and not self.events and not feed and not self._unfired()
         # an Instance is release-sorted, so it keeps a sorted feed sorted
@@ -473,7 +483,7 @@ class Simulator:
         else:
             record = self.scheduler.submit(task)
         mach = self.machines[record.machine]
-        self.assigned_machine[task.tid] = record.machine
+        self._assigned_machine[task.tid] = record.machine
         self._tasks.append(task)
         mach.queue.append(task)
         if self.obs is not None:
@@ -534,9 +544,9 @@ class Simulator:
             mach.current = task
             mach.busy_until = self.now + run_for
             mach.stint_start = self.now
-            first = task.tid not in self.starts
+            first = task.tid not in self._starts
             if first:
-                self.starts[task.tid] = self.now
+                self._starts[task.tid] = self.now
             self.events.push(
                 mach.busy_until, EventKind.COMPLETE, (mach.index, task, mach.epoch)
             )
@@ -557,7 +567,7 @@ class Simulator:
         # preemption) is deducted so the task's total credit is exactly
         # its service time.
         mach.busy_time += self._service_time(task) - self._credited.pop(task.tid, 0.0)
-        self.completions[task.tid] = self.now
+        self._completions[task.tid] = self.now
         if self.obs is not None:
             self.obs.on_complete(self, task, machine_index)
         self._try_start(mach)
@@ -608,14 +618,14 @@ class Simulator:
         for task in tasks:
             candidates = task.eligible(self.m) & self._alive
             if not candidates:
-                self.assigned_machine.pop(task.tid, None)
+                self._assigned_machine.pop(task.tid, None)
                 self._park(task)
                 continue
             waiting = {j: self.machines[j].waiting_work(now, self._work_left) for j in candidates}
             machine = earliest_finish(waiting, waiting.get, lambda j: sched.service(task, j))
             mach = self.machines[machine]
             sched._book(task, machine, now + waiting[machine])
-            self.assigned_machine[task.tid] = machine
+            self._assigned_machine[task.tid] = machine
             if hook == "on_requeue":
                 self.n_requeued += 1
             mach.queue.append(task)
@@ -646,7 +656,7 @@ class Simulator:
                 # earlier preempted stints credited on this machine)
                 self.wasted_work += work_done + self._credited.pop(task.tid, 0.0)
                 self._remaining.pop(task.tid, None)
-                self.starts.pop(task.tid, None)
+                self._starts.pop(task.tid, None)
                 displaced.append(task)
         mach.busy_until = self.now
         displaced.extend(mach.queue)
@@ -658,7 +668,7 @@ class Simulator:
                 # either policy (the residual cannot migrate).
                 del self._remaining[task.tid]
                 self.wasted_work += self._credited.pop(task.tid, 0.0)
-                self.starts.pop(task.tid, None)
+                self._starts.pop(task.tid, None)
         self._redispatch(displaced)
 
     def _handle_machine_up(self, machine: int) -> None:
@@ -716,6 +726,9 @@ class Simulator:
     def _run_reference(self, until: float | None) -> SimulationResult:
         """The event loop (see :meth:`run` for semantics): the release
         stream merged with the event heap by ``(time, priority, seq)``."""
+        if self._lazy_books is not None:
+            # the handlers below write the plain books
+            self._materialize_books()
         if self._feed:
             self._start_stream()
         heap, pop = self.events.heap, self.events.pop
@@ -867,13 +880,11 @@ class Simulator:
         # pair the terms differently and move the last bits
         mean_flow = sum(flows.tolist()) / n
         inst = self._fed_instance
-        if inst is None or n != inst.n:
-            # rows in the rebuilt Instance's (release, tid) order; the
-            # fed Instance is the feed itself
-            order = np.lexsort((np.fromiter((t.tid for t in released), np.int64, n), rel_a))
-            inst = Instance(m=m, tasks=tuple(released[i] for i in order.tolist()))
-            mach_a, start_a, rel_a, proc_a = (a[order] for a in (mach_a, start_a, rel_a, proc_a))
-        sched = VecSchedule(inst, mach_a, start_a, releases=rel_a, procs=proc_a)
+        if inst is not None and n == inst.n:
+            # the fed Instance is the feed itself
+            sched = Schedule.from_arrays(inst, mach_a, start_a, rel_a, proc_a)
+        else:
+            sched = self._instance_schedule(released, mach_a, start_a, rel_a, proc_a)
         return self._summarise(sched, float(flows.max()), mean_flow, makespan, n, n, n)
 
     def result(self) -> SimulationResult:
@@ -907,25 +918,38 @@ class Simulator:
         else:
             # Started tasks have determined completions (no preemption);
             # pending tasks contribute their age as a flow lower bound.
-            # Summed in release order: VecSchedule's flow arithmetic,
+            # Summed in release order: Schedule.flows()'s arithmetic,
             # before the rows take the instance's (release, tid) order.
             flows = ((start_a + proc_a) - rel_a).tolist()
             pending_ages = [self.now - t.release for t in self._tasks if t.tid not in starts]
             all_flows = flows + pending_ages
-        # rows in the Instance's (release, tid) order, which the release
-        # order already is unless same-instant tasks came out of tid order
-        order = np.lexsort((np.fromiter(tids, np.int64, n), rel_a))
-        if (order != np.arange(n)).any():
-            tasks = tuple(tasks[i] for i in order.tolist())
-            mach_a, start_a, rel_a, proc_a = (a[order] for a in (mach_a, start_a, rel_a, proc_a))
-        inst = Instance(m=self.m, tasks=tasks)
-        sched = VecSchedule(inst, mach_a, start_a, releases=rel_a, procs=proc_a)
+        sched = self._instance_schedule(tasks, mach_a, start_a, rel_a, proc_a)
         makespan = max(self.completions.values(), default=0.0)
         mean_flow = (sum(all_flows) / len(all_flows)) if all_flows else 0.0
         return self._summarise(
             sched, max(all_flows, default=0.0), mean_flow, makespan,
             len(self.completions), len(self._tasks), len(starts),
         )
+
+    def _instance_schedule(
+        self,
+        tasks: Sequence[Task],
+        mach_a: np.ndarray,
+        start_a: np.ndarray,
+        rel_a: np.ndarray,
+        proc_a: np.ndarray,
+    ) -> Schedule:
+        """The schedule of ``tasks`` (release order) placed by the
+        columns, with its rows in the Instance's ``(release, tid)``
+        order, which the release order already is unless same-instant
+        tasks came out of tid order."""
+        n = len(tasks)
+        order = np.lexsort((np.fromiter((t.tid for t in tasks), np.int64, n), rel_a))
+        if (order != np.arange(n)).any():
+            tasks = [tasks[i] for i in order.tolist()]
+            mach_a, start_a, rel_a, proc_a = (a[order] for a in (mach_a, start_a, rel_a, proc_a))
+        inst = Instance(m=self.m, tasks=tuple(tasks))
+        return Schedule.from_arrays(inst, mach_a, start_a, rel_a, proc_a)
 
     def _summarise(
         self, sched: Schedule, max_flow: float, mean_flow: float, makespan: float,

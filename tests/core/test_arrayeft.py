@@ -6,14 +6,39 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.core import EFT, MinIndex, Task, VecSchedule, eft_schedule
+import repro.core.eft as eft_module
+from repro.core import EFT, MinIndex, Task, eft_schedule
 from repro.core.vecengine import lower_eligibility, lower_processing_set
 from repro.simulation import Simulator
 from tests.conftest import restricted_unit_instances, unrestricted_instances
+from tests.oracles import assignment_objectives, schedule_objectives
 
 
 def _reference(inst, tiebreak="min", rng=None):
     return EFT(inst.m, tiebreak=tiebreak, rng=rng).run(inst)
+
+
+def _traced_eft_schedule(monkeypatch, inst, tiebreak, rng=None):
+    """``eft_schedule(inst, tiebreak, rng)`` and the path it took:
+    ``"array"`` (one ``eft_decide`` pass, no ``EFT.run``) or
+    ``"reference"`` (one ``EFT.run``, no ``eft_decide``)."""
+    calls = {"eft_decide": 0, "run": 0}
+    decide, run = eft_module.eft_decide, EFT.run
+
+    def counting_decide(*args):
+        calls["eft_decide"] += 1
+        return decide(*args)
+
+    def counting_run(self, instance):
+        calls["run"] += 1
+        return run(self, instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eft_module, "eft_decide", counting_decide)
+        patch.setattr(EFT, "run", counting_run)
+        sched = eft_schedule(inst, tiebreak, rng=rng)
+    path = {(1, 0): "array", (0, 1): "reference"}[calls["eft_decide"], calls["run"]]
+    return sched, path
 
 
 @given(restricted_unit_instances())
@@ -37,44 +62,42 @@ def test_identical_on_unrestricted(inst):
 @given(restricted_unit_instances())
 @settings(max_examples=40, deadline=None)
 def test_fmax_shortcut_agrees(inst):
+    """The array path's objectives equal the per-Assignment arithmetic
+    over the reference run's placements, bit for bit."""
     sched = eft_schedule(inst, "min")
     ref = _reference(inst, "min")
-    assert sched.max_flow == ref.max_flow
-    assert sched.mean_flow == ref.mean_flow
-    assert sched.makespan == ref.makespan
-    assert list(sched.machine_loads()) == list(ref.machine_loads())
+    assert schedule_objectives(sched) == assignment_objectives(ref)
 
 
-def test_rand_falls_back_to_reference():
+def test_rand_falls_back_to_reference(monkeypatch):
     """Tie-breaks the array engine cannot express take the reference
     path, and with a pinned seed reproduce its decisions exactly."""
     from repro.simulation import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(m=6, n=120, lam=0.6 * 6, k=2, strategy="overlapping")
     inst = generate_workload(spec, rng=9)
-    sched = eft_schedule(inst, tiebreak="rand", rng=77)
-    assert not isinstance(sched, VecSchedule)
+    sched, path = _traced_eft_schedule(monkeypatch, inst, "rand", rng=77)
+    assert path == "reference"
     ref = _reference(inst, "rand", rng=77)
     assert sched.same_placements(ref, tol=0.0)
     assert sched.max_flow == ref.max_flow
 
 
-def test_min_max_take_array_path():
+def test_min_max_take_array_path(monkeypatch):
     from repro.core import MaxIndex
     from repro.simulation import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(m=6, n=80, lam=0.5 * 6, k=2, strategy="disjoint")
     inst = generate_workload(spec, rng=2)
     for tb in ("min", "max", MinIndex(), MaxIndex()):
-        sched = eft_schedule(inst, tiebreak=tb)
-        assert isinstance(sched, VecSchedule)
+        sched, path = _traced_eft_schedule(monkeypatch, inst, tb)
+        assert path == "array"
         ref = _reference(inst, tb)
         assert sched.same_placements(ref, tol=0.0)
-        assert sched.max_flow == ref.max_flow
-        assert sched.mean_flow == ref.mean_flow
+        assert schedule_objectives(sched) == assignment_objectives(ref)
 
 
-def test_same_array_rule_as_simulator():
+def test_same_array_rule_as_simulator(monkeypatch):
     """``eft_schedule`` and ``Simulator(backend="auto")`` take the array
     path for exactly the same tie-breaks (one shared predicate)."""
     from repro.simulation import WorkloadSpec, generate_workload
@@ -88,8 +111,8 @@ def test_same_array_rule_as_simulator():
         sim = Simulator(EFT(inst.m, tiebreak=tb, rng=3))
         sim.add_instance(inst)
         sim.run()
-        on_array = isinstance(eft_schedule(inst, tb, rng=3), VecSchedule)
-        assert on_array == (sim.backend_used == "array"), tb
+        _, path = _traced_eft_schedule(monkeypatch, inst, tb, rng=3)
+        assert path == sim.backend_used, tb
 
 
 def test_processing_set_cache_is_reused_across_calls():

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Instance, Schedule, ScheduleError, Task
+from repro.core.dispatch import realised
+from tests.conftest import examples
+from tests.oracles import assignment_objectives, schedule_objectives
 
 
 def simple_instance() -> Instance:
@@ -106,3 +111,56 @@ class TestComparison:
         inst = Instance.build(1, releases=[0, 0, 0], procs=1.0)
         sched = Schedule(inst, {0: (1, 2.0), 1: (1, 0.0), 2: (1, 1.0)})
         assert [a.task.tid for a in sched.on_machine(1)] == [1, 2, 0]
+
+
+_TIMES = st.floats(0, 20, allow_nan=False, allow_infinity=False)
+_PROCS = st.floats(0.1, 5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _placed_instances(draw):
+    """``(instance, machines, starts)``: 0 to 12 tasks (empty and
+    single-task instances included) with float releases, some procs
+    replaced by a realised service time (as ``Simulator.result()``
+    derives its instance), and arbitrary placements — feasibility is
+    not the point, the arithmetic is."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 12))
+    tasks = [Task(tid=i, release=draw(_TIMES), proc=draw(_PROCS)) for i in range(n)]
+    service = draw(st.dictionaries(st.sampled_from(range(n)), _PROCS) if n else st.just({}))
+    inst = Instance(m=m, tasks=realised(tasks, service))
+    machines = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    starts = draw(st.lists(_TIMES, min_size=n, max_size=n))
+    return inst, machines, starts
+
+
+def _build(kind, inst, machines, starts):
+    if kind == "dict":
+        return Schedule(inst, {t.tid: (mu, s) for t, mu, s in zip(inst, machines, starts)})
+    if kind == "arrays":
+        return Schedule.from_arrays(inst, machines, starts)
+    # the engine's call: the release and proc columns handed over too
+    releases = np.array([t.release for t in inst], dtype=np.float64)
+    procs = np.array([t.proc for t in inst], dtype=np.float64)
+    return Schedule.from_arrays(inst, machines, starts, releases=releases, procs=procs)
+
+
+class TestColumnsMatchAssignments:
+    """Every objective and accessor, computed on the columns, equals the
+    per-Assignment arithmetic bit for bit, however the schedule was
+    built."""
+
+    @pytest.mark.parametrize("kind", ["dict", "arrays", "arrays+columns"])
+    @given(case=_placed_instances())
+    @settings(max_examples=examples(150), deadline=None)
+    def test_objectives_equal_assignment_arithmetic(self, kind, case):
+        inst, machines, starts = case
+        sched = _build(kind, inst, machines, starts)
+        assert [(a.task, a.machine, a.start) for a in sched] == list(
+            zip(inst.tasks, machines, [float(s) for s in starts])
+        )
+        assert schedule_objectives(sched) == assignment_objectives(sched)
+
+    def test_array_lengths_must_cover_the_instance(self):
+        with pytest.raises(ValueError, match="cover the instance"):
+            Schedule.from_arrays(simple_instance(), [1, 2], [0.0, 0.0])

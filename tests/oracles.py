@@ -18,6 +18,12 @@ byte for byte:
   dispatcher's own records equal the golden's lines for that shard's
   tasks — no shard ever saw (or perturbed) another shard's stream.
 
+:func:`assignment_objectives` is the schedule-objective oracle: every
+objective and bulk accessor of a :class:`~repro.core.schedule.Schedule`
+recomputed from its per-task :class:`~repro.core.schedule.Assignment`
+objects with plain Python arithmetic, to compare bit for bit with what
+the schedule computes on its columns (:func:`schedule_objectives`).
+
 The sharded check holds for the deterministic schedulers because EFT
 reads only the eligible machines' completion times and, on a disjoint
 plan, only the owner shard's tasks write them.  Randomised tie-breaks
@@ -27,9 +33,12 @@ so per-shard draws cannot reproduce the fleet-wide sequence.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.campaigns.goldens import GOLDEN_CASES, generate, golden_path
 from repro.campaigns.trace import Trace, dumps, load, record, replay_into
 from repro.core.dispatch import ImmediateDispatchScheduler
+from repro.core.schedule import Schedule
 from repro.core.task import Instance
 from repro.serve.dispatcher import DispatchDecision
 from repro.serve.shard.plan import ShardPlan
@@ -174,3 +183,62 @@ def check_shard_shadow_golden(name: str, n_shards: int) -> tuple[Trace, dict[int
                 "not byte-identical to the golden's lines for that shard's tasks"
             )
     return merged, per_shard
+
+
+def assignment_objectives(schedule: Schedule) -> dict[str, object]:
+    """Every objective and accessor of ``schedule`` from its per-task
+    ``Assignment`` objects, one Python float operation at a time (floats
+    as ``repr`` strings, so equality is bit equality, signed zeros
+    included)."""
+    assignments = list(schedule)
+    flows = [a.flow for a in assignments]
+    loads = [0.0] * schedule.m
+    for a in assignments:
+        loads[a.machine - 1] += a.task.proc
+    makespan = max((a.completion for a in assignments), default=0.0)
+    busy = [load / makespan for load in loads] if makespan > 0 else [0.0] * schedule.m
+    return _reprs(
+        max_flow=max(flows, default=0.0),
+        mean_flow=float(np.mean(flows)) if flows else 0.0,
+        max_stretch=max((a.stretch for a in assignments), default=0.0),
+        makespan=makespan,
+        flows=flows,
+        machine_loads=loads,
+        machine_busy_fraction=busy,
+        machines=[a.machine for a in assignments],
+        starts=[a.start for a in assignments],
+        per_task=[
+            (a.task.tid, a.machine, a.start, a.completion, a.flow) for a in assignments
+        ],
+    )
+
+
+def schedule_objectives(schedule: Schedule) -> dict[str, object]:
+    """What ``schedule`` itself reports for each key of
+    :func:`assignment_objectives`."""
+    tids = [t.tid for t in schedule.instance]
+    return _reprs(
+        max_flow=schedule.max_flow,
+        mean_flow=schedule.mean_flow,
+        max_stretch=schedule.max_stretch,
+        makespan=schedule.makespan,
+        flows=schedule.flows().tolist(),
+        machine_loads=schedule.machine_loads().tolist(),
+        machine_busy_fraction=schedule.machine_busy_fraction().tolist(),
+        machines=schedule.machines_array().tolist(),
+        starts=schedule.starts_array().tolist(),
+        per_task=[
+            (
+                tid,
+                schedule.machine_of(tid),
+                schedule.start_of(tid),
+                schedule.completion_of(tid),
+                schedule.flow_of(tid),
+            )
+            for tid in tids
+        ],
+    )
+
+
+def _reprs(**values: object) -> dict[str, object]:
+    return {name: repr(value) for name, value in values.items()}

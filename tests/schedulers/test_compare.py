@@ -1,17 +1,10 @@
-"""The compare-schedulers grid: determinism, traces, campaign units."""
+"""The compare-schedulers grid: determinism and traces."""
 
 import pytest
 
-from repro.campaigns.runner import run_campaign
-from repro.campaigns.spec import get_unit_kind
 from repro.campaigns.trace import load as load_trace
 from repro.schedulers import CompareConfig, compare_cell, render_table, run_compare
 from repro.schedulers.compare import DEFAULT_POLICIES, sanity_check
-from repro.schedulers.units import (
-    COMPARE_UNIT_KIND,
-    build_compare_campaign,
-    compare_unit,
-)
 
 SMALL = CompareConfig(m=4, n=60, k=2, loads=(0.8,), seed=1)
 
@@ -107,31 +100,3 @@ class TestTraces:
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
-
-
-class TestCampaignUnits:
-    def test_unit_kind_is_importable(self):
-        assert get_unit_kind(COMPARE_UNIT_KIND) is compare_unit
-
-    def test_unit_matches_inline_cell(self):
-        params = {"policy": "srpt-ps", "load": 0.8, "m": 4, "n": 60, "k": 2}
-        assert compare_unit(params, seed=1) == compare_cell(SMALL, "srpt-ps", 0.8)
-
-    def test_campaign_runs_the_grid(self):
-        spec = build_compare_campaign(SMALL)
-        assert [u.label for u in spec.units] == [
-            f"{p}@0.8" for p in DEFAULT_POLICIES
-        ]
-        result = run_campaign(spec)
-        assert result.n_failed == 0
-        inline = run_compare(SMALL)["rows"]
-        by_policy = {r["policy"]: r for r in result.results()}
-        for row in inline:
-            unit_row = dict(by_policy[row["policy"]])
-            assert unit_row == row
-
-    def test_campaign_spec_is_deterministic(self):
-        a = build_compare_campaign(SMALL)
-        b = build_compare_campaign(SMALL)
-        assert a.spec_hash() == b.spec_hash()
-        assert a.unit_hashes() == b.unit_hashes()

@@ -1,5 +1,6 @@
 """Unit tests for the write-ahead journal and crash recovery."""
 
+import asyncio
 import json
 import tracemalloc
 
@@ -13,8 +14,10 @@ from repro.serve import (
     Journal,
     JournalCorruptError,
     JournalError,
+    ServeConfig,
     ShardPlan,
     ShardRouter,
+    build_service,
 )
 from repro.serve.journal import JournalRecord, decode_record, encode_record, recover
 from repro.serve.protocol import task_to_wire
@@ -429,3 +432,95 @@ class TestRecovery:
         recovery = Dispatcher.recover(Journal(tmp_path, fsync="never"), into=_fleet(inst.m))
         assert recovery.n_replay_errors == 1
         assert len(recovery.dispatcher.placements) == len(inst)
+
+
+#: registry counters the service layer, not the decision path, drives
+_SERVICE_SIDE = ("completed_total", "errors_total", "dedupe_hits_total", "journal_", "recovery_")
+
+
+def _decision_counts(service):
+    """The decision-path counts of ``service``: its ``stats()`` view
+    and its registry counters."""
+    stats = service.stats()
+    keys = ("requests", "dispatched", "shed", "requeued", "handoffs", "parked", "shards")
+    counters = {
+        name: value
+        for name, value in stats["metrics"]["counters"].items()
+        if not name.rsplit("/", 1)[-1].startswith(_SERVICE_SIDE)
+    }
+    return {key: stats[key] for key in keys}, counters
+
+
+class TestRecoveredCounts:
+    """A fleet rebuilt from a snapshot plus the WAL suffix reports the
+    live fleet's decision-path counts, in ``stats()`` and the registry
+    alike: the counts live in the registry only, and the snapshot
+    carries every registry's counters."""
+
+    @pytest.mark.parametrize(
+        "config, sets, killed",
+        [
+            (dict(m=3), [None], [1]),
+            # straddling sets, admission sheds and a dead shard 0, so
+            # sheds, requeues and handoffs all count
+            (dict(m=4, shards=2, max_queue_depth=2), [{2, 3}, {1, 2}, {3, 4}], [1, 2]),
+        ],
+    )
+    def test_snapshot_plus_wal_recovery_keeps_every_count(self, tmp_path, config, sets, killed):
+        config = ServeConfig(
+            **config, journal_dir=str(tmp_path), journal_snapshot_every=5, time_scale=1e3
+        )
+
+        async def live():
+            service = build_service(config)
+            await service.start()
+            try:
+                for i in range(12):
+                    machines = sets[i % len(sets)]
+                    task = Task(i, 0.01 * i, 1.0, None if machines is None else frozenset(machines))
+                    assert service._submit({"op": "submit", **task_to_wire(task)})["ok"]
+                for machine in killed:
+                    service.kill(machine)
+                return _decision_counts(service)
+            finally:
+                await service.stop()
+
+        stats, counters = asyncio.run(live())
+        assert stats["requeued"] > 0
+        recovered = build_service(config)
+        try:
+            assert recovered.recovery.seq > recovered.journal.snapshot_seq > 0
+            assert _decision_counts(recovered) == (stats, counters)
+        finally:
+            recovered.journal.close()
+
+    def test_snapshot_with_int_counts_loads_them_into_the_counters(self):
+        """A snapshot that kept the decision counts as plain ints (no
+        ``metrics`` blocks) restores them into the registry counters."""
+        plan = ShardPlan.even(4, 2)
+        live = ShardRouter(plan, "eft-min", max_queue_depth=1, on_unavailable="shed")
+        live.kill(1)
+        live.kill(2)
+        for i, machines in enumerate([{3}, {3}, {1, 2}, {2, 3}, {4}]):
+            live.submit(Task(i, 0.0, 5.0, frozenset(machines)))
+        state = live.state_dict()
+        legacy = dict(state, counters={
+            "routed": live.stats()["requests"],
+            "n_handoffs": live.stats()["handoffs"],
+            "n_shed": live.router_registry.count("shed_total"),
+        })
+        del legacy["metrics"]
+        legacy["shards"] = []
+        for shard_state, row in zip(state["shards"], live.stats()["shards"]):
+            shard_state = dict(shard_state, counters={
+                "n_dispatched": row["dispatched"],
+                "n_shed": row["shed"],
+                "n_requeued": row["requeued"],
+            })
+            del shard_state["metrics"]
+            legacy["shards"].append(shard_state)
+        restored = ShardRouter(plan, "eft-min", max_queue_depth=1, on_unavailable="shed")
+        restored.load_state_dict(legacy)
+        stats = live.stats()
+        assert stats["shed"] > 0 and stats["handoffs"] > 0
+        assert restored.stats() == stats

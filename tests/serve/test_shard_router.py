@@ -59,7 +59,7 @@ class TestHandoff:
         assert routed.handoff
         assert routed.shard == 1 and routed.machine == 4
         assert routed.status == REQUEUED
-        assert router.n_handoffs == 1
+        assert router.stats()["handoffs"] == 1
 
     def test_handoff_picks_least_waiting_work(self, plan):
         router = ShardRouter(plan)
@@ -88,7 +88,7 @@ class TestHandoff:
         router.kill(4)
         routed = router.submit(_task(0, 0.0, {3, 4}))
         assert routed.status == SHED
-        assert router.n_shed == 1
+        assert router.stats()["shed"] == 1
 
     def test_redispatch_routes_fleet_wide(self, plan):
         router = ShardRouter(plan)

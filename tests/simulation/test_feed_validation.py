@@ -1,5 +1,6 @@
 """The Simulator rejects a processing set that names a machine beyond
-``m``, and a tid fed before, when the task is fed, on both backends.
+``m``, a tid fed before, and a release before the clock, when the task
+is fed, on both backends.
 
 Accepting it would treat the missing machines as dead: a set wholly
 out of range parks its task forever, and a partly out-of-range one is
@@ -7,6 +8,8 @@ dispatched over the in-range part until ``result()`` finally refuses
 to build the schedule.  A repeated tid would overwrite the first
 task's books (the scheduler's book is keyed by tid) through a whole
 drain before ``result()`` refuses it.  The messages are ``Instance``'s.
+A release before the clock would fire at that release and move the
+clock back.
 """
 
 import pytest
@@ -108,3 +111,47 @@ class TestDuplicateTids:
         with pytest.raises(ValueError, match=_dup(1)):
             sim.run()
         assert 1 not in sim.assigned_machine
+
+
+def _past(tid, release, now):
+    return rf"^task {tid} released at {release} fed at time {now}; a feed may not release into the past$"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNoReleaseIntoThePast:
+    def test_injection_before_the_clock_is_rejected(self, backend):
+        sim = Simulator(EFT(1), backend=backend)
+        sim.add_tasks([Task(0, 0.0, 1.0)])
+        sim.at(5.0, lambda s: s.add_tasks([Task(1, 1.0, 1.0)]))
+        with pytest.raises(ValueError, match=_past(1, 1.0, 5.0)):
+            sim.run()
+        assert sim.now == 5.0
+        assert sim.starts == {0: 0.0}
+
+    @pytest.mark.parametrize("feed", ["add_tasks", "add_instance"])
+    def test_feed_after_a_cutoff_before_the_clock_is_rejected(self, backend, feed):
+        sim = Simulator(EFT(1), backend=backend)
+        sim.add_tasks([Task(0, 0.0, 1.0)])
+        sim.run(until=5.0)
+        late = [Task(2, 6.0, 1.0), Task(1, 1.0, 1.0)]
+        with pytest.raises(ValueError, match=_past(1, 1.0, 5.0)):
+            if feed == "add_tasks":
+                sim.add_tasks(late)
+            else:
+                sim.add_instance(Instance(m=1, tasks=tuple(late)))
+        # nothing of the rejected batch was fed
+        result = sim.run()
+        assert (result.n_completed, sim.now) == (1, 5.0)
+        assert sim.starts == {0: 0.0}
+
+    def test_feed_at_the_clock_or_later_runs(self, backend):
+        sim = Simulator(EFT(1), backend=backend)
+        sim.add_instance(Instance(m=1, tasks=(Task(0, 0.0, 2.0),)))
+        sim.run()
+        assert sim.now == 2.0
+        with pytest.raises(ValueError, match=_past(1, 1.5, 2.0)):
+            sim.add_tasks([Task(1, 1.5, 1.0)])
+        sim.add_tasks([Task(1, 2.0, 1.0), Task(2, 3.0, 1.0)])
+        sim.run()
+        assert sim.starts == {0: 0.0, 1: 2.0, 2: 3.0}
+        assert sim.now == 4.0

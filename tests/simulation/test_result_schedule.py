@@ -1,12 +1,15 @@
 """``Simulator.result()`` on the reference loop against the dict-built
 schedule it used to return.
 
-``result()`` builds a :class:`VecSchedule` straight from the engine's
-books.  :func:`_dict_result` rebuilds the result the way it was built
-before — one ``Schedule`` over a ``tid -> (machine, start)`` dict, flows
-read back per :class:`Assignment` — so every run here checks the
-placements at ``tol=0``, the iteration order, ``validate()`` and every
-:class:`SimulationResult` field bit for bit.
+``result()`` builds its :class:`Schedule` from the engine's books as
+columns (:meth:`Schedule.from_arrays`).  :func:`_dict_result` rebuilds
+the result the way it was built before — one ``Schedule`` over a
+``tid -> (machine, start)`` dict, flows read back per
+:class:`Assignment` — so every run here checks the placements at
+``tol=0``, the iteration order, ``validate()`` and every
+:class:`SimulationResult` field bit for bit, and the schedule's
+objectives against the per-Assignment arithmetic
+(:func:`tests.oracles.assignment_objectives`).
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import pytest
 from repro.core import EFT, Instance, Task
 from repro.core.dispatch import realised
 from repro.core.schedule import Schedule, ScheduleError
-from repro.core.vecengine import VecSchedule
 from repro.faults.schedule import chaos_schedule
 from repro.schedulers.registry import get_scheduler
 from repro.simulation import Simulator
 from repro.simulation.workload import WorkloadSpec, generate_workload
+from tests.oracles import assignment_objectives, schedule_objectives
 
 M = 6
 
@@ -114,7 +117,6 @@ def test_result_equals_dict_built_schedule(case):
     sim = _run(case)
     assert sim.backend_used == "reference"
     new, old = sim.result(), _dict_result(sim)
-    assert isinstance(new.schedule, VecSchedule)
     assert new.schedule.same_placements(old.schedule, tol=0)
     assert [(a.task, a.machine, a.start) for a in new.schedule] == [
         (a.task, a.machine, a.start) for a in old.schedule
@@ -123,9 +125,7 @@ def test_result_equals_dict_built_schedule(case):
     for field in dataclasses.fields(new):
         if field.name != "schedule":
             assert repr(getattr(new, field.name)) == repr(getattr(old, field.name)), field.name
-    for objective in ("max_flow", "mean_flow", "makespan"):
-        assert repr(getattr(new.schedule, objective)) == repr(getattr(old.schedule, objective))
-    assert new.schedule.flows().tolist() == old.schedule.flows().tolist()
+    assert schedule_objectives(new.schedule) == assignment_objectives(old.schedule)
 
 
 def test_cases_cover_what_they_name():
