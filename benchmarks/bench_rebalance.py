@@ -22,7 +22,7 @@ import pytest
 
 from repro.faults import FaultSchedule
 from repro.rebalance import RebalanceConfig, run_rebalance
-from repro.rebalance.units import default_spec
+from repro.rebalance.harness import default_spec
 
 CONFIG = RebalanceConfig(cadence=25.0, window=50.0, headroom=0.75, warmup=2.0, max_k=5)
 

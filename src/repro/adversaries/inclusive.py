@@ -58,11 +58,8 @@ class InclusiveAdversary(Adversary):
         chain = sorted(range(1, m + 1))  # current M^(l), machine indices
         for level in range(1, self.levels + 1):
             release = float(level - 1)
-            n_tasks = m // 2**level
-            batch = [
-                self._task(tid, release, p, chain) for _ in range(n_tasks)
-            ]
-            scheduler.submit_batch(batch)
+            for _ in range(m // 2**level):
+                scheduler.submit(self._task(tid, release, p, chain))
             # Next chain set: the |chain|/2 machines of `chain` with the
             # most allocated tasks so far (the proof's counting argument
             # guarantees they carry >= level * |chain|/2 tasks in total).

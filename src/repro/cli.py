@@ -713,7 +713,7 @@ def _run_rebalance(args) -> str:
     from pathlib import Path
 
     from .rebalance import RebalanceConfig, dumps_rebalance_trace, run_rebalance
-    from .rebalance.units import default_spec
+    from .rebalance.harness import default_spec
 
     params = {
         "m": args.m,

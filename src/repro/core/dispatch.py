@@ -15,9 +15,12 @@ into the one per-machine book every layer shares — horizons (EFT
 decides from them alone, Equation (2)), task counts and the live
 entries behind :meth:`outstanding`; :meth:`retract` alone undoes a
 booking.  :meth:`submit` is :meth:`place` plus the placement records
-:meth:`schedule` reads, making the class usable both for offline
-replay (:meth:`run`) and by adaptive adversaries that interleave
-observation and submission (Theorems 3–5).
+:meth:`schedule` reads (task, machine and start columns), making the
+class usable both for offline replay (:meth:`run`) and by adaptive
+adversaries that interleave observation and submission (Theorems 3–5).
+:meth:`book_drain` enters a whole drain decided elsewhere (the
+simulator's array engine) as those submits would have; no other module
+writes the books.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .schedule import Schedule
 from .task import Instance, Task
@@ -94,30 +99,18 @@ class ImmediateDispatchScheduler:
         self._live: dict[int, tuple[int, float, float]] = {}
         self._ends: list[tuple[float, int]] = []
         self._counts: dict[int, int] = {j: 0 for j in range(1, m + 1)}
-        #: the array backend's ``(tasks, machines, starts, ends)``,
-        #: entered into the book on its first read
-        self._book_lazy: tuple | None = None
-        self._placements_dict: dict[int, tuple[int, float]] = {}
-        #: columnar placements (tasks, machines, starts) awaiting
-        #: materialisation — set by the array backend, which syncs books
-        #: in bulk and must not pay for a dict nobody may ever read.
-        self._placements_lazy: tuple | None = None
+        #: the placement records :meth:`submit` keeps for
+        #: :meth:`schedule`, as columns: task, machine and start of each
+        #: submitted task, in submission order
         self._tasks: list[Task] = []
+        self._machines: list[int] = []
+        self._starts: list[float] = []
         self._last_release = 0.0
         #: realised service times that differ from ``task.proc`` —
         #: sparse so the plain identical-machines path (EFT and the
         #: baselines, where ``charge == proc``) pays nothing and
         #: stays byte-identical to the pre-zoo books.
         self._service: dict[int, float] = {}
-
-    @property
-    def _placements(self) -> dict[int, tuple[int, float]]:
-        lazy = self._placements_lazy
-        if lazy is not None:
-            self._placements_lazy = None
-            tasks, machines, starts = lazy
-            self._placements_dict = dict(zip([t.tid for t in tasks], zip(machines, starts)))
-        return self._placements_dict
 
     # -- to be provided by subclasses -------------------------------------
     def choose(self, task: Task) -> tuple[int, frozenset[int]]:
@@ -172,14 +165,6 @@ class ImmediateDispatchScheduler:
         """Retire the entries finished by ``now`` (``end <= now``, for
         good: query in time order) and return the book's own dict of
         live entries per machine (read it, do not keep it)."""
-        if self._book_lazy is not None:
-            # the array run's placements a reference run still holds
-            # after its last release
-            tasks, machines, starts, finishes = self._book_lazy
-            self._load_book(
-                (tasks[i].tid, machines[i], starts[i], starts[i] + tasks[i].proc)
-                for i in (finishes > self._last_release).nonzero()[0].tolist()
-            )
         ends, live, counts = self._ends, self._live, self._counts
         while ends and ends[0][0] <= now:
             end, tid = heappop(ends)
@@ -191,7 +176,6 @@ class ImmediateDispatchScheduler:
 
     def _load_book(self, entries: Iterable[Sequence]) -> None:
         """Replace the book by ``[tid, machine, start, end]`` entries."""
-        self._book_lazy = None
         self._live = {int(tid): (int(j), float(s), float(e)) for tid, j, s, e in entries}
         self._ends = sorted((end, tid) for tid, (_, _, end) in self._live.items())
         self._counts = {j: 0 for j in range(1, self.m + 1)}
@@ -264,6 +248,12 @@ class ImmediateDispatchScheduler:
             self.completions[machine] = start
         self.on_retract(tid, machine, start, end)
 
+    def delay(self, machine: int, now: float, idle: float) -> None:
+        """Book ``idle`` time on ``machine`` from ``now`` or its horizon,
+        whichever is later: the next task it gets starts no earlier
+        (a joining replica's cache warm-up)."""
+        self.completions[machine] = max(self.completions[machine], now) + idle
+
     def place(self, task: Task) -> DispatchRecord:
         """Decide and book one released task (tasks must arrive in
         release order) without recording the placement: the book
@@ -296,13 +286,40 @@ class ImmediateDispatchScheduler:
         order): :meth:`place`, then record the placement for
         :meth:`schedule`."""
         record = self.place(task)
-        self._placements[task.tid] = (record.machine, record.start)
         self._tasks.append(task)
+        self._machines.append(record.machine)
+        self._starts.append(record.start)
         return record
 
-    def submit_batch(self, tasks: Sequence[Task]) -> list[DispatchRecord]:
-        """Dispatch several tasks released (nearly) simultaneously, in order."""
-        return [self.submit(t) for t in tasks]
+    def book_drain(
+        self,
+        tasks: Sequence[Task],
+        machines: list[int],
+        starts: list[float],
+        ends: np.ndarray,
+        horizons: Sequence[float],
+        counts: Sequence[int],
+    ) -> None:
+        """Book a whole drain decided elsewhere onto this fresh
+        scheduler, leaving it exactly as :meth:`submit` of each task in
+        turn would have: ``tasks`` in release order placed on
+        ``machines`` from ``starts`` and ending at ``ends`` (each at its
+        ``proc``), ``horizons`` and ``counts`` the per-machine
+        completion times and task counts after the drain (indexed by
+        machine, index 0 unused).  The ``machines`` and ``starts``
+        lists become the placement records as they are, not copied."""
+        m = self.m
+        self.completions = {j: horizons[j] for j in range(1, m + 1)}
+        self.task_counts = {j: int(counts[j]) for j in range(1, m + 1)}
+        self._tasks = list(tasks)
+        self._machines, self._starts = machines, starts
+        last = self._last_release = tasks[-1].release
+        # Each release retires the entries ended by then, so what the
+        # last one left open stays, and the last task itself.
+        live = (ends > last).nonzero()[0].tolist()
+        if not live or live[-1] != len(tasks) - 1:
+            live.append(len(tasks) - 1)
+        self._load_book((tasks[i].tid, machines[i], starts[i], ends[i]) for i in live)
 
     # -- state inspection ---------------------------------------------------
     def waiting_work(self, t: float) -> dict[int, float]:
@@ -320,7 +337,8 @@ class ImmediateDispatchScheduler:
         apply unchanged.
         """
         inst = Instance(m=self.m, tasks=realised(self._tasks, self._service))
-        return Schedule(inst, self._placements)
+        tids = [t.tid for t in self._tasks]
+        return Schedule(inst, dict(zip(tids, zip(self._machines, self._starts))))
 
     @property
     def n_dispatched(self) -> int:
@@ -347,4 +365,4 @@ class ImmediateDispatchScheduler:
             self.submit(task)
         if self._service:
             return self.schedule()
-        return Schedule(instance, self._placements)
+        return Schedule.from_arrays(instance, self._machines, self._starts)

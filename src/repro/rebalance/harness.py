@@ -45,14 +45,38 @@ from ..schedulers.registry import get_scheduler
 from ..serve.driver import percentile
 from ..serve.shard.plan import ShardPlan
 from ..serve.shard.router import ShardRouter
+from ..simulation.dynamics import HotspotShift
 from ..simulation.workload import WorkloadSpec
 from .controller import RebalanceConfig, RebalanceController
 from .events import RebalanceTrace, dumps as dump_trace
 from .placement import IntervalPlacement
 
-__all__ = ["RebalanceResult", "replay_rebalance", "run_rebalance"]
+__all__ = ["RebalanceResult", "default_spec", "replay_rebalance", "run_rebalance"]
 
 POLICIES = ("static", "adaptive")
+
+
+def default_spec(params: Mapping[str, Any]) -> WorkloadSpec:
+    """The hotspot-shift scenario: a Zipf-``s`` popularity whose hot
+    region rotates ``rotation`` machines around the ring at
+    ``shift_at`` (half-way through the stream by default), the moment
+    a static placement tuned for the first regime starts drowning."""
+    m = int(params.get("m", 12))
+    n = int(params.get("n", 4000))
+    k = int(params.get("k", 2))
+    s = float(params.get("s", 1.5))
+    lam = float(params.get("lam", 0.55 * m))
+    shift_at = float(params.get("shift_at", n / (2.0 * lam)))
+    rotation = int(params.get("rotation", m // 2))
+    return WorkloadSpec(
+        m=m,
+        n=n,
+        lam=lam,
+        popularity_profile=HotspotShift(m=m, s=s, shifts=((shift_at, rotation),)),
+        k=k,
+        strategy=str(params.get("strategy", "overlapping")),
+        proc=float(params.get("proc", 1.0)),
+    )
 
 
 @dataclass(frozen=True)

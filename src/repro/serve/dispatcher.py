@@ -233,7 +233,7 @@ class Dispatcher:
             return
         if warmup > 0.0:
             for j in machines:
-                self.scheduler.completions[j] = max(self.scheduler.completions[j], now) + warmup
+                self.scheduler.delay(j, now, warmup)
         # Setup-time policies (NC-Setup) invalidate their warm state so
         # widened replicas pay the cache-warmup penalty again; probed,
         # so every other policy is unaffected.

@@ -276,15 +276,18 @@ class ServeService:
         self._outstanding = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        self.n_completed = 0
         self._completed_tids: set[int] = set()
         #: dedupe key -> original decision (idempotent retries are
         #: answered from here without touching the router).
         self._dedupe: dict[str, DispatchDecision] = {}
         if recovery is not None:
-            self.n_completed = recovery.n_completed
             self._completed_tids = set(recovery.completed)
             self._dedupe = dict(recovery.dedupe)
+            # no snapshot carries the service-side counters: credit each
+            # pre-crash completion to the shard its worker ran on
+            placements, plan = router.placements, router.plan
+            for tid in recovery.completed:
+                router.shard_metrics[plan.shard_of(placements[tid][0])].completed.inc()
 
     # -- journal plumbing ----------------------------------------------------
     def _journal_append(self, kind: str, data: dict[str, Any], commit: bool = False) -> None:
@@ -312,7 +315,7 @@ class ServeService:
             "dispatcher": self.router.state_dict(),
             "service": {
                 "completed": sorted(self._completed_tids),
-                "n_completed": self.n_completed,
+                "n_completed": self._completed_total(),
                 "dedupe": dedupe_wire,
             },
         }
@@ -380,7 +383,6 @@ class ServeService:
             await asyncio.sleep(service * self.time_scale)
             loop_now = asyncio.get_running_loop().time()
             router.shard_metrics[sid].on_complete((loop_now - arrival) / self.time_scale)
-            self.n_completed += 1
             self._completed_tids.add(task.tid)
             # Completion durability rides the batch: a torn tail
             # ``complete`` only re-serves idempotent simulated work.
@@ -410,7 +412,12 @@ class ServeService:
         requests don't count — they hold no machine); returns the
         completion count so far."""
         await self._idle.wait()
-        return self.n_completed
+        return self._completed_total()
+
+    def _completed_total(self) -> int:
+        """Requests served to completion: the shards' ``completed_total``
+        counters summed."""
+        return sum(metrics.completed.value for metrics in self.router.shard_metrics)
 
     # -- fault + supervision surface -----------------------------------------
     def _check_machine(self, machine: int) -> None:
@@ -498,7 +505,7 @@ class ServeService:
         stats.update(
             {
                 "now": self.now(),
-                "completed": self.n_completed,
+                "completed": self._completed_total(),
                 "outstanding": self._outstanding,
                 "metrics": self.registry().snapshot(),
             }

@@ -848,19 +848,16 @@ class Simulator:
         # Columnar sync: the dict views are deferred (see
         # :meth:`_materialize_books`) — a result-only run never builds
         # them, which is most of the per-task Python cost at scale; the
-        # tids too are read off the tasks only then.
+        # tids too are read off the tasks only then.  The scheduler's
+        # placement records are the same two lists: its later submits
+        # append to them only after _run_reference has materialised the
+        # deferred books, whose zips stop at this run's rows anyway.
         self._lazy_books = (released, mach_l, start_l, comp_a)
         self._tasks = released
         self._feed = []
-        s = self.scheduler
-        s.completions = {j: comp_after[j] for j in range(1, m + 1)}
-        counts = np.bincount(mach_a, minlength=m + 1)
-        s.task_counts = {j: int(counts[j]) for j in range(1, m + 1)}
-        s._placements_dict = {}
-        s._placements_lazy = (released, mach_l, start_l)
-        s._book_lazy = (released, mach_l, start_l, comp_a)
-        s._tasks = list(released)
-        s._last_release = rel[-1]
+        self.scheduler.book_drain(
+            released, mach_l, start_l, comp_a, comp_after, np.bincount(mach_a, minlength=m + 1)
+        )
 
         # -- machine states ------------------------------------------------
         busy_until = np.zeros(m + 1)

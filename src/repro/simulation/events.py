@@ -121,10 +121,6 @@ class EventQueue:
         """Remove and return the earliest event."""
         return heapq.heappop(self.heap)
 
-    def peek_time(self) -> float | None:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        return self.heap[0].time if self.heap else None
-
     _NON_WORK = frozenset({EventKind.OBSERVE, EventKind.MACHINE_DOWN, EventKind.MACHINE_UP})
 
     def has_work(self) -> bool:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.faults import FaultSchedule
 from repro.rebalance import RebalanceConfig, replay_rebalance, run_rebalance
-from repro.rebalance.units import compare, default_spec, run as run_unit
+from repro.rebalance.harness import default_spec
 from repro.simulation.workload import WorkloadSpec
 
 CONFIG = RebalanceConfig(cadence=25.0, window=50.0, headroom=0.75, warmup=2.0, max_k=5)
@@ -48,16 +48,6 @@ class TestAdaptiveWins:
         assert [d.version for d in triggered] == list(range(1, len(triggered) + 1))
         for d in triggered:
             assert d.changes  # a trigger always states what moved
-
-    def test_compare_unit(self):
-        out = compare({"m": 12, "n": 1500, "config": CONFIG.to_dict()}, seed=0)
-        assert out["adaptive_beats_static_p99"] is True
-        assert out["static_overlapping"]["n_rebalances"] == 0
-        assert out["adaptive"]["n_rebalances"] > 0
-
-    def test_run_unit(self):
-        out = run_unit({"m": 12, "n": 800, "policy": "static"}, seed=3)
-        assert out["policy"] == "static" and out["n"] == 800
 
 
 class TestNoTriggerIdentity:

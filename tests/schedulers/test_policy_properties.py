@@ -113,5 +113,5 @@ def test_place_matches_submit(policy, stream):
         assert placed.completions == submitted.completions
         assert placed.task_counts == submitted.task_counts
         assert placed._service == submitted._service
-    assert placed._tasks == [] and placed._placements == {}
+    assert placed._tasks == placed._machines == placed._starts == []
     assert submitted.n_dispatched == len(tasks)

@@ -40,8 +40,8 @@ def test_scheduler_books_stay_empty(n_shards):
     for task in tasks:
         router.submit(task)
     for d in router.dispatchers:
-        assert d.scheduler._placements == {}
         assert d.scheduler._tasks == []
+        assert d.scheduler._machines == d.scheduler._starts == []
     assert sum(len(d.placements) for d in router.dispatchers) == N
     assert set(router.placements) == {t.tid for t in tasks}
 
@@ -94,7 +94,8 @@ def test_recovered_books_equal_live(tmp_path, n_shards):
     for a, b in zip(recovered.dispatchers, live.dispatchers):
         assert a._tasks == b._tasks
         assert a.scheduler._tasks == b.scheduler._tasks == []
-        assert a.scheduler._placements == b.scheduler._placements == {}
+        assert a.scheduler._machines == b.scheduler._machines == []
+        assert a.scheduler._starts == b.scheduler._starts == []
     assert recovered.parked == live.parked
     assert live.stats()["requeued"] > 0
     sets = {}

@@ -35,7 +35,7 @@ from repro.campaigns.trace import dumps, record
 from repro.core.task import Task
 from repro.faults import FaultSchedule
 from repro.rebalance import RebalanceConfig, run_rebalance
-from repro.rebalance.units import default_spec
+from repro.rebalance.harness import default_spec
 from repro.schedulers.registry import list_schedulers
 from repro.serve import ShardPlan, ShardRouter
 

@@ -494,6 +494,42 @@ class TestRecoveredCounts:
         finally:
             recovered.journal.close()
 
+    @pytest.mark.parametrize("snapshot_every", [5, 0])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_recovery_keeps_completed_total(self, tmp_path, shards, snapshot_every):
+        """Pre-crash completions come back in ``stats()`` and in each
+        shard's ``completed_total`` counter, from snapshot plus WAL and
+        from the WAL alone."""
+        config = ServeConfig(
+            m=4, shards=shards, journal_dir=str(tmp_path),
+            journal_snapshot_every=snapshot_every, time_scale=0.001,
+        )
+
+        def completed(service):
+            per_shard = [m.completed.value for m in service.router.shard_metrics]
+            return service.stats()["completed"], service.registry().count("completed_total"), per_shard
+
+        async def live():
+            service = build_service(config)
+            await service.start()
+            try:
+                for i in range(12):
+                    task = Task(i, 0.01 * i, 1.0, frozenset({i % 4 + 1}))
+                    assert service._submit({"op": "submit", **task_to_wire(task)})["ok"]
+                assert await service.drain() == 12
+                return completed(service)
+            finally:
+                await service.stop()
+
+        counts = asyncio.run(live())
+        assert counts[:2] == (12, 12) and sum(counts[2]) == 12
+        recovered = build_service(config)
+        try:
+            assert (recovered.journal.snapshot_seq > 0) == (snapshot_every > 0)
+            assert completed(recovered) == counts
+        finally:
+            recovered.journal.close()
+
     def test_snapshot_with_int_counts_loads_them_into_the_counters(self):
         """A snapshot that kept the decision counts as plain ints (no
         ``metrics`` blocks) restores them into the registry counters."""

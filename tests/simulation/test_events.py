@@ -25,13 +25,6 @@ class TestEventQueue:
             q.push(1.0, EventKind.RELEASE, i)
         assert [q.pop().payload for _ in range(10)] == list(range(10))
 
-    def test_peek(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, EventKind.OBSERVE)
-        assert q.peek_time() == 5.0
-        assert len(q) == 1
-
     def test_bool(self):
         q = EventQueue()
         assert not q

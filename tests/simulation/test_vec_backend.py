@@ -20,6 +20,7 @@ from repro.simulation import (
     WorkloadSpec,
     generate_workload,
 )
+from tests.conftest import examples
 
 RESULT_FIELDS = (
     "max_flow",
@@ -115,8 +116,9 @@ def _feed(sim, inst, shape):
 
 
 class TestDeferredBooks:
-    """The array run keeps the books and their tids as columns until
-    the first read, which must then see exactly the reference books."""
+    """The array run keeps the simulator's books and their tids as
+    columns until the first read, which must then see exactly the
+    reference books; the scheduler books the drain at once."""
 
     @pytest.mark.parametrize("shape", ["instance", "shuffled", "instance+tasks"])
     @pytest.mark.parametrize("first", ["starts", "completions", "assigned_machine"])
@@ -130,7 +132,9 @@ class TestDeferredBooks:
         (sa, ra), (sr, rr) = runs
         assert sa.backend_used == "array", sa.fallback_reason
         assert sa._lazy_books is not None
-        assert sa.scheduler._placements_lazy is not None
+        # the scheduler's records are the array run's lists, not copies
+        assert sa.scheduler._machines is sa._lazy_books[1]
+        assert sa.scheduler._starts is sa._lazy_books[2]
         # only a feed of one whole Instance is that Instance's rows
         assert (ra.schedule.instance is inst) == (shape == "instance")
         assert getattr(sa, first) == getattr(sr, first)
@@ -139,7 +143,6 @@ class TestDeferredBooks:
         assert sa.completions == sr.completions
         assert sa.assigned_machine == sr.assigned_machine
         assert sa.scheduler.schedule().same_placements(sr.scheduler.schedule(), tol=0.0)
-        assert sa.scheduler._placements_lazy is None
         order = [t.tid for t in ra.schedule.instance]
         assert order == [t.tid for t in rr.schedule.instance]
         assert ra.schedule.machines_array().tolist() == [rr.schedule.machine_of(t) for t in order]
@@ -157,16 +160,17 @@ class TestDeferredBooks:
         assert res.n_completed == inst.n and res.max_flow > 0
         # the deferred books hold the tasks, not a tid list
         assert isinstance(sim._lazy_books[0][0], Task)
-        assert isinstance(sim.scheduler._placements_lazy[0][0], Task)
         assert not sim._starts and not sim._completions and not sim._assigned_machine
-        assert not sim.scheduler._placements_dict
-        assert sim.scheduler._book_lazy is not None and not sim.scheduler._live
+        # the scheduler's book holds only what the last release left open
+        tasks, _, _, ends = sim._lazy_books
+        last = tasks[-1].release
+        assert set(sim.scheduler._live) == {t.tid for t, e in zip(tasks, ends) if e > last}
 
     @pytest.mark.parametrize("shape", ["instance", "shuffled", "instance+tasks"])
     def test_book_equals_reference(self, shape):
-        """The scheduler's book, entered on its first read, holds what
-        the reference run's holds: equal outstanding counts at any
-        query time, and equal horizons after a retraction."""
+        """The scheduler's book holds what the reference run's holds:
+        an equal snapshot, equal outstanding counts at any query time,
+        and equal horizons after a retraction."""
         inst = _workload(rng=13, n=200, load=0.95)
         sims = []
         for backend in ("auto", "reference"):
@@ -176,12 +180,12 @@ class TestDeferredBooks:
             sims.append(sim)
         sa, sr = sims
         assert sa.backend_used == "array", sa.fallback_reason
+        assert sa.scheduler.book_state() == sr.scheduler.book_state()
         last = inst.tasks[-1].release
         live = sr.scheduler.outstanding(last)
         assert sum(live.values()) > 1  # a backlog outlives the last release
         for t in (0.0, last / 2, last):
             assert sa.scheduler.outstanding(t) == sr.scheduler.outstanding(t)
-        assert sa.scheduler._book_lazy is None
         # retract the entry that finishes last (its machine's tail), in both
         tail = max(sa.scheduler._live, key=lambda tid: sa.scheduler._live[tid][2])
         machine, start, _ = sa.scheduler._live[tail]
@@ -191,6 +195,60 @@ class TestDeferredBooks:
         assert sa.scheduler.completions == sr.scheduler.completions
         for t in (last, last + 0.5, last + 1.0, sa.now):
             assert sa.scheduler.outstanding(t) == sr.scheduler.outstanding(t)
+
+
+@st.composite
+def _drains(draw):
+    """A workload with same-instant releases, a tie-break, a feed shape
+    and a few tasks submitted after the drain."""
+    m = draw(st.integers(1, 5))
+    sets = st.frozensets(st.integers(1, m), min_size=1)
+    procs = st.sampled_from([0.3, 0.7, 1.0, 2.5, 4.0])
+    tasks = [
+        Task(tid=i, release=float(draw(st.integers(0, 12))), proc=draw(procs), machines=draw(sets))
+        for i in range(draw(st.integers(2, 30)))
+    ]
+    last = max(t.release for t in tasks)
+    extra = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    later = [
+        Task(tid=100 + i, release=last + d, proc=draw(procs), machines=draw(sets))
+        for i, d in enumerate(extra)
+    ]
+    shape = draw(st.sampled_from(["instance", "shuffled", "instance+tasks"]))
+    return Instance(m=m, tasks=tuple(tasks)), later, draw(st.sampled_from(["min", "max"])), shape
+
+
+@given(drain=_drains())
+@settings(max_examples=examples(60), deadline=None)
+def test_array_drain_books_like_reference(drain):
+    """An array drain leaves the scheduler exactly as the reference
+    run's task-by-task submits do: the same snapshot, records and
+    counts, and the same answers to every later submit, retraction and
+    outstanding query."""
+    inst, later, tiebreak, shape = drain
+    runs = []
+    for backend in ("auto", "reference"):
+        sim = Simulator(EFT(inst.m, tiebreak=tiebreak), backend=backend)
+        _feed(sim, inst, shape)
+        sim.run()
+        runs.append(sim)
+    assert runs[0].backend_used == "array", runs[0].fallback_reason
+    a, r = (sim.scheduler for sim in runs)
+    assert a.book_state() == r.book_state()
+    assert a.schedule().same_placements(r.schedule(), tol=0.0)
+    assert (a.n_dispatched, a.fresh) == (r.n_dispatched, r.fresh)
+    for task in later:
+        da, dr = a.submit(task), r.submit(task)
+        assert (da.machine, da.start, da.tie_set) == (dr.machine, dr.start, dr.tie_set)
+    now = later[-1].release
+    # retract the live entry that ends last: its machine's tail
+    tail = max(r.book_state()["book"], key=lambda entry: (entry[3], entry[0]))[0]
+    for s in (a, r):
+        s.retract(tail, now)
+    assert a.book_state() == r.book_state()
+    for t in (now, now + 0.5, now + 2.0, now + 100.0):
+        assert a.outstanding(t) == r.outstanding(t)
+    assert a.schedule().same_placements(r.schedule(), tol=0.0)
 
 
 class TestTruncationParity:
