@@ -29,6 +29,7 @@ the offline optimum stays :math:`1 + o(1)`.
 from __future__ import annotations
 
 from ..core.task import Task
+from ..theory.bounds import eft_interval_lower_bound
 from .base import Adversary, AdversaryResult, SchedulerFactory, TidCounter
 from .eftmin import task_type, type_interval
 
@@ -71,7 +72,7 @@ class AnyTiebreakAdversary(Adversary):
 
     def theoretical_bound(self) -> int:
         """:math:`m - k + 1` — Theorems 8/9/10's bound."""
-        return self.m - self.k + 1
+        return eft_interval_lower_bound(self.m, self.k)
 
     def _covering_interval(self, machine: int) -> frozenset[int]:
         """A size-``k`` linear interval containing ``machine``."""

@@ -17,8 +17,7 @@ approaching :math:`\\lfloor \\log_k m' \\rfloor`.
 
 from __future__ import annotations
 
-import math
-
+from ..theory.bounds import fixed_k_lower_bound
 from .base import Adversary, AdversaryResult, SchedulerFactory, TidCounter
 
 __all__ = ["FixedKAdversary"]
@@ -45,10 +44,7 @@ class FixedKAdversary(Adversary):
             raise ValueError("need m' >= k")
         self.m_prime = m_prime
         self.k = k
-        self.levels = int(math.floor(math.log(m_prime, k)))
-        # Guard against float log landing just below an exact power.
-        while k ** (self.levels + 1) <= m_prime:
-            self.levels += 1
+        self.levels = fixed_k_lower_bound(m_prime, k)
         self.m = k**self.levels
         self.p = float(p) if p is not None else float(10 * max(self.m, k))
         if self.p <= self.levels:
@@ -56,7 +52,7 @@ class FixedKAdversary(Adversary):
 
     def theoretical_bound(self) -> int:
         """:math:`\\lfloor \\log_k m' \\rfloor` — Theorem 4's bound."""
-        return math.floor(math.log(self.m_prime, self.k))
+        return fixed_k_lower_bound(self.m_prime, self.k)
 
     def run(self, scheduler_factory: SchedulerFactory) -> AdversaryResult:
         m, k, p = self.m, self.k, self.p

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from ..theory.bounds import inclusive_lower_bound
 from .base import Adversary, AdversaryResult, SchedulerFactory, TidCounter
 
 __all__ = ["InclusiveAdversary"]
@@ -49,7 +50,7 @@ class InclusiveAdversary(Adversary):
     def theoretical_bound(self) -> int:
         """:math:`\\lfloor \\log_2(m') + 1 \\rfloor` — the Theorem 3
         lower bound (reached in the limit :math:`p \\to \\infty`)."""
-        return math.floor(math.log2(self.m_prime) + 1)
+        return inclusive_lower_bound(self.m_prime)
 
     def run(self, scheduler_factory: SchedulerFactory) -> AdversaryResult:
         m, p = self.m, self.p

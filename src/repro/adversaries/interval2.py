@@ -20,6 +20,7 @@ since they place (and our model starts) tasks greedily.
 
 from __future__ import annotations
 
+from ..theory.bounds import interval_any_lower_bound
 from .base import Adversary, AdversaryResult, SchedulerFactory, TidCounter
 
 __all__ = ["IntervalTwoAdversary"]
@@ -38,7 +39,7 @@ class IntervalTwoAdversary(Adversary):
 
     def theoretical_bound(self) -> float:
         """The asymptotic lower bound 2 (any online algorithm)."""
-        return 2.0
+        return interval_any_lower_bound()
 
     def run(self, scheduler_factory: SchedulerFactory) -> AdversaryResult:
         p = self.p

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+from ..theory.bounds import nested_lower_bound
 from .base import Adversary, AdversaryResult, SchedulerFactory, TidCounter
 
 __all__ = ["NestedAdversary"]
@@ -58,7 +59,7 @@ class NestedAdversary(Adversary):
 
     def theoretical_bound(self) -> float:
         """:math:`\\tfrac13 \\lfloor \\log_2(m') + 2 \\rfloor`."""
-        return math.floor(math.log2(self.m_prime) + 2) / 3.0
+        return nested_lower_bound(self.m_prime)
 
     def run(self, scheduler_factory: SchedulerFactory) -> AdversaryResult:
         m, F = self.m, self.F

@@ -420,28 +420,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_table1(args) -> str:
-    from .experiments import table1
-
-    return table1.run(args.m).to_text()
-
-
-def _run_table2(args) -> str:
-    from .experiments import table2
-
-    return table2.run(m=args.m, k=args.k, p=args.p).to_text()
-
-
-def _run_fig03(args) -> str:
-    from .experiments import fig03
-
-    return fig03.run(m=args.m, k=args.k).to_text()
+#: the verbs that print one experiment: verb -> "module:function" (a
+#: module of this package), called with every parsed flag as a keyword
+_EXPERIMENTS = {
+    "table1": "experiments.table1:run",
+    "table2": "experiments.table2:run",
+    "fig03": "experiments.fig03:run",
+    "fig08": "experiments.fig08:run",
+    "ratios": "experiments.ratios:run",
+    "explore": "explore:evaluate_strategies",
+    "tails": "experiments.tails:run",
+    "stability": "experiments.stability:run",
+    "verify": "experiments.verify:run",
+}
 
 
-def _run_fig08(args) -> str:
-    from .experiments import fig08
+def _experiment(verb: str):
+    """The function behind an experiment verb (imported on demand)."""
+    from importlib import import_module
 
-    return fig08.run(m=args.m, s=args.s).to_text()
+    module, _, name = _EXPERIMENTS[verb].partition(":")
+    return getattr(import_module(f".{module}", __package__), name)
+
+
+def _run_experiment(args) -> str:
+    kwargs = dict(vars(args))
+    return _experiment(kwargs.pop("command"))(**kwargs).to_text()
 
 
 def _fig10_scale(args) -> dict:
@@ -1002,38 +1006,6 @@ def _run_bench_serve(args) -> str:
     return "\n".join(lines)
 
 
-def _run_ratios(args) -> str:
-    from .experiments import ratios
-
-    return ratios.run(m=args.m, k=args.k, trials=args.trials).to_text()
-
-
-def _run_explore(args) -> str:
-    from .explore import evaluate_strategies
-
-    return evaluate_strategies(m=args.m, k=args.k, s=args.s).to_text()
-
-
-def _run_tails(args) -> str:
-    from .experiments import tails
-
-    return tails.run(
-        m=args.m, k=args.k, load=args.load, size_dist=args.size_dist
-    ).to_text()
-
-
-def _run_stability(args) -> str:
-    from .experiments import stability
-
-    return stability.run(m=args.m, k=args.k, strategy=args.strategy).to_text()
-
-
-def _run_verify(args) -> str:
-    from .experiments import verify
-
-    return verify.run().to_text()
-
-
 #: what ``repro all`` regenerates: each verb's own handler at its CLI
 #: defaults (fig10/fig11 at --quick)
 _ALL_VERBS = (
@@ -1132,10 +1104,7 @@ def _run_compare_schedulers(args) -> str:
 
 
 _HANDLERS = {
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "fig03": _run_fig03,
-    "fig08": _run_fig08,
+    **dict.fromkeys(_EXPERIMENTS, _run_experiment),
     "fig10": _run_fig10,
     "fig11": _run_fig11,
     "campaign": _run_campaign,
@@ -1147,11 +1116,6 @@ _HANDLERS = {
     "drive": _run_drive,
     "bench-serve": _run_bench_serve,
     "compare-schedulers": _run_compare_schedulers,
-    "ratios": _run_ratios,
-    "explore": _run_explore,
-    "tails": _run_tails,
-    "stability": _run_stability,
-    "verify": _run_verify,
     "all": _run_all,
     "demo": _run_demo,
 }

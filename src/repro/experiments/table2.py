@@ -30,7 +30,7 @@ from ..core.eft import EFT, eft_schedule
 from ..core.task import Instance
 from ..offline.unit_opt import optimal_unit_fmax
 from ..psets.replication import DisjointIntervals
-from ..theory.bounds import eft_disjoint_ratio
+from ..theory.bounds import eft_disjoint_ratio, eft_interval_lower_bound
 from .common import TextTable
 
 __all__ = ["run", "disjoint_empirical_ratio"]
@@ -88,15 +88,15 @@ def run(
 
     adv7 = IntervalTwoAdversary(p=p)
     r7 = adv7.run(mk_min)
-    table.add_row("interval, |Mi|=2", "any online", ">=", 2.0, r7.ratio, "Thm 7")
+    table.add_row("interval, |Mi|=2", "any online", ">=", adv7.theoretical_bound(), r7.ratio, "Thm 7")
 
     adv8 = EFTIntervalAdversary(m, k)
     r8 = adv8.run(mk_min)
-    table.add_row(f"interval, |Mi|={k}", "EFT-Min", ">=", m - k + 1, r8.ratio, "Thm 8")
+    table.add_row(f"interval, |Mi|={k}", "EFT-Min", ">=", eft_interval_lower_bound(m, k), r8.ratio, "Thm 8")
 
     adv9 = EFTIntervalAdversary(m, k, steps=4 * m**3)
     r9 = adv9.run(lambda mm: EFT(mm, tiebreak="rand", rng=rng_seed))
-    table.add_row(f"interval, |Mi|={k}", "EFT-Rand", ">=", m - k + 1, r9.ratio, "Thm 9")
+    table.add_row(f"interval, |Mi|={k}", "EFT-Rand", ">=", eft_interval_lower_bound(m, k), r9.ratio, "Thm 9")
 
     adv10 = AnyTiebreakAdversary(min(m, 8), k if k < min(m, 8) else 2, steps=min(m, 8) ** 3)
     r10 = adv10.run(lambda mm: EFT(mm, tiebreak="max"))

@@ -1,8 +1,13 @@
-"""Closed-form bounds and schedule-profile theory."""
+"""The paper's bounds and schedule-profile theory.
+
+:mod:`.bounds` holds the closed form of every Table 2 bound (the one
+copy the adversaries and ``repro table2`` read) and the Table 1
+registry; :mod:`.profiles` holds the schedule-profile machinery of
+the Theorem 8 proof (Lemmas 2–6).
+"""
 
 from .bounds import (
     TABLE1,
-    TABLE2,
     BoundEntry,
     eft_disjoint_ratio,
     eft_interval_lower_bound,
@@ -13,7 +18,6 @@ from .bounds import (
     interval_any_lower_bound,
     nested_lower_bound,
 )
-from .lookup import ALGORITHM_CLASSES, KnownBounds, best_known_bounds
 from .profiles import (
     find_plateau,
     is_nonincreasing,
@@ -25,12 +29,8 @@ from .profiles import (
 )
 
 __all__ = [
-    "ALGORITHM_CLASSES",
     "BoundEntry",
-    "KnownBounds",
-    "best_known_bounds",
     "TABLE1",
-    "TABLE2",
     "eft_disjoint_ratio",
     "eft_interval_lower_bound",
     "fifo_competitive_ratio",

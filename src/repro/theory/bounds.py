@@ -1,13 +1,15 @@
-"""Competitive-ratio bound registry (Tables 1 and 2 of the paper).
+"""Competitive-ratio bounds: the paper's Table 2 and the Table 1 registry.
 
-Closed-form bound functions plus a structured registry so the
-benchmark harness can print the paper's two summary tables and tests
-can check the adversaries actually realise the claimed bounds.
+Each bound of Table 2 (Theorems 3, 4, 5, 7, 8–10 and Corollary 1) is
+computed here and nowhere else: every adversary's
+``theoretical_bound()`` and ``repro table2`` read these functions.  The
+log bounds are exact integer arithmetic, so they hold at exact powers
+for any ``m``.  :data:`TABLE1` lists the known results on max-flow
+minimisation that ``repro table1`` prints.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -21,7 +23,6 @@ __all__ = [
     "general_lower_bound",
     "BoundEntry",
     "TABLE1",
-    "TABLE2",
 ]
 
 
@@ -47,7 +48,7 @@ def inclusive_lower_bound(m: int) -> int:
     ``floor(log2(m) + 1)``-competitive on inclusive sets."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return math.floor(math.log2(m) + 1)
+    return int(m).bit_length()
 
 
 def fixed_k_lower_bound(m: int, k: int) -> int:
@@ -56,7 +57,10 @@ def fixed_k_lower_bound(m: int, k: int) -> int:
     ``k``."""
     if m < 1 or k < 2:
         raise ValueError("need m >= 1 and k >= 2")
-    return math.floor(math.log(m, k))
+    levels, power = 0, k
+    while power <= m:  # the largest e with k**e <= m
+        levels, power = levels + 1, power * k
+    return levels
 
 
 def nested_lower_bound(m: int) -> float:
@@ -64,7 +68,7 @@ def nested_lower_bound(m: int) -> float:
     ``(1/3) * floor(log2(m) + 2)``-competitive on nested sets."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return math.floor(math.log2(m) + 2) / 3.0
+    return (int(m).bit_length() + 1) / 3.0
 
 
 def interval_any_lower_bound() -> float:
@@ -90,7 +94,7 @@ def general_lower_bound(m: int) -> float:
     return m / 2.0
 
 
-# -- registries ----------------------------------------------------------------
+# -- Table 1 registry ---------------------------------------------------------
 @dataclass(frozen=True)
 class BoundEntry:
     """One row of a results table."""
@@ -118,20 +122,4 @@ TABLE1: tuple[BoundEntry, ...] = (
     BoundEntry("R, non-preemptive", "PTAS", "upper", "1+eps in n^O(m/eps)", "Bansal [21]", None),
     BoundEntry("R, non-preemptive", "FPTAS", "upper", "1+eps in O(nm(n^2/eps)^m)", "Mastrolilli [12]", None),
     BoundEntry("R, preemptive", "Legrand et al.", "upper", "optimal offline", "Legrand et al. [18]", None),
-)
-
-#: Table 2 — this paper's bounds for structured processing sets.
-TABLE2: tuple[BoundEntry, ...] = (
-    BoundEntry(
-        "inclusive", "immediate dispatch", "lower", ">= floor(log2(m) + 1)", "Theorem 3", inclusive_lower_bound
-    ),
-    BoundEntry(
-        "|Mi| = k", "immediate dispatch", "lower", ">= floor(log_k(m))", "Theorem 4", fixed_k_lower_bound
-    ),
-    BoundEntry("nested", "any online", "lower", ">= (1/3) floor(log2(m) + 2)", "Theorem 5", nested_lower_bound),
-    BoundEntry("disjoint, |Mi| = k", "EFT", "upper", "3 - 2/k", "Corollary 1", eft_disjoint_ratio),
-    BoundEntry("interval, |Mi| = k", "any online", "lower", ">= 2", "Theorem 7", lambda: 2.0),
-    BoundEntry(
-        "interval, |Mi| = k", "EFT", "lower", ">= m - k + 1", "Theorems 8, 9, 10", eft_interval_lower_bound
-    ),
 )

@@ -88,6 +88,12 @@ class TestFixedK:
         adv = FixedKAdversary(27, 3)
         assert adv.m == 27 and adv.levels == 3
 
+    def test_bound_is_the_levels_stacked_at_an_exact_power(self):
+        """At m' = 3**5 the float log reads 4.999...; the bound is still
+        the five levels the construction stacks."""
+        adv = FixedKAdversary(243, 3)
+        assert adv.theoretical_bound() == adv.levels == 5
+
     def test_binds_random_dispatcher(self):
         adv = FixedKAdversary(8, 2, p=1000)
         result = adv.run(lambda m: RandomAssign(m, rng=3))

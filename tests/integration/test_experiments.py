@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig03, fig08, fig10, fig11, ratios, table1, table2
+from repro.theory import (
+    eft_disjoint_ratio,
+    eft_interval_lower_bound,
+    fixed_k_lower_bound,
+    inclusive_lower_bound,
+    interval_any_lower_bound,
+    nested_lower_bound,
+)
 
 
 class TestTable1:
@@ -36,6 +44,22 @@ class TestTable2:
         for row in table.rows:
             if row[2] == "<=":
                 assert float(row[4]) <= float(row[3]) + 1e-9
+
+    def test_theory_column_reads_the_closed_forms(self, table):
+        """Every Theory cell is the ``repro.theory.bounds`` value at the
+        table's (m, k) = (8, 3); it does not depend on p."""
+        m, k = 8, 3
+        expected = {
+            "Thm 3": inclusive_lower_bound(m),
+            "Thm 4": fixed_k_lower_bound(m, k),
+            "Thm 5": nested_lower_bound(m),
+            "Cor 1": eft_disjoint_ratio(k),
+            "Thm 7": interval_any_lower_bound(),
+            "Thm 8": eft_interval_lower_bound(m, k),
+            "Thm 9": eft_interval_lower_bound(m, k),
+            "Thm 10": eft_interval_lower_bound(m, k),
+        }
+        assert {row[-1]: row[3] for row in table.rows} == expected
 
 
 class TestFig03:

@@ -115,3 +115,66 @@ def test_place_matches_submit(policy, stream):
         assert placed._service == submitted._service
     assert placed._tasks == placed._machines == placed._starts == []
     assert submitted.n_dispatched == len(tasks)
+
+
+NON_CLAIRVOYANT = tuple(
+    info["name"] for info in list_schedulers() if not info["clairvoyant"]
+)
+
+
+class _ProcHidden:
+    """A task as a non-clairvoyant ``choose`` may see it: every field
+    but ``proc``, whose read fails the test."""
+
+    def __init__(self, task):
+        self._task = task
+
+    def __getattr__(self, name):
+        if name == "proc":
+            raise AssertionError(f"choose read the proc of task {self._task.tid}")
+        return getattr(self._task, name)
+
+
+@st.composite
+def keyed_streams(draw, max_m: int = 5, max_n: int = 30):
+    """``(m, tasks)``: tasks in release order with mixed processing
+    times, optional processing sets and a few shared keys."""
+    m = draw(st.integers(2, max_m))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0, 20, allow_nan=False),
+                st.floats(0.1, 5, allow_nan=False),
+                st.none() | st.frozensets(st.integers(1, m), min_size=1),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=max_n,
+        )
+    )
+    rows.sort(key=lambda row: row[0])
+    return m, [
+        Task(tid, release, proc, machines=machines, key=key)
+        for tid, (release, proc, machines, key) in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize("policy", NON_CLAIRVOYANT)
+@given(stream=keyed_streams())
+@settings(max_examples=25, deadline=None)
+def test_non_clairvoyant_choose_never_reads_proc(policy, stream):
+    """A policy declaring ``clairvoyant = False`` decides every placement
+    without the task's processing time; its ``charge`` (the realised
+    service) may still read it."""
+    m, tasks = stream
+    sched = get_scheduler(policy, m, seed=SEED)
+    choose, calls = sched.choose, []
+
+    def hidden_choose(task):
+        calls.append(task.tid)
+        return choose(_ProcHidden(task))
+
+    sched.choose = hidden_choose
+    for task in tasks:
+        sched.place(task)
+    assert calls == [t.tid for t in tasks]

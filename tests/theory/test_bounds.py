@@ -1,12 +1,13 @@
-"""Tests for the closed-form bound registry (Tables 1 and 2)."""
+"""Tests for the closed-form bounds (Table 2) and the Table 1 registry."""
 
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.theory import (
     TABLE1,
-    TABLE2,
     eft_disjoint_ratio,
     eft_interval_lower_bound,
     fifo_competitive_ratio,
@@ -15,6 +16,15 @@ from repro.theory import (
     interval_any_lower_bound,
     nested_lower_bound,
 )
+from tests.conftest import examples
+
+
+def floor_log(m: int, base: int) -> int:
+    """The largest ``e`` with ``base**e <= m``, by counting."""
+    e = 0
+    while base ** (e + 1) <= m:
+        e += 1
+    return e
 
 
 class TestClosedForms:
@@ -54,6 +64,18 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             fixed_k_lower_bound(8, 1)
 
+    @given(k=st.integers(2, 20), e=st.integers(1, 30))
+    @example(k=3, e=5)  # math.log(243, 3) is 4.999999999999999
+    @example(k=10, e=3)  # and math.log(1000, 10) is 2.9999999999999996
+    @settings(max_examples=examples(200), deadline=None)
+    def test_log_bounds_exact_around_powers(self, k, e):
+        """At an exact power ``k**e`` and one below it, the three log
+        bounds read the integer truth, however large ``m`` is."""
+        for m, levels in ((k**e, e), (k**e - 1, e - 1)):
+            assert fixed_k_lower_bound(m, k) == levels
+            assert inclusive_lower_bound(m) == floor_log(m, 2) + 1
+            assert nested_lower_bound(m) == (floor_log(m, 2) + 2) / 3
+
 
 class TestRegistries:
     def test_table1_nonempty_rows(self):
@@ -61,20 +83,6 @@ class TestRegistries:
         for e in TABLE1:
             assert e.kind in ("upper", "lower")
             assert e.reference
-
-    def test_table2_covers_all_structures(self):
-        structures = {e.setting.split(",")[0] for e in TABLE2}
-        assert {"inclusive", "nested", "disjoint", "interval"} <= structures
-
-    def test_table2_references_all_theorems(self):
-        refs = " ".join(e.reference for e in TABLE2)
-        for thm in ("Theorem 3", "Theorem 4", "Theorem 5", "Corollary 1", "Theorem 7", "Theorems 8"):
-            assert thm in refs
-
-    def test_registry_formulas_evaluate(self):
-        assert TABLE2[0].formula(16) == 5  # inclusive
-        assert TABLE2[1].formula(16, 2) == 4  # fixed-k
-        assert TABLE2[3].formula(3) == pytest.approx(3 - 2 / 3)  # disjoint
 
     def test_ordering_consistency(self):
         """Bounds must be internally consistent at m=16, k=3: the EFT
